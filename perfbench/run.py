@@ -7,16 +7,18 @@ Run from the root of a kaes checkout:
 Workloads and metrics (with units) are listed in ``BENCHMARK.json`` and
 defined in ``workloads.py`` and ``spans.py``.
 Inputs are generated from ``--seed`` by ``synth.py`` (in a child process, so
-generation is neither timed nor counted in peak memory) and cached per seed
-under ``.perfbench/``.  ``kaes`` is imported from ``./src`` only; without it
-the benchmark exits with code 2 and prints no result.
+generation is neither timed nor counted in peak memory) and cached under
+``.perfbench/``: the essays per seed, the vectors file once for all seeds.
+``kaes`` is imported from ``./src`` only; without it the benchmark exits with
+code 2 and prints no result.
 
 ``--trace 0`` reports the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of a traced run (see ``spans.py``).  The last line of standard output
 is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``metrics``; the lines before it are a readable table and the environment.
 Each run also writes its full record, environment included, under
-``.perfbench/results/``.
+``.perfbench/results/``; a traced run's record also holds the spans of its
+traced set-up and of its last traced call.
 """
 from __future__ import annotations
 
@@ -34,8 +36,14 @@ from pathlib import Path
 
 BLAS_THREADS = 1  # steadier than 2 on a shared 2-core machine; recorded below
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Python randomises str hashes per process, which moves dict and set layouts
+# and so the peak RSS of the same call by up to 10% from run to run; a fixed
+# seed makes runs comparable.  It must be set before the interpreter starts.
+HASH_SEED = "0"
 STATE = ".perfbench"  # cache and scratch space, relative to the checkout root
-KEEP_SEEDS = 8  # generated data sets kept; each is about 130 MB
+# The program as it stands scores QWK 0.87 or more on every workload for
+# seeds 1-40; far below that, its scores are wrong, however fast they came.
+QWK_FLOOR = 0.75
 
 HERE = Path(__file__).resolve().parent
 
@@ -48,32 +56,20 @@ def _import_kaes(src: Path) -> None:
         raise SystemExit(f"error: imported kaes from {kaes.__file__}, not from {src}")
 
 
-def _data_dir(state: Path, seed: int) -> Path:
-    """Generated inputs for ``seed``, made once in a child process and cached.
+def _inputs(state: Path, seed: int) -> tuple[Path, Path]:
+    """The essays generated for ``seed`` and the vectors file all seeds share.
 
-    The cache key includes a digest of the generator, so editing it never
-    reuses stale inputs.
+    Both are made once, in a child process, and cached.  The cache directory
+    is named after a digest of the generator, so editing it never reuses
+    stale inputs.
     """
-    root = state / "data"
     generator = hashlib.sha256((HERE / "synth.py").read_bytes()).hexdigest()[:12]
-    target = root / f"seed-{seed}-{generator}"
-    if not (target / "done").exists():
-        root.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(prefix=f"tmp-seed-{seed}-", dir=root))
-        try:
-            subprocess.run([sys.executable, str(HERE / "synth.py"), "--seed", str(seed),
-                            "--out", str(tmp)], check=True, timeout=300)
-            (tmp / "done").write_text("")
-            shutil.rmtree(target, ignore_errors=True)
-            os.replace(tmp, target)
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-    os.utime(target)
-    cached = sorted((p for p in root.glob("seed-*") if p != target),
-                    key=lambda p: p.stat().st_mtime)
-    for old in cached[: max(0, len(cached) + 1 - KEEP_SEEDS)]:
-        shutil.rmtree(old, ignore_errors=True)
-    return target
+    data = state / "data" / f"gen-{generator}"
+    essays, vectors = data / f"essays-{seed}.tsv", data / "vectors.bin"
+    if not (essays.exists() and vectors.exists()):
+        subprocess.run([sys.executable, str(HERE / "synth.py"), "--seed", str(seed),
+                        "--out", str(data)], check=True, timeout=300)
+    return essays, vectors
 
 
 def _code_fingerprint(root: Path) -> str:
@@ -114,6 +110,7 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": {var: os.environ[var] for var in BLAS_ENV},
+        "python_hash_seed": os.environ["PYTHONHASHSEED"],
     }
 
 
@@ -141,10 +138,11 @@ def main(argv: list[str] | None = None) -> int:
                      f"choose from {', '.join(workloads.WORKLOADS)}")
     workload = workloads.WORKLOADS[args.workload]
     state = root / STATE
-    data = _data_dir(state, args.seed)
+    essays, vectors = _inputs(state, args.seed)
     run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=state))
     try:
-        record = workloads.run(workload, data, run_dir, args.seconds, bool(args.trace))
+        record = workloads.run(workload, essays, vectors, run_dir, args.seconds,
+                               bool(args.trace))
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
 
@@ -152,6 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     mismatch = _same_as_before(state, key, record["digest"])
     if mismatch:
         record["problems"].append(mismatch)
+    if record["qwk"] < QWK_FLOOR:
+        record["problems"].append(f"qwk {record['qwk']:.4f} is below {QWK_FLOOR}")
     record.update(workload=workload.name, seed=args.seed, seconds=args.seconds,
                   trace=args.trace, environment=environment())
     results = state / "results"
@@ -183,4 +183,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        os.execve(sys.executable, [sys.executable, __file__, *sys.argv[1:]],
+                  {**os.environ, "PYTHONHASHSEED": HASH_SEED})
     sys.exit(main())

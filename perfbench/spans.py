@@ -5,7 +5,8 @@ The recorder wraps the public functions of ``kaes`` under the names by which
 so patching the defining module would not be seen).  Every call made while
 the recorder is enabled becomes a :class:`Span` with its name, start, end,
 parent and a few counts taken from its arguments and return value.  Spans
-stay in memory; :func:`layer_metrics` turns them into per-layer numbers.
+stay in memory; :func:`layer_metrics` turns them into per-layer numbers and
+:func:`as_records` into the JSON that the run's record holds.
 
 A layer is the ``kaes`` module that defines the function, so a span's layer
 does not depend on which module called it.
@@ -93,6 +94,18 @@ def layer_self_times(spans: list[Span]) -> dict[str, float]:
     for span, own in zip(spans, self_times(spans)):
         totals[span.layer] = totals.get(span.layer, 0.0) + own
     return totals
+
+
+def as_records(spans: list[Span]) -> list[dict]:
+    """Spans as JSON-ready dicts, times in seconds from the first span's start.
+
+    Set-valued counts (the token types of a histogram) are reduced to their sizes.
+    """
+    t0 = spans[0].start if spans else 0.0
+    return [{"name": s.name, "via": s.via, "start": s.start - t0, "end": s.end - t0,
+             "parent": s.parent,
+             "counts": {k: len(v) if isinstance(v, set) else v for k, v in s.counts.items()}}
+            for s in spans]
 
 
 # ---------------------------------------------------------------------------

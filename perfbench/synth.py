@@ -5,7 +5,7 @@ from it is a pure function of the workload seed:
 
 * every essay has a latent quality ``q`` in [0, 1] (stratified, see
   ``QUALITY_BLOCK``) that sets its gold score on
-  prompt 1's 2-12 scale (plus rater noise), its length (250-400 words), how
+  prompt 1's 2-12 scale (rounded; there is no rater noise), its length (250-400 words), how
   flat its Zipf word distribution is, how often it uses a fixed set of
   "advanced" words and how often it misspells a word;
 * word vectors group words by topic, and the advanced words share one region
@@ -13,17 +13,19 @@ from it is a pure function of the workload seed:
   character n-grams can;
 * the vectors file carries ``extra_words`` non-corpus words after the corpus
   words, so that loading it costs about what a real embeddings file costs;
-  those words contain ``_`` and can never match a token.
+  those words contain ``_`` and can never match a token.  The file does not
+  depend on the seed (its words are fixed), so every seed shares one copy.
 
 Out-of-vocabulary tokens come from misspellings, "@CAPS1"-style markers and a
 fixed share of corpus words left out of the vectors file (``OMITTED_EVERY``).
 
-Run as a script to write ``essays.tsv`` and ``vectors.bin`` into a directory:
-``python3 perfbench/synth.py --seed 1 --out DIR``.
+Run as a script to write ``essays-<seed>.tsv``, and ``vectors.bin`` unless it
+is there already, into a directory: ``python3 perfbench/synth.py --seed 1 --out DIR``.
 """
 from __future__ import annotations
 
 import argparse
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,13 +40,14 @@ COMMON_PHRASES = 400
 ADVANCED_PHRASES = 40
 TOPICS = 40
 OMITTED_EVERY = 23  # every 23rd corpus word past rank 200 has no vector
+VECTOR_SEED = 7005
 ESSAYS = 120
 EXTRA_WORDS = 100_000
 MIN_WORDS, MAX_WORDS = 250, 400
-# Qualities are stratified over each block of 20 essays, so every slice the
-# workloads take (multiples of 20) spans the score scale evenly and QWK moves
+# Qualities are stratified over each block of 10 essays, so every slice the
+# workloads take (multiples of 10) spans the score scale evenly and QWK moves
 # little from seed to seed.
-QUALITY_BLOCK = 20
+QUALITY_BLOCK = 10
 MARKERS = ("@CAPS1", "@PERSON1", "@LOCATION1", "@NUM1", "@DATE1", "@ORGANIZATION1")
 
 _ONSETS = ("b", "c", "d", "f", "g", "h", "l", "m", "n", "p", "r", "s", "t", "v",
@@ -82,7 +85,7 @@ def vocabulary() -> Vocabulary:
     taken: set[str] = set()
     common = _fixed_words(VOCAB_SIZE, 7001, 2, 3, taken)
     common.sort(key=len)  # frequent words are short, as in English
-    advanced = _fixed_words(ADVANCED_SIZE, 7002, 3, 4, taken)
+    advanced = _fixed_words(ADVANCED_SIZE, 7002, 2, 3, taken)
     return Vocabulary(
         common=common,
         advanced=advanced,
@@ -121,21 +124,21 @@ def _zipf(n: int, exponent: float) -> np.ndarray:
 def _essay(q: float, vocab: Vocabulary, rng: np.random.Generator) -> str:
     """One essay: Zipf words and fixed phrases, richer and cleaner as ``q`` grows."""
     n_words = int(np.clip(round(MIN_WORDS + 150 * q + rng.normal(0, 25)), MIN_WORDS, MAX_WORDS))
-    word_p = _zipf(len(vocab.common), 1.15 - 0.35 * q)
+    word_p = _zipf(len(vocab.common), 1.15 - 0.50 * q)
     phrase_p = _zipf(len(vocab.common_phrases), 1.0)
     words: list[str] = []
     while len(words) < n_words:
         u = rng.random()
-        if u < 0.02 + 0.30 * q:
+        if u < 0.02 + 0.60 * q:
             words.extend(vocab.advanced_phrases[int(rng.integers(len(vocab.advanced_phrases)))])
-        elif u < 0.04 + 0.40 * q:
+        elif u < 0.04 + 0.80 * q:
             words.append(vocab.advanced[int(rng.integers(len(vocab.advanced)))])
         elif u < 0.34 + 0.40 * q:
             words.extend(vocab.common_phrases[int(rng.choice(len(vocab.common_phrases), p=phrase_p))])
         else:
             words.append(vocab.common[int(rng.choice(len(vocab.common), p=word_p))])
     words = words[:n_words]
-    typo = rng.random(n_words) < 0.20 * (1.0 - q)
+    typo = rng.random(n_words) < 0.40 * (1.0 - q)
     words = [_misspell(w, rng) if t else w for w, t in zip(words, typo)]
     if rng.random() < 0.5:
         words[int(rng.integers(n_words))] = MARKERS[int(rng.integers(len(MARKERS)))]
@@ -166,16 +169,15 @@ def essays_tsv(seed: int, n_essays: int = ESSAYS) -> bytes:
         qualities.extend((rng.permutation(m) + rng.random(m)) / m)
     lines = ["essay_id\tessay_set\tessay\tdomain1_score"]
     for i, q in enumerate(qualities):
-        score = int(np.clip(round(SCORE_MIN + q * (SCORE_MAX - SCORE_MIN) + rng.normal(0, 0.3)),
-                            SCORE_MIN, SCORE_MAX))
+        score = round(SCORE_MIN + q * (SCORE_MAX - SCORE_MIN))
         lines.append(f"{1001 + i}\t{PROMPT}\t{_essay(q, vocab, rng)}\t{score}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def write_vectors(path: Path, seed: int, extra_words: int = EXTRA_WORDS) -> None:
+def write_vectors(path: Path, extra_words: int = EXTRA_WORDS) -> None:
     """word2vec binary file: corpus words (minus omitted ones), then extras."""
     vocab = vocabulary()
-    rng = np.random.default_rng([seed, 2])
+    rng = np.random.default_rng(VECTOR_SEED)
     centers = rng.normal(0.0, 0.12, size=(TOPICS + 1, DIM))
     words = [w for r, w in enumerate(vocab.common) if r < 200 or r % OMITTED_EVERY]
     words += vocab.advanced
@@ -197,20 +199,28 @@ def write_vectors(path: Path, seed: int, extra_words: int = EXTRA_WORDS) -> None
 
 
 def generate(seed: int, out: Path, n_essays: int = ESSAYS, extra_words: int = EXTRA_WORDS) -> None:
-    """Write ``essays.tsv`` and ``vectors.bin`` for ``seed`` into ``out``."""
+    """Write ``essays-<seed>.tsv`` into ``out``, and ``vectors.bin`` if it is missing.
+
+    Each file appears under its name only once it is complete.
+    """
     out.mkdir(parents=True, exist_ok=True)
-    (out / "essays.tsv").write_bytes(essays_tsv(seed, n_essays))
-    write_vectors(out / "vectors.bin", seed, extra_words)
+    essays = out / f"essays-{seed}.tsv"
+    tmp = essays.with_name(f"{essays.name}.{os.getpid()}")
+    tmp.write_bytes(essays_tsv(seed, n_essays))
+    os.replace(tmp, essays)
+    vectors = out / "vectors.bin"
+    if not vectors.exists():
+        tmp = vectors.with_name(f"{vectors.name}.{os.getpid()}")
+        write_vectors(tmp, extra_words)
+        os.replace(tmp, vectors)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--essays", type=int, default=ESSAYS)
-    parser.add_argument("--extra-words", type=int, default=EXTRA_WORDS)
     args = parser.parse_args()
-    generate(args.seed, Path(args.out), args.essays, args.extra_words)
+    generate(args.seed, Path(args.out))
 
 
 if __name__ == "__main__":

@@ -32,15 +32,20 @@ class TestGenerator:
     def test_same_seed_same_bytes(self, tmp_path):
         synth.generate(3, tmp_path / "a", n_essays=6, extra_words=20)
         synth.generate(3, tmp_path / "b", n_essays=6, extra_words=20)
-        for name in ("essays.tsv", "vectors.bin"):
+        for name in ("essays-3.tsv", "vectors.bin"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_seeds_differ(self):
+    def test_seeds_differ(self, tmp_path):
         assert synth.essays_tsv(1, 6) != synth.essays_tsv(2, 6)
+        # The vectors file is the same for every seed, so one copy serves them all.
+        synth.generate(1, tmp_path / "a", n_essays=6, extra_words=20)
+        synth.generate(2, tmp_path / "b", n_essays=6, extra_words=20)
+        assert ((tmp_path / "a" / "vectors.bin").read_bytes()
+                == (tmp_path / "b" / "vectors.bin").read_bytes())
 
     def test_shape_of_essays_and_vectors(self, tmp_path):
         synth.generate(5, tmp_path, n_essays=20, extra_words=50)
-        essays = parse_asap_tsv((tmp_path / "essays.tsv").read_bytes())
+        essays = parse_asap_tsv((tmp_path / "essays-5.tsv").read_bytes())
         assert len(essays) == 20 and {e.prompt for e in essays} == {synth.PROMPT}
         for e in essays:
             assert synth.MIN_WORDS <= len(e.text.split()) <= synth.MAX_WORDS
@@ -113,7 +118,8 @@ def _tiny(workload):
 def test_workload_runs_at_tiny_size(name, trace, tiny_data, tmp_path):
     import workloads
 
-    record = workloads.run(_tiny(workloads.WORKLOADS[name]), tiny_data, tmp_path, 0.0, trace)
+    record = workloads.run(_tiny(workloads.WORKLOADS[name]), tiny_data / "essays-11.tsv",
+                           tiny_data / "vectors.bin", tmp_path, 0.0, trace)
     assert record["problems"] == []
     assert record["failed"] == 0 and record["attempted"] > 0
     m = record["metrics"]
@@ -122,6 +128,8 @@ def test_workload_runs_at_tiny_size(name, trace, tiny_data, tmp_path):
         assert all(v > 0 for v in m.values())
         return
     assert set(m) == _declared("per_layer")
+    written = json.loads(json.dumps(record["spans"]))
+    assert written and {"name", "via", "start", "end", "parent", "counts"} == set(written[0])
     # Layer self times account for the traced set-up and call, up to the
     # benchmark's own file reads between spans.
     traced = m["trace.setup_s"] + m["trace.wall_s"]

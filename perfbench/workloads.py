@@ -15,6 +15,7 @@ span recorder of :mod:`spans` sees the calls when it is installed.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import resource
 import shutil
@@ -65,7 +66,7 @@ WORKLOADS = {
     for w in (
         Workload("hisk-cv-cold", "hisk", essays=60),
         Workload("boswe-cv", "boswe", essays=30, k=32, kmeans_iters=6),
-        Workload("fused-score", "fused", essays=30, batch=20, k=32, kmeans_iters=6),
+        Workload("fused-score", "fused", essays=20, batch=20, k=32, kmeans_iters=6),
     )
 }
 
@@ -78,22 +79,22 @@ class Call:
     attempted: int
     failed: int
     qwk: float | None
-    digest: str  # sha256 of the report or prediction bytes
+    digest: str  # sha256 of the report and fold kappas, or of the prediction bytes
     problems: list[str] = field(default_factory=list)
 
 
 class Runner:
     """Runs one workload on prepared inputs inside ``run_dir``."""
 
-    def __init__(self, workload: Workload, data_dir: Path, run_dir: Path):
+    def __init__(self, workload: Workload, essays: Path, vectors: Path, run_dir: Path):
         self.w = workload
         self.run_dir = run_dir
-        self.vectors = str(data_dir / "vectors.bin")
-        rows = (data_dir / "essays.tsv").read_bytes().split(b"\n")
+        self.vectors = str(vectors)
+        rows = essays.read_bytes().split(b"\n")
         header, body = rows[0], [r for r in rows[1:] if r]
         needed = workload.essays + workload.batch
         if len(body) < needed:
-            raise ValueError(f"{data_dir} holds {len(body)} essays, {workload.name} needs {needed}")
+            raise ValueError(f"{essays} holds {len(body)} essays, {workload.name} needs {needed}")
         self.train_tsv = run_dir / "train.tsv"
         self.train_tsv.write_bytes(b"\n".join([header, *body[:workload.essays]]) + b"\n")
         self.test_tsv = run_dir / "test.tsv"
@@ -111,12 +112,12 @@ class Runner:
         problems: list[str] = []
         start = time.perf_counter()
         essays = kaes.corpus.parse_asap_tsv(self.train_tsv.read_bytes(), prompt_filter=PROMPT)
-        if self.w.needs_embeddings:
-            kaes.embeddings.load_word2vec_binary(self.vectors)
-        if self.w.representation == "fused":
+        if self.w.representation == "fused":  # kaes train loads the vectors itself
             with contextlib.redirect_stdout(sys.stderr):  # keep stdout for the result
                 code = kaes.cli.main(["train", *self._model_flags(),
                                       "--data", str(self.train_tsv), "--out", str(self.model)])
+        elif self.w.needs_embeddings:
+            kaes.embeddings.load_word2vec_binary(self.vectors)
         elapsed = time.perf_counter() - start
         if len(essays) != self.w.essays:
             problems.append(f"parsed {len(essays)} essays, expected {self.w.essays}")
@@ -176,10 +177,14 @@ class Runner:
         return time.perf_counter() - start, table, cache
 
     def _check_table(self, elapsed: float, table, cache: Path) -> Call:
+        # The report rounds kappas to 3 decimals; the fold kappas join the
+        # digest at full precision so that any change of a score shows.
         report = kaes.harness.emit_report(table, "text")
+        kappas = repr(sorted((c.key, c.values) for c in table.cells)).encode()
         attempted = FOLDS * len(table.cells)
         done = sum(c.n_runs for c in table.cells)
-        out = Call(elapsed, attempted, attempted - done, None, hashlib.sha256(report).hexdigest())
+        out = Call(elapsed, attempted, attempted - done, None,
+                   hashlib.sha256(report + b"\0" + kappas).hexdigest())
         if len(table.cells) != 1:
             out.problems.append(f"expected one result cell, got {len(table.cells)}")
         for cell in table.cells:
@@ -246,23 +251,32 @@ def _timed_calls(runner: Runner, seconds: float, traced=None):
     Untraced, every call follows its own set-up, so set-up times are sampled
     across the whole run like call times are (the machine's speed drifts over
     seconds).  With ``traced`` (a function running one traced call), untraced
-    and traced calls alternate instead and there are no set-ups.  Returns
-    (set-ups, untraced calls, traced calls), with MIN_CALLS pairs at least.
+    and traced calls alternate instead and there are no set-ups.  Garbage is
+    collected before each step, so no step pays for or holds the memory of
+    the one before.  Returns (set-ups, untraced calls, traced calls, peak RSS
+    in MB after the first pair), with MIN_CALLS pairs at least; later pairs
+    raise the peak only by allocator drift.
     """
     setups: list[tuple[float, list[str]]] = []
     plain: list[Call] = []
     with_trace: list[Call] = []
+    peak_mb = 0.0
     start = time.perf_counter()
     while True:
         if traced is None:
+            gc.collect()
             setups.append(runner.setup())
+        gc.collect()
         plain.append(runner.call())
+        if not peak_mb:
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if traced is not None:
+            gc.collect()
             with_trace.append(traced())
         elapsed = time.perf_counter() - start
         if len(plain) >= MIN_CALLS and elapsed * (len(plain) + 1) / len(plain) > seconds:
             break
-    return setups, plain, with_trace
+    return setups, plain, with_trace, peak_mb
 
 
 def _verdict(calls: list[Call], setup_problems: list[str]) -> tuple[list[str], int, int]:
@@ -278,23 +292,24 @@ def _verdict(calls: list[Call], setup_problems: list[str]) -> tuple[list[str], i
     return problems, sum(c.attempted for c in calls), sum(c.failed for c in calls)
 
 
-def run(workload: Workload, data_dir: Path, run_dir: Path, seconds: float, trace: bool) -> dict:
+def run(workload: Workload, essays: Path, vectors: Path, run_dir: Path, seconds: float,
+        trace: bool) -> dict:
     """Run one workload; returns the result record (metrics, checks, call times)."""
-    runner = Runner(workload, data_dir, run_dir)
+    runner = Runner(workload, essays, vectors, run_dir)
     if not trace:
-        setups, calls, _ = _timed_calls(runner, seconds)
+        setups, calls, _, peak_mb = _timed_calls(runner, seconds)
         problems, attempted, failed = _verdict(calls, [p for _, ps in setups for p in ps])
         wall = _median(c.seconds for c in calls)
         metrics = {
             "setup_s": _median(s for s, _ in setups),
             "wall_s": wall,
             "essays_per_s": workload.units_per_call / wall,
-            "qwk": calls[0].qwk if calls[0].qwk is not None else 0.0,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "qwk": calls[0].qwk or 0.0,
+            "peak_rss_mb": peak_mb,
         }
         return {
             "problems": problems, "attempted": attempted, "failed": failed,
-            "metrics": metrics, "digest": calls[0].digest,
+            "metrics": metrics, "digest": calls[0].digest, "qwk": calls[0].qwk or 0.0,
             "essays_per_call": workload.units_per_call,
             "setup_times": [s for s, _ in setups], "call_times": [c.seconds for c in calls],
         }
@@ -305,11 +320,13 @@ def run(workload: Workload, data_dir: Path, run_dir: Path, seconds: float, trace
         with recorder.enabled_block():
             setup_s, setup_problems = runner.setup()
         setup_spans = list(recorder.spans)
+        last_spans: list[spans.Span] = []
         per_call: list[dict[str, float]] = []
 
         def traced() -> Call:
             recorder.spans = list(setup_spans)
             call = runner.call(traced=recorder.enabled_block())
+            last_spans[:] = recorder.spans
             m = spans.layer_metrics(recorder.spans)
             m["trace.setup_s"] = setup_s
             m["trace.wall_s"] = call.seconds
@@ -318,7 +335,7 @@ def run(workload: Workload, data_dir: Path, run_dir: Path, seconds: float, trace
             per_call.append(m)
             return call
 
-        _, plain, with_trace = _timed_calls(runner, seconds, traced)
+        _, plain, with_trace, _ = _timed_calls(runner, seconds, traced)
     finally:
         undo()
     problems, attempted, failed = _verdict(plain + with_trace, setup_problems)
@@ -327,7 +344,8 @@ def run(workload: Workload, data_dir: Path, run_dir: Path, seconds: float, trace
     metrics["trace.overhead_s"] = metrics["trace.wall_s"] - metrics["trace.untraced_wall_s"]
     return {
         "problems": problems, "attempted": attempted, "failed": failed,
-        "metrics": metrics, "digest": plain[0].digest,
+        "metrics": metrics, "digest": plain[0].digest, "qwk": plain[0].qwk or 0.0,
         "essays_per_call": workload.units_per_call,
         "setup_times": [setup_s], "call_times": [c.seconds for c in plain + with_trace],
+        "spans": spans.as_records(last_spans),
     }
