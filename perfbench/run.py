@@ -12,8 +12,10 @@ generation is neither timed nor counted in peak memory) and cached under
 ``kaes`` is imported from ``./src`` only; without it the benchmark exits with
 code 2 and prints no result.
 
-``--trace 0`` reports the end-to-end metrics, ``--trace 1`` the per-layer
-metrics of a traced run (see ``spans.py``).  The last line of standard output
+``--trace 0`` reports the end-to-end metrics, with times scaled to the speed
+of a fixed reference task timed around every step (see ``reference.py``);
+``--trace 1`` reports the per-layer metrics of a traced run (see
+``spans.py``).  The last line of standard output
 is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``metrics``; the lines before it are a readable table and the environment.
 Each run also writes its full record, environment included, under
@@ -172,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{workload.name:<13} {'failed_share':<34} "
           f"{record['failed'] / max(1, record['attempted']):>14.6g} share")
     print(f"{workload.name:<13} {'essays_per_call':<34} {record['essays_per_call']:>14d} count")
+    for name in ("raw_setup_s", "raw_wall_s", "reference_s"):
+        if name in record:
+            print(f"{workload.name:<13} {name:<34} {record[name]:>14.6g} s")
     print(f"{workload.name:<13} output sha256 {record['digest']}")
     print("environment " + json.dumps(record["environment"], sort_keys=True))
     for problem in record["problems"]:

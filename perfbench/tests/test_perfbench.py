@@ -100,6 +100,16 @@ class TestSelfTime:
         assert set(spans.METRICS) | set(workloads.TRACE_METRICS) == _declared("per_layer")
 
 
+def test_steps_are_scaled_by_the_reference_samples_around_them():
+    import reference
+    import workloads
+
+    nominal = reference.NOMINAL_S
+    # Three steps; the machine runs at the reference speed, then half as fast.
+    refs = [nominal, nominal, 2 * nominal, 2 * nominal]
+    assert workloads.scaled([1.0, 3.0, 4.0], refs) == pytest.approx([1.0, 2.0, 2.0])
+
+
 @pytest.fixture(scope="module")
 def tiny_data(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")

@@ -32,6 +32,7 @@ import kaes.harness
 import kaes.metrics
 from kaes.corpus import ASAP_SCORE_RANGES
 
+import reference
 import spans
 
 PROMPT = 1
@@ -249,23 +250,28 @@ def _timed_calls(runner: Runner, seconds: float, traced=None):
     """Set-ups and calls until the next pair would overrun ``seconds``.
 
     Untraced, every call follows its own set-up, so set-up times are sampled
-    across the whole run like call times are (the machine's speed drifts over
-    seconds).  With ``traced`` (a function running one traced call), untraced
-    and traced calls alternate instead and there are no set-ups.  Garbage is
-    collected before each step, so no step pays for or holds the memory of
-    the one before.  Returns (set-ups, untraced calls, traced calls, peak RSS
-    in MB after the first pair), with MIN_CALLS pairs at least; later pairs
+    across the whole run like call times are, and the reference task of
+    :mod:`reference` is timed before, between and after them, so that every
+    step has a speed sample on each side.  With ``traced`` (a function running
+    one traced call), untraced and traced calls alternate instead and there
+    are no set-ups or reference samples.  Garbage is collected before each
+    step, so no step pays for or holds the memory of the one before.
+    Returns (set-ups, untraced calls, traced calls, peak RSS in MB after the
+    first pair, reference samples), with MIN_CALLS pairs at least; later pairs
     raise the peak only by allocator drift.
     """
     setups: list[tuple[float, list[str]]] = []
     plain: list[Call] = []
     with_trace: list[Call] = []
+    refs: list[float] = []
     peak_mb = 0.0
     start = time.perf_counter()
     while True:
         if traced is None:
+            refs.append(reference.sample())
             gc.collect()
             setups.append(runner.setup())
+            refs.append(reference.sample())
         gc.collect()
         plain.append(runner.call())
         if not peak_mb:
@@ -276,7 +282,15 @@ def _timed_calls(runner: Runner, seconds: float, traced=None):
         elapsed = time.perf_counter() - start
         if len(plain) >= MIN_CALLS and elapsed * (len(plain) + 1) / len(plain) > seconds:
             break
-    return setups, plain, with_trace, peak_mb
+    if traced is None:
+        refs.append(reference.sample())
+    return setups, plain, with_trace, peak_mb, refs
+
+
+def scaled(seconds: list[float], refs: list[float]) -> list[float]:
+    """Step times at the reference speed: ``refs[i]`` and ``refs[i + 1]`` flank step ``i``."""
+    return [t * reference.NOMINAL_S * 2.0 / (refs[i] + refs[i + 1])
+            for i, t in enumerate(seconds)]
 
 
 def _verdict(calls: list[Call], setup_problems: list[str]) -> tuple[list[str], int, int]:
@@ -297,11 +311,14 @@ def run(workload: Workload, essays: Path, vectors: Path, run_dir: Path, seconds:
     """Run one workload; returns the result record (metrics, checks, call times)."""
     runner = Runner(workload, essays, vectors, run_dir)
     if not trace:
-        setups, calls, _, peak_mb = _timed_calls(runner, seconds)
+        setups, calls, _, peak_mb, refs = _timed_calls(runner, seconds)
         problems, attempted, failed = _verdict(calls, [p for _, ps in setups for p in ps])
-        wall = _median(c.seconds for c in calls)
+        # refs alternate with the steps: ref, set-up, ref, call, ref, set-up, ...
+        steps = [t for (s, _), c in zip(setups, calls) for t in (s, c.seconds)]
+        steps = scaled(steps, refs)
+        wall = _median(steps[1::2])
         metrics = {
-            "setup_s": _median(s for s, _ in setups),
+            "setup_s": _median(steps[0::2]),
             "wall_s": wall,
             "essays_per_s": workload.units_per_call / wall,
             "qwk": calls[0].qwk or 0.0,
@@ -312,6 +329,9 @@ def run(workload: Workload, essays: Path, vectors: Path, run_dir: Path, seconds:
             "metrics": metrics, "digest": calls[0].digest, "qwk": calls[0].qwk or 0.0,
             "essays_per_call": workload.units_per_call,
             "setup_times": [s for s, _ in setups], "call_times": [c.seconds for c in calls],
+            "reference_times": refs, "reference_s": _median(refs),
+            "raw_setup_s": _median(s for s, _ in setups),
+            "raw_wall_s": _median(c.seconds for c in calls),
         }
 
     recorder = spans.Recorder()
@@ -335,7 +355,7 @@ def run(workload: Workload, essays: Path, vectors: Path, run_dir: Path, seconds:
             per_call.append(m)
             return call
 
-        _, plain, with_trace, _ = _timed_calls(runner, seconds, traced)
+        _, plain, with_trace, _, _ = _timed_calls(runner, seconds, traced)
     finally:
         undo()
     problems, attempted, failed = _verdict(plain + with_trace, setup_problems)
