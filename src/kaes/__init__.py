@@ -11,13 +11,11 @@ weighted kappa.
 from .boswe import (
     BosweHistogram,
     Codebook,
-    assign,
     boswe_kernel_matrix,
     build_histogram,
     fit_codebook,
     hik_pair,
     load_codebook,
-    mean_std_doc_embedding,
     save_codebook,
 )
 from .corpus import (

@@ -10,22 +10,17 @@ character n-grams.
 from __future__ import annotations
 
 import hashlib
-import logging
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingModel, lookup
+from .embeddings import EmbeddingModel
 from .errors import BinaryFormatError, KernelMismatchError, KaesError
-from .kdtree import KdTree, RandomizedKdForest, nearest_linear
 from .seeding import KMEANS, derive_rng
 from .string_kernel import KernelMatrix
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CLUSTERS = 500
 DEFAULT_KMEANS_ITERS = 100
@@ -33,23 +28,70 @@ DEFAULT_KMEANS_ITERS = 100
 CODEBOOK_MAGIC = b"KAESCB01"
 
 
+# Unit roundoff of float64, and the smallest subnormal (twice the largest
+# absolute error of one operation whose result underflows).
+_U = 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1074
+
+
 def _assign_blocked(
     points: np.ndarray, centroids: np.ndarray, budget: int = 8_000_000
 ) -> np.ndarray:
-    """Exact nearest-centroid ids for every row of ``points``.
+    """Exact nearest-centroid ids for every row of ``points``; ties to the lowest id.
 
-    Uses the same elementwise-difference formula as the tree and the linear
-    scan, so all three routes agree bit for bit (ties go to the lowest
-    cluster id).  Work is blocked to bound temporary memory.
+    The result is by definition the argmin of the elementwise formula
+    ``((x - c) ** 2).sum()``, evaluated in float64, over the centroids in id
+    order.  Distances are screened with the GEMM form
+    ``||x||^2 - 2 x.c + ||c||^2`` and only ambiguous rows pay for the
+    elementwise formula, so labels do not depend on the block size or on how
+    the BLAS orders its sums.  Each block holds at most ``budget`` float64
+    distances.
+
+    Why the screen is exact.  Take one row x of dimension n and one centroid
+    c, let D = ||x - c||^2 exactly and S = (||x|| + ||c||)^2, which bounds
+    ||x||^2, 2|x.c|, ||c||^2 and D.  With g_m = m u / (1 - m u):
+
+    * A sum of n products, summed in any order or blocking, with or without
+      fused multiply-adds, is within g_n of the sum of the products'
+      magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+      sec. 3.1).  So the three GEMM terms together err by at most g_n S, and
+      the two additions joining them by at most 2u(1 + g_n)(1 + u) S: the
+      GEMM value is within g_(n+3) S of D.
+    * Each elementwise term (x_i - c_i)^2 has relative error at most g_3 and
+      the nonnegative terms sum with g_(n-1), so the elementwise value is
+      within g_(n+2) D <= g_(n+2) S of D.
+
+    The two values therefore differ by at most E = g_(2n+5) S, plus at most
+    2^-1075 per operation whose result underflows.  If m is the
+    elementwise argmin, for every j
+    ``gemm_m <= elem_m + E <= elem_j + E <= gemm_j + 2E``, so m lies within
+    2E of the smallest GEMM value.  The code bounds S by the row's largest
+    (||x|| + ||c||)^2 and 2E by ``4 (2n + 8) (u S + 2^-1074)``, twice
+    2 g_(2n+5) S for any practical n, which also covers the rounding of the
+    bound itself.  A row with exactly one centroid inside that margin has
+    found m.  Any other row (a near tie, or a non-finite value) is
+    recomputed with the elementwise formula.
     """
     n, dim = points.shape
     k = centroids.shape[0]
     out = np.empty(n, dtype=np.int64)
-    block = max(1, budget // max(1, k * dim))
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_norm_max = float(np.sqrt(c_sq.max()))
+    slack = 4.0 * (2 * dim + 8)
+    block = max(1, budget // max(1, k))
     for start in range(0, n, block):
         chunk = points[start : start + block]
-        d = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + block] = d.argmin(axis=1)
+        x_sq = np.einsum("ij,ij->i", chunk, chunk)
+        d = chunk @ centroids.T
+        d *= -2.0
+        d += x_sq[:, None]
+        d += c_sq[None, :]
+        margin = slack * (_U * (np.sqrt(x_sq) + c_norm_max) ** 2 + _UNDERFLOW)
+        within = d <= (d.min(axis=1) + margin)[:, None]
+        labels = within.argmax(axis=1)
+        for i in np.flatnonzero(within.sum(axis=1) != 1):
+            labels[i] = ((chunk[i] - centroids) ** 2).sum(axis=1).argmin()
+        out[start : start + block] = labels
     return out
 
 
@@ -59,76 +101,51 @@ def _sqdist_to_assigned(points: np.ndarray, centroids: np.ndarray, labels: np.nd
 
 @dataclass
 class Codebook:
-    """k cluster centroids plus an exact nearest-neighbor index.
+    """k cluster centroids; :meth:`assign_batch` maps vectors to them exactly.
 
     Centroids are stored as float32 (the on-disk precision); all distance
-    arithmetic runs on one shared float64 view so assignment is identical
-    whether it goes through the tree, the blocked scan, or the reference
-    linear scan.
+    arithmetic runs on one shared float64 copy.  Labels of embedding rows are
+    memoized per model, so each token type is assigned once per codebook.
     """
 
     k: int
     centroids: np.ndarray  # (k, dim) float32
     seed: int
     distortion: float | None
+    fingerprint: str = field(init=False)
     _centroids64: np.ndarray = field(init=False, repr=False)
-    _index: KdTree | None = field(default=None, init=False, repr=False)
-    _forest: RandomizedKdForest | None = field(default=None, init=False, repr=False)
+    _memo_model: EmbeddingModel | None = field(default=None, init=False, repr=False)
+    _memo: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.centroids = np.ascontiguousarray(self.centroids, dtype=np.float32)
         self._centroids64 = self.centroids.astype(np.float64)
+        self.fingerprint = hashlib.sha256(self.centroids.tobytes()).hexdigest()[:16]
 
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
 
-    @property
-    def index(self) -> KdTree:
-        if self._index is None:
-            self._index = KdTree(self._centroids64)
-        return self._index
-
-    @property
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256(self.centroids.tobytes())
-        return digest.hexdigest()[:16]
-
-    def assign(self, vector: np.ndarray) -> int:
-        """Nearest-centroid id via the exact tree; ties to the lowest id."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.dim,):
-            raise KernelMismatchError(f"vector has shape {vector.shape}, expected ({self.dim},)")
-        _, idx = self.index.query(vector)
-        return idx
-
-    def assign_linear(self, vector: np.ndarray) -> int:
-        """Reference linear-scan assignment (oracle for the index)."""
-        _, idx = nearest_linear(self._centroids64, np.asarray(vector, dtype=np.float64))
-        return idx
-
-    def assign_approx(self, vector: np.ndarray, max_checks: int = 64,
-                      n_trees: int = 4) -> int:
-        """Approximate assignment via the randomized multi-tree index.
-
-        Optional mode with a fixed leaf-check budget per query; never used
-        by the scoring pipeline, which stays exact.
-        """
-        if self._forest is None:
-            self._forest = RandomizedKdForest(
-                self._centroids64, n_trees=n_trees, seed=self.seed
-            )
-        _, idx = self._forest.query(np.asarray(vector, dtype=np.float64), max_checks)
-        return idx
-
     def assign_batch(self, vectors: np.ndarray) -> np.ndarray:
+        """Nearest-centroid id of every row; exact, ties to the lowest id."""
         vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
+            raise KernelMismatchError(
+                f"vectors have shape {vectors.shape}, expected (n, {self.dim})"
+            )
         return _assign_blocked(vectors, self._centroids64)
 
-
-def assign(codebook: Codebook, vector: np.ndarray) -> int:
-    """Module-level convenience for :meth:`Codebook.assign`."""
-    return codebook.assign(vector)
+    def _assign_rows(self, model: EmbeddingModel, rows: np.ndarray) -> np.ndarray:
+        """Labels of the embedding rows ``rows`` of ``model``, memoized per row."""
+        if model is not self._memo_model:
+            self._memo_model = model
+            self._memo = np.full(model.vectors.shape[0], -1, dtype=np.int64)
+        labels = self._memo[rows]
+        todo = np.unique(rows[labels < 0])
+        if todo.size:
+            self._memo[todo] = self.assign_batch(model.vectors[todo])
+            labels = self._memo[rows]
+        return labels
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,21 +248,22 @@ def build_histogram(
 
     Out-of-vocabulary tokens are skipped; a document with no embedded tokens
     yields an empty histogram (token_count 0) that intersects to 0 with
-    everything.
+    everything.  Each token type is assigned once per codebook and model;
+    later documents reuse its label.
     """
-    vecs = [v for v in (lookup(model, t) for t in tokens) if v is not None]
-    if not vecs:
+    rows = [r for r in (model.vocab.get(t) for t in tokens) if r is not None]
+    if not rows:
         return BosweHistogram(
             weights={}, token_count=0, normalized=normalize,
             codebook_fingerprint=codebook.fingerprint,
         )
-    ids = codebook.assign_batch(np.vstack(vecs))
-    counts = Counter(int(i) for i in ids)
-    token_count = len(vecs)
+    counts = np.bincount(codebook._assign_rows(model, np.array(rows)))
+    token_count = len(rows)
+    present = np.flatnonzero(counts).tolist()
     if normalize:
-        weights = {cid: c / token_count for cid, c in sorted(counts.items())}
+        weights = {cid: int(counts[cid]) / token_count for cid in present}
     else:
-        weights = {cid: float(c) for cid, c in sorted(counts.items())}
+        weights = {cid: float(counts[cid]) for cid in present}
     return BosweHistogram(
         weights=weights, token_count=token_count, normalized=normalize,
         codebook_fingerprint=codebook.fingerprint,
@@ -304,20 +322,6 @@ def boswe_kernel_matrix(
         diag_rows=np.array([h.self_similarity() for h in rows]),
         diag_cols=np.array([h.self_similarity() for h in cols_eff]),
     )
-
-
-def mean_std_doc_embedding(tokens: Sequence[str], model: EmbeddingModel) -> np.ndarray:
-    """Per-component mean and population std of the document's word vectors.
-
-    Output length is 2*dim (means first, stds second).  A document with no
-    in-vocabulary tokens yields the zero vector and logs a warning.
-    """
-    vecs = [v for v in (lookup(model, t) for t in tokens) if v is not None]
-    if not vecs:
-        logger.warning("mean/std document embedding of an all-OOV document; returning zeros")
-        return np.zeros(2 * model.dim)
-    stacked = np.vstack(vecs).astype(np.float64)
-    return np.concatenate([stacked.mean(axis=0), stacked.std(axis=0)])
 
 
 def save_codebook(codebook: Codebook, path: str | Path | BinaryIO) -> None:

@@ -21,6 +21,8 @@ import csv
 import hashlib
 import io
 import logging
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -37,7 +39,7 @@ from .corpus import (
     unscale_score,
 )
 from .embeddings import DEFAULT_VOCAB_LIMIT, EmbeddingModel, load_word2vec_binary, lookup, tokenize
-from .errors import KaesError
+from .errors import BinaryFormatError, KaesError
 from .fusion import sum_kernels
 from .metrics import average_qwk, qwk
 from .seeding import CODEBOOK, derive_rng
@@ -293,10 +295,16 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
         cache_path = Path(cfg.cache_dir) / f"hisk_{_gram_cache_key(essays, cfg)}.km"
         if cache_path.exists():
             logger.info("loading cached Gram matrix %s", cache_path.name)
-            raw = load_kernel_matrix(cache_path)
-            if raw.row_ids != ids:
-                raise KaesError(f"cache file {cache_path} does not match the document set")
-            return normalize_kernel(raw)
+            try:
+                raw = load_kernel_matrix(cache_path)
+            except BinaryFormatError as exc:
+                logger.warning("ignoring unreadable cache file %s: %s", cache_path, exc)
+            else:
+                if raw.row_ids == ids:
+                    return normalize_kernel(raw)
+                logger.warning(
+                    "ignoring cache file %s: it does not match the document set", cache_path
+                )
     logger.info(
         "computing %d-document n-gram Gram matrix (range [%d,%d])",
         len(essays), cfg.ngram_min, cfg.ngram_max,
@@ -304,7 +312,16 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
     profiles = [extract_ngram_counts(e.text, cfg.ngram_min, cfg.ngram_max) for e in essays]
     raw = kernel_matrix(profiles, row_ids=ids)
     if cache_path is not None:
-        save_kernel_matrix(raw, cache_path)
+        # Write beside the target and swap it in, so that no reader (nor a run
+        # killed mid-write) ever sees a partial file under the final name.
+        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, prefix=cache_path.name, suffix=".tmp")
+        os.close(fd)
+        try:
+            save_kernel_matrix(raw, tmp)
+            os.replace(tmp, cache_path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         logger.info("cached Gram matrix at %s", cache_path.name)
     return normalize_kernel(raw)
 

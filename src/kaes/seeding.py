@@ -17,7 +17,6 @@ TRANSFER_PARTITION = 2
 TRANSFER_SUBSAMPLE = 3
 CODEBOOK = 4
 KMEANS = 5
-FOREST = 6
 
 
 def derive_rng(seed: int, *tags: int) -> np.random.Generator:

@@ -329,7 +329,11 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
         for _ in range(rows + cols):
             (length,) = struct.unpack("<I", _read_exact(stream, 4, offset))
             offset += 4
-            ids.append(_read_exact(stream, length, offset).decode("utf-8"))
+            raw_id = _read_exact(stream, length, offset)
+            try:
+                ids.append(raw_id.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise BinaryFormatError(f"document id is not UTF-8: {exc}", offset=offset) from exc
             offset += length
         row_ids, col_ids = tuple(ids[:rows]), tuple(ids[rows:])
         diag = None

@@ -2,9 +2,9 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: substring counting by rescanning the strings, kappa by double
-loops over the formula, and the nu-SVR dual solved by projected gradient
-with an accelerated first-order method run to a tight fixed-point
-tolerance.
+loops over the formula, nearest centroids by a linear scan, and the nu-SVR
+dual solved by projected gradient with an accelerated first-order method
+run to a tight fixed-point tolerance.
 """
 from __future__ import annotations
 
@@ -65,6 +65,20 @@ def qwk_direct(pred, gold, lo: int, hi: int) -> float:
     if den == 0.0:
         return 1.0
     return 1.0 - num / den
+
+
+def nearest_centroid_linear(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid id of each point by a linear scan; ties to the lowest id.
+
+    Distances are the elementwise float64 sums of squared differences, the
+    definition the codebook's assignment must reproduce bit for bit.
+    """
+    centroids = np.asarray(centroids, dtype=np.float64)
+    return np.array(
+        [int(np.argmin(((centroids - p) ** 2).sum(axis=1)))
+         for p in np.asarray(points, dtype=np.float64)],
+        dtype=np.int64,
+    )
 
 
 def project_capped_simplex(v: np.ndarray, cap: float, total: float) -> np.ndarray:

@@ -4,21 +4,21 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kaes.boswe import (
     Codebook,
-    assign,
+    _assign_blocked,
     boswe_kernel_matrix,
     build_histogram,
     fit_codebook,
     hik_pair,
     load_codebook,
-    mean_std_doc_embedding,
     save_codebook,
 )
 from kaes.embeddings import EmbeddingModel
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
-from kaes.kdtree import KdTree, RandomizedKdForest, nearest_linear
+from oracles import nearest_centroid_linear
 
 
 def toy_model(words: dict[str, np.ndarray]) -> EmbeddingModel:
@@ -63,6 +63,20 @@ class TestKMeans:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
 
+def _check_against_linear_scan(points: np.ndarray, centroids: np.ndarray) -> None:
+    expected = nearest_centroid_linear(points, centroids)
+    assert np.array_equal(_assign_blocked(points, centroids), expected)
+    assert np.array_equal(_assign_blocked(points, centroids, budget=1), expected)
+
+
+_shapes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 40),
+    k=st.integers(1, 30),
+    n=st.integers(1, 60),
+)
+
+
 class TestAssign:
     def _codebook(self, centroids) -> Codebook:
         return Codebook(k=len(centroids), centroids=np.asarray(centroids, dtype=np.float32),
@@ -72,8 +86,8 @@ class TestAssign:
         rng = np.random.default_rng(1)
         centroids = rng.normal(size=(10, 4))
         codebook = self._codebook(centroids)
-        for i in (0, 3, 9):
-            assert assign(codebook, centroids[i].astype(np.float64)) == i
+        queries = codebook.centroids[[0, 3, 9]]
+        assert list(codebook.assign_batch(queries)) == [0, 3, 9]
 
     def test_tie_breaks_to_lower_id(self):
         # Centroids 3 and 7 sit symmetrically around the query.
@@ -83,15 +97,27 @@ class TestAssign:
         centroids[3] = [1000.0, 2.0, 0.0]
         centroids[7] = [1000.0, -2.0, 0.0]
         codebook = self._codebook(centroids)
-        assert assign(codebook, query) == 3
+        assert list(codebook.assign_batch(query[None, :])) == [3]
 
-    def test_index_equals_linear_scan_on_random_queries(self):
-        rng = np.random.default_rng(7)
-        centroids = rng.normal(size=(50, 8))
-        codebook = self._codebook(centroids)
-        queries = rng.normal(size=(1000, 8))
-        for q in queries:
-            assert codebook.assign(q) == codebook.assign_linear(q)
+    @settings(deadline=None)
+    @given(**_shapes)
+    def test_matches_linear_scan_on_random_data(self, seed, dim, k, n):
+        rng = np.random.default_rng(seed)
+        _check_against_linear_scan(rng.normal(size=(n, dim)), rng.normal(size=(k, dim)))
+
+    @settings(deadline=None)
+    @given(**_shapes, offset=st.floats(0.0, 1e6), spread=st.sampled_from([1e-9, 1e-6, 1e-3]))
+    def test_near_duplicates_far_from_origin_match_linear_scan(
+        self, seed, dim, k, n, offset, spread
+    ):
+        # ||x||^2 and ||c||^2 dwarf the distances here, so the GEMM form
+        # cancels nearly all its digits; some points repeat a centroid exactly.
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=dim) * offset
+        centroids = base + rng.normal(size=(k, dim)) * spread
+        points = base + rng.normal(size=(n, dim)) * spread
+        points[: n // 3] = centroids[rng.integers(0, k, size=n // 3)]
+        _check_against_linear_scan(points, centroids)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
@@ -99,16 +125,14 @@ class TestAssign:
         codebook = self._codebook(centroids)
         queries = rng.normal(size=(64, 5))
         batch = codebook.assign_batch(queries)
-        assert [codebook.assign(q) for q in queries] == list(batch)
+        assert [codebook.assign_batch(q[None, :])[0] for q in queries] == list(batch)
 
     def test_dimension_mismatch(self):
         codebook = self._codebook(np.zeros((2, 3)))
         with pytest.raises(KernelMismatchError):
-            codebook.assign(np.zeros(4))
+            codebook.assign_batch(np.zeros((1, 4)))
 
     def test_blocked_assignment_independent_of_block_size(self):
-        from kaes.boswe import _assign_blocked
-
         rng = np.random.default_rng(19)
         centroids = rng.normal(size=(30, 7))
         queries = rng.normal(size=(200, 7))
@@ -116,58 +140,15 @@ class TestAssign:
         tiny_blocks = _assign_blocked(queries, centroids, budget=1)
         assert np.array_equal(full, tiny_blocks)
 
-    def test_approx_mode_with_full_budget_is_exact(self):
-        rng = np.random.default_rng(23)
-        centroids = rng.normal(size=(32, 6))
-        codebook = self._codebook(centroids)
-        for q in rng.normal(size=(60, 6)):
-            assert codebook.assign_approx(q, max_checks=32 * 4) == codebook.assign(q)
-
-    def test_integer_grid_ties_match_linear_scan(self):
-        # Integer coordinates force many exact distance ties.
-        rng = np.random.default_rng(20)
-        centroids = rng.integers(0, 3, size=(40, 4)).astype(np.float32)
-        codebook = self._codebook(centroids)
-        for q in rng.integers(0, 3, size=(500, 4)).astype(np.float64):
-            assert codebook.assign(q) == codebook.assign_linear(q)
-
-
-class TestKdTree:
-    def test_matches_linear_scan_small_leaves(self):
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(137, 6))
-        tree = KdTree(points, leaf_size=4)
-        for q in rng.normal(size=(300, 6)):
-            assert tree.query(q) == nearest_linear(points, q)
-
-    def test_duplicate_points_lowest_index(self):
-        points = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        tree = KdTree(points, leaf_size=1)
-        _, idx = tree.query(np.array([1.0, 1.0]))
-        assert idx == 0
-
-    def test_forest_exact_with_full_budget(self):
-        rng = np.random.default_rng(13)
-        points = rng.normal(size=(64, 5))
-        forest = RandomizedKdForest(points, n_trees=3, leaf_size=4, seed=5)
-        for q in rng.normal(size=(50, 5)):
-            assert forest.query(q, max_checks=64 * 3) == nearest_linear(points, q)
-
-    def test_forest_deterministic(self):
-        rng = np.random.default_rng(14)
-        points = rng.normal(size=(64, 5))
-        queries = rng.normal(size=(20, 5))
-        a = RandomizedKdForest(points, n_trees=3, seed=5)
-        b = RandomizedKdForest(points, n_trees=3, seed=5)
-        assert [a.query(q, 16) for q in queries] == [b.query(q, 16) for q in queries]
-
-    def test_forest_budget_limits_checks(self):
-        rng = np.random.default_rng(15)
-        points = rng.normal(size=(256, 4))
-        forest = RandomizedKdForest(points, n_trees=2, leaf_size=8, seed=1)
-        exact = [nearest_linear(points, q) for q in rng.normal(size=(100, 4))]
-        approx = [forest.query(q, max_checks=16) for q in rng.normal(size=(100, 4))]
-        assert len(exact) == len(approx)  # approximate mode runs; recall not asserted
+    @settings(deadline=None)
+    @given(**_shapes, levels=st.integers(1, 4))
+    def test_integer_grid_ties_match_linear_scan(self, seed, dim, k, n, levels):
+        # Integer coordinates force many exact distance ties, and repeated
+        # centroids.
+        rng = np.random.default_rng(seed)
+        centroids = rng.integers(0, levels, size=(k, dim)).astype(np.float64)
+        points = rng.integers(0, levels, size=(n, dim)).astype(np.float64)
+        _check_against_linear_scan(points, centroids)
 
 
 class TestHistograms:
@@ -211,6 +192,36 @@ class TestHistograms:
         assert sum(raw.weights.values()) == raw.token_count == 17
         normalized = build_histogram(self.codebook, tokens, self.model)
         assert sum(normalized.weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def _fresh(self) -> Codebook:
+        return Codebook(k=self.codebook.k, centroids=self.codebook.centroids,
+                        seed=self.codebook.seed, distortion=None)
+
+    def test_warm_memo_equals_fresh_codebook(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        docs = [list(rng.choice(list(self.model.vocab), size=9)) for _ in range(4)]
+        for doc in docs:
+            build_histogram(self.codebook, doc, self.model)
+        assign_batch, calls = Codebook.assign_batch, []
+        monkeypatch.setattr(Codebook, "assign_batch",
+                            lambda cb, vectors: calls.append(cb) or assign_batch(cb, vectors))
+        warm = [build_histogram(self.codebook, doc, self.model) for doc in docs]
+        assert calls == []  # every type was assigned by the first pass
+        fresh = self._fresh()
+        assert warm == [build_histogram(fresh, doc, self.model) for doc in docs]
+        assert calls and all(cb is fresh for cb in calls)
+
+    def test_other_model_clears_memo(self):
+        # The same tokens, with each vector moved to the other cluster.
+        swapped = toy_model({
+            "left": [10.0, 0.0], "leftish": [10.2, 0.0], "right": [0.0, 0.0],
+            "rightish": [0.2, 0.0],
+        })
+        tokens = ["left", "leftish", "right"]
+        before = build_histogram(self.codebook, tokens, self.model, normalize=False)
+        after = build_histogram(self.codebook, tokens, swapped, normalize=False)
+        assert after == build_histogram(self._fresh(), tokens, swapped, normalize=False)
+        assert after != before
 
 
 class TestHik:
@@ -268,30 +279,6 @@ class TestHik:
         k = boswe_kernel_matrix(hists)
         assert k.values[0, 1] == 0.0
         assert k.values[1, 1] == 0.0
-
-
-class TestMeanStd:
-    def test_single_token(self):
-        model = toy_model({"w": [1.0, -2.0, 3.0]})
-        out = mean_std_doc_embedding(["w"], model)
-        np.testing.assert_allclose(out, [1.0, -2.0, 3.0, 0.0, 0.0, 0.0])
-
-    def test_symmetric_pair(self):
-        model = toy_model({"plus": [1.0, 2.0], "minus": [-1.0, -2.0]})
-        out = mean_std_doc_embedding(["plus", "minus"], model)
-        np.testing.assert_allclose(out, [0.0, 0.0, 1.0, 2.0])
-
-    def test_output_length_is_twice_dim(self):
-        rng = np.random.default_rng(2)
-        words = {f"w{i}": rng.normal(size=300) for i in range(5)}
-        model = toy_model(words)
-        out = mean_std_doc_embedding(list(words), model)
-        assert out.shape == (600,)
-
-    def test_all_oov_returns_zeros(self):
-        model = toy_model({"w": [1.0, 1.0]})
-        out = mean_std_doc_embedding(["nope"], model)
-        np.testing.assert_array_equal(out, np.zeros(4))
 
 
 class TestCodebookIO:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 
+import numpy as np
 import pytest
 
 from kaes.errors import KaesError
@@ -16,6 +18,7 @@ from kaes.harness import (
     run_in_domain,
     table_from_csv,
 )
+from kaes.string_kernel import KernelMatrix, save_kernel_matrix
 from synthesis import make_corpus_tsv, make_embeddings_bytes
 
 
@@ -86,6 +89,26 @@ class TestInDomain:
         assert len(cached_files) == 1
         warm = emit_report(run_in_domain(cfg), "text")
         assert warm == cold
+
+    @pytest.mark.parametrize("damage", ["truncated", "other-ids"])
+    def test_bad_cache_file_is_a_miss(self, corpus_dir, tmp_path, caplog, damage):
+        cache = tmp_path / "cache"
+        cfg = in_domain_cfg(corpus_dir, representation="hisk", cache_dir=str(cache))
+        cold = emit_report(run_in_domain(cfg), "text")
+        (cached,) = cache.iterdir()
+        good = cached.read_bytes()
+        if damage == "truncated":
+            cached.write_bytes(good[:17])
+        else:
+            other = KernelMatrix(values=np.eye(2), row_ids=("x", "y"), col_ids=("x", "y"),
+                                 kind="hisk-raw")
+            save_kernel_matrix(other, cached)
+        with caplog.at_level(logging.WARNING, logger="kaes.harness"):
+            again = emit_report(run_in_domain(cfg), "text")
+        assert again == cold
+        assert cached.name in caplog.text
+        assert list(cache.iterdir()) == [cached]
+        assert cached.read_bytes() == good
 
     def test_isolation_audit(self, corpus_dir):
         cfg = in_domain_cfg(corpus_dir, audit=True)

@@ -241,3 +241,10 @@ class TestKernelIO:
         save_kernel_matrix(original, buf)
         with pytest.raises(BinaryFormatError, match="truncated"):
             load_kernel_matrix(io.BytesIO(buf.getvalue()[:20]))
+
+    def test_id_bytes_not_utf8(self):
+        buf = io.BytesIO()
+        save_kernel_matrix(self._random_kernel(), buf)
+        damaged = buf.getvalue()[:-1] + b"\xff"
+        with pytest.raises(BinaryFormatError, match="UTF-8"):
+            load_kernel_matrix(io.BytesIO(damaged))
