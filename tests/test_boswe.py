@@ -105,6 +105,14 @@ class TestAssign:
         rng = np.random.default_rng(seed)
         _check_against_linear_scan(rng.normal(size=(n, dim)), rng.normal(size=(k, dim)))
 
+    def test_index_equals_linear_scan_on_random_queries(self):
+        # The codebook's own entry point, on its float32 centroids.
+        rng = np.random.default_rng(7)
+        codebook = self._codebook(rng.normal(size=(50, 8)))
+        queries = rng.normal(size=(1000, 8))
+        expected = nearest_centroid_linear(queries, codebook.centroids)
+        assert np.array_equal(codebook.assign_batch(queries), expected)
+
     @settings(deadline=None)
     @given(**_shapes, offset=st.floats(0.0, 1e6), spread=st.sampled_from([1e-9, 1e-6, 1e-3]))
     def test_near_duplicates_far_from_origin_match_linear_scan(
