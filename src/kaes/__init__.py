@@ -45,7 +45,7 @@ from .errors import (
     ScoreValidationError,
     TsvParseError,
 )
-from .fusion import concat_features, linear_gram, sum_kernels
+from .fusion import sum_kernels
 from .harness import (
     ExperimentConfig,
     ResultCell,
@@ -57,7 +57,6 @@ from .harness import (
 )
 from .metrics import QwkReport, average_qwk, qwk
 from .string_kernel import (
-    FeatureMatrix,
     KernelMatrix,
     NGramProfile,
     extract_ngram_counts,

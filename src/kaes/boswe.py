@@ -17,6 +17,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from .binio import open_binary
 from .embeddings import EmbeddingModel
 from .errors import BinaryFormatError, KernelMismatchError, KaesError
 from .seeding import KMEANS, derive_rng
@@ -326,20 +327,15 @@ def boswe_kernel_matrix(
 
 def save_codebook(codebook: Codebook, path: str | Path | BinaryIO) -> None:
     """Write a codebook in the binary format (bit-exact round trip)."""
-    stream, owned = _as_stream(path, "wb")
-    try:
+    with open_binary(path, "wb") as stream:
         stream.write(CODEBOOK_MAGIC)
         stream.write(struct.pack("<IIQ", codebook.k, codebook.dim, codebook.seed))
         stream.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_codebook(path: str | Path | BinaryIO) -> Codebook:
     """Read a codebook written by :func:`save_codebook` (distortion is not stored)."""
-    stream, owned = _as_stream(path, "rb")
-    try:
+    with open_binary(path, "rb") as stream:
         magic = stream.read(len(CODEBOOK_MAGIC))
         if magic != CODEBOOK_MAGIC:
             raise BinaryFormatError(f"bad magic {magic!r}, expected {CODEBOOK_MAGIC!r}", offset=0)
@@ -356,12 +352,3 @@ def load_codebook(path: str | Path | BinaryIO) -> Codebook:
             )
         centroids = np.frombuffer(raw, dtype="<f4").reshape(k, dim).copy()
         return Codebook(k=k, centroids=centroids, seed=seed, distortion=None)
-    finally:
-        if owned:
-            stream.close()
-
-
-def _as_stream(path: str | Path | BinaryIO, mode: str) -> tuple[BinaryIO, bool]:
-    if isinstance(path, (str, Path)):
-        return open(path, mode), True
-    return path, False

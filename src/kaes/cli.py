@@ -16,30 +16,37 @@ from pathlib import Path
 
 import numpy as np
 
-from .boswe import fit_codebook, load_codebook, save_codebook, boswe_kernel_matrix, build_histogram
+from .boswe import load_codebook, save_codebook
 from .corpus import ASAP_SCORE_RANGES, parse_asap_tsv, unscale_score
-from .embeddings import DEFAULT_VOCAB_LIMIT, load_word2vec_binary, lookup, tokenize
+from .embeddings import load_word2vec_binary
 from .errors import KaesError
-from .fusion import sum_kernels
 from .harness import (
-    DEFAULT_SUBSAMPLE_SIZES,
+    REPRESENTATIONS,
     ExperimentConfig,
+    _block,
+    _fold_codebook,
+    _histograms,
+    _profiles,
+    _tokens_by_id,
     emit_report,
+    load_embeddings_if_needed,
     normalized_hisk_gram,
     parse_config_file,
     run_cross_domain,
     run_in_domain,
     table_from_csv,
 )
-from .string_kernel import (
-    DEFAULT_NGRAM_MAX,
-    DEFAULT_NGRAM_MIN,
-    extract_ngram_counts,
-    kernel_matrix,
-    normalize_kernel,
-    save_kernel_matrix,
-)
+from .string_kernel import kernel_matrix, normalize_kernel, save_kernel_matrix
 from .svr import SvrConfig, load_svr_model, predict, save_svr_model, train_nu_svr
+
+# Flags that set the ExperimentConfig field (or SvrConfig field) of the same name.
+_CONFIG_FLAGS = {
+    "representation": str, "prompt": int, "source": int, "target": int, "cache_dir": str,
+    "ngram_min": int, "ngram_max": int, "k": int, "seed": int, "folds": int,
+    "repetitions": int, "kmeans_iters": int,
+}
+_SVR_FLAGS = {"c": float, "nu": float, "kkt_tolerance": float, "max_iterations": int}
+
 
 class _Resolver:
     """Merge argparse values with config-file values (flags win)."""
@@ -55,20 +62,12 @@ class _Resolver:
         if value is not None:
             return value
         if key in self.file:
-            raw = self.file[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
+            return cast(self.file[key])
         return default
 
 
 def _parse_nt(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip() != "")
-
-
-def _vocab_limit(resolver: _Resolver) -> int | None:
-    limit = resolver.get("vocab_limit", int, DEFAULT_VOCAB_LIMIT)
-    return None if limit == 0 else limit
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -77,7 +76,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--representation", choices=("hisk", "boswe", "fused"))
+    p.add_argument("--representation", choices=REPRESENTATIONS)
     p.add_argument("--embeddings", help="word2vec binary embeddings file")
     p.add_argument("--ngram-min", type=int, dest="ngram_min")
     p.add_argument("--ngram-max", type=int, dest="ngram_max")
@@ -153,52 +152,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(resolver: _Resolver, key: str, cast=str):
-    value = resolver.get(key, cast)
+def _require(resolver: _Resolver, key: str):
+    value = resolver.get(key)
     if value is None:
         raise KaesError(f"missing required option --{key.replace('_', '-')}")
     return value
 
 
-def _experiment_config(resolver: _Resolver, mode: str) -> ExperimentConfig:
-    svr = SvrConfig(
-        c=resolver.get("c", float, 1000.0),
-        nu=resolver.get("nu", float, 0.1),
-        kkt_tolerance=resolver.get("kkt_tolerance", float, 1e-3),
-        max_iterations=resolver.get("max_iterations", int, 10_000_000),
-    )
-    nt_raw = resolver.get("nt", str)
-    cfg = ExperimentConfig(
+def _experiment_config(resolver: _Resolver, mode: str = "in-domain") -> ExperimentConfig:
+    """Settings of any subcommand; a flag that is not set keeps the config default."""
+
+    def given(flags: dict) -> dict:
+        values = {key: resolver.get(key, cast) for key, cast in flags.items()}
+        return {key: value for key, value in values.items() if value is not None}
+
+    fields = given(_CONFIG_FLAGS)
+    nt = resolver.get("nt")
+    if nt:
+        fields["nt"] = _parse_nt(nt)
+    vocab_limit = resolver.get("vocab_limit", int)
+    if vocab_limit is not None:
+        fields["vocab_limit"] = vocab_limit or None  # 0 keeps every vector
+    return ExperimentConfig(
         mode=mode,
-        representation=resolver.get("representation", str, "hisk"),
         data_path=_require(resolver, "data"),
-        prompt=resolver.get("prompt", int),
-        source=resolver.get("source", int),
-        target=resolver.get("target", int),
-        embeddings_path=resolver.get("embeddings", str),
-        cache_dir=resolver.get("cache_dir", str),
-        ngram_min=resolver.get("ngram_min", int, DEFAULT_NGRAM_MIN),
-        ngram_max=resolver.get("ngram_max", int, DEFAULT_NGRAM_MAX),
-        k=resolver.get("k", int, 500),
-        svr=svr,
-        seed=resolver.get("seed", int, 42),
-        folds=resolver.get("folds", int, 5),
-        repetitions=resolver.get("repetitions", int),
-        nt=_parse_nt(nt_raw) if nt_raw else DEFAULT_SUBSAMPLE_SIZES,
-        vocab_limit=_vocab_limit(resolver),
-        kmeans_iters=resolver.get("kmeans_iters", int, 100),
+        embeddings_path=resolver.get("embeddings"),
+        svr=SvrConfig(**given(_SVR_FLAGS)),
+        **fields,
     )
-    cfg.validate()
-    return cfg
 
 
-def _load_prompt_essays(resolver: _Resolver, data_key: str = "data"):
-    data = Path(_require(resolver, data_key)).read_bytes()
-    return parse_asap_tsv(data, prompt_filter=resolver.get("prompt", int))
+def _load_essays(path: str, prompt: int | None):
+    return parse_asap_tsv(Path(path).read_bytes(), prompt_filter=prompt)
 
 
 def cmd_ingest(resolver: _Resolver) -> int:
-    essays = _load_prompt_essays(resolver)
+    essays = _load_essays(_require(resolver, "data"), resolver.get("prompt", int))
     by_prompt = Counter(e.prompt for e in essays)
     for prompt in sorted(by_prompt):
         scores = [e.raw_score for e in essays if e.prompt == prompt]
@@ -211,25 +200,12 @@ def cmd_ingest(resolver: _Resolver) -> int:
     return 0
 
 
-def _token_type_vectors(essays, model):
-    types = sorted({t for e in essays for t in tokenize(e.text)})
-    vectors = [v for v in (lookup(model, t) for t in types) if v is not None]
-    if not vectors:
-        raise KaesError("no tokens of the data are covered by the embeddings")
-    return np.vstack(vectors)
-
-
 def cmd_codebook(resolver: _Resolver) -> int:
-    essays = _load_prompt_essays(resolver)
-    model = load_word2vec_binary(
-        _require(resolver, "embeddings"), vocab_limit=_vocab_limit(resolver)
-    )
-    codebook = fit_codebook(
-        _token_type_vectors(essays, model),
-        k=resolver.get("k", int, 500),
-        seed=resolver.get("seed", int, 42),
-        max_iters=resolver.get("kmeans_iters", int, 100),
-    )
+    cfg = _experiment_config(resolver)
+    model = load_word2vec_binary(_require(resolver, "embeddings"), vocab_limit=cfg.vocab_limit)
+    essays = _load_essays(cfg.data_path, cfg.prompt)
+    ids = tuple(e.id for e in essays)
+    codebook = _fold_codebook(_tokens_by_id(essays), ids, model, cfg, cfg.seed)
     out = _require(resolver, "out")
     save_codebook(codebook, out)
     print(f"codebook: k={codebook.k} dim={codebook.dim} "
@@ -238,91 +214,43 @@ def cmd_codebook(resolver: _Resolver) -> int:
 
 
 def cmd_kernel(resolver: _Resolver) -> int:
-    representation = resolver.get("representation", str, "hisk")
-    if representation != "hisk":
+    cfg = _experiment_config(resolver)
+    if cfg.representation != "hisk":
         raise KaesError(
             "only the n-gram Gram matrix is cacheable ahead of time; histogram "
             "kernels depend on the per-fold codebook"
         )
-    essays = _load_prompt_essays(resolver)
-    out = resolver.get("out", str)
-    cache_dir = resolver.get("cache_dir", str)
-    if out is None and cache_dir is None:
+    out = resolver.get("out")
+    if out is None and cfg.cache_dir is None:
         raise KaesError("give --out or --cache-dir to store the kernel matrix")
-    cfg = ExperimentConfig(
-        mode="in-domain",
-        representation="hisk",
-        data_path=_require(resolver, "data"),
-        ngram_min=resolver.get("ngram_min", int, DEFAULT_NGRAM_MIN),
-        ngram_max=resolver.get("ngram_max", int, DEFAULT_NGRAM_MAX),
-        cache_dir=cache_dir,
-    )
+    essays = _load_essays(cfg.data_path, cfg.prompt)
     if out is not None:
-        profiles = [extract_ngram_counts(e.text, cfg.ngram_min, cfg.ngram_max) for e in essays]
-        raw = kernel_matrix(profiles, row_ids=tuple(e.id for e in essays))
+        raw = kernel_matrix(_profiles(essays, cfg), row_ids=tuple(e.id for e in essays))
         save_kernel_matrix(raw, out)
         print(f"kernel: {raw.shape[0]}x{raw.shape[1]} hisk-raw -> {out}")
     else:
         normalized_hisk_gram(essays, cfg)
-        print(f"kernel: {len(essays)}x{len(essays)} cached under {cache_dir}")
+        print(f"kernel: {len(essays)}x{len(essays)} cached under {cfg.cache_dir}")
     return 0
 
 
-def _train_blocks(resolver: _Resolver, essays, test_essays=None, codebook=None):
-    """Kernel blocks for `train` (square) or `predict` (test x train)."""
-    representation = resolver.get("representation", str, "hisk")
-    ngram_min = resolver.get("ngram_min", int, DEFAULT_NGRAM_MIN)
-    ngram_max = resolver.get("ngram_max", int, DEFAULT_NGRAM_MAX)
-    ids = tuple(e.id for e in essays)
-    profiles = [extract_ngram_counts(e.text, ngram_min, ngram_max) for e in essays]
-    if test_essays is None:
-        raw = kernel_matrix(profiles, row_ids=ids)
-    else:
-        test_profiles = [extract_ngram_counts(e.text, ngram_min, ngram_max) for e in test_essays]
-        raw = kernel_matrix(
-            test_profiles, profiles,
-            row_ids=tuple(e.id for e in test_essays), col_ids=ids,
-        )
-    hisk = normalize_kernel(raw)
-    if representation == "hisk":
-        return hisk, codebook
-
-    model = load_word2vec_binary(
-        _require(resolver, "embeddings"), vocab_limit=_vocab_limit(resolver)
-    )
-    if codebook is None:
-        codebook = fit_codebook(
-            _token_type_vectors(essays, model),
-            k=resolver.get("k", int, 500),
-            seed=resolver.get("seed", int, 42),
-            max_iters=resolver.get("kmeans_iters", int, 100),
-        )
-    hists = [build_histogram(codebook, tokenize(e.text), model) for e in essays]
-    if test_essays is None:
-        boswe = boswe_kernel_matrix(hists, row_ids=ids)
-    else:
-        test_hists = [build_histogram(codebook, tokenize(e.text), model) for e in test_essays]
-        boswe = boswe_kernel_matrix(
-            test_hists, hists, row_ids=tuple(e.id for e in test_essays), col_ids=ids
-        )
-    if representation == "boswe":
-        return boswe, codebook
-    return sum_kernels(hisk, boswe), codebook
-
-
 def cmd_train(resolver: _Resolver) -> int:
-    essays = _load_prompt_essays(resolver)
+    cfg = _experiment_config(resolver)
+    cfg.validate()
+    essays = _load_essays(cfg.data_path, cfg.prompt)
     if not essays:
         raise KaesError("no essays selected")
-    k_train, codebook = _train_blocks(resolver, essays)
-    svr = SvrConfig(
-        c=resolver.get("c", float, 1000.0),
-        nu=resolver.get("nu", float, 0.1),
-        kkt_tolerance=resolver.get("kkt_tolerance", float, 1e-3),
-        max_iterations=resolver.get("max_iterations", int, 10_000_000),
-    )
+    ids = tuple(e.id for e in essays)
+    hisk = None if cfg.representation == "boswe" else normalized_hisk_gram(essays, cfg)
+    codebook = hists = None
+    emb_model = load_embeddings_if_needed(cfg)
+    if emb_model is not None:
+        tokens_by_id = _tokens_by_id(essays)
+        # The codebook seed is the run seed itself; the protocols derive one per fold.
+        codebook = _fold_codebook(tokens_by_id, ids, emb_model, cfg, cfg.seed)
+        hists = _histograms(codebook, tokens_by_id, ids, emb_model)
     y = np.array([e.unit_score for e in essays])
-    model = train_nu_svr(k_train, y, svr, seed=resolver.get("seed", int, 42))
+    model = train_nu_svr(_block(cfg, hisk, hists), y, cfg.svr, seed=cfg.seed)
     out = _require(resolver, "out")
     save_svr_model(model, out)
     if codebook is not None:
@@ -335,33 +263,41 @@ def cmd_train(resolver: _Resolver) -> int:
 
 
 def cmd_predict(resolver: _Resolver) -> int:
+    cfg = _experiment_config(resolver)
+    cfg.validate()
     model_path = _require(resolver, "model")
     model = load_svr_model(model_path)
-    train_key = "train_data" if resolver.get("train_data", str) else "data"
-    train_essays = {e.id: e for e in _load_prompt_essays(resolver, data_key=train_key)}
+    train_path = resolver.get("train_data") or cfg.data_path
+    train_essays = {e.id: e for e in _load_essays(train_path, cfg.prompt)}
     missing = [eid for eid in model.train_ids if eid not in train_essays]
     if missing:
         raise KaesError(f"training essays missing from --train-data: {missing[:5]}")
     support = set(model.support_ids)
-    train_subset = [train_essays[eid] for eid in model.train_ids if eid in support]
+    support_essays = [train_essays[eid] for eid in model.train_ids if eid in support]
+    support_ids = tuple(e.id for e in support_essays)
+    test_essays = _load_essays(cfg.data_path, cfg.prompt)
+    test_ids = tuple(e.id for e in test_essays)
 
-    data = Path(_require(resolver, "data")).read_bytes()
-    test_essays = parse_asap_tsv(data, prompt_filter=resolver.get("prompt", int))
-
-    representation = resolver.get("representation", str, "hisk")
-    codebook = None
-    if representation in ("boswe", "fused"):
-        codebook_path = resolver.get("codebook", str, model_path + ".codebook")
-        codebook = load_codebook(codebook_path)
-    k_eval, _ = _train_blocks(resolver, train_subset, test_essays, codebook=codebook)
-    preds = predict(model, k_eval)
+    hisk = None
+    if cfg.representation != "boswe":
+        hisk = normalize_kernel(kernel_matrix(
+            _profiles(test_essays, cfg), _profiles(support_essays, cfg),
+            row_ids=test_ids, col_ids=support_ids,
+        ))
+    hists = test_hists = None
+    emb_model = load_embeddings_if_needed(cfg)
+    if emb_model is not None:
+        codebook = load_codebook(resolver.get("codebook") or model_path + ".codebook")
+        hists = _histograms(codebook, _tokens_by_id(support_essays), support_ids, emb_model)
+        test_hists = _histograms(codebook, _tokens_by_id(test_essays), test_ids, emb_model)
+    preds = predict(model, _block(cfg, hisk, test_hists, hists))
 
     lines = ["essay_id\tessay_set\tprediction"]
     for essay, value in zip(test_essays, preds):
         score = unscale_score(float(value), ASAP_SCORE_RANGES[essay.prompt])
         lines.append(f"{essay.id}\t{essay.prompt}\t{score}")
     output = "\n".join(lines) + "\n"
-    out = resolver.get("out", str)
+    out = resolver.get("out")
     if out:
         Path(out).write_text(output)
     else:
@@ -369,12 +305,15 @@ def cmd_predict(resolver: _Resolver) -> int:
     return 0
 
 
+def _write_report(resolver: _Resolver, table) -> None:
+    sys.stdout.buffer.write(emit_report(table, resolver.get("format", str, "text")))
+
+
 def cmd_eval(resolver: _Resolver, mode: str) -> int:
     cfg = _experiment_config(resolver, mode)
     table = run_in_domain(cfg) if mode == "in-domain" else run_cross_domain(cfg)
-    fmt = resolver.get("format", str, "text")
-    sys.stdout.buffer.write(emit_report(table, fmt))
-    out = resolver.get("out", str)
+    _write_report(resolver, table)
+    out = resolver.get("out")
     if out:
         Path(out).write_bytes(emit_report(table, "csv"))
     return 0
@@ -382,8 +321,7 @@ def cmd_eval(resolver: _Resolver, mode: str) -> int:
 
 def cmd_report(resolver: _Resolver) -> int:
     table = table_from_csv(Path(_require(resolver, "table")).read_bytes())
-    fmt = resolver.get("format", str, "text")
-    sys.stdout.buffer.write(emit_report(table, fmt))
+    _write_report(resolver, table)
     return 0
 
 

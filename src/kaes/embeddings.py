@@ -14,6 +14,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .binio import open_binary
 from .errors import BinaryFormatError
 
 DEFAULT_VOCAB_LIMIT = 500_000
@@ -116,8 +117,7 @@ def load_word2vec_binary(
     frequent words.  Pass ``vocab_limit=None`` for the full vocabulary.
     Duplicate tokens keep their first (most frequent) vector.
     """
-    stream, owned = _as_stream(source)
-    try:
+    with open_binary(source, "rb") as stream:
         reader = _Reader(stream)
         header = reader.read_until(b"\n", "header")
         try:
@@ -142,15 +142,11 @@ def load_word2vec_binary(
             rows.append(np.frombuffer(raw_vec, dtype="<f4"))
         vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
         return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)
-    finally:
-        if owned:
-            stream.close()
 
 
 def save_word2vec_binary(model: EmbeddingModel, target: str | Path | BinaryIO) -> None:
     """Write a model back in the binary format (companion to the loader)."""
-    stream, owned = _as_stream(target, write=True)
-    try:
+    with open_binary(target, "wb") as stream:
         stream.write(f"{len(model.vocab)} {model.dim}\n".encode("ascii"))
         by_index = sorted(model.vocab.items(), key=lambda item: item[1])
         for token, idx in by_index:
@@ -158,12 +154,3 @@ def save_word2vec_binary(model: EmbeddingModel, target: str | Path | BinaryIO) -
             stream.write(b" ")
             stream.write(np.ascontiguousarray(model.vectors[idx], dtype="<f4").tobytes())
             stream.write(b"\n")
-    finally:
-        if owned:
-            stream.close()
-
-
-def _as_stream(source: str | Path | BinaryIO, write: bool = False) -> tuple[BinaryIO, bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "wb" if write else "rb"), True
-    return source, False

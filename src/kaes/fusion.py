@@ -2,16 +2,12 @@
 
 Two kernel matrices over the same documents are fused by elementwise
 summation, which is equivalent to concatenating the (implicit) feature
-vectors of the two representations.  :func:`linear_gram` provides the
-explicit-map side of that equivalence for testing and for any
-explicit-feature path.
+vectors of the two representations.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import KernelMismatchError
-from .string_kernel import FeatureMatrix, KernelMatrix
+from .string_kernel import KernelMatrix
 
 
 def _first_divergent(a: tuple[str, ...], b: tuple[str, ...]) -> str:
@@ -46,25 +42,3 @@ def sum_kernels(k1: KernelMatrix, k2: KernelMatrix) -> KernelMatrix:
         diag_rows=diag_rows,
         diag_cols=diag_cols,
     )
-
-
-def linear_gram(x: FeatureMatrix, y: FeatureMatrix | None = None) -> KernelMatrix:
-    """Inner-product matrix between explicit feature rows."""
-    y_eff = x if y is None else y
-    if x.cols != y_eff.cols:
-        raise KernelMismatchError(f"feature counts differ: {x.cols} vs {y_eff.cols}")
-    return KernelMatrix(
-        values=x.values @ y_eff.values.T,
-        row_ids=x.ids,
-        col_ids=y_eff.ids,
-        kind="linear",
-        diag_rows=np.einsum("ij,ij->i", x.values, x.values),
-        diag_cols=np.einsum("ij,ij->i", y_eff.values, y_eff.values),
-    )
-
-
-def concat_features(x1: FeatureMatrix, x2: FeatureMatrix) -> FeatureMatrix:
-    """Column-concatenate two feature matrices over the same documents."""
-    if x1.ids != x2.ids:
-        raise KernelMismatchError(f"document ids diverge at {_first_divergent(x1.ids, x2.ids)}")
-    return FeatureMatrix(ids=x1.ids, values=np.hstack([x1.values, x2.values]))

@@ -18,6 +18,7 @@ in place.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import logging
@@ -29,10 +30,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .boswe import BosweHistogram, boswe_kernel_matrix, build_histogram, fit_codebook
+from .boswe import (
+    DEFAULT_CLUSTERS,
+    DEFAULT_KMEANS_ITERS,
+    BosweHistogram,
+    Codebook,
+    boswe_kernel_matrix,
+    build_histogram,
+    fit_codebook,
+)
 from .corpus import (
     ASAP_SCORE_RANGES,
     Essay,
+    ScoreRange,
     make_folds,
     make_transfer_split,
     parse_asap_tsv,
@@ -47,6 +57,7 @@ from .string_kernel import (
     DEFAULT_NGRAM_MAX,
     DEFAULT_NGRAM_MIN,
     KernelMatrix,
+    NGramProfile,
     extract_ngram_counts,
     kernel_matrix,
     load_kernel_matrix,
@@ -67,8 +78,8 @@ class ExperimentConfig:
     """Everything one experiment needs; file paths are explicit, no env vars."""
 
     mode: str
-    representation: str
     data_path: str
+    representation: str = "hisk"
     prompt: int | None = None  # in-domain; None runs every prompt in the data
     source: int | None = None  # cross-domain pair
     target: int | None = None
@@ -76,14 +87,14 @@ class ExperimentConfig:
     cache_dir: str | None = None
     ngram_min: int = DEFAULT_NGRAM_MIN
     ngram_max: int = DEFAULT_NGRAM_MAX
-    k: int = 500
+    k: int = DEFAULT_CLUSTERS
     svr: SvrConfig = field(default_factory=SvrConfig)
     seed: int = 42
     folds: int = 5
     repetitions: int | None = None  # None: 10 in-domain, 5 cross-domain
     nt: tuple[int, ...] = DEFAULT_SUBSAMPLE_SIZES
     vocab_limit: int | None = DEFAULT_VOCAB_LIMIT
-    kmeans_iters: int = 100
+    kmeans_iters: int = DEFAULT_KMEANS_ITERS
     audit: bool = False
 
     def resolved_repetitions(self) -> int:
@@ -309,8 +320,7 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
         "computing %d-document n-gram Gram matrix (range [%d,%d])",
         len(essays), cfg.ngram_min, cfg.ngram_max,
     )
-    profiles = [extract_ngram_counts(e.text, cfg.ngram_min, cfg.ngram_max) for e in essays]
-    raw = kernel_matrix(profiles, row_ids=ids)
+    raw = kernel_matrix(_profiles(essays, cfg), row_ids=ids)
     if cache_path is not None:
         # Write beside the target and swap it in, so that no reader (nor a run
         # killed mid-write) ever sees a partial file under the final name.
@@ -326,24 +336,34 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
     return normalize_kernel(raw)
 
 
+def _profiles(essays: Sequence[Essay], cfg: ExperimentConfig) -> list[NGramProfile]:
+    return [extract_ngram_counts(e.text, cfg.ngram_min, cfg.ngram_max) for e in essays]
+
+
+def _tokens_by_id(essays: Sequence[Essay]) -> dict[str, list[str]]:
+    return {e.id: tokenize(e.text) for e in essays}
+
+
 def _fold_codebook(
     tokens_by_id: dict[str, list[str]],
     train_ids: Sequence[str],
     model: EmbeddingModel,
     cfg: ExperimentConfig,
-    *tags: int,
-):
+    seed: int,
+) -> Codebook:
     """Fit a codebook on the embedded token types found in the training docs."""
     types = sorted({t for eid in train_ids for t in tokens_by_id[eid]})
     vectors = [v for v in (lookup(model, t) for t in types) if v is not None]
     if not vectors:
         raise KaesError("no embedded tokens in the training documents")
-    seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
     return fit_codebook(np.vstack(vectors), k=cfg.k, seed=seed, max_iters=cfg.kmeans_iters)
 
 
 def _histograms(
-    codebook, tokens_by_id: dict[str, list[str]], ids: Sequence[str], model: EmbeddingModel
+    codebook: Codebook,
+    tokens_by_id: dict[str, list[str]],
+    ids: Sequence[str],
+    model: EmbeddingModel,
 ) -> dict[str, BosweHistogram]:
     hists: dict[str, BosweHistogram] = {}
     oov_rates: dict[str, float] = {}
@@ -362,6 +382,29 @@ def _histograms(
     return hists
 
 
+def _block(
+    cfg: ExperimentConfig,
+    hisk: KernelMatrix | None,
+    rows: dict[str, BosweHistogram] | None,
+    cols: dict[str, BosweHistogram] | None = None,
+) -> KernelMatrix:
+    """The ``cfg.representation`` kernel block of rows x cols (cols None: rows x rows).
+
+    ``hisk`` is the normalized n-gram block over the same ids (None for
+    boswe); ``rows`` and ``cols`` hold the documents' histograms by id (None
+    for hisk).
+    """
+    if cfg.representation == "hisk":
+        return hisk
+    if cols is None:
+        boswe = boswe_kernel_matrix(list(rows.values()), row_ids=tuple(rows))
+    else:
+        boswe = boswe_kernel_matrix(
+            list(rows.values()), list(cols.values()), row_ids=tuple(rows), col_ids=tuple(cols)
+        )
+    return boswe if cfg.representation == "boswe" else sum_kernels(hisk, boswe)
+
+
 def _cell_blocks(
     cfg: ExperimentConfig,
     train_ids: tuple[str, ...],
@@ -370,26 +413,20 @@ def _cell_blocks(
     tokens_by_id: dict[str, list[str]] | None,
     emb_model: EmbeddingModel | None,
     tags: tuple[int, ...],
-) -> tuple[KernelMatrix, KernelMatrix, tuple[str, ...] | None]:
-    """Train and eval kernel blocks for one cell, plus codebook source ids."""
-    codebook_ids: tuple[str, ...] | None = None
+) -> tuple[KernelMatrix, KernelMatrix, Codebook | None]:
+    """Train and eval kernel blocks for one cell, plus its codebook (None for hisk)."""
+    hisk_train = hisk_eval = None
+    if hisk_gram is not None:
+        hisk_train = hisk_gram.take(train_ids, train_ids)
+        hisk_eval = hisk_gram.take(eval_ids, train_ids)
     if cfg.representation == "hisk":
-        return hisk_gram.take(train_ids, train_ids), hisk_gram.take(eval_ids, train_ids), None
-
-    codebook = _fold_codebook(tokens_by_id, train_ids, emb_model, cfg, *tags)
-    codebook_ids = train_ids
-    hists = _histograms(codebook, tokens_by_id, list(train_ids) + list(eval_ids), emb_model)
-    train_h = [hists[eid] for eid in train_ids]
-    eval_h = [hists[eid] for eid in eval_ids]
-    k_train = boswe_kernel_matrix(train_h, row_ids=train_ids)
-    k_eval = boswe_kernel_matrix(eval_h, train_h, row_ids=eval_ids, col_ids=train_ids)
-    if cfg.representation == "boswe":
-        return k_train, k_eval, codebook_ids
-    return (
-        sum_kernels(hisk_gram.take(train_ids, train_ids), k_train),
-        sum_kernels(hisk_gram.take(eval_ids, train_ids), k_eval),
-        codebook_ids,
-    )
+        return hisk_train, hisk_eval, None
+    seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
+    codebook = _fold_codebook(tokens_by_id, train_ids, emb_model, cfg, seed)
+    hists = _histograms(codebook, tokens_by_id, train_ids + eval_ids, emb_model)
+    train_h = {eid: hists[eid] for eid in train_ids}
+    eval_h = {eid: hists[eid] for eid in eval_ids}
+    return _block(cfg, hisk_train, train_h), _block(cfg, hisk_eval, eval_h, train_h), codebook
 
 
 def _score_cell(
@@ -428,85 +465,20 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     reps = cfg.resolved_repetitions()
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
-    prompts = sorted({e.prompt for e in essays})
-    for prompt in prompts:
+    for prompt in sorted({e.prompt for e in essays}):
         subset = [e for e in essays if e.prompt == prompt]
-        table.cells.append(
-            _in_domain_prompt_cell(cfg, prompt, subset, emb_model, reps, table.audit)
-        )
+        logger.info("prompt %d: %d essays, %d repetitions x %d folds",
+                    prompt, len(subset), reps, cfg.folds)
+
+        def splits(subset=subset):
+            plan = make_folds(subset, fold_count=cfg.folds, repetitions=reps, seed=cfg.seed)
+            return [[(rep, fold, (rep, fold), f"rep{rep}/fold{fold}",
+                      functools.partial(plan.split_ids, rep, fold))
+                     for rep in range(reps) for fold in range(cfg.folds)]]
+
+        table.cells += _protocol_cells(cfg, str(prompt), (None,), subset, splits,
+                                       ASAP_SCORE_RANGES[prompt], emb_model, table.audit)
     return table
-
-
-def _in_domain_prompt_cell(
-    cfg: ExperimentConfig,
-    prompt: int,
-    essays: list[Essay],
-    emb_model: EmbeddingModel | None,
-    reps: int,
-    audit: list[AuditRecord],
-) -> ResultCell:
-    key = str(prompt)
-    score_range = ASAP_SCORE_RANGES[prompt]
-    logger.info("prompt %d: %d essays, %d repetitions x %d folds",
-                prompt, len(essays), reps, cfg.folds)
-    try:
-        plan = make_folds(essays, fold_count=cfg.folds, repetitions=reps, seed=cfg.seed)
-        hisk_gram = None
-        if cfg.representation in ("hisk", "fused"):
-            hisk_gram = normalized_hisk_gram(essays, cfg)
-        tokens_by_id = None
-        if cfg.representation in ("boswe", "fused"):
-            tokens_by_id = {e.id: tokenize(e.text) for e in essays}
-    except Exception as exc:  # noqa: BLE001 - a failed cell must not kill siblings
-        logger.error("prompt %d failed during preparation: %s", prompt, exc)
-        return ResultCell(key=key, n_t=None, representation=cfg.representation,
-                          mean=None, std=None, failed=f"prepare: {exc}")
-
-    unit_by_id = {e.id: e.unit_score for e in essays}
-    raw_by_id = {e.id: e.raw_score for e in essays}
-    values: list[float] = []
-    rep_means: list[float] = []
-    failures: list[str] = []
-    for rep in range(reps):
-        fold_kappas: list[float] = []
-        for fold in range(cfg.folds):
-            train_ids, eval_ids = plan.split_ids(rep, fold)
-            logger.debug("prompt %d rep %d fold %d: train=%s eval=%s",
-                         prompt, rep, fold, sorted(train_ids), sorted(eval_ids))
-            try:
-                k_train, k_eval, cb_ids = _cell_blocks(
-                    cfg, train_ids, eval_ids, hisk_gram, tokens_by_id, emb_model,
-                    (rep, fold),
-                )
-                kappa = _score_cell(cfg, k_train, k_eval, unit_by_id, raw_by_id, score_range)
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"rep{rep}/fold{fold}: {exc}")
-                logger.error("prompt %d rep %d fold %d failed: %s", prompt, rep, fold, exc)
-                continue
-            fold_kappas.append(kappa)
-            values.append(kappa)
-            if cfg.audit:
-                audit.append(AuditRecord(
-                    key=key, repetition=rep, fold_or_nt=fold,
-                    train_ids=tuple(sorted(train_ids)), eval_ids=tuple(sorted(eval_ids)),
-                    codebook_doc_ids=None if cb_ids is None else tuple(sorted(cb_ids)),
-                ))
-        if fold_kappas:
-            rep_means.append(float(np.mean(fold_kappas)))
-    if not values:
-        return ResultCell(key=key, n_t=None, representation=cfg.representation,
-                          mean=None, std=None, failed="; ".join(failures) or "no runs")
-    return ResultCell(
-        key=key,
-        n_t=None,
-        representation=cfg.representation,
-        mean=float(np.mean(values)),
-        std=float(np.std(rep_means)) if len(rep_means) > 1 else 0.0,
-        values=tuple(values),
-        rep_means=tuple(rep_means),
-        n_runs=len(values),
-        failed="; ".join(failures) or None,
-    )
 
 
 def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
@@ -524,69 +496,114 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
         )
     emb_model = load_embeddings_if_needed(cfg)
     reps = cfg.resolved_repetitions()
-    key = f"{cfg.source}->{cfg.target}"
-    target_range = ASAP_SCORE_RANGES[cfg.target]
+    source_ids = tuple(e.id for e in source_essays)
+
+    def split(n_t: int, rep: int):
+        extra_ids, eval_ids = make_transfer_split(
+            target_essays, n_t, rep, cfg.seed, fold_count=cfg.folds
+        )
+        return source_ids + extra_ids, eval_ids
+
+    def splits():
+        return [[(rep, n_t, (rep, nt_index), f"rep{rep}", functools.partial(split, n_t, rep))
+                 for rep in range(reps)]
+                for nt_index, n_t in enumerate(cfg.nt)]
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
-    both = source_essays + target_essays
+    table.cells += _protocol_cells(cfg, f"{cfg.source}->{cfg.target}", cfg.nt,
+                                   source_essays + target_essays, splits,
+                                   ASAP_SCORE_RANGES[cfg.target], emb_model, table.audit)
+    return table
+
+
+def _protocol_cells(
+    cfg: ExperimentConfig,
+    key: str,
+    n_ts: Sequence[int | None],
+    essays: list[Essay],
+    splits,
+    score_range: ScoreRange,
+    emb_model: EmbeddingModel | None,
+    audit: list[AuditRecord],
+) -> list[ResultCell]:
+    """One result cell per entry of ``n_ts``, all over one document set.
+
+    ``splits()`` returns, per cell, its splits as ``(rep, fold_or_nt, tags,
+    where, ids)``: ``tags`` seed the split's codebook, ``where`` names it in
+    failure notes and ``ids()`` gives its (train, eval) ids.  The Gram matrix
+    and token lists are prepared once; if that or ``splits()`` fails, every
+    cell fails with the reason.  A failing split only costs its own kappa.
+    """
+    what = f"pair {key}" if cfg.mode == "cross-domain" else f"prompt {key}"
     try:
+        cell_splits = splits()
         hisk_gram = None
         if cfg.representation in ("hisk", "fused"):
-            hisk_gram = normalized_hisk_gram(both, cfg)
+            hisk_gram = normalized_hisk_gram(essays, cfg)
         tokens_by_id = None
         if cfg.representation in ("boswe", "fused"):
-            tokens_by_id = {e.id: tokenize(e.text) for e in both}
-    except Exception as exc:  # noqa: BLE001
-        logger.error("pair %s failed during preparation: %s", key, exc)
-        for n_t in cfg.nt:
-            table.cells.append(ResultCell(key=key, n_t=n_t, representation=cfg.representation,
-                                          mean=None, std=None, failed=f"prepare: {exc}"))
-        return table
+            tokens_by_id = _tokens_by_id(essays)
+    except Exception as exc:  # noqa: BLE001 - a failed cell must not kill siblings
+        logger.error("%s failed during preparation: %s", what, exc)
+        return [ResultCell(key=key, n_t=n_t, representation=cfg.representation,
+                           mean=None, std=None, failed=f"prepare: {exc}") for n_t in n_ts]
 
-    unit_by_id = {e.id: e.unit_score for e in both}
-    raw_by_id = {e.id: e.raw_score for e in both}
-    source_ids = tuple(e.id for e in source_essays)
-    for nt_index, n_t in enumerate(cfg.nt):
-        values: list[float] = []
+    unit_by_id = {e.id: e.unit_score for e in essays}
+    raw_by_id = {e.id: e.raw_score for e in essays}
+    cells = []
+    for n_t, group in zip(n_ts, cell_splits):
+        by_rep: dict[int, list[float]] = {}
         failures: list[str] = []
-        for rep in range(reps):
+        for rep, fold_or_nt, tags, where, ids in group:
             try:
-                extra_ids, eval_ids = make_transfer_split(
-                    target_essays, n_t, rep, cfg.seed, fold_count=cfg.folds
+                train_ids, eval_ids = ids()
+                logger.debug("%s n_t=%s %s: train=%d eval=%d",
+                             what, n_t, where, len(train_ids), len(eval_ids))
+                k_train, k_eval, codebook = _cell_blocks(
+                    cfg, train_ids, eval_ids, hisk_gram, tokens_by_id, emb_model, tags
                 )
-                train_ids = source_ids + extra_ids
-                logger.debug("pair %s n_t=%d rep %d: train=%d eval=%d",
-                             key, n_t, rep, len(train_ids), len(eval_ids))
-                k_train, k_eval, cb_ids = _cell_blocks(
-                    cfg, train_ids, eval_ids, hisk_gram, tokens_by_id, emb_model,
-                    (rep, nt_index),
-                )
-                kappa = _score_cell(cfg, k_train, k_eval, unit_by_id, raw_by_id, target_range)
+                kappa = _score_cell(cfg, k_train, k_eval, unit_by_id, raw_by_id, score_range)
             except Exception as exc:  # noqa: BLE001
-                failures.append(f"rep{rep}: {exc}")
-                logger.error("pair %s n_t=%d rep %d failed: %s", key, n_t, rep, exc)
+                failures.append(f"{where}: {exc}")
+                logger.error("%s n_t=%s %s failed: %s", what, n_t, where, exc)
                 continue
-            values.append(kappa)
+            by_rep.setdefault(rep, []).append(kappa)
             if cfg.audit:
-                table.audit.append(AuditRecord(
-                    key=key, repetition=rep, fold_or_nt=n_t,
+                audit.append(AuditRecord(
+                    key=key, repetition=rep, fold_or_nt=fold_or_nt,
                     train_ids=tuple(sorted(train_ids)), eval_ids=tuple(sorted(eval_ids)),
-                    codebook_doc_ids=None if cb_ids is None else tuple(sorted(cb_ids)),
+                    codebook_doc_ids=None if codebook is None else tuple(sorted(train_ids)),
                 ))
-        if not values:
-            table.cells.append(ResultCell(key=key, n_t=n_t, representation=cfg.representation,
-                                          mean=None, std=None,
-                                          failed="; ".join(failures) or "no runs"))
-        else:
-            table.cells.append(ResultCell(
-                key=key,
-                n_t=n_t,
-                representation=cfg.representation,
-                mean=float(np.mean(values)),
-                std=float(np.std(values)) if len(values) > 1 else 0.0,
-                values=tuple(values),
-                rep_means=tuple(values),
-                n_runs=len(values),
-                failed="; ".join(failures) or None,
-            ))
-    return table
+        cells.append(_result_cell(cfg, key, n_t, by_rep, failures))
+    return cells
+
+
+def _result_cell(
+    cfg: ExperimentConfig,
+    key: str,
+    n_t: int | None,
+    by_rep: dict[int, list[float]],
+    failures: list[str],
+) -> ResultCell:
+    """Aggregate kappas grouped by repetition; std is over repetition means.
+
+    A cross-domain repetition scores one split, so there its mean is its
+    kappa and the std is over the kappas themselves.
+    """
+    failed = "; ".join(failures) or None
+    values = [v for rep in sorted(by_rep) for v in by_rep[rep]]
+    if not values:
+        return ResultCell(key=key, n_t=n_t, representation=cfg.representation,
+                          mean=None, std=None, failed=failed or "no runs")
+    rep_means = [float(np.mean(by_rep[rep])) for rep in sorted(by_rep)]
+    return ResultCell(
+        key=key,
+        n_t=n_t,
+        representation=cfg.representation,
+        mean=float(np.mean(values)),
+        std=float(np.std(rep_means)) if len(rep_means) > 1 else 0.0,
+        values=tuple(values),
+        rep_means=tuple(rep_means),
+        n_runs=len(values),
+        failed=failed,
+    )

@@ -21,6 +21,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from .binio import open_binary
 from .errors import BinaryFormatError, KernelMismatchError
 
 DEFAULT_NGRAM_MIN = 1
@@ -137,22 +138,6 @@ class KernelMatrix:
             diag_rows=None if self.diag_rows is None else self.diag_rows[ri],
             diag_cols=None if self.diag_cols is None else self.diag_cols[ci],
         )
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Explicit feature rows for documents; used on the linear-kernel path."""
-
-    ids: tuple[str, ...]
-    values: np.ndarray  # (documents, features)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 def _default_ids(n: int, prefix: str) -> tuple[str, ...]:
@@ -287,8 +272,7 @@ def _read_exact(stream: BinaryIO, n: int, offset: int) -> bytes:
 
 def save_kernel_matrix(kernel: KernelMatrix, path: str | Path | BinaryIO) -> None:
     """Write a kernel matrix in the binary cache format (bit-exact)."""
-    stream, owned = _as_stream(path, "wb")
-    try:
+    with open_binary(path, "wb") as stream:
         rows, cols = kernel.shape
         stream.write(KERNEL_MAGIC)
         stream.write(struct.pack("<IIB", rows, cols, KIND_TAGS[kernel.kind]))
@@ -297,9 +281,6 @@ def save_kernel_matrix(kernel: KernelMatrix, path: str | Path | BinaryIO) -> Non
             _write_id(stream, doc_id)
         for doc_id in kernel.col_ids:
             _write_id(stream, doc_id)
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
@@ -309,8 +290,7 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
     rectangular ones come back without diagonals (re-normalization of a
     loaded rectangular block requires recomputing profiles).
     """
-    stream, owned = _as_stream(path, "rb")
-    try:
+    with open_binary(path, "rb") as stream:
         offset = 0
         magic = _read_exact(stream, len(KERNEL_MAGIC), offset)
         if magic != KERNEL_MAGIC:
@@ -347,12 +327,3 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
             diag_rows=diag,
             diag_cols=None if diag is None else diag.copy(),
         )
-    finally:
-        if owned:
-            stream.close()
-
-
-def _as_stream(path: str | Path | BinaryIO, mode: str) -> tuple[BinaryIO, bool]:
-    if isinstance(path, (str, Path)):
-        return open(path, mode), True
-    return path, False

@@ -22,6 +22,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .binio import open_binary
 from .errors import BinaryFormatError, KaesError, KernelMismatchError
 from .string_kernel import KernelMatrix
 
@@ -257,8 +258,7 @@ def predict(model: SvrModel, kernel: KernelMatrix) -> np.ndarray:
 
 def save_svr_model(model: SvrModel, path: str | Path | BinaryIO) -> None:
     """Write a trained model: ids + coefficients, bias, epsilon, config echo."""
-    stream, owned = _as_stream(path, "wb")
-    try:
+    with open_binary(path, "wb") as stream:
         stream.write(MODEL_MAGIC)
         stream.write(struct.pack("<I", len(model.train_ids)))
         for doc_id, coef in zip(model.train_ids, model.coefficients):
@@ -279,18 +279,20 @@ def save_svr_model(model: SvrModel, path: str | Path | BinaryIO) -> None:
                 model.iterations,
             )
         )
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_svr_model(path: str | Path | BinaryIO) -> SvrModel:
-    stream, owned = _as_stream(path, "rb")
-    try:
+    with open_binary(path, "rb") as stream:
+        offset = 0
+
         def read_exact(n: int, what: str) -> bytes:
+            nonlocal offset
             raw = stream.read(n)
             if len(raw) != n:
-                raise BinaryFormatError(f"truncated model file while reading {what}")
+                raise BinaryFormatError(
+                    f"truncated model file while reading {what}", offset=offset
+                )
+            offset += n
             return raw
 
         magic = read_exact(len(MODEL_MAGIC), "magic")
@@ -298,17 +300,24 @@ def load_svr_model(path: str | Path | BinaryIO) -> SvrModel:
             raise BinaryFormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", offset=0)
         (count,) = struct.unpack("<I", read_exact(4, "row count"))
         ids: list[str] = []
-        coefs = np.empty(count)
-        for k in range(count):
+        coefs: list[float] = []
+        for _ in range(count):
             (length,) = struct.unpack("<I", read_exact(4, "id length"))
-            ids.append(read_exact(length, "id").decode("utf-8"))
-            (coefs[k],) = struct.unpack("<d", read_exact(8, "coefficient"))
+            raw_id = read_exact(length, "id")
+            try:
+                ids.append(raw_id.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise BinaryFormatError(
+                    f"document id is not UTF-8: {exc}", offset=offset - length
+                ) from exc
+            (coef,) = struct.unpack("<d", read_exact(8, "coefficient"))
+            coefs.append(coef)
         bias, epsilon_star = struct.unpack("<dd", read_exact(16, "bias/epsilon"))
         c, nu, tol, max_iter, conv, seed, iterations = struct.unpack(
             "<dddQBQQ", read_exact(8 * 3 + 8 + 1 + 16, "config echo")
         )
         return SvrModel(
-            coefficients=coefs,
+            coefficients=np.array(coefs, dtype=np.float64),
             bias=bias,
             epsilon_star=epsilon_star,
             train_ids=tuple(ids),
@@ -317,12 +326,3 @@ def load_svr_model(path: str | Path | BinaryIO) -> SvrModel:
             converged=bool(conv),
             iterations=iterations,
         )
-    finally:
-        if owned:
-            stream.close()
-
-
-def _as_stream(path: str | Path | BinaryIO, mode: str) -> tuple[BinaryIO, bool]:
-    if isinstance(path, (str, Path)):
-        return open(path, mode), True
-    return path, False

@@ -2,15 +2,19 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: substring counting by rescanning the strings, kappa by double
-loops over the formula, nearest centroids by a linear scan, and the nu-SVR
+loops over the formula, nearest centroids by a linear scan, the nu-SVR
 dual solved by projected gradient with an accelerated first-order method
-run to a tight fixed-point tolerance.
+run to a tight fixed-point tolerance, and explicit feature rows whose inner
+products are the linear kernel.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from kaes.string_kernel import normalize_text
+from kaes.errors import KernelMismatchError
+from kaes.string_kernel import KernelMatrix, normalize_text
 
 
 def count_occurrences(haystack: str, needle: str) -> int:
@@ -174,3 +178,37 @@ def solve_nu_svr_qp(
             if residual < tol * max(1.0, cap):
                 break
     return a, s, objective(a, s)
+
+
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """Explicit feature rows for documents."""
+
+    ids: tuple[str, ...]
+    values: np.ndarray  # (documents, features)
+
+    @property
+    def cols(self) -> int:
+        return self.values.shape[1]
+
+
+def linear_gram(x: FeatureMatrix, y: FeatureMatrix | None = None) -> KernelMatrix:
+    """Inner-product matrix between explicit feature rows."""
+    y_eff = x if y is None else y
+    if x.cols != y_eff.cols:
+        raise KernelMismatchError(f"feature counts differ: {x.cols} vs {y_eff.cols}")
+    return KernelMatrix(
+        values=x.values @ y_eff.values.T,
+        row_ids=x.ids,
+        col_ids=y_eff.ids,
+        kind="linear",
+        diag_rows=np.einsum("ij,ij->i", x.values, x.values),
+        diag_cols=np.einsum("ij,ij->i", y_eff.values, y_eff.values),
+    )
+
+
+def concat_features(x1: FeatureMatrix, x2: FeatureMatrix) -> FeatureMatrix:
+    """Column-concatenate two feature matrices over the same documents."""
+    if x1.ids != x2.ids:
+        raise KernelMismatchError(f"document ids differ: {x1.ids} vs {x2.ids}")
+    return FeatureMatrix(ids=x1.ids, values=np.hstack([x1.values, x2.values]))

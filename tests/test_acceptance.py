@@ -16,13 +16,20 @@ import pytest
 from kaes.boswe import boswe_kernel_matrix, build_histogram, fit_codebook
 from kaes.corpus import ScoreRange
 from kaes.embeddings import EmbeddingModel
-from kaes.fusion import concat_features, linear_gram, sum_kernels
+from kaes.fusion import sum_kernels
 from kaes.harness import ExperimentConfig, emit_report, run_cross_domain, run_in_domain
 from kaes.metrics import qwk
-from kaes.string_kernel import FeatureMatrix, extract_ngram_counts, hisk_pair, kernel_matrix, normalize_kernel
+from kaes.string_kernel import extract_ngram_counts, hisk_pair, kernel_matrix, normalize_kernel
 from kaes.svr import SvrConfig, dual_objective, train_nu_svr
 
-from oracles import naive_hisk, qwk_direct, solve_nu_svr_qp
+from oracles import (
+    FeatureMatrix,
+    concat_features,
+    linear_gram,
+    naive_hisk,
+    qwk_direct,
+    solve_nu_svr_qp,
+)
 from synthesis import make_corpus_tsv, make_embeddings_bytes
 
 ALPHABET = list("abc ")

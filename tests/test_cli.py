@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import kaes.cli
+import kaes.harness
 from kaes.boswe import load_codebook
 from kaes.cli import main
 from kaes.corpus import parse_asap_tsv
@@ -167,6 +169,41 @@ class TestCommands:
         assert "error: missing required option --data" in err
 
 
+    def test_train_boswe_ignores_whitespace_only_essay(self, workdir, tmp_path, capsys):
+        lines = make_corpus_tsv(30, seed=7).decode().splitlines()
+        fields = lines[5].split("\t")
+        fields[2] = "   "
+        lines[5] = "\t".join(fields)
+        data = tmp_path / "blank.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run_main(capsys, [
+            "train", "--data", data, "--representation", "boswe", "--embeddings",
+            workdir / "emb.bin", "--k", "8", "--out", tmp_path / "model.bin",
+        ])
+        assert code == 0, err
+
+    def test_train_reads_gram_cached_by_kernel(self, workdir, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        code, _, _ = run_main(capsys, ["kernel", "--data", workdir / "data.tsv",
+                                       "--prompt", "1", "--cache-dir", cache])
+        assert code == 0
+        train = ["train", "--data", workdir / "data.tsv", "--prompt", "1",
+                 "--representation", "fused", "--embeddings", workdir / "emb.bin",
+                 "--k", "8", "--seed", "1"]
+        code, _, _ = run_main(capsys, [*train, "--out", tmp_path / "cold.bin"])
+        assert code == 0
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("computed an n-gram Gram matrix")
+
+        monkeypatch.setattr(kaes.harness, "kernel_matrix", no_gram)
+        monkeypatch.setattr(kaes.cli, "kernel_matrix", no_gram)
+        code, _, err = run_main(capsys, [*train, "--cache-dir", cache,
+                                         "--out", tmp_path / "warm.bin"])
+        assert code == 0, err
+        assert (tmp_path / "warm.bin").read_bytes() == (tmp_path / "cold.bin").read_bytes()
+
+
 class TestProcessDeterminism:
     def test_identical_reports_across_processes(self, workdir):
         cmd = [sys.executable, "-m", "kaes.cli", "eval-indomain",
@@ -177,3 +214,21 @@ class TestProcessDeterminism:
         ]
         assert runs[0] == runs[1]
         assert runs[0].startswith(b"# mode=in-domain")
+
+    def test_identical_fused_model_and_predictions_across_processes(self, workdir, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            out.mkdir()
+            common = ["--data", str(workdir / "data.tsv"), "--prompt", "1",
+                      "--representation", "fused", "--embeddings", str(workdir / "emb.bin"),
+                      "--k", "8", "--seed", "1"]
+            subprocess.run([sys.executable, "-m", "kaes.cli", "train", *common,
+                            "--out", str(out / "model.bin")], capture_output=True, check=True)
+            subprocess.run([sys.executable, "-m", "kaes.cli", "predict", *common,
+                            "--model", str(out / "model.bin"), "--out", str(out / "preds.tsv")],
+                           capture_output=True, check=True)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("model.bin", "model.bin.codebook", "preds.tsv")])
+        assert outputs[0] == outputs[1]
+        assert all(outputs[0])

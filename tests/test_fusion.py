@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kaes.errors import KernelMismatchError
-from kaes.fusion import concat_features, linear_gram, sum_kernels
-from kaes.string_kernel import FeatureMatrix, KernelMatrix
+from kaes.fusion import sum_kernels
+from kaes.string_kernel import KernelMatrix
+
+from oracles import FeatureMatrix, concat_features, linear_gram
 
 
 def km(values, ids=None, kind="boswe"):

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from kaes.errors import KaesError, KernelMismatchError
+from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
 from kaes.string_kernel import KernelMatrix
 from kaes.svr import (
     SvrConfig,
@@ -222,3 +222,18 @@ class TestModelIO:
         assert loaded.seed == 99
         assert loaded.converged == model.converged
         assert loaded.iterations == model.iterations
+
+    def test_malformed_files_raise_binary_format_error_with_offset(self):
+        kernel = square_kernel(np.eye(3) + 0.5, ids=("a", "bb", "c"))
+        model = train_nu_svr(kernel, np.array([0.1, 0.5, 0.9]))
+        buf = io.BytesIO()
+        save_svr_model(model, buf)
+        data = buf.getvalue()
+        id_at = data.index(b"\x02\x00\x00\x00bb") + 4
+        cases = [(data[:n], n) for n in range(len(data))]
+        cases.append((data[:id_at] + b"\xff\xfe" + data[id_at + 2:], id_at))
+        for case, at in cases:
+            with pytest.raises(BinaryFormatError) as info:
+                load_svr_model(io.BytesIO(case))
+            assert info.value.offset is not None and 0 <= info.value.offset <= at
+        assert info.value.offset == id_at
