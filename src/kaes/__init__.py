@@ -58,9 +58,6 @@ from .harness import (
 from .metrics import QwkReport, average_qwk, qwk
 from .string_kernel import (
     KernelMatrix,
-    NGramProfile,
-    extract_ngram_counts,
-    hisk_pair,
     kernel_matrix,
     load_kernel_matrix,
     normalize_kernel,

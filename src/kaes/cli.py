@@ -26,7 +26,6 @@ from .harness import (
     _block,
     _fold_codebook,
     _histograms,
-    _profiles,
     _tokens_by_id,
     emit_report,
     load_embeddings_if_needed,
@@ -61,13 +60,21 @@ class _Resolver:
         value = getattr(self.args, key, None)
         if value is not None:
             return value
-        if key in self.file:
+        if key not in self.file:
+            return default
+        try:
             return cast(self.file[key])
-        return default
+        except ValueError:
+            raise KaesError(
+                f"{self.args.config}: {key}={self.file[key]} is not a valid {cast.__name__}"
+            ) from None
 
 
 def _parse_nt(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip() != "")
+    try:
+        return tuple(int(part) for part in raw.split(",") if part.strip() != "")
+    except ValueError:
+        raise KaesError(f"nt must be comma-separated integers, got {raw!r}") from None
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -225,7 +232,10 @@ def cmd_kernel(resolver: _Resolver) -> int:
         raise KaesError("give --out or --cache-dir to store the kernel matrix")
     essays = _load_essays(cfg.data_path, cfg.prompt)
     if out is not None:
-        raw = kernel_matrix(_profiles(essays, cfg), row_ids=tuple(e.id for e in essays))
+        raw = kernel_matrix(
+            [e.text for e in essays], row_ids=tuple(e.id for e in essays),
+            n_min=cfg.ngram_min, n_max=cfg.ngram_max,
+        )
         save_kernel_matrix(raw, out)
         print(f"kernel: {raw.shape[0]}x{raw.shape[1]} hisk-raw -> {out}")
     else:
@@ -281,8 +291,8 @@ def cmd_predict(resolver: _Resolver) -> int:
     hisk = None
     if cfg.representation != "boswe":
         hisk = normalize_kernel(kernel_matrix(
-            _profiles(test_essays, cfg), _profiles(support_essays, cfg),
-            row_ids=test_ids, col_ids=support_ids,
+            [e.text for e in test_essays], [e.text for e in support_essays],
+            row_ids=test_ids, col_ids=support_ids, n_min=cfg.ngram_min, n_max=cfg.ngram_max,
         ))
     hists = test_hists = None
     emb_model = load_embeddings_if_needed(cfg)

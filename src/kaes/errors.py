@@ -34,5 +34,5 @@ class BinaryFormatError(KaesError):
 
 
 class KernelMismatchError(KaesError):
-    """Two kernel-side objects (profiles, histograms, matrices) are not
-    comparable: different n-gram ranges, codebooks, shapes, or id lists."""
+    """Two kernel-side objects (histograms, matrices) are not comparable:
+    different codebooks, shapes, or id lists; or an n-gram range is invalid."""

@@ -57,8 +57,6 @@ from .string_kernel import (
     DEFAULT_NGRAM_MAX,
     DEFAULT_NGRAM_MIN,
     KernelMatrix,
-    NGramProfile,
-    extract_ngram_counts,
     kernel_matrix,
     load_kernel_matrix,
     normalize_kernel,
@@ -320,7 +318,9 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
         "computing %d-document n-gram Gram matrix (range [%d,%d])",
         len(essays), cfg.ngram_min, cfg.ngram_max,
     )
-    raw = kernel_matrix(_profiles(essays, cfg), row_ids=ids)
+    raw = kernel_matrix(
+        [e.text for e in essays], row_ids=ids, n_min=cfg.ngram_min, n_max=cfg.ngram_max
+    )
     if cache_path is not None:
         # Write beside the target and swap it in, so that no reader (nor a run
         # killed mid-write) ever sees a partial file under the final name.
@@ -334,10 +334,6 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
             raise
         logger.info("cached Gram matrix at %s", cache_path.name)
     return normalize_kernel(raw)
-
-
-def _profiles(essays: Sequence[Essay], cfg: ExperimentConfig) -> list[NGramProfile]:
-    return [extract_ngram_counts(e.text, cfg.ngram_min, cfg.ngram_max) for e in essays]
 
 
 def _tokens_by_id(essays: Sequence[Essay]) -> dict[str, list[str]]:

@@ -1,23 +1,20 @@
-"""Blended character n-gram profiles and the intersection string kernel.
+"""Blended character n-gram counts and the histogram intersection string kernel.
 
-A document is profiled once into a sparse map from every character n-gram
-(all lengths in a configured range, blended together) to its occurrence
-count.  The kernel value of two documents is the sum over shared n-grams of
-the smaller occurrence count, which equals the sum of the per-length
-intersection kernels; profiles are therefore merged over the whole range and
-each pair is compared in a single pass.
+A document's features are the occurrence counts of every character n-gram
+(all lengths in a configured range, blended together).  The kernel value of
+two documents is the sum over shared n-grams of the smaller occurrence
+count, which equals the sum of the per-length intersection kernels.
 
-Text is canonicalized before profiling: lowercased, runs of whitespace
+Text is canonicalized before counting: lowercased, runs of whitespace
 collapsed to a single space, everything else (punctuation, "@PERSON1"-style
 anonymization markers) kept verbatim.
 """
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -31,58 +28,15 @@ KERNEL_MAGIC = b"KAESKM01"
 KIND_TAGS = {"hisk-raw": 0, "hisk-normalized": 1, "boswe": 2, "fused": 3, "linear": 4}
 _TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
+# Cells (documents x threshold columns) of one float32 0/1 block of the Gram
+# product.  A block's sums are bounded by its column count, which is at most
+# this budget, so it must stay below 2**24 for float32 sums to be exact.
+_GRAM_BLOCK_CELLS = 1 << 22
+
 
 def normalize_text(text: str) -> str:
     """Lowercase and collapse all whitespace runs to single spaces."""
     return " ".join(text.lower().split())
-
-
-@dataclass(frozen=True)
-class NGramProfile:
-    """Occurrence counts of every n-gram of one document, all lengths blended."""
-
-    n_min: int
-    n_max: int
-    counts: dict[str, int]
-    total: int
-
-    def same_range(self, other: "NGramProfile") -> bool:
-        return self.n_min == other.n_min and self.n_max == other.n_max
-
-
-def extract_ngram_counts(
-    text: str, n_min: int = DEFAULT_NGRAM_MIN, n_max: int = DEFAULT_NGRAM_MAX
-) -> NGramProfile:
-    """Count every contiguous substring with length in [n_min, n_max].
-
-    Counting runs over the canonicalized text (see :func:`normalize_text`).
-    Empty text yields an empty profile.
-    """
-    if n_min < 1 or n_max < n_min:
-        raise KernelMismatchError(f"invalid n-gram range [{n_min}, {n_max}]")
-    s = normalize_text(text)
-    counts: Counter[str] = Counter()
-    total = 0
-    for n in range(n_min, min(n_max, len(s)) + 1):
-        positions = len(s) - n + 1
-        counts.update(s[i : i + n] for i in range(positions))
-        total += positions
-    return NGramProfile(n_min=n_min, n_max=n_max, counts=dict(counts), total=total)
-
-
-def hisk_pair(p: NGramProfile, q: NGramProfile) -> int:
-    """Intersection kernel of two profiles: sum of min counts over shared n-grams."""
-    if not p.same_range(q):
-        raise KernelMismatchError(
-            f"n-gram range mismatch: [{p.n_min},{p.n_max}] vs [{q.n_min},{q.n_max}]"
-        )
-    small, large = (p.counts, q.counts) if len(p.counts) <= len(q.counts) else (q.counts, p.counts)
-    value = 0
-    for gram, count in small.items():
-        other = large.get(gram)
-        if other is not None:
-            value += count if count <= other else other
-    return value
 
 
 @dataclass
@@ -144,85 +98,158 @@ def _default_ids(n: int, prefix: str) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def _indexed(profiles: Sequence[NGramProfile], vocab: dict[str, int]):
-    arrays = []
-    for p in profiles:
-        ids = np.empty(len(p.counts), dtype=np.int64)
-        cts = np.empty(len(p.counts), dtype=np.int64)
-        for j, (gram, count) in enumerate(p.counts.items()):
-            idx = vocab.setdefault(gram, len(vocab))
-            ids[j] = idx
-            cts[j] = count
-        order = np.argsort(ids)
-        arrays.append((ids[order], cts[order]))
-    return arrays
+def _shared_ngram_counts(
+    texts: Sequence[str], n_rows: int, square: bool, n_min: int, n_max: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per n-gram length from n_min up, the counts that reach off-diagonal entries.
+
+    Yields ``(gram, doc, count)`` arrays with one element per (n-gram,
+    document) pair of nonzero count, sorted by n-gram id and then document;
+    ids are ranks within one length.  An n-gram is kept only if it occurs in
+    two documents (``square``), or in a row document (index below
+    ``n_rows``) and in a column document; any other adds to
+    self-similarities alone.
+
+    N-grams get their ids by rank refinement over the code points of all
+    texts at once: the (n+1)-gram at a position is ranked by the pair (id of
+    its n-gram prefix, next character).  An n-gram that is not kept has no
+    kept extension, so its positions leave the refinement.
+    """
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    # Corpus text holds lone surrogates (bytes decoded with surrogateescape);
+    # surrogatepass encodes each as one code unit, like any other character.
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    if codes.size == 0:
+        return
+    chars, char_rank = np.unique(codes, return_inverse=True)
+    doc_of = np.repeat(np.arange(len(texts)), lengths)
+    end_of = np.repeat(np.cumsum(lengths), lengths)
+    # Positions stay sorted by (prefix id, position), so a stable sort on the
+    # next key also orders each n-gram's occurrences by document.
+    start = np.arange(codes.size)
+    prefix = np.zeros(codes.size, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        key = prefix * chars.size + char_rank[start + n - 1]
+        order = np.argsort(key, kind="stable")
+        key, start = key[order], start[order]
+        doc = doc_of[start]
+        new_gram = np.r_[True, key[1:] != key[:-1]]
+        gram = np.cumsum(new_gram) - 1
+        first = np.flatnonzero(new_gram | np.r_[True, doc[1:] != doc[:-1]])
+        pair_gram, pair_doc = gram[first], doc[first]
+        if square:
+            shared = np.bincount(pair_gram) >= 2
+        else:
+            in_rows = pair_doc < n_rows
+            grams = int(gram[-1]) + 1
+            shared = (np.bincount(pair_gram[in_rows], minlength=grams) > 0) & (
+                np.bincount(pair_gram[~in_rows], minlength=grams) > 0
+            )
+        if n >= n_min:
+            keep = shared[pair_gram]
+            pair_count = np.diff(np.append(first, key.size))
+            yield pair_gram[keep], pair_doc[keep], pair_count[keep]
+        extend = shared[gram] & (start + n < end_of[start])
+        start, prefix = start[extend], gram[extend]
+        if start.size == 0:
+            return
 
 
-def _pair_from_arrays(a, b) -> int:
-    a_ids, a_cts = a
-    b_ids, b_cts = b
-    if a_ids.size == 0 or b_ids.size == 0:
-        return 0
-    if a_ids.size > b_ids.size:
-        a_ids, a_cts, b_ids, b_cts = b_ids, b_cts, a_ids, a_cts
-    # Both id arrays are sorted and unique: probe the smaller into the larger.
-    pos = np.searchsorted(b_ids, a_ids)
-    pos[pos == b_ids.size] = 0  # out-of-range probes can never match b_ids[0]
-    match = b_ids[pos] == a_ids
-    if not match.any():
-        return 0
-    return int(np.minimum(a_cts[match], b_cts[pos[match]]).sum())
+def _add_intersections(
+    values: np.ndarray, gram: np.ndarray, doc: np.ndarray, count: np.ndarray,
+    square: bool, budget: int,
+) -> None:
+    """Add sum_g min(count[i, g], count[j, g]) to each entry (i, j) of ``values``.
+
+    ``min(a, b) = sum_t [a >= t][b >= t]``, so n-gram g expands into the 0/1
+    columns t = 1 .. (its largest count), and ``values`` gains
+    ``B_rows @ B_cols.T``, summed over float32 blocks of at most ``budget``
+    cells (documents x columns).  Arguments are as yielded by
+    :func:`_shared_ngram_counts`; column documents follow the row documents.
+    """
+    if count.size == 0:
+        return
+    n_rows = values.shape[0]
+    n_docs = n_rows if square else n_rows + values.shape[1]
+    first = np.flatnonzero(np.r_[True, gram[1:] != gram[:-1]])
+    depth = np.maximum.reduceat(count, first)
+    per_gram = np.diff(np.append(first, gram.size))
+    col_hi = np.repeat(np.cumsum(depth), per_gram)
+    col_lo = col_hi - np.repeat(depth, per_gram)
+    # The ones of entry e are columns col_lo[e] .. col_lo[e] + count[e] - 1,
+    # stored at one_start[e] .. one_start[e + 1] - 1.
+    one_start = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=one_start[1:])
+    one_doc = np.repeat(doc, count)
+    one_col = np.repeat(col_lo - one_start[:-1], count) + np.arange(one_start[-1])
+    n_cols = int(col_hi[-1])
+    width = max(1, budget // n_docs)
+    for lo in range(0, n_cols, width):
+        hi = min(lo + width, n_cols)
+        # Entries are sorted by n-gram, so col_lo and col_hi never decrease.
+        a = one_start[np.searchsorted(col_hi, lo, "right")]
+        b = one_start[np.searchsorted(col_lo, hi, "left")]
+        cols = one_col[a:b]
+        inside = (cols >= lo) & (cols < hi)
+        block = np.zeros((n_docs, hi - lo), dtype=np.float32)
+        block[one_doc[a:b][inside], cols[inside] - lo] = 1.0
+        if square:
+            values += block @ block.T
+        else:
+            values += block[:n_rows] @ block[n_rows:].T
 
 
 def kernel_matrix(
-    rows: Sequence[NGramProfile],
-    cols: Sequence[NGramProfile] | None = None,
+    rows: Sequence[str],
+    cols: Sequence[str] | None = None,
     row_ids: Sequence[str] | None = None,
     col_ids: Sequence[str] | None = None,
+    n_min: int = DEFAULT_NGRAM_MIN,
+    n_max: int = DEFAULT_NGRAM_MAX,
 ) -> KernelMatrix:
-    """Raw intersection-kernel matrix between two profile lists.
+    """Raw intersection-kernel matrix between two lists of texts.
 
-    With ``cols=None`` (or the identical list) the Gram matrix is computed
-    once per unordered pair and mirrored, so it is exactly symmetric.
+    Entry (i, j) is the sum, over every n-gram of length n_min .. n_max of
+    the canonicalized texts (see :func:`normalize_text`), of the smaller of
+    its counts in text i and in text j.  With ``cols=None`` (or the
+    identical list) this is the square Gram matrix of ``rows``, whose
+    diagonal is the closed form ``sum_n max(len - n + 1, 0)``.
+
+    Every value is exact.  Products of 0/1 columns are 0 or 1, so each
+    block's sums are integers of at most ``_GRAM_BLOCK_CELLS`` terms, below
+    2**24 and exact in float32, and blocks add up in float64, exact while an
+    entry stays below 2**53.  The result does not depend on the block size
+    or on how the BLAS orders its sums.
     """
-    symmetric = cols is None or cols is rows
+    if n_min < 1 or n_max < n_min:
+        raise KernelMismatchError(f"invalid n-gram range [{n_min}, {n_max}]")
+    square = cols is None or cols is rows
     if len(rows) == 0 or (cols is not None and len(cols) == 0):
         raise KernelMismatchError("cannot build a kernel matrix from an empty document list")
-    cols_eff = rows if symmetric else cols
-    for p in list(rows) + list(cols_eff):
-        if not rows[0].same_range(p):
-            raise KernelMismatchError("all profiles must share one n-gram range")
-
-    vocab: dict[str, int] = {}
-    row_arrays = _indexed(rows, vocab)
-    col_arrays = row_arrays if symmetric else _indexed(cols_eff, vocab)
-
-    values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
-    if symmetric:
-        for i in range(len(rows)):
-            values[i, i] = rows[i].total
-            for j in range(i + 1, len(rows)):
-                v = _pair_from_arrays(row_arrays[i], row_arrays[j])
-                values[i, j] = v
-                values[j, i] = v
-    else:
-        for i in range(len(rows)):
-            for j in range(len(cols_eff)):
-                values[i, j] = _pair_from_arrays(row_arrays[i], col_arrays[j])
-
+    cols_eff = rows if square else cols
     rids = tuple(row_ids) if row_ids is not None else _default_ids(len(rows), "doc")
-    cids = rids if symmetric and col_ids is None else (
+    cids = rids if square and col_ids is None else (
         tuple(col_ids) if col_ids is not None else _default_ids(len(cols_eff), "col")
     )
     if len(rids) != len(rows) or len(cids) != len(cols_eff):
-        raise KernelMismatchError("id list length does not match profile list length")
+        raise KernelMismatchError("id list length does not match text list length")
+
+    texts = [normalize_text(t) for t in (rows if square else [*rows, *cols])]
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    totals = np.maximum(lengths[:, None] - np.arange(n_min - 1, n_max), 0).sum(axis=1)
+    totals = totals.astype(np.float64)
+    values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
+    for gram, doc, count in _shared_ngram_counts(texts, len(rows), square, n_min, n_max):
+        _add_intersections(values, gram, doc, count, square, _GRAM_BLOCK_CELLS)
+    if square:
+        np.fill_diagonal(values, totals)
     return KernelMatrix(
         values=values,
         row_ids=rids,
         col_ids=cids,
         kind="hisk-raw",
-        diag_rows=np.array([p.total for p in rows], dtype=np.float64),
-        diag_cols=np.array([p.total for p in cols_eff], dtype=np.float64),
+        diag_rows=totals[: len(rows)],
+        diag_cols=totals.copy() if square else totals[len(rows):],
     )
 
 
@@ -288,7 +315,7 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
 
     Square matrices recover their self-similarities from the main diagonal;
     rectangular ones come back without diagonals (re-normalization of a
-    loaded rectangular block requires recomputing profiles).
+    loaded rectangular block requires recomputing it).
     """
     with open_binary(path, "rb") as stream:
         offset = 0

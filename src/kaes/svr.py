@@ -313,15 +313,20 @@ def load_svr_model(path: str | Path | BinaryIO) -> SvrModel:
             (coef,) = struct.unpack("<d", read_exact(8, "coefficient"))
             coefs.append(coef)
         bias, epsilon_star = struct.unpack("<dd", read_exact(16, "bias/epsilon"))
+        echo_at = offset
         c, nu, tol, max_iter, conv, seed, iterations = struct.unpack(
             "<dddQBQQ", read_exact(8 * 3 + 8 + 1 + 16, "config echo")
         )
+        try:
+            config = SvrConfig(c=c, nu=nu, kkt_tolerance=tol, max_iterations=max_iter)
+        except KaesError as exc:
+            raise BinaryFormatError(f"invalid config echo: {exc}", offset=echo_at) from exc
         return SvrModel(
             coefficients=np.array(coefs, dtype=np.float64),
             bias=bias,
             epsilon_star=epsilon_star,
             train_ids=tuple(ids),
-            config=SvrConfig(c=c, nu=nu, kkt_tolerance=tol, max_iterations=max_iter),
+            config=config,
             seed=seed,
             converged=bool(conv),
             iterations=iterations,

@@ -19,7 +19,7 @@ from kaes.embeddings import EmbeddingModel
 from kaes.fusion import sum_kernels
 from kaes.harness import ExperimentConfig, emit_report, run_cross_domain, run_in_domain
 from kaes.metrics import qwk
-from kaes.string_kernel import extract_ngram_counts, hisk_pair, kernel_matrix, normalize_kernel
+from kaes.string_kernel import kernel_matrix, normalize_kernel
 from kaes.svr import SvrConfig, dual_objective, train_nu_svr
 
 from oracles import (
@@ -49,9 +49,7 @@ def test_criterion_1_hisk_oracle_equivalence():
     for _ in range(200):
         x, y = random_string(rng), random_string(rng)
         n_max = int(rng.integers(1, 6))
-        ours = hisk_pair(
-            extract_ngram_counts(x, 1, n_max), extract_ngram_counts(y, 1, n_max)
-        )
+        ours = kernel_matrix([x], [y], n_min=1, n_max=n_max).values[0, 0]
         assert ours == naive_hisk(x, y, 1, n_max)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -64,10 +62,9 @@ def test_criterion_2_blend_additivity():
     strings = [random_string(rng) for _ in range(50)]
     for i, x in enumerate(strings):
         y = strings[(i + 1) % len(strings)]
-        blended = hisk_pair(extract_ngram_counts(x, 1, 5), extract_ngram_counts(y, 1, 5))
+        blended = kernel_matrix([x], [y], n_min=1, n_max=5).values[0, 0]
         per_length = sum(
-            hisk_pair(extract_ngram_counts(x, n, n), extract_ngram_counts(y, n, n))
-            for n in range(1, 6)
+            kernel_matrix([x], [y], n_min=n, n_max=n).values[0, 0] for n in range(1, 6)
         )
         assert blended == per_length
     print("\n[criterion 2] PASS: blended [1,5] kernel equals the sum of the five "
@@ -85,7 +82,7 @@ def test_criterion_3_psd_suites():
     for trial in range(20):
         n_docs = int(rng.integers(2, 13))
         texts = [random_string(rng, max_len=40) + "x" for _ in range(n_docs)]
-        raw = kernel_matrix([extract_ngram_counts(t, 1, 5) for t in texts])
+        raw = kernel_matrix(texts, n_min=1, n_max=5)
         normalized = normalize_kernel(raw)
         hists = [
             build_histogram(

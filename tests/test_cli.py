@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kaes
 import kaes.cli
 import kaes.harness
 from kaes.boswe import load_codebook
@@ -163,6 +166,19 @@ class TestCommands:
         assert code == 0
         assert overridden.splitlines()[0].startswith("#")
 
+    @pytest.mark.parametrize("line", ["k=abc", "nu=high", "nt=0,five"])
+    def test_unreadable_config_value_fails_cleanly(self, workdir, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"data={workdir / 'data.tsv'}\nprompt=1\n{line}\n")
+        code, _, err = run_main(capsys, ["train", "--config", cfg_path,
+                                         "--out", tmp_path / "m.model"])
+        assert code == 1
+        key, value = line.split("=")
+        assert err.startswith("error: ") and key in err and value in err
+        assert "Traceback" not in err
+        if key != "nt":
+            assert str(cfg_path) in err
+
     def test_missing_required_flag_fails_cleanly(self, capsys):
         code, _, err = run_main(capsys, ["eval-indomain", "--prompt", "1"])
         assert code == 1
@@ -204,12 +220,19 @@ class TestCommands:
         assert (tmp_path / "warm.bin").read_bytes() == (tmp_path / "cold.bin").read_bytes()
 
 
+def child_env() -> dict[str, str]:
+    """The environment for a child `python -m kaes.cli`, importing this kaes."""
+    src = str(Path(kaes.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestProcessDeterminism:
     def test_identical_reports_across_processes(self, workdir):
         cmd = [sys.executable, "-m", "kaes.cli", "eval-indomain",
                "--data", str(workdir / "data.tsv"), *EVAL_ARGS[1:]]
         runs = [
-            subprocess.run(cmd, capture_output=True, check=True).stdout
+            subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -224,10 +247,11 @@ class TestProcessDeterminism:
                       "--representation", "fused", "--embeddings", str(workdir / "emb.bin"),
                       "--k", "8", "--seed", "1"]
             subprocess.run([sys.executable, "-m", "kaes.cli", "train", *common,
-                            "--out", str(out / "model.bin")], capture_output=True, check=True)
+                            "--out", str(out / "model.bin")],
+                           capture_output=True, check=True, env=child_env())
             subprocess.run([sys.executable, "-m", "kaes.cli", "predict", *common,
                             "--model", str(out / "model.bin"), "--out", str(out / "preds.tsv")],
-                           capture_output=True, check=True)
+                           capture_output=True, check=True, env=child_env())
             outputs.append([(out / name).read_bytes()
                             for name in ("model.bin", "model.bin.codebook", "preds.tsv")])
         assert outputs[0] == outputs[1]

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kaes import string_kernel
 from kaes.errors import BinaryFormatError, KernelMismatchError
 from kaes.string_kernel import (
     KernelMatrix,
-    extract_ngram_counts,
-    hisk_pair,
     kernel_matrix,
     load_kernel_matrix,
     normalize_kernel,
@@ -22,148 +22,211 @@ from oracles import naive_hisk, naive_ngram_counts
 
 short_text = st.text(alphabet="abc ", max_size=30)
 
+# "\udc81" is what parse_asap_tsv makes of byte 0x81 ("?" is what a lossy
+# encoder would make of it); "İ" lowercases to two code points; the
+# whitespace runs collapse to one space.
+_PIECES = ["a", "b", "A", "B", "é", "İ", "\udc81", "?", " ", "\t", "\n", "  \t\n "]
+mixed_text = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+
+
+def interned_counts(text: str, n_min: int, n_max: int) -> dict[str, int]:
+    """N-gram counts of ``text`` as the kernel's interning step finds them.
+
+    The text is paired with a copy of itself so that every n-gram is shared,
+    hence kept; ids rank n-grams of one length in code-point order.
+    """
+    s = normalize_text(text)
+    counts = {}
+    for n, (gram, doc, count) in zip(
+        range(n_min, n_max + 1),
+        string_kernel._shared_ngram_counts([s, s], 1, True, n_min, n_max),
+    ):
+        names = sorted({s[i : i + n] for i in range(len(s) - n + 1)})
+        mine = doc == 0
+        counts.update(zip((names[g] for g in gram[mine]), count[mine].tolist()))
+    return counts
+
+
+def kernel_at_budgets(*args, **kwargs) -> KernelMatrix:
+    """``kernel_matrix`` with one-column Gram blocks and with the default blocks.
+
+    Returns the default result after checking that both agree bit for bit.
+    """
+    with mock.patch.object(string_kernel, "_GRAM_BLOCK_CELLS", 1):
+        tiny = kernel_matrix(*args, **kwargs)
+    k = kernel_matrix(*args, **kwargs)
+    assert np.array_equal(tiny.values, k.values)
+    return k
+
 
 class TestExtract:
     def test_abab_counts(self):
-        profile = extract_ngram_counts("abab", 1, 2)
-        assert profile.counts == {"a": 2, "b": 2, "ab": 2, "ba": 1}
-        assert profile.total == 7
+        assert naive_ngram_counts("abab", 1, 2) == {"a": 2, "b": 2, "ab": 2, "ba": 1}
+        assert interned_counts("abab", 1, 2) == {"a": 2, "b": 2, "ab": 2, "ba": 1}
+        assert kernel_matrix(["abab"], n_min=1, n_max=2).values[0, 0] == 7
 
     def test_empty_text(self):
-        profile = extract_ngram_counts("", 1, 15)
-        assert profile.counts == {}
-        assert profile.total == 0
+        assert interned_counts("", 1, 15) == {}
+        k = kernel_matrix(["", "abc", " \t\n"], n_min=1, n_max=15)
+        assert np.array_equal(k.values, [[0, 0, 0], [0, 6, 0], [0, 0, 0]])
+        assert np.array_equal(k.diag_rows, [0, 6, 0])
 
     def test_text_shorter_than_n_max(self):
-        profile = extract_ngram_counts("x", 1, 2)
-        assert profile.counts == {"x": 1}
-        assert profile.total == 1
+        assert interned_counts("x", 1, 2) == {"x": 1}
+        k = kernel_matrix(["x", "xx"], n_min=1, n_max=2)
+        assert np.array_equal(k.values, [[1, 1], [1, 3]])
 
     def test_lowercase_and_whitespace_collapse(self):
-        a = extract_ngram_counts("The  CAT\n sat", 1, 3)
-        b = extract_ngram_counts("the cat sat", 1, 3)
-        assert a.counts == b.counts
+        assert interned_counts("The  CAT\n sat", 1, 3) == interned_counts("the cat sat", 1, 3)
+        # K(a, b) equals both self-similarities only if the counts are equal.
+        k = kernel_matrix(["The  CAT\n sat", "the cat sat"], n_min=1, n_max=3)
+        assert np.all(k.values == k.diag_rows[0])
 
     def test_invalid_range(self):
-        with pytest.raises(KernelMismatchError):
-            extract_ngram_counts("abc", 2, 1)
+        for n_min, n_max in ((2, 1), (0, 3)):
+            with pytest.raises(KernelMismatchError, match="invalid n-gram range"):
+                kernel_matrix(["abc"], n_min=n_min, n_max=n_max)
 
-    @given(short_text, st.integers(1, 3), st.integers(0, 3))
+    @given(mixed_text, st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=60)
     def test_matches_naive_enumeration(self, text, n_min, extra):
         n_max = n_min + extra
-        profile = extract_ngram_counts(text, n_min, n_max)
-        assert profile.counts == naive_ngram_counts(text, n_min, n_max)
-        assert profile.total == sum(profile.counts.values())
+        counts = interned_counts(text, n_min, n_max)
+        assert counts == naive_ngram_counts(text, n_min, n_max)
+        diag = kernel_matrix([text], n_min=n_min, n_max=n_max).values[0, 0]
+        assert diag == sum(counts.values())
 
-    @given(short_text, st.integers(1, 4))
+    @given(mixed_text, st.integers(1, 4))
     @settings(max_examples=40)
     def test_total_formula(self, text, n_max):
         s = normalize_text(text)
-        profile = extract_ngram_counts(text, 1, n_max)
+        k = kernel_matrix([text, text], n_min=1, n_max=n_max)
         expected = sum(len(s) - n + 1 for n in range(1, n_max + 1) if len(s) >= n)
-        assert profile.total == expected
+        assert np.all(k.values == expected)
+        assert np.all(k.diag_rows == expected)
 
 
 class TestHiskPair:
     def test_abab_vs_ba(self):
-        p = extract_ngram_counts("abab", 1, 2)
-        q = extract_ngram_counts("ba", 1, 2)
-        assert hisk_pair(p, q) == 3
+        assert kernel_matrix(["abab"], ["ba"], n_min=1, n_max=2).values[0, 0] == 3
 
     def test_self_similarity_is_total(self):
-        p = extract_ngram_counts("hello world", 1, 5)
-        assert hisk_pair(p, p) == p.total
+        k = kernel_matrix(["hello world", "hello world"], n_min=1, n_max=5)
+        assert np.all(k.values == 11 + 10 + 9 + 8 + 7)
 
     def test_empty_profile(self):
-        p = extract_ngram_counts("anything", 1, 3)
-        empty = extract_ngram_counts("", 1, 3)
-        assert hisk_pair(p, empty) == 0
-
-    def test_range_mismatch(self):
-        with pytest.raises(KernelMismatchError):
-            hisk_pair(extract_ngram_counts("ab", 1, 2), extract_ngram_counts("ab", 1, 3))
+        assert kernel_matrix(["anything"], [""], n_min=1, n_max=3).values[0, 0] == 0
 
     @given(short_text, short_text)
     @settings(max_examples=60)
     def test_symmetry_and_bound(self, x, y):
-        p = extract_ngram_counts(x, 1, 3)
-        q = extract_ngram_counts(y, 1, 3)
-        v = hisk_pair(p, q)
-        assert v == hisk_pair(q, p)
-        assert v <= min(hisk_pair(p, p), hisk_pair(q, q))
+        k = kernel_matrix([x, y], n_min=1, n_max=3)
+        assert k.values[0, 1] == k.values[1, 0]
+        assert k.values[0, 1] <= min(k.values[0, 0], k.values[1, 1])
+        assert kernel_matrix([y], [x], n_min=1, n_max=3).values[0, 0] == k.values[0, 1]
 
     @given(short_text, short_text)
     @settings(max_examples=40)
     def test_oracle_equivalence(self, x, y):
-        p = extract_ngram_counts(x, 1, 4)
-        q = extract_ngram_counts(y, 1, 4)
-        assert hisk_pair(p, q) == naive_hisk(x, y, 1, 4)
+        assert kernel_matrix([x], [y], n_min=1, n_max=4).values[0, 0] == naive_hisk(x, y, 1, 4)
 
     @given(short_text, short_text)
     @settings(max_examples=30)
     def test_blend_additivity(self, x, y):
-        blended = hisk_pair(extract_ngram_counts(x, 1, 5), extract_ngram_counts(y, 1, 5))
-        per_length = sum(
-            hisk_pair(extract_ngram_counts(x, n, n), extract_ngram_counts(y, n, n))
-            for n in range(1, 6)
-        )
-        assert blended == per_length
+        blended = kernel_matrix([x, y], n_min=1, n_max=5).values
+        per_length = sum(kernel_matrix([x, y], n_min=n, n_max=n).values for n in range(1, 6))
+        assert np.array_equal(blended, per_length)
+
+
+class TestOracle:
+    @given(st.lists(mixed_text, min_size=1, max_size=6), st.integers(1, 3), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_square_equals_naive_hisk(self, texts, n_min, extra):
+        n_max = n_min + extra
+        k = kernel_at_budgets(texts, n_min=n_min, n_max=n_max)
+        expected = [[naive_hisk(x, y, n_min, n_max) for y in texts] for x in texts]
+        assert np.array_equal(k.values, expected)
+        assert np.array_equal(k.diag_rows, np.diagonal(expected))
+
+    @given(
+        st.lists(mixed_text, min_size=1, max_size=4),
+        st.lists(mixed_text, min_size=1, max_size=4),
+        st.integers(1, 3), st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rectangular_equals_naive_hisk_and_square_slice(self, rows, cols, n_min, extra):
+        n_max = n_min + extra
+        k = kernel_at_budgets(rows, cols, n_min=n_min, n_max=n_max)
+        expected = [[naive_hisk(x, y, n_min, n_max) for y in cols] for x in rows]
+        assert np.array_equal(k.values, expected)
+        union = kernel_matrix(rows + cols, n_min=n_min, n_max=n_max)
+        assert np.array_equal(k.values, union.values[: len(rows), len(rows):])
+        assert np.array_equal(k.diag_rows, union.diag_rows[: len(rows)])
+        assert np.array_equal(k.diag_cols, union.diag_rows[len(rows):])
+
+    def test_cols_given_as_the_rows_list_is_square(self):
+        texts = ["ab c", "b ca"]
+        k = kernel_matrix(texts, texts, n_min=1, n_max=3)
+        assert k.is_square
+        assert np.array_equal(k.values, kernel_matrix(texts, n_min=1, n_max=3).values)
 
 
 class TestKernelMatrix:
     def test_identical_documents(self):
-        profiles = [extract_ngram_counts("same text", 1, 3) for _ in range(3)]
-        k = kernel_matrix(profiles)
-        assert np.all(k.values == profiles[0].total)
+        k = kernel_matrix(["same text"] * 3, n_min=1, n_max=3)
+        assert np.all(k.values == 9 + 8 + 7)
 
     def test_disjoint_alphabets(self):
-        k = kernel_matrix([extract_ngram_counts("aaa", 1, 2), extract_ngram_counts("bbb", 1, 2)])
+        k = kernel_matrix(["aaa", "bbb"], n_min=1, n_max=2)
         assert k.values[0, 1] == 0.0
         assert k.values[1, 0] == 0.0
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(0)
         texts = ["".join(rng.choice(list("abcd "), size=30)) for _ in range(8)]
-        k = kernel_matrix([extract_ngram_counts(t, 1, 4) for t in texts])
+        k = kernel_matrix(texts, n_min=1, n_max=4)
         assert np.array_equal(k.values, k.values.T)
 
     def test_psd(self):
         rng = np.random.default_rng(1)
         texts = ["".join(rng.choice(list("abcd "), size=40)) for _ in range(8)]
-        k = kernel_matrix([extract_ngram_counts(t, 1, 5) for t in texts])
+        k = kernel_matrix(texts, n_min=1, n_max=5)
         eigenvalues = np.linalg.eigvalsh(k.values)
         assert eigenvalues.min() >= -1e-8 * np.trace(k.values)
 
     def test_entries_bounded_by_self_similarities(self):
         rng = np.random.default_rng(6)
         texts = ["".join(rng.choice(list("abc "), size=25)) for _ in range(6)]
-        k = kernel_matrix([extract_ngram_counts(t, 1, 4) for t in texts])
+        k = kernel_matrix(texts, n_min=1, n_max=4)
         cap = np.minimum.outer(k.diag_rows, k.diag_cols)
         assert np.all(k.values <= cap)
 
     def test_rectangular_matches_pairs(self):
-        rows = [extract_ngram_counts(t, 1, 3) for t in ("abc", "bcd")]
-        cols = [extract_ngram_counts(t, 1, 3) for t in ("cde", "abc", "xyz")]
-        k = kernel_matrix(rows, cols)
+        rows, cols = ("abc", "bcd"), ("cde", "abc", "xyz")
+        k = kernel_matrix(rows, cols, n_min=1, n_max=3)
         for i in range(2):
             for j in range(3):
-                assert k.values[i, j] == hisk_pair(rows[i], cols[j])
+                assert k.values[i, j] == naive_hisk(rows[i], cols[j], 1, 3)
 
     def test_empty_list_error(self):
         with pytest.raises(KernelMismatchError):
             kernel_matrix([])
+        with pytest.raises(KernelMismatchError):
+            kernel_matrix(["a"], [])
+
+    def test_id_count_mismatch(self):
+        with pytest.raises(KernelMismatchError, match="id list"):
+            kernel_matrix(["a", "b"], row_ids=("x",))
 
     def test_take_slices_by_id(self):
-        profiles = [extract_ngram_counts(t, 1, 2) for t in ("aa", "ab", "bb")]
-        k = kernel_matrix(profiles, row_ids=("x", "y", "z"))
+        k = kernel_matrix(["aa", "ab", "bb"], row_ids=("x", "y", "z"), n_min=1, n_max=2)
         sub = k.take(("z", "x"), ("y",))
         assert sub.values[0, 0] == k.values[2, 1]
         assert sub.values[1, 0] == k.values[0, 1]
-        assert sub.diag_rows[0] == profiles[2].total
+        assert sub.diag_rows[0] == 3
 
     def test_take_unknown_id(self):
-        k = kernel_matrix([extract_ngram_counts("ab", 1, 2)], row_ids=("x",))
+        k = kernel_matrix(["ab"], row_ids=("x",), n_min=1, n_max=2)
         with pytest.raises(KernelMismatchError, match="nope"):
             k.take(("nope",), ("x",))
 
@@ -171,33 +234,25 @@ class TestKernelMatrix:
 class TestNormalize:
     def test_unit_diagonal(self):
         texts = ["alpha beta", "gamma delta", "alpha delta"]
-        k = normalize_kernel(kernel_matrix([extract_ngram_counts(t, 1, 4) for t in texts]))
+        k = normalize_kernel(kernel_matrix(texts, n_min=1, n_max=4))
         assert np.allclose(np.diagonal(k.values), 1.0)
         assert k.kind == "hisk-normalized"
 
     def test_disjoint_pair_zero(self):
-        k = normalize_kernel(
-            kernel_matrix([extract_ngram_counts("aaa", 1, 2), extract_ngram_counts("bbb", 1, 2)])
-        )
+        k = normalize_kernel(kernel_matrix(["aaa", "bbb"], n_min=1, n_max=2))
         assert k.values[0, 1] == 0.0
 
     def test_identical_pair_one(self):
-        k = normalize_kernel(
-            kernel_matrix([extract_ngram_counts("abc", 1, 2), extract_ngram_counts("abc", 1, 2)])
-        )
+        k = normalize_kernel(kernel_matrix(["abc", "abc"], n_min=1, n_max=2))
         assert k.values[0, 1] == pytest.approx(1.0)
 
     def test_empty_document_error_names_id(self):
-        k = kernel_matrix(
-            [extract_ngram_counts("ok", 1, 2), extract_ngram_counts("", 1, 2)],
-            row_ids=("good", "empty"),
-        )
+        k = kernel_matrix(["ok", ""], row_ids=("good", "empty"), n_min=1, n_max=2)
         with pytest.raises(KernelMismatchError, match="empty"):
             normalize_kernel(k)
 
     def test_wrong_kind_rejected(self):
-        k = kernel_matrix([extract_ngram_counts("ab", 1, 2)])
-        normalized = normalize_kernel(k)
+        normalized = normalize_kernel(kernel_matrix(["ab"], n_min=1, n_max=2))
         with pytest.raises(KernelMismatchError):
             normalize_kernel(normalized)
 
@@ -224,7 +279,7 @@ class TestKernelIO:
         assert loaded.kind == original.kind
 
     def test_square_recovers_diagonal(self, tmp_path):
-        k = kernel_matrix([extract_ngram_counts(t, 1, 2) for t in ("ab", "cd")])
+        k = kernel_matrix(["ab", "cd"], n_min=1, n_max=2)
         path = tmp_path / "sq.km"
         save_kernel_matrix(k, path)
         loaded = load_kernel_matrix(path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -237,3 +238,16 @@ class TestModelIO:
                 load_svr_model(io.BytesIO(case))
             assert info.value.offset is not None and 0 <= info.value.offset <= at
         assert info.value.offset == id_at
+
+    def test_out_of_range_config_echo_is_a_format_error_at_its_offset(self):
+        model = train_nu_svr(square_kernel(np.eye(3) + 0.5), np.array([0.1, 0.5, 0.9]))
+        buf = io.BytesIO()
+        save_svr_model(model, buf)
+        data = buf.getvalue()
+        echo_at = len(data) - (8 * 3 + 8 + 1 + 16)
+        for field, value in ((1, 0.0), (0, -1.0)):  # nu, then c
+            at = echo_at + 8 * field
+            damaged = data[:at] + struct.pack("<d", value) + data[at + 8:]
+            with pytest.raises(BinaryFormatError, match="config echo") as info:
+                load_svr_model(io.BytesIO(damaged))
+            assert info.value.offset == echo_at
