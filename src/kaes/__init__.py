@@ -23,7 +23,6 @@ from .corpus import (
     Essay,
     FoldPlan,
     ScoreRange,
-    TransferPlan,
     make_folds,
     make_transfer_split,
     parse_asap_tsv,

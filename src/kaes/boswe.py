@@ -17,7 +17,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .binio import open_binary
+from .binio import Reader, open_binary
 from .embeddings import EmbeddingModel
 from .errors import BinaryFormatError, KernelMismatchError, KaesError
 from .seeding import KMEANS, derive_rng
@@ -336,19 +336,13 @@ def save_codebook(codebook: Codebook, path: str | Path | BinaryIO) -> None:
 def load_codebook(path: str | Path | BinaryIO) -> Codebook:
     """Read a codebook written by :func:`save_codebook` (distortion is not stored)."""
     with open_binary(path, "rb") as stream:
-        magic = stream.read(len(CODEBOOK_MAGIC))
-        if magic != CODEBOOK_MAGIC:
-            raise BinaryFormatError(f"bad magic {magic!r}, expected {CODEBOOK_MAGIC!r}", offset=0)
-        header = stream.read(16)
-        if len(header) != 16:
-            raise BinaryFormatError("truncated codebook header", offset=len(CODEBOOK_MAGIC))
-        k, dim, seed = struct.unpack("<IIQ", header)
-        nbytes = k * dim * 4
-        raw = stream.read(nbytes)
-        if len(raw) != nbytes:
+        reader = Reader(stream)
+        reader.expect_magic(CODEBOOK_MAGIC)
+        k, dim, seed = reader.unpack("<IIQ", "header")
+        if k == 0 or dim == 0:
             raise BinaryFormatError(
-                f"truncated centroids: expected {nbytes} bytes, got {len(raw)}",
-                offset=len(CODEBOOK_MAGIC) + 16,
+                f"empty codebook: k={k}, dim={dim}", offset=len(CODEBOOK_MAGIC)
             )
+        raw = reader.read(k * dim * 4, "centroids")
         centroids = np.frombuffer(raw, dtype="<f4").reshape(k, dim).copy()
         return Codebook(k=k, centroids=centroids, seed=seed, distortion=None)

@@ -217,17 +217,6 @@ class FoldPlan:
         )
 
 
-@dataclass(frozen=True)
-class TransferPlan:
-    """Parameters of one source-to-target transfer experiment."""
-
-    source_prompt: int
-    target_prompt: int
-    n_t: int
-    repetitions: int
-    seed: int
-
-
 def make_folds(essays: list[Essay], fold_count: int, repetitions: int, seed: int) -> FoldPlan:
     """Build a deterministic fold plan: one uniform partition per repetition."""
     ids = [e.id for e in essays]

@@ -14,7 +14,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .binio import open_binary
+from .binio import Reader, open_binary
 from .errors import BinaryFormatError
 
 DEFAULT_VOCAB_LIMIT = 500_000
@@ -53,61 +53,6 @@ def lookup(model: EmbeddingModel, token: str) -> np.ndarray | None:
     return model.vectors[idx]
 
 
-class _Reader:
-    """Buffered byte scanner that tracks the absolute offset for errors."""
-
-    def __init__(self, stream: BinaryIO, chunk: int = 1 << 20):
-        self._stream = stream
-        self._chunk = chunk
-        self._buf = b""
-        self._pos = 0
-        self.offset = 0
-
-    def _fill(self) -> bool:
-        data = self._stream.read(self._chunk)
-        if not data:
-            return False
-        self._buf = self._buf[self._pos :] + data
-        self._pos = 0
-        return True
-
-    def read_until(self, delim: bytes, what: str) -> bytes:
-        while True:
-            idx = self._buf.find(delim, self._pos)
-            if idx != -1:
-                out = self._buf[self._pos : idx]
-                consumed = idx + 1 - self._pos
-                self._pos = idx + 1
-                self.offset += consumed
-                return out
-            if not self._fill():
-                raise BinaryFormatError(f"stream ended while reading {what}", offset=self.offset)
-
-    def read_exact(self, n: int, what: str) -> bytes:
-        while len(self._buf) - self._pos < n:
-            if not self._fill():
-                available = len(self._buf) - self._pos
-                raise BinaryFormatError(
-                    f"stream ended while reading {what}: expected {n} bytes, "
-                    f"only {available} available",
-                    offset=self.offset,
-                )
-        out = self._buf[self._pos : self._pos + n]
-        self._pos += n
-        self.offset += n
-        return out
-
-    def skip_newlines(self) -> None:
-        while True:
-            if self._pos >= len(self._buf) and not self._fill():
-                return
-            if self._buf[self._pos : self._pos + 1] == b"\n":
-                self._pos += 1
-                self.offset += 1
-            else:
-                return
-
-
 def load_word2vec_binary(
     source: str | Path | BinaryIO, vocab_limit: int | None = DEFAULT_VOCAB_LIMIT
 ) -> EmbeddingModel:
@@ -118,7 +63,7 @@ def load_word2vec_binary(
     Duplicate tokens keep their first (most frequent) vector.
     """
     with open_binary(source, "rb") as stream:
-        reader = _Reader(stream)
+        reader = Reader(stream)
         header = reader.read_until(b"\n", "header")
         try:
             count_s, dim_s = header.split()
@@ -135,7 +80,7 @@ def load_word2vec_binary(
             reader.skip_newlines()
             raw_token = reader.read_until(b" ", "token")
             token = raw_token.decode("utf-8", errors="surrogateescape")
-            raw_vec = reader.read_exact(4 * dim, f"vector of {token!r}")
+            raw_vec = reader.read(4 * dim, f"vector of {token!r}")
             if token in vocab:
                 continue
             vocab[token] = len(rows)

@@ -540,9 +540,10 @@ def _protocol_cells(
         if cfg.representation in ("boswe", "fused"):
             tokens_by_id = _tokens_by_id(essays)
     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill siblings
-        logger.error("%s failed during preparation: %s", what, exc)
+        reason = str(exc) or type(exc).__name__
+        logger.error("%s failed during preparation: %s", what, reason)
         return [ResultCell(key=key, n_t=n_t, representation=cfg.representation,
-                           mean=None, std=None, failed=f"prepare: {exc}") for n_t in n_ts]
+                           mean=None, std=None, failed=f"prepare: {reason}") for n_t in n_ts]
 
     unit_by_id = {e.id: e.unit_score for e in essays}
     raw_by_id = {e.id: e.raw_score for e in essays}
@@ -560,8 +561,9 @@ def _protocol_cells(
                 )
                 kappa = _score_cell(cfg, k_train, k_eval, unit_by_id, raw_by_id, score_range)
             except Exception as exc:  # noqa: BLE001
-                failures.append(f"{where}: {exc}")
-                logger.error("%s n_t=%s %s failed: %s", what, n_t, where, exc)
+                reason = str(exc) or type(exc).__name__
+                failures.append(f"{where}: {reason}")
+                logger.error("%s n_t=%s %s failed: %s", what, n_t, where, reason)
                 continue
             by_rep.setdefault(rep, []).append(kappa)
             if cfg.audit:

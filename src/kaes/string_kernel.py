@@ -18,7 +18,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .binio import open_binary
+from .binio import Reader, open_binary, write_id
 from .errors import BinaryFormatError, KernelMismatchError
 
 DEFAULT_NGRAM_MIN = 1
@@ -282,21 +282,6 @@ def normalize_kernel(kernel: KernelMatrix) -> KernelMatrix:
     )
 
 
-def _write_id(stream: BinaryIO, doc_id: str) -> None:
-    raw = doc_id.encode("utf-8")
-    stream.write(struct.pack("<I", len(raw)))
-    stream.write(raw)
-
-
-def _read_exact(stream: BinaryIO, n: int, offset: int) -> bytes:
-    raw = stream.read(n)
-    if len(raw) != n:
-        raise BinaryFormatError(
-            f"truncated kernel file: wanted {n} bytes, got {len(raw)}", offset=offset
-        )
-    return raw
-
-
 def save_kernel_matrix(kernel: KernelMatrix, path: str | Path | BinaryIO) -> None:
     """Write a kernel matrix in the binary cache format (bit-exact)."""
     with open_binary(path, "wb") as stream:
@@ -305,9 +290,9 @@ def save_kernel_matrix(kernel: KernelMatrix, path: str | Path | BinaryIO) -> Non
         stream.write(struct.pack("<IIB", rows, cols, KIND_TAGS[kernel.kind]))
         stream.write(np.ascontiguousarray(kernel.values, dtype="<f8").tobytes())
         for doc_id in kernel.row_ids:
-            _write_id(stream, doc_id)
+            write_id(stream, doc_id)
         for doc_id in kernel.col_ids:
-            _write_id(stream, doc_id)
+            write_id(stream, doc_id)
 
 
 def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
@@ -318,30 +303,14 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
     loaded rectangular block requires recomputing it).
     """
     with open_binary(path, "rb") as stream:
-        offset = 0
-        magic = _read_exact(stream, len(KERNEL_MAGIC), offset)
-        if magic != KERNEL_MAGIC:
-            raise BinaryFormatError(f"bad magic {magic!r}, expected {KERNEL_MAGIC!r}", offset=0)
-        offset += len(KERNEL_MAGIC)
-        header = _read_exact(stream, 9, offset)
-        rows, cols, tag = struct.unpack("<IIB", header)
-        offset += 9
+        reader = Reader(stream)
+        reader.expect_magic(KERNEL_MAGIC)
+        rows, cols, tag = reader.unpack("<IIB", "header")
         if tag not in _TAG_KINDS:
-            raise BinaryFormatError(f"unknown kind tag {tag}", offset=offset - 1)
-        nbytes = rows * cols * 8
-        values = np.frombuffer(_read_exact(stream, nbytes, offset), dtype="<f8")
+            raise BinaryFormatError(f"unknown kind tag {tag}", offset=reader.offset - 1)
+        values = np.frombuffer(reader.read(rows * cols * 8, "values"), dtype="<f8")
         values = values.reshape(rows, cols).copy()
-        offset += nbytes
-        ids: list[str] = []
-        for _ in range(rows + cols):
-            (length,) = struct.unpack("<I", _read_exact(stream, 4, offset))
-            offset += 4
-            raw_id = _read_exact(stream, length, offset)
-            try:
-                ids.append(raw_id.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise BinaryFormatError(f"document id is not UTF-8: {exc}", offset=offset) from exc
-            offset += length
+        ids = [reader.read_id() for _ in range(rows + cols)]
         row_ids, col_ids = tuple(ids[:rows]), tuple(ids[rows:])
         diag = None
         if rows == cols and row_ids == col_ids:

@@ -22,7 +22,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .binio import open_binary
+from .binio import Reader, open_binary, write_id
 from .errors import BinaryFormatError, KaesError, KernelMismatchError
 from .string_kernel import KernelMatrix
 
@@ -262,9 +262,7 @@ def save_svr_model(model: SvrModel, path: str | Path | BinaryIO) -> None:
         stream.write(MODEL_MAGIC)
         stream.write(struct.pack("<I", len(model.train_ids)))
         for doc_id, coef in zip(model.train_ids, model.coefficients):
-            raw = doc_id.encode("utf-8")
-            stream.write(struct.pack("<I", len(raw)))
-            stream.write(raw)
+            write_id(stream, doc_id)
             stream.write(struct.pack("<d", float(coef)))
         stream.write(struct.pack("<dd", model.bias, model.epsilon_star))
         stream.write(
@@ -283,40 +281,17 @@ def save_svr_model(model: SvrModel, path: str | Path | BinaryIO) -> None:
 
 def load_svr_model(path: str | Path | BinaryIO) -> SvrModel:
     with open_binary(path, "rb") as stream:
-        offset = 0
-
-        def read_exact(n: int, what: str) -> bytes:
-            nonlocal offset
-            raw = stream.read(n)
-            if len(raw) != n:
-                raise BinaryFormatError(
-                    f"truncated model file while reading {what}", offset=offset
-                )
-            offset += n
-            return raw
-
-        magic = read_exact(len(MODEL_MAGIC), "magic")
-        if magic != MODEL_MAGIC:
-            raise BinaryFormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", offset=0)
-        (count,) = struct.unpack("<I", read_exact(4, "row count"))
+        reader = Reader(stream)
+        reader.expect_magic(MODEL_MAGIC)
+        (count,) = reader.unpack("<I", "row count")
         ids: list[str] = []
         coefs: list[float] = []
         for _ in range(count):
-            (length,) = struct.unpack("<I", read_exact(4, "id length"))
-            raw_id = read_exact(length, "id")
-            try:
-                ids.append(raw_id.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise BinaryFormatError(
-                    f"document id is not UTF-8: {exc}", offset=offset - length
-                ) from exc
-            (coef,) = struct.unpack("<d", read_exact(8, "coefficient"))
-            coefs.append(coef)
-        bias, epsilon_star = struct.unpack("<dd", read_exact(16, "bias/epsilon"))
-        echo_at = offset
-        c, nu, tol, max_iter, conv, seed, iterations = struct.unpack(
-            "<dddQBQQ", read_exact(8 * 3 + 8 + 1 + 16, "config echo")
-        )
+            ids.append(reader.read_id())
+            coefs.append(reader.unpack("<d", "coefficient")[0])
+        bias, epsilon_star = reader.unpack("<dd", "bias/epsilon")
+        echo_at = reader.offset
+        c, nu, tol, max_iter, conv, seed, iterations = reader.unpack("<dddQBQQ", "config echo")
         try:
             config = SvrConfig(c=c, nu=nu, kkt_tolerance=tol, max_iterations=max_iter)
         except KaesError as exc:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -315,3 +316,9 @@ class TestCodebookIO:
         save_codebook(codebook, buf)
         with pytest.raises(BinaryFormatError, match="truncated"):
             load_codebook(io.BytesIO(buf.getvalue()[:-5]))
+
+    @pytest.mark.parametrize("k, dim", [(0, 3), (2, 0)])
+    def test_no_centroids_rejected(self, k, dim):
+        with pytest.raises(BinaryFormatError, match="empty codebook") as info:
+            load_codebook(io.BytesIO(b"KAESCB01" + struct.pack("<IIQ", k, dim, 1)))
+        assert info.value.offset == 8

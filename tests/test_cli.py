@@ -152,6 +152,16 @@ class TestCommands:
         pred, actual = zip(*pairs)
         assert np.corrcoef(pred, actual)[0, 1] > 0.9
 
+        if representation == "fused":
+            # The top bit of k (u32 LE at byte 8) flipped: the codebook
+            # declares about 2**31 centroids that the file does not hold.
+            codebook_path = tmp_path / f"model-{representation}.bin.codebook"
+            data = codebook_path.read_bytes()
+            codebook_path.write_bytes(data[:11] + bytes([data[11] ^ 0x80]) + data[12:])
+            code, _, err = run_main(capsys, argv)
+            assert code == 1
+            assert "error: at byte " in err
+
     def test_config_file_with_flag_override(self, workdir, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(

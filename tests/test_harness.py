@@ -90,7 +90,7 @@ class TestInDomain:
         warm = emit_report(run_in_domain(cfg), "text")
         assert warm == cold
 
-    @pytest.mark.parametrize("damage", ["truncated", "other-ids"])
+    @pytest.mark.parametrize("damage", ["truncated", "other-ids", "header-bit-flip"])
     def test_bad_cache_file_is_a_miss(self, corpus_dir, tmp_path, caplog, damage):
         cache = tmp_path / "cache"
         cfg = in_domain_cfg(corpus_dir, representation="hisk", cache_dir=str(cache))
@@ -99,6 +99,10 @@ class TestInDomain:
         good = cached.read_bytes()
         if damage == "truncated":
             cached.write_bytes(good[:17])
+        elif damage == "header-bit-flip":
+            # The top bit of the row count (u32 LE at byte 8) flipped: the
+            # file declares about 2**31 rows that it does not hold.
+            cached.write_bytes(good[:11] + bytes([good[11] ^ 0x80]) + good[12:])
         else:
             other = KernelMatrix(values=np.eye(2), row_ids=("x", "y"), col_ids=("x", "y"),
                                  kind="hisk-raw")
@@ -129,6 +133,14 @@ class TestInDomain:
         (cell,) = table.cells
         assert cell.mean is None
         assert "distinct" in cell.failed
+
+    def test_failure_note_names_an_exception_without_message(self, corpus_dir, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("kaes.harness.normalized_hisk_gram", out_of_memory)
+        (cell,) = run_in_domain(in_domain_cfg(corpus_dir, representation="hisk")).cells
+        assert cell.failed == "prepare: MemoryError"
 
     def test_all_prompts_when_unset(self, corpus_dir):
         cfg = in_domain_cfg(corpus_dir, data_path=str(corpus_dir / "pair.tsv"),
