@@ -70,6 +70,16 @@ class Reader:
         self.offset += n
         return out
 
+    def skip(self, n: int, what: str) -> None:
+        """Consume the next ``n`` bytes as :meth:`read` does, copying them only
+        when they span chunks."""
+        end = self._pos + n
+        if end <= len(self._buf):
+            self._pos = end
+            self.offset += n
+        else:
+            self.read(n, what)
+
     def unpack(self, fmt: str, what: str) -> tuple:
         """The fields of the ``struct`` format ``fmt``."""
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))

@@ -9,6 +9,7 @@ config file (``--config``); explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from collections import Counter
@@ -18,7 +19,6 @@ import numpy as np
 
 from .boswe import load_codebook, save_codebook
 from .corpus import ASAP_SCORE_RANGES, parse_asap_tsv, unscale_score
-from .embeddings import load_word2vec_binary
 from .errors import KaesError
 from .harness import (
     REPRESENTATIONS,
@@ -208,11 +208,14 @@ def cmd_ingest(resolver: _Resolver) -> int:
 
 
 def cmd_codebook(resolver: _Resolver) -> int:
-    cfg = _experiment_config(resolver)
-    model = load_word2vec_binary(_require(resolver, "embeddings"), vocab_limit=cfg.vocab_limit)
+    _require(resolver, "embeddings")
+    # A codebook is the histogram stage, whatever --representation says.
+    cfg = dataclasses.replace(_experiment_config(resolver), representation="boswe")
     essays = _load_essays(cfg.data_path, cfg.prompt)
+    tokens_by_id = _tokens_by_id(cfg, essays)
+    model = load_embeddings_if_needed(cfg, tokens_by_id)
     ids = tuple(e.id for e in essays)
-    codebook = _fold_codebook(_tokens_by_id(essays), ids, model, cfg, cfg.seed)
+    codebook = _fold_codebook(tokens_by_id, ids, model, cfg, cfg.seed)
     out = _require(resolver, "out")
     save_codebook(codebook, out)
     print(f"codebook: k={codebook.k} dim={codebook.dim} "
@@ -253,9 +256,9 @@ def cmd_train(resolver: _Resolver) -> int:
     ids = tuple(e.id for e in essays)
     hisk = None if cfg.representation == "boswe" else normalized_hisk_gram(essays, cfg)
     codebook = hists = None
-    emb_model = load_embeddings_if_needed(cfg)
+    tokens_by_id = _tokens_by_id(cfg, essays)
+    emb_model = load_embeddings_if_needed(cfg, tokens_by_id)
     if emb_model is not None:
-        tokens_by_id = _tokens_by_id(essays)
         # The codebook seed is the run seed itself; the protocols derive one per fold.
         codebook = _fold_codebook(tokens_by_id, ids, emb_model, cfg, cfg.seed)
         hists = _histograms(codebook, tokens_by_id, ids, emb_model)
@@ -295,11 +298,13 @@ def cmd_predict(resolver: _Resolver) -> int:
             row_ids=test_ids, col_ids=support_ids, n_min=cfg.ngram_min, n_max=cfg.ngram_max,
         ))
     hists = test_hists = None
-    emb_model = load_embeddings_if_needed(cfg)
+    support_tokens = _tokens_by_id(cfg, support_essays)
+    test_tokens = _tokens_by_id(cfg, test_essays)
+    emb_model = load_embeddings_if_needed(cfg, support_tokens, test_tokens)
     if emb_model is not None:
         codebook = load_codebook(resolver.get("codebook") or model_path + ".codebook")
-        hists = _histograms(codebook, _tokens_by_id(support_essays), support_ids, emb_model)
-        test_hists = _histograms(codebook, _tokens_by_id(test_essays), test_ids, emb_model)
+        hists = _histograms(codebook, support_tokens, support_ids, emb_model)
+        test_hists = _histograms(codebook, test_tokens, test_ids, emb_model)
     preds = predict(model, _block(cfg, hisk, test_hists, hists))
 
     lines = ["essay_id\tessay_set\tprediction"]

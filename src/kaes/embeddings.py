@@ -8,9 +8,10 @@ Vectors are loaded verbatim; no renormalization.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Collection
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from .binio import Reader, open_binary
 from .errors import BinaryFormatError
 
 DEFAULT_VOCAB_LIMIT = 500_000
+# A vector's byte length must be addressable, or even an empty table of them
+# cannot be made.
+_MAX_DIM = sys.maxsize // 4
 
 # Lowercase word characters, with "@person1"-style anonymization markers
 # kept as single tokens.
@@ -54,13 +58,20 @@ def lookup(model: EmbeddingModel, token: str) -> np.ndarray | None:
 
 
 def load_word2vec_binary(
-    source: str | Path | BinaryIO, vocab_limit: int | None = DEFAULT_VOCAB_LIMIT
+    source: str | Path | BinaryIO,
+    vocab_limit: int | None = DEFAULT_VOCAB_LIMIT,
+    keep: Collection[str] | None = None,
 ) -> EmbeddingModel:
-    """Load a word2vec binary model, keeping the first ``vocab_limit`` words.
+    """Load a word2vec binary model, scanning its first ``vocab_limit`` records.
 
     word2vec files are frequency-ordered, so the limit keeps the most
     frequent words.  Pass ``vocab_limit=None`` for the full vocabulary.
     Duplicate tokens keep their first (most frequent) vector.
+
+    With ``keep``, only records whose token is in it are kept; the others are
+    still scanned, so they count towards ``vocab_limit`` and a truncated one
+    still fails, but their vectors are skipped unconverted.  Every kept token
+    has the vector a full load gives it; only row numbers differ.
     """
     with open_binary(source, "rb") as stream:
         reader = Reader(stream)
@@ -72,19 +83,21 @@ def load_word2vec_binary(
             raise BinaryFormatError(f"malformed header {header!r}", offset=0) from None
         if vocab_size <= 0 or dim <= 0:
             raise BinaryFormatError(f"non-positive header values {header!r}", offset=0)
+        if dim > _MAX_DIM:
+            raise BinaryFormatError(f"dimension too large in header {header!r}", offset=0)
 
-        n_load = vocab_size if vocab_limit is None else min(vocab_limit, vocab_size)
+        n_scan = vocab_size if vocab_limit is None else min(vocab_limit, vocab_size)
         vocab: dict[str, int] = {}
         rows: list[np.ndarray] = []
-        for _ in range(n_load):
+        for _ in range(n_scan):
             reader.skip_newlines()
             raw_token = reader.read_until(b" ", "token")
             token = raw_token.decode("utf-8", errors="surrogateescape")
-            raw_vec = reader.read(4 * dim, f"vector of {token!r}")
-            if token in vocab:
+            if token in vocab or (keep is not None and token not in keep):
+                reader.skip(4 * dim, f"vector of {token!r}")
                 continue
             vocab[token] = len(rows)
-            rows.append(np.frombuffer(raw_vec, dtype="<f4"))
+            rows.append(np.frombuffer(reader.read(4 * dim, f"vector of {token!r}"), dtype="<f4"))
         vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
         return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)
 

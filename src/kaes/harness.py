@@ -60,6 +60,7 @@ from .string_kernel import (
     kernel_matrix,
     load_kernel_matrix,
     normalize_kernel,
+    normalize_text,
     save_kernel_matrix,
 )
 from .svr import SvrConfig, predict, train_nu_svr
@@ -277,11 +278,39 @@ def load_essays(cfg: ExperimentConfig) -> list[Essay]:
     return parse_asap_tsv(data)
 
 
-def load_embeddings_if_needed(cfg: ExperimentConfig) -> EmbeddingModel | None:
-    if cfg.representation not in ("boswe", "fused"):
+def _without_blank(essays: list[Essay]) -> list[Essay]:
+    """``essays`` minus those with no text once normalized, dropped with a warning.
+
+    A blank essay has no n-grams and no tokens, so no kernel can score it.
+    """
+    kept, blank = [], []
+    for e in essays:
+        (kept if normalize_text(e.text) else blank).append(e)
+    if blank:
+        logger.warning("dropping %d blank essays: %s", len(blank), ", ".join(e.id for e in blank))
+    return kept
+
+
+def _tokens_by_id(cfg: ExperimentConfig, essays: Sequence[Essay]) -> dict[str, list[str]] | None:
+    """Each essay's tokens by id; None for hisk, which embeds no tokens."""
+    if cfg.representation == "hisk":
         return None
-    logger.info("loading embeddings from %s", cfg.embeddings_path)
-    return load_word2vec_binary(cfg.embeddings_path, vocab_limit=cfg.vocab_limit)
+    return {e.id: tokenize(e.text) for e in essays}
+
+
+def load_embeddings_if_needed(
+    cfg: ExperimentConfig, *tokens_by_id: dict[str, list[str]] | None
+) -> EmbeddingModel | None:
+    """The vectors of the token types in ``tokens_by_id`` (from :func:`_tokens_by_id`).
+
+    Only those records of the vectors file are kept, so every lookup a run
+    makes gets the vector a full load would give.  None for hisk.
+    """
+    if cfg.representation == "hisk":
+        return None
+    keep = {t for by_id in tokens_by_id for tokens in by_id.values() for t in tokens}
+    logger.info("loading embeddings of %d token types from %s", len(keep), cfg.embeddings_path)
+    return load_word2vec_binary(cfg.embeddings_path, vocab_limit=cfg.vocab_limit, keep=keep)
 
 
 def _gram_cache_key(essays: Sequence[Essay], cfg: ExperimentConfig) -> str:
@@ -334,10 +363,6 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
             raise
         logger.info("cached Gram matrix at %s", cache_path.name)
     return normalize_kernel(raw)
-
-
-def _tokens_by_id(essays: Sequence[Essay]) -> dict[str, list[str]]:
-    return {e.id: tokenize(e.text) for e in essays}
 
 
 def _fold_codebook(
@@ -455,9 +480,11 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     essays = load_essays(cfg)
     if cfg.prompt is not None:
         essays = [e for e in essays if e.prompt == cfg.prompt]
+    essays = _without_blank(essays)
     if not essays:
         raise KaesError("no essays selected; check --data and --prompt")
-    emb_model = load_embeddings_if_needed(cfg)
+    tokens_by_id = _tokens_by_id(cfg, essays)
+    emb_model = load_embeddings_if_needed(cfg, tokens_by_id)
     reps = cfg.resolved_repetitions()
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
@@ -473,7 +500,8 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
                      for rep in range(reps) for fold in range(cfg.folds)]]
 
         table.cells += _protocol_cells(cfg, str(prompt), (None,), subset, splits,
-                                       ASAP_SCORE_RANGES[prompt], emb_model, table.audit)
+                                       ASAP_SCORE_RANGES[prompt], tokens_by_id, emb_model,
+                                       table.audit)
     return table
 
 
@@ -482,7 +510,7 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
     cfg.validate()
     if cfg.mode != "cross-domain":
         raise KaesError(f"run_cross_domain called with mode {cfg.mode!r}")
-    essays = load_essays(cfg)
+    essays = _without_blank([e for e in load_essays(cfg) if e.prompt in (cfg.source, cfg.target)])
     source_essays = [e for e in essays if e.prompt == cfg.source]
     target_essays = [e for e in essays if e.prompt == cfg.target]
     if not source_essays or not target_essays:
@@ -490,7 +518,9 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
             f"data must contain both prompts {cfg.source} and {cfg.target} "
             f"(got {len(source_essays)} and {len(target_essays)} essays)"
         )
-    emb_model = load_embeddings_if_needed(cfg)
+    pair_essays = source_essays + target_essays
+    tokens_by_id = _tokens_by_id(cfg, pair_essays)
+    emb_model = load_embeddings_if_needed(cfg, tokens_by_id)
     reps = cfg.resolved_repetitions()
     source_ids = tuple(e.id for e in source_essays)
 
@@ -506,9 +536,9 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
                 for nt_index, n_t in enumerate(cfg.nt)]
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
-    table.cells += _protocol_cells(cfg, f"{cfg.source}->{cfg.target}", cfg.nt,
-                                   source_essays + target_essays, splits,
-                                   ASAP_SCORE_RANGES[cfg.target], emb_model, table.audit)
+    table.cells += _protocol_cells(cfg, f"{cfg.source}->{cfg.target}", cfg.nt, pair_essays,
+                                   splits, ASAP_SCORE_RANGES[cfg.target], tokens_by_id,
+                                   emb_model, table.audit)
     return table
 
 
@@ -519,6 +549,7 @@ def _protocol_cells(
     essays: list[Essay],
     splits,
     score_range: ScoreRange,
+    tokens_by_id: dict[str, list[str]] | None,
     emb_model: EmbeddingModel | None,
     audit: list[AuditRecord],
 ) -> list[ResultCell]:
@@ -527,8 +558,8 @@ def _protocol_cells(
     ``splits()`` returns, per cell, its splits as ``(rep, fold_or_nt, tags,
     where, ids)``: ``tags`` seed the split's codebook, ``where`` names it in
     failure notes and ``ids()`` gives its (train, eval) ids.  The Gram matrix
-    and token lists are prepared once; if that or ``splits()`` fails, every
-    cell fails with the reason.  A failing split only costs its own kappa.
+    is prepared once; if that or ``splits()`` fails, every cell fails with the
+    reason.  A failing split only costs its own kappa.
     """
     what = f"pair {key}" if cfg.mode == "cross-domain" else f"prompt {key}"
     try:
@@ -536,9 +567,6 @@ def _protocol_cells(
         hisk_gram = None
         if cfg.representation in ("hisk", "fused"):
             hisk_gram = normalized_hisk_gram(essays, cfg)
-        tokens_by_id = None
-        if cfg.representation in ("boswe", "fused"):
-            tokens_by_id = _tokens_by_id(essays)
     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill siblings
         reason = str(exc) or type(exc).__name__
         logger.error("%s failed during preparation: %s", what, reason)

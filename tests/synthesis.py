@@ -12,7 +12,13 @@ import io
 import numpy as np
 
 from kaes.corpus import ASAP_SCORE_RANGES
-from kaes.embeddings import EmbeddingModel, save_word2vec_binary
+import kaes.harness
+from kaes.embeddings import (
+    DEFAULT_VOCAB_LIMIT,
+    EmbeddingModel,
+    load_word2vec_binary,
+    save_word2vec_binary,
+)
 
 FILLER_WORDS = [
     "able", "bridge", "candle", "desert", "ember", "forest", "garden", "hollow",
@@ -43,15 +49,35 @@ def make_corpus_tsv(n_essays: int, seed: int, prompts: tuple[int, ...] = (1,)) -
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def make_embeddings_bytes(dim: int = 16, seed: int = 0) -> bytes:
-    """Random vectors for the synthetic vocabulary; the keyword is set apart."""
+def make_embeddings_bytes(dim: int = 16, seed: int = 0, decoys: int = 0) -> bytes:
+    """Random vectors for the synthetic vocabulary; the keyword is set apart.
+
+    ``decoys`` words that no essay uses ("decoy0", ...) are interleaved with
+    the vocabulary, as the rest of a real vectors file would be.
+    """
     rng = np.random.default_rng(seed)
     words = FILLER_WORDS + [KEYWORD]
+    for i in range(decoys):
+        words.insert(2 * i, f"decoy{i}")
     vectors = rng.normal(size=(len(words), dim)).astype(np.float32)
-    vectors[-1, 0] += 10.0
+    vectors[words.index(KEYWORD), 0] += 10.0
     model = EmbeddingModel(
         dim=dim, vocab={w: i for i, w in enumerate(words)}, vectors=vectors
     )
     buf = io.BytesIO()
     save_word2vec_binary(model, buf)
     return buf.getvalue()
+
+
+def record_vector_loads(monkeypatch, full: bool = False) -> list[EmbeddingModel]:
+    """Patch the loader the pipeline calls so that every model it loads is
+    recorded; with ``full``, each load ignores its ``keep`` set."""
+    loaded: list[EmbeddingModel] = []
+
+    def load(source, vocab_limit=DEFAULT_VOCAB_LIMIT, keep=None):
+        model = load_word2vec_binary(source, vocab_limit, None if full else keep)
+        loaded.append(model)
+        return model
+
+    monkeypatch.setattr(kaes.harness, "load_word2vec_binary", load)
+    return loaded

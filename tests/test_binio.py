@@ -2,6 +2,7 @@
 of their loaders: a malformed file may only raise BinaryFormatError."""
 from __future__ import annotations
 
+import functools
 import io
 import struct
 
@@ -47,6 +48,10 @@ FORMATS = {
                  b"2 3\ncat " + np.array([1, 2, 3], dtype="<f4").tobytes()
                  + b"\ndog " + np.array([-1, 0.5, 0.25], dtype="<f4").tobytes() + b"\n"),
 }
+# The same file, loaded keeping only "dog": the "cat" record is scanned and skipped.
+FORMATS["word2vec-keep"] = (VECTORS, save_word2vec_binary,
+                            functools.partial(load_word2vec_binary, keep={"dog"}),
+                            FORMATS["word2vec"][3])
 # Bit 95 is the top bit of the little-endian u32 at byte 8: the row count of
 # a kernel or model file, or k of a codebook.
 TOP_BIT_OF_COUNT = 95
@@ -80,19 +85,25 @@ class _RecordingStream(io.BytesIO):
 
 class TestReader:
     def test_reads_across_chunk_boundaries(self):
-        data = b"ab\n\n\ncd efgh" + _ids("hé") + struct.pack("<Id", 9, 0.5)
+        data = b"ab\n\n\ncd efgh-skipped-" + _ids("hé") + struct.pack("<Id", 9, 0.5)
         reader = Reader(io.BytesIO(data), chunk=3)
         assert reader.read_until(b"\n", "header") == b"ab"
         reader.skip_newlines()
         assert reader.offset == 5
         assert reader.read_until(b" ", "token") == b"cd"
         assert reader.read(4, "vector") == b"efgh"
+        reader.skip(1, "gap")
+        reader.skip(8, "gap")
+        assert reader.offset == 21
         assert reader.read_id() == "hé"
         assert reader.unpack("<Id", "pair") == (9, 0.5)
         assert reader.offset == len(data)
         reader.skip_newlines()
         with pytest.raises(BinaryFormatError, match="expected 1 bytes, only 0") as info:
             reader.read(1, "tail")
+        assert info.value.offset == len(data)
+        with pytest.raises(BinaryFormatError, match="expected 2 bytes, only 0") as info:
+            reader.skip(2, "tail")
         assert info.value.offset == len(data)
 
     def test_unterminated_field_reports_its_start(self):
@@ -105,7 +116,7 @@ class TestReader:
     @pytest.mark.parametrize("name", sorted(FORMATS))
     def test_huge_declared_size_asks_the_stream_for_one_chunk_at_most(self, name):
         _, _, load, data = FORMATS[name]
-        if name == "word2vec":
+        if name.startswith("word2vec"):
             data = data.replace(b"2 3\n", b"2 3000000000\n")
         else:
             data = _flip(data, TOP_BIT_OF_COUNT)

@@ -14,10 +14,11 @@ import kaes.harness
 from kaes.boswe import load_codebook
 from kaes.cli import main
 from kaes.corpus import parse_asap_tsv
+from kaes.embeddings import tokenize
 from kaes.string_kernel import load_kernel_matrix
 from kaes.svr import load_svr_model
 
-from synthesis import make_corpus_tsv, make_embeddings_bytes
+from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,51 @@ class TestCommands:
                                          "--out", tmp_path / "warm.bin"])
         assert code == 0, err
         assert (tmp_path / "warm.bin").read_bytes() == (tmp_path / "cold.bin").read_bytes()
+
+    def test_commands_load_only_their_essays_vectors(self, workdir, tmp_path, capsys,
+                                                     monkeypatch):
+        lines = (workdir / "data.tsv").read_text().splitlines()
+        # One test essay uses a word of the vectors file that no training essay uses.
+        fields = lines[31].split("\t")
+        fields[2] += " decoy7"
+        lines[31] = "\t".join(fields)
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        train.write_text("\n".join(lines[:31]) + "\n")
+        test.write_text("\n".join(lines[:1] + lines[31:]) + "\n")
+        vectors = tmp_path / "decoys.bin"
+        vectors.write_bytes(make_embeddings_bytes(decoys=200))
+        common = ["--prompt", "1", "--representation", "fused", "--embeddings", vectors,
+                  "--k", "8", "--seed", "1"]
+
+        def outputs(full: bool):
+            out = tmp_path / ("full" if full else "kept")
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                loaded = record_vector_loads(patch, full)
+                for argv in (
+                    ["train", "--data", train, *common, "--out", out / "model.bin"],
+                    ["predict", "--data", test, "--train-data", train, *common,
+                     "--model", out / "model.bin", "--out", out / "preds.tsv"],
+                    ["codebook", "--data", train, *common, "--out", out / "codebook.bin"],
+                ):
+                    code, _, err = run_main(capsys, argv)
+                    assert code == 0, err
+            files = ("model.bin", "model.bin.codebook", "preds.tsv", "codebook.bin")
+            return [(out / name).read_bytes() for name in files], loaded
+
+        kept, (train_model, predict_model, codebook_model) = outputs(full=False)
+        full, (full_model, _, _) = outputs(full=True)
+        assert kept == full
+
+        def embedded_tokens(path, ids=None):
+            return {t for e in parse_asap_tsv(path.read_bytes()) if ids is None or e.id in ids
+                    for t in tokenize(e.text) if t in full_model.vocab}
+
+        support = set(load_svr_model(tmp_path / "kept" / "model.bin").support_ids)
+        assert set(train_model.vocab) == set(codebook_model.vocab) == embedded_tokens(train)
+        assert set(predict_model.vocab) == embedded_tokens(train, support) | embedded_tokens(test)
+        assert "decoy7" in predict_model.vocab
+        assert len(train_model) < len(full_model)
 
 
 def child_env() -> dict[str, str]:

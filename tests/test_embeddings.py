@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kaes.embeddings import (
     load_word2vec_binary,
@@ -76,6 +76,81 @@ class TestLoader:
         assert np.array_equal(
             model.vectors[0].view(np.uint32), odd.view(np.uint32)
         )
+
+    @pytest.mark.parametrize("kwargs", [{}, {"vocab_limit": 0}, {"keep": set()}])
+    def test_unaddressable_dimension_is_a_header_error(self, kwargs):
+        with pytest.raises(BinaryFormatError, match="dimension") as info:
+            load_word2vec_binary(io.BytesIO(b"1 99999999999999999999\n"), **kwargs)
+        assert info.value.offset == 0
+
+
+# A small pool, so that random files repeat tokens; "\udc81" is a byte that
+# is not UTF-8, kept by surrogateescape.
+TOKENS = ["cat", "dog", "é", "x\udc81", "a1", "@caps1"]
+
+
+def _vectors_file(tokens: list[str], dim: int, newlines: bool, seed: int) -> bytes:
+    """A word2vec file with one record per entry of ``tokens``, repeats included."""
+    vectors = np.random.default_rng(seed).normal(size=(len(tokens), dim)).astype("<f4")
+    parts = [f"{len(tokens)} {dim}\n".encode()]
+    for token, vec in zip(tokens, vectors):
+        parts.append(token.encode("utf-8", errors="surrogateescape") + b" " + vec.tobytes())
+        if newlines:
+            parts.append(b"\n")
+    return b"".join(parts)
+
+
+def _outcome(data: bytes, **kwargs):
+    try:
+        return load_word2vec_binary(io.BytesIO(data), **kwargs)
+    except BinaryFormatError as exc:
+        return exc
+
+
+class TestKeep:
+    def test_keeps_only_listed_tokens(self):
+        model = load_word2vec_binary(io.BytesIO(fixture_bytes()), keep={"dog", "bird"})
+        assert list(model.vocab) == ["dog"]
+        assert model.vectors.shape == (1, 3)
+        np.testing.assert_array_equal(lookup(model, "dog"), [-1.0, 0.5, 0.25])
+
+    def test_vocab_limit_counts_scanned_records(self):
+        model = load_word2vec_binary(io.BytesIO(fixture_bytes()), vocab_limit=1, keep={"dog"})
+        assert len(model) == 0
+        assert model.vectors.shape == (0, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tokens=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12),
+        keep=st.sets(st.sampled_from(TOKENS + ["absent"])),
+        vocab_limit=st.one_of(st.none(), st.integers(0, 14)),
+        dim=st.integers(1, 4),
+        newlines=st.booleans(),
+        seed=st.integers(0, 2**16),
+        cut=st.one_of(st.none(), st.floats(0, 1)),
+    )
+    @example(tokens=["cat", "dog", "cat"], keep={"cat"}, vocab_limit=None, dim=2,
+             newlines=True, seed=0, cut=None)
+    def test_filtered_load_equals_full_load(self, tokens, keep, vocab_limit, dim, newlines,
+                                            seed, cut):
+        data = _vectors_file(tokens, dim, newlines, seed)
+        if cut is not None:
+            data = data[: int(cut * len(data))]
+        full = _outcome(data, vocab_limit=vocab_limit)
+        kept = _outcome(data, vocab_limit=vocab_limit, keep=keep)
+        if isinstance(full, BinaryFormatError):
+            # Truncation shows at the same byte, with the same message.
+            assert isinstance(kept, BinaryFormatError)
+            assert (kept.offset, str(kept)) == (full.offset, str(full))
+            return
+        assert len(kept) <= len(keep)
+        assert set(kept.vocab) <= keep
+        for token in TOKENS + ["absent"]:
+            want = lookup(full, token) if token in keep else None
+            got = lookup(kept, token)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
 
 
 class TestTokenize:

@@ -3,10 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kaes.corpus import parse_asap_tsv
+from kaes.embeddings import tokenize
 from kaes.errors import KaesError
 from kaes.harness import (
     ExperimentConfig,
@@ -19,7 +22,7 @@ from kaes.harness import (
     table_from_csv,
 )
 from kaes.string_kernel import KernelMatrix, save_kernel_matrix
-from synthesis import make_corpus_tsv, make_embeddings_bytes
+from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,7 @@ def corpus_dir(tmp_path_factory):
     (tmp / "pair.tsv").write_bytes(make_corpus_tsv(60, seed=5, prompts=(1, 2)))
     (tmp / "tiny.tsv").write_bytes(make_corpus_tsv(10, seed=2))
     (tmp / "emb.bin").write_bytes(make_embeddings_bytes())
+    (tmp / "decoys.bin").write_bytes(make_embeddings_bytes(decoys=200))
     return tmp
 
 
@@ -41,6 +45,20 @@ def in_domain_cfg(corpus_dir, **overrides) -> ExperimentConfig:
         embeddings_path=str(corpus_dir / "emb.bin"),
         k=8,
         repetitions=1,
+        seed=7,
+    )
+    defaults.update(overrides)
+    return ExperimentConfig(**defaults)
+
+
+def cross_domain_cfg(corpus_dir, **overrides) -> ExperimentConfig:
+    defaults = dict(
+        mode="cross-domain",
+        representation="hisk",
+        data_path=str(corpus_dir / "pair.tsv"),
+        source=1,
+        target=2,
+        nt=(0, 10),
         seed=7,
     )
     defaults.update(overrides)
@@ -186,28 +204,15 @@ class TestInDomain:
 
 
 class TestCrossDomain:
-    def cfg(self, corpus_dir, **overrides) -> ExperimentConfig:
-        defaults = dict(
-            mode="cross-domain",
-            representation="hisk",
-            data_path=str(corpus_dir / "pair.tsv"),
-            source=1,
-            target=2,
-            nt=(0, 10),
-            seed=7,
-        )
-        defaults.update(overrides)
-        return ExperimentConfig(**defaults)
-
     def test_zero_subsample_runs(self, corpus_dir):
-        table = run_cross_domain(self.cfg(corpus_dir, nt=(0,)))
+        table = run_cross_domain(cross_domain_cfg(corpus_dir, nt=(0,)))
         (cell,) = table.cells
         assert cell.n_t == 0
         assert cell.failed is None
         assert cell.n_runs == 5
 
     def test_training_size_is_source_plus_nt(self, corpus_dir):
-        table = run_cross_domain(self.cfg(corpus_dir, audit=True))
+        table = run_cross_domain(cross_domain_cfg(corpus_dir, audit=True))
         by_nt = {}
         for record in table.audit:
             by_nt.setdefault(record.fold_or_nt, []).append(record)
@@ -217,22 +222,100 @@ class TestCrossDomain:
                 assert set(record.train_ids).isdisjoint(record.eval_ids)
 
     def test_determinism(self, corpus_dir):
-        cfg = self.cfg(corpus_dir)
+        cfg = cross_domain_cfg(corpus_dir)
         assert emit_report(run_cross_domain(cfg), "csv") == emit_report(
             run_cross_domain(cfg), "csv"
         )
 
     def test_fused_cross_domain(self, corpus_dir):
-        cfg = self.cfg(corpus_dir, representation="fused",
+        cfg = cross_domain_cfg(corpus_dir, representation="fused",
                        embeddings_path=str(corpus_dir / "emb.bin"), k=8, nt=(10,))
         table = run_cross_domain(cfg)
         (cell,) = table.cells
         assert cell.failed is None
 
     def test_requires_both_prompts(self, corpus_dir):
-        cfg = self.cfg(corpus_dir, data_path=str(corpus_dir / "prompt1.tsv"))
+        cfg = cross_domain_cfg(corpus_dir, data_path=str(corpus_dir / "prompt1.tsv"))
         with pytest.raises(KaesError, match="both prompts"):
             run_cross_domain(cfg)
+
+
+class TestBlankEssays:
+    """An essay with no text once normalized is dropped from its prompt or pair."""
+
+    @staticmethod
+    def with_blank(tmp_path, tsv: bytes, at: int, prompt: int) -> tuple[Path, Path]:
+        lines = tsv.decode().splitlines()
+        clean, blank = tmp_path / "clean.tsv", tmp_path / "blank.tsv"
+        clean.write_text("\n".join(lines) + "\n")
+        blank.write_text("\n".join(lines[:at] + [f"999\t{prompt}\t   \t4"] + lines[at:]) + "\n")
+        return clean, blank
+
+    @staticmethod
+    def outcome(run, cfg, path):
+        cfg.data_path = str(path)
+        table = run(cfg)
+        assert all(c.failed is None for c in table.cells)
+        return emit_report(table, "text"), [c.values for c in table.cells]
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_in_domain_scores_as_without_it(self, corpus_dir, tmp_path, caplog, representation):
+        clean, blank = self.with_blank(tmp_path, make_corpus_tsv(30, seed=3), 10, 1)
+        cfg = in_domain_cfg(corpus_dir, representation=representation)
+        with caplog.at_level(logging.WARNING, logger="kaes.harness"):
+            assert self.outcome(run_in_domain, cfg, blank) == self.outcome(
+                run_in_domain, cfg, clean)
+        assert "999" in caplog.text
+
+    @pytest.mark.parametrize("representation", ["hisk", "fused"])
+    def test_cross_domain_scores_as_without_it(self, corpus_dir, tmp_path, caplog,
+                                               representation):
+        tsv = make_corpus_tsv(30, seed=3, prompts=(1, 2))
+        clean, blank = self.with_blank(tmp_path, tsv, 45, 2)
+        cfg = cross_domain_cfg(corpus_dir, representation=representation, nt=(0, 5),
+                               repetitions=2, embeddings_path=str(corpus_dir / "emb.bin"), k=8)
+        with caplog.at_level(logging.WARNING, logger="kaes.harness"):
+            assert self.outcome(run_cross_domain, cfg, blank) == self.outcome(
+                run_cross_domain, cfg, clean)
+        assert "999" in caplog.text
+
+
+class TestVectorsLoad:
+    """The protocols keep only the vectors of their essays' tokens, and score
+    exactly as with every vector of the file loaded."""
+
+    @pytest.mark.parametrize("mode,representation", [
+        ("in-domain", "boswe"), ("in-domain", "fused"), ("cross-domain", "fused"),
+    ])
+    def test_filtered_load_scores_as_full_load(self, corpus_dir, tmp_path, monkeypatch, mode,
+                                               representation):
+        make_cfg, run = ((in_domain_cfg, run_in_domain) if mode == "in-domain"
+                         else (cross_domain_cfg, run_cross_domain))
+        cfg = make_cfg(corpus_dir, representation=representation, k=8,
+                       embeddings_path=str(corpus_dir / "decoys.bin"))
+        # The last essay alone uses one more word of the vectors file.
+        lines = Path(cfg.data_path).read_text().splitlines()
+        fields = lines[-1].split("\t")
+        fields[2] += " decoy7"
+        lines[-1] = "\t".join(fields)
+        cfg.data_path = str(tmp_path / "data.tsv")
+        Path(cfg.data_path).write_text("\n".join(lines) + "\n")
+
+        def outcome(full: bool):
+            with monkeypatch.context() as patch:
+                loaded = record_vector_loads(patch, full)
+                table = run(cfg)
+            assert all(c.failed is None for c in table.cells)
+            return emit_report(table, "text"), [c.values for c in table.cells], loaded
+
+        report, values, (model,) = outcome(full=False)
+        full_report, full_values, (full_model,) = outcome(full=True)
+        assert (report, values) == (full_report, full_values)
+        essays = parse_asap_tsv(Path(cfg.data_path).read_bytes())
+        tokens = {t for e in essays for t in tokenize(e.text)}
+        assert set(model.vocab) == tokens & set(full_model.vocab)
+        assert "decoy7" in model.vocab
+        assert len(model) < len(full_model)
 
 
 class TestReports:
