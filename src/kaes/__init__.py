@@ -9,12 +9,11 @@ weighted kappa.
 """
 
 from .boswe import (
-    BosweHistogram,
+    BosweHistograms,
     Codebook,
     boswe_kernel_matrix,
-    build_histogram,
+    build_histograms,
     fit_codebook,
-    hik_pair,
     load_codebook,
     save_codebook,
 )

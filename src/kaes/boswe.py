@@ -35,6 +35,48 @@ _U = 2.0 ** -53
 _UNDERFLOW = 2.0 ** -1074
 
 
+def _screen_margin(x_norm, c_norm, dim: int):
+    """Margin M of the GEMM screen of squared distances of dimension ``dim``.
+
+    ``x_norm`` and ``c_norm`` are (bounds on) the norms of a row x and a
+    centroid c; M = 4 (2 dim + 8) (u (||x|| + ||c||)^2 + 2^-1074).  The exact
+    value of a squared distance is taken to be the elementwise formula
+    e = ``((x - c) ** 2).sum()`` in float64; the screen is the GEMM form
+    g = ``||x||^2 - 2 x.c + ||c||^2``, whose sums the BLAS may order and block
+    as it likes.
+
+    Why M bounds the gap.  Let n = dim, D = ||x - c||^2 exactly and
+    S = (||x|| + ||c||)^2, which bounds ||x||^2, 2|x.c|, ||c||^2 and D.  With
+    g_m = m u / (1 - m u):
+
+    * A sum of n products, summed in any order or blocking, with or without
+      fused multiply-adds, is within g_n of the sum of the products'
+      magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+      sec. 3.1).  So the three GEMM terms together err by at most g_n S, and
+      the two additions joining them by at most 2u(1 + g_n)(1 + u) S: g is
+      within g_(n+3) S of D.
+    * Each elementwise term (x_i - c_i)^2 has relative error at most g_3 and
+      the nonnegative terms sum with g_(n-1), so e is within
+      g_(n+2) D <= g_(n+2) S of D.
+
+    So g and e differ by at most E = g_(2n+5) S, plus at most 2^-1075 per
+    operation whose result underflows.  M is at least 2E plus the rounding of
+    M itself, for any practical n, and M - E exceeds the rounding
+    u |g - M| of one more subtraction, since |g - M| is at most about S.
+    Two screens follow:
+
+    * Argmin.  If m is the elementwise argmin over centroids, for every j
+      ``g_m <= e_m + E <= e_j + E <= g_j + 2E``, so m lies within M of the
+      smallest GEMM value.
+    * Lower bound.  ``g - M``, as computed, is at most e.  So a row whose
+      computed ``g - M`` exceeds v has e > v.
+
+    A non-finite g, norm or margin proves nothing: the callers compare so
+    that such rows always fall back to the elementwise formula.
+    """
+    return 4.0 * (2 * dim + 8) * (_U * (x_norm + c_norm) ** 2 + _UNDERFLOW)
+
+
 def _assign_blocked(
     points: np.ndarray, centroids: np.ndarray, budget: int = 8_000_000
 ) -> np.ndarray:
@@ -48,37 +90,17 @@ def _assign_blocked(
     the BLAS orders its sums.  Each block holds at most ``budget`` float64
     distances.
 
-    Why the screen is exact.  Take one row x of dimension n and one centroid
-    c, let D = ||x - c||^2 exactly and S = (||x|| + ||c||)^2, which bounds
-    ||x||^2, 2|x.c|, ||c||^2 and D.  With g_m = m u / (1 - m u):
-
-    * A sum of n products, summed in any order or blocking, with or without
-      fused multiply-adds, is within g_n of the sum of the products'
-      magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
-      sec. 3.1).  So the three GEMM terms together err by at most g_n S, and
-      the two additions joining them by at most 2u(1 + g_n)(1 + u) S: the
-      GEMM value is within g_(n+3) S of D.
-    * Each elementwise term (x_i - c_i)^2 has relative error at most g_3 and
-      the nonnegative terms sum with g_(n-1), so the elementwise value is
-      within g_(n+2) D <= g_(n+2) S of D.
-
-    The two values therefore differ by at most E = g_(2n+5) S, plus at most
-    2^-1075 per operation whose result underflows.  If m is the
-    elementwise argmin, for every j
-    ``gemm_m <= elem_m + E <= elem_j + E <= gemm_j + 2E``, so m lies within
-    2E of the smallest GEMM value.  The code bounds S by the row's largest
-    (||x|| + ||c||)^2 and 2E by ``4 (2n + 8) (u S + 2^-1074)``, twice
-    2 g_(2n+5) S for any practical n, which also covers the rounding of the
-    bound itself.  A row with exactly one centroid inside that margin has
-    found m.  Any other row (a near tie, or a non-finite value) is
-    recomputed with the elementwise formula.
+    The elementwise argmin lies within :func:`_screen_margin` of the
+    smallest GEMM value (taken with the largest centroid norm), so a row with
+    exactly one centroid inside that margin has found it.  Any other row (a
+    near tie, or a non-finite value) is recomputed with the elementwise
+    formula.
     """
     n, dim = points.shape
     k = centroids.shape[0]
     out = np.empty(n, dtype=np.int64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_norm_max = float(np.sqrt(c_sq.max()))
-    slack = 4.0 * (2 * dim + 8)
     block = max(1, budget // max(1, k))
     for start in range(0, n, block):
         chunk = points[start : start + block]
@@ -87,7 +109,7 @@ def _assign_blocked(
         d *= -2.0
         d += x_sq[:, None]
         d += c_sq[None, :]
-        margin = slack * (_U * (np.sqrt(x_sq) + c_norm_max) ** 2 + _UNDERFLOW)
+        margin = _screen_margin(np.sqrt(x_sq), c_norm_max, dim)
         within = d <= (d.min(axis=1) + margin)[:, None]
         labels = within.argmax(axis=1)
         for i in np.flatnonzero(within.sum(axis=1) != 1):
@@ -149,22 +171,50 @@ class Codebook:
         return labels
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+def _kmeans_pp_init(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeds, and each point's squared distance to its nearest seed.
+
+    Each new center is drawn with probability proportional to the points'
+    elementwise squared distances to their nearest earlier center.  Those
+    distances are screened with one matrix-vector product per center: a row
+    whose :func:`_screen_margin` lower bound exceeds its current distance
+    keeps it, and every other row (NaN and inf included) takes the minimum
+    with its elementwise distance.  So distances, draws and centers equal
+    those of the elementwise loop bit for bit.
+
+    A draw with positive mass always picks a row distinct from every chosen
+    center, so an input with fewer than k distinct rows runs out of positive
+    finite mass before its k-th draw; only then are distinct rows counted.
+    """
+    n, dim = points.shape
+    centers = np.empty((k, dim), dtype=np.float64)
+    x_sq = np.einsum("ij,ij->i", points, points)
+    x_norm = np.sqrt(x_sq)
     first = int(rng.integers(n))
     centers[0] = points[first]
     closest = ((points - centers[0]) ** 2).sum(axis=1)
+    counted = False
     for j in range(1, k):
         total = closest.sum()
+        if not counted and not 0 < total < np.inf:
+            counted = True
+            n_distinct = np.unique(points, axis=0).shape[0]
+            if n_distinct < k:
+                raise KaesError(f"need at least k={k} distinct vectors, got {n_distinct}")
         if total <= 0:
             # All remaining points coincide with chosen centers; any pick works.
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=closest / total))
-        centers[j] = points[idx]
-        closest = np.minimum(closest, ((points - centers[j]) ** 2).sum(axis=1))
-    return centers
+        center = points[idx]
+        centers[j] = center
+        low = x_sq - 2.0 * (points @ center) + x_sq[idx]
+        low -= _screen_margin(x_norm, x_norm[idx], dim)
+        todo = np.flatnonzero(~(low > closest))
+        closest[todo] = np.minimum(closest[todo], ((points[todo] - center) ** 2).sum(axis=1))
+    return centers, closest
 
 
 def fit_codebook(
@@ -179,7 +229,8 @@ def fit_codebook(
     k-means++ seeding followed by Lloyd iterations; stops when no assignment
     changes or after ``max_iters``.  Deterministic given ``seed``.  Clusters
     that empty out keep their previous centroid, so the mean squared
-    distortion never increases between iterations.
+    distortion never increases between iterations.  Fewer than k distinct
+    vectors is an error.
 
     With ``return_history=True`` returns ``(codebook, distortions)`` where
     ``distortions`` has one mean-squared-distance entry per Lloyd iteration.
@@ -187,16 +238,14 @@ def fit_codebook(
     points = np.ascontiguousarray(vectors, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise KaesError("vectors must be a nonempty 2-d array")
-    n_distinct = np.unique(points, axis=0).shape[0]
-    if n_distinct < k:
-        raise KaesError(f"need at least k={k} distinct vectors, got {n_distinct}")
 
     rng = derive_rng(seed, KMEANS)
-    centers = _kmeans_pp_init(points, k, rng)
+    centers, _ = _kmeans_pp_init(points, k, rng)
     labels = _assign_blocked(points, centers)
     history: list[float] = []
     for _ in range(max_iters):
-        history.append(float(_sqdist_to_assigned(points, centers, labels).mean()))
+        if return_history:
+            history.append(float(_sqdist_to_assigned(points, centers, labels).mean()))
         order = np.argsort(labels, kind="stable")
         sorted_labels = labels[order]
         present, starts = np.unique(sorted_labels, return_index=True)
@@ -226,88 +275,71 @@ def fit_codebook(
     return codebook
 
 
-@dataclass(frozen=True)
-class BosweHistogram:
-    """Cluster-occurrence histogram of one document."""
+@dataclass(frozen=True, eq=False)
+class BosweHistograms:
+    """L1-normalized cluster histograms of a list of documents, one row each.
 
-    weights: dict[int, float]
-    token_count: int
-    normalized: bool
+    ``weights[i, j]`` is the count of document i's embedded tokens in cluster
+    j divided by ``token_counts[i]``.  A document with no embedded tokens has
+    an all-zero row, which intersects to 0 with everything.
+    """
+
+    weights: np.ndarray  # (documents, k) float64
+    token_counts: np.ndarray  # (documents,) int64
     codebook_fingerprint: str
 
-    def self_similarity(self) -> float:
-        return sum(self.weights.values())
+    def __len__(self) -> int:
+        return self.weights.shape[0]
 
 
-def build_histogram(
-    codebook: Codebook,
-    tokens: Sequence[str],
-    model: EmbeddingModel,
-    normalize: bool = True,
-) -> BosweHistogram:
-    """Histogram of nearest-centroid assignments over the document's tokens.
+def build_histograms(
+    codebook: Codebook, docs: Sequence[np.ndarray], model: EmbeddingModel
+) -> BosweHistograms:
+    """Histograms of documents given as the ``model`` rows of their embedded tokens.
 
-    Out-of-vocabulary tokens are skipped; a document with no embedded tokens
-    yields an empty histogram (token_count 0) that intersects to 0 with
-    everything.  Each token type is assigned once per codebook and model;
-    later documents reuse its label.
+    Each token type is assigned once per codebook and model; later calls
+    reuse its label.
     """
-    rows = [r for r in (model.vocab.get(t) for t in tokens) if r is not None]
-    if not rows:
-        return BosweHistogram(
-            weights={}, token_count=0, normalized=normalize,
-            codebook_fingerprint=codebook.fingerprint,
-        )
-    counts = np.bincount(codebook._assign_rows(model, np.array(rows)))
-    token_count = len(rows)
-    present = np.flatnonzero(counts).tolist()
-    if normalize:
-        weights = {cid: int(counts[cid]) / token_count for cid in present}
-    else:
-        weights = {cid: float(counts[cid]) for cid in present}
-    return BosweHistogram(
-        weights=weights, token_count=token_count, normalized=normalize,
-        codebook_fingerprint=codebook.fingerprint,
-    )
-
-
-def hik_pair(h1: BosweHistogram, h2: BosweHistogram) -> float:
-    """Min-sum intersection of two histograms built on the same codebook."""
-    if h1.codebook_fingerprint != h2.codebook_fingerprint:
-        raise KernelMismatchError("histograms were built against different codebooks")
-    small, large = (h1.weights, h2.weights) if len(h1.weights) <= len(h2.weights) else (
-        h2.weights, h1.weights)
-    value = 0.0
-    for cid, w in small.items():
-        other = large.get(cid)
-        if other is not None:
-            value += w if w <= other else other
-    return value
+    lengths = np.array([len(rows) for rows in docs], dtype=np.int64)
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *docs])
+    labels = codebook._assign_rows(model, rows)
+    doc = np.repeat(np.arange(len(docs)), lengths)
+    counts = np.bincount(doc * codebook.k + labels, minlength=len(docs) * codebook.k)
+    weights = counts.reshape(len(docs), codebook.k) / np.maximum(lengths, 1)[:, None]
+    return BosweHistograms(weights, lengths, codebook.fingerprint)
 
 
 def boswe_kernel_matrix(
-    rows: Sequence[BosweHistogram],
-    cols: Sequence[BosweHistogram] | None = None,
+    rows: BosweHistograms,
+    cols: BosweHistograms | None = None,
     row_ids: Sequence[str] | None = None,
     col_ids: Sequence[str] | None = None,
 ) -> KernelMatrix:
-    """Intersection-kernel matrix between histogram lists (kind "boswe")."""
+    """Intersection-kernel matrix between histogram sets (kind "boswe").
+
+    Entry (a, b) is ``sum_j min(h_a[j], h_b[j])``, added in ascending cluster
+    id from 0.0 over the clusters where both documents have mass: clusters
+    are visited in ascending id, and each adds its minima to the block of
+    rows and columns that have mass in it.  Each self-similarity, on the
+    diagonal and in ``diag_rows``/``diag_cols``, is summed in the same order
+    (a running sum, whose zero terms add +0.0 and change nothing).  So the
+    values do not depend on the block shape, and a rectangular block equals
+    the matching entries of the square matrix over its documents.
+    """
     symmetric = cols is None or cols is rows
     if len(rows) == 0 or (cols is not None and len(cols) == 0):
         raise KernelMismatchError("cannot build a kernel matrix from an empty document list")
     cols_eff = rows if symmetric else cols
+    if rows.codebook_fingerprint != cols_eff.codebook_fingerprint:
+        raise KernelMismatchError("histograms were built against different codebooks")
+    by_cluster_r = np.ascontiguousarray(rows.weights.T)
+    by_cluster_c = by_cluster_r if symmetric else np.ascontiguousarray(cols_eff.weights.T)
     values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
-    if symmetric:
-        for i in range(len(rows)):
-            values[i, i] = rows[i].self_similarity()
-            for j in range(i + 1, len(rows)):
-                v = hik_pair(rows[i], rows[j])
-                values[i, j] = v
-                values[j, i] = v
-    else:
-        for i in range(len(rows)):
-            for j in range(len(cols_eff)):
-                values[i, j] = hik_pair(rows[i], cols_eff[j])
+    for h_r, h_c in zip(by_cluster_r, by_cluster_c):
+        r = np.flatnonzero(h_r)
+        c = r if symmetric else np.flatnonzero(h_c)
+        if r.size and c.size:
+            values[np.ix_(r, c)] += np.minimum.outer(h_r[r], h_c[c])
     rids = tuple(row_ids) if row_ids is not None else tuple(f"doc{i}" for i in range(len(rows)))
     cids = rids if symmetric and col_ids is None else (
         tuple(col_ids) if col_ids is not None
@@ -320,8 +352,8 @@ def boswe_kernel_matrix(
         row_ids=rids,
         col_ids=cids,
         kind="boswe",
-        diag_rows=np.array([h.self_similarity() for h in rows]),
-        diag_cols=np.array([h.self_similarity() for h in cols_eff]),
+        diag_rows=np.cumsum(rows.weights, axis=1)[:, -1],
+        diag_cols=np.cumsum(cols_eff.weights, axis=1)[:, -1],
     )
 
 

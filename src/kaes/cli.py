@@ -24,9 +24,12 @@ from .harness import (
     REPRESENTATIONS,
     ExperimentConfig,
     _block,
+    _embed,
+    _embedded_essays,
     _fold_codebook,
     _histograms,
     _tokens_by_id,
+    _without_blank,
     emit_report,
     load_embeddings_if_needed,
     normalized_hisk_gram,
@@ -212,10 +215,8 @@ def cmd_codebook(resolver: _Resolver) -> int:
     # A codebook is the histogram stage, whatever --representation says.
     cfg = dataclasses.replace(_experiment_config(resolver), representation="boswe")
     essays = _load_essays(cfg.data_path, cfg.prompt)
-    tokens_by_id = _tokens_by_id(cfg, essays)
-    model = load_embeddings_if_needed(cfg, tokens_by_id)
-    ids = tuple(e.id for e in essays)
-    codebook = _fold_codebook(tokens_by_id, ids, model, cfg, cfg.seed)
+    embedded = _embedded_essays(cfg, essays)
+    codebook = _fold_codebook(embedded, tuple(e.id for e in essays), cfg, cfg.seed)
     out = _require(resolver, "out")
     save_codebook(codebook, out)
     print(f"codebook: k={codebook.k} dim={codebook.dim} "
@@ -250,18 +251,17 @@ def cmd_kernel(resolver: _Resolver) -> int:
 def cmd_train(resolver: _Resolver) -> int:
     cfg = _experiment_config(resolver)
     cfg.validate()
-    essays = _load_essays(cfg.data_path, cfg.prompt)
+    essays = _without_blank(_load_essays(cfg.data_path, cfg.prompt))
     if not essays:
         raise KaesError("no essays selected")
     ids = tuple(e.id for e in essays)
     hisk = None if cfg.representation == "boswe" else normalized_hisk_gram(essays, cfg)
     codebook = hists = None
-    tokens_by_id = _tokens_by_id(cfg, essays)
-    emb_model = load_embeddings_if_needed(cfg, tokens_by_id)
-    if emb_model is not None:
+    embedded = _embedded_essays(cfg, essays)
+    if embedded is not None:
         # The codebook seed is the run seed itself; the protocols derive one per fold.
-        codebook = _fold_codebook(tokens_by_id, ids, emb_model, cfg, cfg.seed)
-        hists = _histograms(codebook, tokens_by_id, ids, emb_model)
+        codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
+        hists = _histograms(codebook, embedded, ids)
     y = np.array([e.unit_score for e in essays])
     model = train_nu_svr(_block(cfg, hisk, hists), y, cfg.svr, seed=cfg.seed)
     out = _require(resolver, "out")
@@ -303,8 +303,8 @@ def cmd_predict(resolver: _Resolver) -> int:
     emb_model = load_embeddings_if_needed(cfg, support_tokens, test_tokens)
     if emb_model is not None:
         codebook = load_codebook(resolver.get("codebook") or model_path + ".codebook")
-        hists = _histograms(codebook, support_tokens, support_ids, emb_model)
-        test_hists = _histograms(codebook, test_tokens, test_ids, emb_model)
+        hists = _histograms(codebook, _embed(emb_model, support_tokens), support_ids)
+        test_hists = _histograms(codebook, _embed(emb_model, test_tokens), test_ids)
     preds = predict(model, _block(cfg, hisk, test_hists, hists))
 
     lines = ["essay_id\tessay_set\tprediction"]

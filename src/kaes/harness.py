@@ -33,10 +33,10 @@ import numpy as np
 from .boswe import (
     DEFAULT_CLUSTERS,
     DEFAULT_KMEANS_ITERS,
-    BosweHistogram,
+    BosweHistograms,
     Codebook,
     boswe_kernel_matrix,
-    build_histogram,
+    build_histograms,
     fit_codebook,
 )
 from .corpus import (
@@ -48,7 +48,7 @@ from .corpus import (
     parse_asap_tsv,
     unscale_score,
 )
-from .embeddings import DEFAULT_VOCAB_LIMIT, EmbeddingModel, load_word2vec_binary, lookup, tokenize
+from .embeddings import DEFAULT_VOCAB_LIMIT, EmbeddingModel, load_word2vec_binary, tokenize
 from .errors import BinaryFormatError, KaesError
 from .fusion import sum_kernels
 from .metrics import average_qwk, qwk
@@ -365,64 +365,89 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
     return normalize_kernel(raw)
 
 
+@dataclass(frozen=True)
+class _Embedded:
+    """A run's essays as rows of one table of word vectors.
+
+    ``model`` holds the essays' in-vocabulary token types, its rows in
+    sorted token order, so a sorted set of rows is a sorted set of types.
+    ``rows[eid]`` is essay ``eid``'s tokens as rows of it, in text order,
+    with out-of-vocabulary tokens dropped.
+    """
+
+    model: EmbeddingModel
+    rows: dict[str, np.ndarray]
+
+
+def _embed(model: EmbeddingModel | None, tokens_by_id: dict[str, list[str]]) -> _Embedded | None:
+    """Map each essay's tokens to rows once per run (None when ``model`` is)."""
+    if model is None:
+        return None
+    types = sorted({t for tokens in tokens_by_id.values() for t in tokens if t in model.vocab})
+    index = {t: i for i, t in enumerate(types)}
+    table = EmbeddingModel(
+        dim=model.dim, vocab=index,
+        vectors=model.vectors[np.array([model.vocab[t] for t in types], dtype=np.intp)],
+    )
+    rows = {eid: np.array([index[t] for t in tokens if t in index], dtype=np.intp)
+            for eid, tokens in tokens_by_id.items()}
+    sizes = [(len(rows[eid]), len(tokens)) for eid, tokens in tokens_by_id.items() if tokens]
+    if sizes:
+        embedded, total = np.array(sizes).T
+        oov = 1.0 - embedded / total
+        logger.debug("histograms: mean OOV rate %.3f, per-document %s", oov.mean(), oov)
+    return _Embedded(table, rows)
+
+
+def _embedded_essays(cfg: ExperimentConfig, essays: Sequence[Essay]) -> _Embedded | None:
+    """``essays`` as rows of the vectors they use, loaded for this run (None for hisk)."""
+    tokens_by_id = _tokens_by_id(cfg, essays)
+    return _embed(load_embeddings_if_needed(cfg, tokens_by_id), tokens_by_id)
+
+
 def _fold_codebook(
-    tokens_by_id: dict[str, list[str]],
-    train_ids: Sequence[str],
-    model: EmbeddingModel,
-    cfg: ExperimentConfig,
-    seed: int,
+    embedded: _Embedded, train_ids: Sequence[str], cfg: ExperimentConfig, seed: int
 ) -> Codebook:
-    """Fit a codebook on the embedded token types found in the training docs."""
-    types = sorted({t for eid in train_ids for t in tokens_by_id[eid]})
-    vectors = [v for v in (lookup(model, t) for t in types) if v is not None]
-    if not vectors:
+    """Fit a codebook on the embedded token types found in the training docs.
+
+    The points are the types' vectors in sorted token order.
+    """
+    rows = np.unique(np.concatenate([np.empty(0, dtype=np.intp),
+                                     *(embedded.rows[eid] for eid in train_ids)]))
+    if not rows.size:
         raise KaesError("no embedded tokens in the training documents")
-    return fit_codebook(np.vstack(vectors), k=cfg.k, seed=seed, max_iters=cfg.kmeans_iters)
+    return fit_codebook(
+        embedded.model.vectors[rows], k=cfg.k, seed=seed, max_iters=cfg.kmeans_iters
+    )
 
 
 def _histograms(
-    codebook: Codebook,
-    tokens_by_id: dict[str, list[str]],
-    ids: Sequence[str],
-    model: EmbeddingModel,
-) -> dict[str, BosweHistogram]:
-    hists: dict[str, BosweHistogram] = {}
-    oov_rates: dict[str, float] = {}
-    for eid in ids:
-        tokens = tokens_by_id[eid]
-        hist = build_histogram(codebook, tokens, model, normalize=True)
-        hists[eid] = hist
-        if tokens:
-            oov_rates[eid] = 1.0 - hist.token_count / len(tokens)
-    if oov_rates:
-        logger.debug(
-            "histograms: mean OOV rate %.3f, per-document %s",
-            sum(oov_rates.values()) / len(oov_rates),
-            oov_rates,
-        )
-    return hists
+    codebook: Codebook, embedded: _Embedded, ids: tuple[str, ...]
+) -> tuple[tuple[str, ...], BosweHistograms]:
+    """The histograms of essays ``ids``, paired with those ids."""
+    return ids, build_histograms(codebook, [embedded.rows[eid] for eid in ids], embedded.model)
 
 
 def _block(
     cfg: ExperimentConfig,
     hisk: KernelMatrix | None,
-    rows: dict[str, BosweHistogram] | None,
-    cols: dict[str, BosweHistogram] | None = None,
+    rows: tuple[tuple[str, ...], BosweHistograms] | None,
+    cols: tuple[tuple[str, ...], BosweHistograms] | None = None,
 ) -> KernelMatrix:
     """The ``cfg.representation`` kernel block of rows x cols (cols None: rows x rows).
 
     ``hisk`` is the normalized n-gram block over the same ids (None for
-    boswe); ``rows`` and ``cols`` hold the documents' histograms by id (None
-    for hisk).
+    boswe); ``rows`` and ``cols`` pair the documents' ids with their
+    histograms (None for hisk).
     """
     if cfg.representation == "hisk":
         return hisk
+    row_ids, row_h = rows
     if cols is None:
-        boswe = boswe_kernel_matrix(list(rows.values()), row_ids=tuple(rows))
+        boswe = boswe_kernel_matrix(row_h, row_ids=row_ids)
     else:
-        boswe = boswe_kernel_matrix(
-            list(rows.values()), list(cols.values()), row_ids=tuple(rows), col_ids=tuple(cols)
-        )
+        col_ids, col_h = cols
+        boswe = boswe_kernel_matrix(row_h, col_h, row_ids=row_ids, col_ids=col_ids)
     return boswe if cfg.representation == "boswe" else sum_kernels(hisk, boswe)
 
 
@@ -431,8 +456,7 @@ def _cell_blocks(
     train_ids: tuple[str, ...],
     eval_ids: tuple[str, ...],
     hisk_gram: KernelMatrix | None,
-    tokens_by_id: dict[str, list[str]] | None,
-    emb_model: EmbeddingModel | None,
+    embedded: _Embedded | None,
     tags: tuple[int, ...],
 ) -> tuple[KernelMatrix, KernelMatrix, Codebook | None]:
     """Train and eval kernel blocks for one cell, plus its codebook (None for hisk)."""
@@ -443,10 +467,9 @@ def _cell_blocks(
     if cfg.representation == "hisk":
         return hisk_train, hisk_eval, None
     seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
-    codebook = _fold_codebook(tokens_by_id, train_ids, emb_model, cfg, seed)
-    hists = _histograms(codebook, tokens_by_id, train_ids + eval_ids, emb_model)
-    train_h = {eid: hists[eid] for eid in train_ids}
-    eval_h = {eid: hists[eid] for eid in eval_ids}
+    codebook = _fold_codebook(embedded, train_ids, cfg, seed)
+    train_h = _histograms(codebook, embedded, train_ids)
+    eval_h = _histograms(codebook, embedded, eval_ids)
     return _block(cfg, hisk_train, train_h), _block(cfg, hisk_eval, eval_h, train_h), codebook
 
 
@@ -483,8 +506,7 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     essays = _without_blank(essays)
     if not essays:
         raise KaesError("no essays selected; check --data and --prompt")
-    tokens_by_id = _tokens_by_id(cfg, essays)
-    emb_model = load_embeddings_if_needed(cfg, tokens_by_id)
+    embedded = _embedded_essays(cfg, essays)
     reps = cfg.resolved_repetitions()
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
@@ -500,8 +522,7 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
                      for rep in range(reps) for fold in range(cfg.folds)]]
 
         table.cells += _protocol_cells(cfg, str(prompt), (None,), subset, splits,
-                                       ASAP_SCORE_RANGES[prompt], tokens_by_id, emb_model,
-                                       table.audit)
+                                       ASAP_SCORE_RANGES[prompt], embedded, table.audit)
     return table
 
 
@@ -519,8 +540,7 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
             f"(got {len(source_essays)} and {len(target_essays)} essays)"
         )
     pair_essays = source_essays + target_essays
-    tokens_by_id = _tokens_by_id(cfg, pair_essays)
-    emb_model = load_embeddings_if_needed(cfg, tokens_by_id)
+    embedded = _embedded_essays(cfg, pair_essays)
     reps = cfg.resolved_repetitions()
     source_ids = tuple(e.id for e in source_essays)
 
@@ -537,8 +557,8 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
     table.cells += _protocol_cells(cfg, f"{cfg.source}->{cfg.target}", cfg.nt, pair_essays,
-                                   splits, ASAP_SCORE_RANGES[cfg.target], tokens_by_id,
-                                   emb_model, table.audit)
+                                   splits, ASAP_SCORE_RANGES[cfg.target], embedded,
+                                   table.audit)
     return table
 
 
@@ -549,8 +569,7 @@ def _protocol_cells(
     essays: list[Essay],
     splits,
     score_range: ScoreRange,
-    tokens_by_id: dict[str, list[str]] | None,
-    emb_model: EmbeddingModel | None,
+    embedded: _Embedded | None,
     audit: list[AuditRecord],
 ) -> list[ResultCell]:
     """One result cell per entry of ``n_ts``, all over one document set.
@@ -585,7 +604,7 @@ def _protocol_cells(
                 logger.debug("%s n_t=%s %s: train=%d eval=%d",
                              what, n_t, where, len(train_ids), len(eval_ids))
                 k_train, k_eval, codebook = _cell_blocks(
-                    cfg, train_ids, eval_ids, hisk_gram, tokens_by_id, emb_model, tags
+                    cfg, train_ids, eval_ids, hisk_gram, embedded, tags
                 )
                 kappa = _score_cell(cfg, k_train, k_eval, unit_by_id, raw_by_id, score_range)
             except Exception as exc:  # noqa: BLE001

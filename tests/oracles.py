@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: substring counting by rescanning the strings, kappa by double
-loops over the formula, nearest centroids by a linear scan, the nu-SVR
+loops over the formula, nearest centroids by a linear scan, k-means++
+seeding and histogram intersections by the elementwise formulas, the nu-SVR
 dual solved by projected gradient with an accelerated first-order method
 run to a tight fixed-point tolerance, and explicit feature rows whose inner
 products are the linear kernel.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kaes.errors import KernelMismatchError
+from kaes.errors import KaesError, KernelMismatchError
 from kaes.string_kernel import KernelMatrix, normalize_text
 
 
@@ -83,6 +84,73 @@ def nearest_centroid_linear(points: np.ndarray, centroids: np.ndarray) -> np.nda
          for p in np.asarray(points, dtype=np.float64)],
         dtype=np.int64,
     )
+
+
+def kmeans_pp_reference(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeds, and each point's squared distance to its nearest seed.
+
+    Every distance is the elementwise float64 formula, recomputed for every
+    point at every new center; fewer than k distinct rows is an error before
+    any draw.
+    """
+    n_distinct = np.unique(points, axis=0).shape[0]
+    if n_distinct < k:
+        raise KaesError(f"need at least k={k} distinct vectors, got {n_distinct}")
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers[0] = points[int(rng.integers(n))]
+    closest = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centers[j] = points[idx]
+        closest = np.minimum(closest, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers, closest
+
+
+def histogram_dicts(labels_per_doc) -> list[dict[int, float]]:
+    """L1-normalized cluster histograms as {cluster id: weight}, ids ascending."""
+    out = []
+    for labels in labels_per_doc:
+        counts: dict[int, int] = {}
+        for label in sorted(int(x) for x in labels):
+            counts[label] = counts.get(label, 0) + 1
+        out.append({cid: count / len(labels) for cid, count in counts.items()})
+    return out
+
+
+def hik_reference(
+    rows: list[dict[int, float]], cols: list[dict[int, float]] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-sum intersection Gram of dict histograms, one pair at a time.
+
+    Each entry adds the smaller weight of every shared cluster in ascending
+    cluster id, starting from 0.0.  Returns the matrix and the rows' and the
+    columns' self-similarities, each the sum of its weights in that order.
+    """
+
+    def pair(a: dict[int, float], b: dict[int, float]) -> float:
+        value = 0.0
+        for cid in sorted(a):
+            if cid in b:
+                value += min(a[cid], b[cid])
+        return value
+
+    def self_similarity(h: dict[int, float]) -> float:
+        value = 0.0
+        for cid in sorted(h):
+            value += h[cid]
+        return value
+
+    cols = rows if cols is None else cols
+    values = np.array([[pair(a, b) for b in cols] for a in rows], dtype=np.float64)
+    return (values, np.array([self_similarity(h) for h in rows], dtype=np.float64),
+            np.array([self_similarity(h) for h in cols], dtype=np.float64))
 
 
 def project_capped_simplex(v: np.ndarray, cap: float, total: float) -> np.ndarray:

@@ -8,24 +8,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kaes.boswe import (
+    BosweHistograms,
     Codebook,
     _assign_blocked,
+    _kmeans_pp_init,
     boswe_kernel_matrix,
-    build_histogram,
+    build_histograms,
     fit_codebook,
-    hik_pair,
     load_codebook,
     save_codebook,
 )
 from kaes.embeddings import EmbeddingModel
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
-from oracles import nearest_centroid_linear
+from kaes.seeding import KMEANS, derive_rng
+from oracles import (
+    histogram_dicts,
+    hik_reference,
+    kmeans_pp_reference,
+    nearest_centroid_linear,
+)
 
 
 def toy_model(words: dict[str, np.ndarray]) -> EmbeddingModel:
     vocab = {w: i for i, w in enumerate(words)}
     vectors = np.vstack([np.asarray(v, dtype=np.float32) for v in words.values()])
     return EmbeddingModel(dim=vectors.shape[1], vocab=vocab, vectors=vectors)
+
+
+def rows_of(model: EmbeddingModel, tokens) -> np.ndarray:
+    """A document's in-vocabulary tokens as rows of ``model``."""
+    return np.array([model.vocab[t] for t in tokens if t in model.vocab], dtype=np.intp)
+
+
+def histogram(codebook: Codebook, tokens, model: EmbeddingModel):
+    """The histograms of one document, and its weights as {cluster id: weight}."""
+    hist = build_histograms(codebook, [rows_of(model, tokens)], model)
+    return hist, {int(j): float(hist.weights[0, j]) for j in np.flatnonzero(hist.weights[0])}
+
+
+_shapes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 40),
+    k=st.integers(1, 30),
+    n=st.integers(1, 60),
+)
 
 
 class TestKMeans:
@@ -63,19 +89,124 @@ class TestKMeans:
         assert len(history) >= 1
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
+    @pytest.mark.parametrize("points, k", [
+        (np.array([[1.0, 1.0]] * 10), 2),
+        (np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0], [4.0, 4.0]]), 4),
+        (np.array([[0.0], [-0.0], [1.0]]), 3),
+        (np.array([[5.0, 5.0]]), 7),
+    ])
+    def test_too_few_distinct_names_the_count(self, points, k):
+        distinct = len({tuple(float(x) for x in row) for row in points})
+        with pytest.raises(KaesError) as info:
+            fit_codebook(points, k=k, seed=0)
+        assert str(info.value) == f"need at least k={k} distinct vectors, got {distinct}"
+
+    # fingerprint and distortion of fixed seeded inputs, recorded when seeding
+    # computed every distance with the elementwise formula
+    @pytest.mark.parametrize("name, fingerprint, distortion", [
+        ("gaussian", "13daa57623960b01", 3.892164104321965),
+        ("grid", "4e64f73752e3e27c", 0.5164886069467068),
+        ("near-duplicates", "cc77757bbe7cf61f", 2.9632410776710357e-06),
+    ])
+    def test_golden_codebooks(self, name, fingerprint, distortion):
+        if name == "gaussian":
+            points = np.random.default_rng(101).normal(size=(300, 8)).astype(np.float32)
+            codebook = fit_codebook(points, k=20, seed=5)
+        elif name == "grid":
+            rng = np.random.default_rng(102)
+            points = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
+            codebook = fit_codebook(points, k=16, seed=11)
+        else:
+            rng = np.random.default_rng(103)
+            base = rng.normal(size=6) * 1e4
+            points = base + rng.normal(size=(150, 6)) * 1e-3
+            points[:40] = points[rng.integers(40, 150, size=40)]
+            codebook = fit_codebook(points, k=10, seed=3, max_iters=10)
+        assert codebook.fingerprint == fingerprint
+        assert codebook.distortion == distortion
+
+
+def _seeding_outcome(seeding, points: np.ndarray, k: int, seed: int):
+    """The seeds and distances, or the exception's type and text."""
+    try:
+        return seeding(points, k, derive_rng(seed, KMEANS))
+    except (KaesError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _check_seeding_against_reference(points: np.ndarray, k: int, seed: int) -> None:
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    expected = _seeding_outcome(kmeans_pp_reference, points, k, seed)
+    got = _seeding_outcome(_kmeans_pp_init, points, k, seed)
+    if isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert not isinstance(got[0], type), got
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSeeding:
+    """The screened k-means++ seeding equals the elementwise loop bit for bit."""
+
+    @settings(deadline=None)
+    @given(**_shapes, repeats=st.integers(0, 20))
+    def test_random_points_with_duplicates(self, seed, dim, k, n, repeats):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, dim))
+        points = np.vstack([points, points[rng.integers(0, n, size=repeats)]])
+        _check_seeding_against_reference(points, k, seed)
+
+    @settings(deadline=None)
+    @given(**_shapes, offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+           spread=st.sampled_from([1e-9, 1e-6, 1e-3, 1.0]))
+    def test_near_duplicates_far_from_origin(self, seed, dim, k, n, offset, spread):
+        # The GEMM form cancels nearly all its digits here.
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=dim) * offset
+        points = base + rng.normal(size=(n, dim)) * spread
+        points[: n // 3] = points[rng.integers(0, n, size=n // 3)]
+        _check_seeding_against_reference(points, k, seed)
+
+    @settings(deadline=None)
+    @given(**_shapes, spread=st.sampled_from([1e148, 1e150, 1e152]))
+    def test_overflowing_squared_norms(self, seed, dim, k, n, spread):
+        # The squared norms overflow, so the screen is NaN, while the
+        # elementwise distances stay finite.
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=dim) * 1e160 + rng.normal(size=(n, dim)) * spread
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_seeding_against_reference(points, k, seed)
+
+    @settings(deadline=None)
+    @given(**_shapes, levels=st.integers(1, 4))
+    def test_integer_grids(self, seed, dim, k, n, levels):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, levels, size=(n, dim)).astype(np.float64)
+        _check_seeding_against_reference(points, k, seed)
+
+    @settings(deadline=None)
+    @given(**_shapes, bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_row_holding_nan_or_inf(self, seed, dim, k, n, bad):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, dim))
+        points[rng.integers(n), rng.integers(dim)] = bad
+        _check_seeding_against_reference(points, k, seed)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12), distinct=st.integers(1, 11))
+    def test_too_few_distinct_rows(self, seed, k, distinct):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(distinct, 3))
+        points = rows[rng.integers(0, distinct, size=3 * k)]
+        _check_seeding_against_reference(points, k, seed)
+
 
 def _check_against_linear_scan(points: np.ndarray, centroids: np.ndarray) -> None:
     expected = nearest_centroid_linear(points, centroids)
     assert np.array_equal(_assign_blocked(points, centroids), expected)
     assert np.array_equal(_assign_blocked(points, centroids, budget=1), expected)
-
-
-_shapes = dict(
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(1, 40),
-    k=st.integers(1, 30),
-    n=st.integers(1, 60),
-)
 
 
 class TestAssign:
@@ -171,36 +302,38 @@ class TestHistograms:
         self.codebook = fit_codebook(self.model.vectors, k=2, seed=0)
 
     def test_single_cluster_document(self):
-        hist = build_histogram(self.codebook, ["left", "leftish", "left"], self.model)
-        assert len(hist.weights) == 1
-        assert sum(hist.weights.values()) == pytest.approx(1.0)
+        _, weights = histogram(self.codebook, ["left", "leftish", "left"], self.model)
+        assert len(weights) == 1
+        assert sum(weights.values()) == pytest.approx(1.0)
 
     def test_empty_token_list(self):
-        hist = build_histogram(self.codebook, [], self.model)
-        assert hist.weights == {}
-        assert hist.token_count == 0
+        hist, weights = histogram(self.codebook, [], self.model)
+        assert weights == {}
+        assert hist.weights.shape == (1, 2)
+        assert list(hist.token_counts) == [0]
 
     def test_three_one_split(self):
-        hist = build_histogram(self.codebook, ["left", "leftish", "left", "right"], self.model)
-        assert sorted(hist.weights.values()) == [0.25, 0.75]
-        assert hist.token_count == 4
+        hist, weights = histogram(self.codebook, ["left", "leftish", "left", "right"],
+                                  self.model)
+        assert sorted(weights.values()) == [0.25, 0.75]
+        assert list(hist.token_counts) == [4]
 
     def test_oov_skipped_but_counted(self):
-        hist = build_histogram(self.codebook, ["left", "missing", "right"], self.model)
-        assert hist.token_count == 2
+        hist, _ = histogram(self.codebook, ["left", "missing", "right"], self.model)
+        assert list(hist.token_counts) == [2]
 
     def test_raw_counts(self):
-        hist = build_histogram(self.codebook, ["left", "right", "right"], self.model,
-                               normalize=False)
-        assert sorted(hist.weights.values()) == [1.0, 2.0]
+        # Weights are the raw counts over the token count.
+        hist, weights = histogram(self.codebook, ["left", "right", "right"], self.model)
+        assert sorted(w * hist.token_counts[0] for w in weights.values()) == [1.0, 2.0]
 
     def test_mass_property(self):
         rng = np.random.default_rng(3)
         tokens = list(rng.choice(list(self.model.vocab), size=17))
-        raw = build_histogram(self.codebook, tokens, self.model, normalize=False)
-        assert sum(raw.weights.values()) == raw.token_count == 17
-        normalized = build_histogram(self.codebook, tokens, self.model)
-        assert sum(normalized.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        hist, weights = histogram(self.codebook, tokens, self.model)
+        assert hist.token_counts[0] == 17
+        assert sum(round(w * 17) for w in weights.values()) == 17
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
     def _fresh(self) -> Codebook:
         return Codebook(k=self.codebook.k, centroids=self.codebook.centroids,
@@ -208,16 +341,17 @@ class TestHistograms:
 
     def test_warm_memo_equals_fresh_codebook(self, monkeypatch):
         rng = np.random.default_rng(5)
-        docs = [list(rng.choice(list(self.model.vocab), size=9)) for _ in range(4)]
-        for doc in docs:
-            build_histogram(self.codebook, doc, self.model)
+        docs = [rows_of(self.model, rng.choice(list(self.model.vocab), size=9))
+                for _ in range(4)]
+        build_histograms(self.codebook, docs, self.model)
         assign_batch, calls = Codebook.assign_batch, []
         monkeypatch.setattr(Codebook, "assign_batch",
                             lambda cb, vectors: calls.append(cb) or assign_batch(cb, vectors))
-        warm = [build_histogram(self.codebook, doc, self.model) for doc in docs]
+        warm = build_histograms(self.codebook, docs[::-1], self.model)
         assert calls == []  # every type was assigned by the first pass
         fresh = self._fresh()
-        assert warm == [build_histogram(fresh, doc, self.model) for doc in docs]
+        assert np.array_equal(warm.weights,
+                              build_histograms(fresh, docs[::-1], self.model).weights)
         assert calls and all(cb is fresh for cb in calls)
 
     def test_other_model_clears_memo(self):
@@ -227,10 +361,20 @@ class TestHistograms:
             "rightish": [0.2, 0.0],
         })
         tokens = ["left", "leftish", "right"]
-        before = build_histogram(self.codebook, tokens, self.model, normalize=False)
-        after = build_histogram(self.codebook, tokens, swapped, normalize=False)
-        assert after == build_histogram(self._fresh(), tokens, swapped, normalize=False)
-        assert after != before
+        before, _ = histogram(self.codebook, tokens, self.model)
+        after, _ = histogram(self.codebook, tokens, swapped)
+        assert np.array_equal(after.weights, histogram(self._fresh(), tokens, swapped)[0].weights)
+        assert not np.array_equal(after.weights, before.weights)
+
+    def test_documents_are_independent_rows(self):
+        rng = np.random.default_rng(6)
+        docs = [rows_of(self.model, rng.choice(list(self.model.vocab), size=int(size)))
+                for size in rng.integers(0, 12, size=7)]
+        together = build_histograms(self.codebook, docs, self.model)
+        for i, doc in enumerate(docs):
+            alone = build_histograms(self._fresh(), [doc], self.model)
+            assert np.array_equal(together.weights[i], alone.weights[0])
+            assert together.token_counts[i] == len(doc)
 
 
 class TestHik:
@@ -240,54 +384,99 @@ class TestHik:
         })
         self.codebook = fit_codebook(self.model.vectors, k=4, seed=0)
 
-    def _hist(self, tokens):
-        return build_histogram(self.codebook, tokens, self.model)
+    def _hists(self, *docs):
+        return build_histograms(self.codebook, [rows_of(self.model, d) for d in docs],
+                                self.model)
+
+    def _pair(self, a, b) -> float:
+        return boswe_kernel_matrix(self._hists(a), self._hists(b)).values[0, 0]
 
     def test_self_intersection_is_one(self):
-        h = self._hist(["a", "b", "a"])
-        assert hik_pair(h, h) == pytest.approx(1.0)
+        assert boswe_kernel_matrix(self._hists(["a", "b", "a"])).values[0, 0] == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        assert hik_pair(self._hist(["a", "a"]), self._hist(["b", "c"])) == 0.0
+        assert self._pair(["a", "a"], ["b", "c"]) == 0.0
 
     def test_crossing_weights(self):
-        h1 = self._hist(["a", "a", "a", "b"])  # 0.75 / 0.25
-        h2 = self._hist(["a", "b", "b", "b"])  # 0.25 / 0.75
-        assert hik_pair(h1, h2) == pytest.approx(0.5)
+        h1 = ["a", "a", "a", "b"]  # 0.75 / 0.25
+        h2 = ["a", "b", "b", "b"]  # 0.25 / 0.75
+        assert self._pair(h1, h2) == pytest.approx(0.5)
 
     def test_codebook_mismatch(self):
         other = fit_codebook(self.model.vectors, k=3, seed=1)
-        h1 = self._hist(["a"])
-        h2 = build_histogram(other, ["a"], self.model)
+        h1 = self._hists(["a"])
+        h2 = build_histograms(other, [rows_of(self.model, ["a"])], self.model)
         with pytest.raises(KernelMismatchError):
-            hik_pair(h1, h2)
+            boswe_kernel_matrix(h1, h2)
 
     def test_bound(self):
-        h1 = self._hist(["a", "b", "c"])
-        h2 = self._hist(["a", "d"])
-        assert hik_pair(h1, h2) <= min(hik_pair(h1, h1), hik_pair(h2, h2)) + 1e-12
+        k = boswe_kernel_matrix(self._hists(["a", "b", "c"], ["a", "d"])).values
+        assert k[0, 1] <= min(k[0, 0], k[1, 1]) + 1e-12
 
     def test_kernel_matrix_identical_histograms(self):
-        hists = [self._hist(["a", "b"]) for _ in range(3)]
-        k = boswe_kernel_matrix(hists)
+        k = boswe_kernel_matrix(self._hists(*[["a", "b"]] * 3))
         assert np.allclose(k.values, 1.0)
         assert k.kind == "boswe"
 
     def test_kernel_matrix_symmetric_and_psd(self):
         rng = np.random.default_rng(9)
-        hists = [
-            self._hist(list(rng.choice(["a", "b", "c", "d"], size=rng.integers(1, 12))))
+        hists = self._hists(*[
+            list(rng.choice(["a", "b", "c", "d"], size=rng.integers(1, 12)))
             for _ in range(10)
-        ]
+        ])
         k = boswe_kernel_matrix(hists)
         assert np.array_equal(k.values, k.values.T)
         assert np.linalg.eigvalsh(k.values).min() >= -1e-8 * np.trace(k.values)
 
     def test_empty_histogram_in_matrix(self):
-        hists = [self._hist(["a"]), build_histogram(self.codebook, [], self.model)]
-        k = boswe_kernel_matrix(hists)
+        k = boswe_kernel_matrix(self._hists(["a"], []))
         assert k.values[0, 1] == 0.0
         assert k.values[1, 1] == 0.0
+        assert list(k.diag_rows) == [1.0, 0.0]
+
+
+def _labels_and_histograms(rng, k: int, docs: int, max_tokens: int):
+    """Random documents as embedding rows (some empty), their histograms and labels."""
+    model = EmbeddingModel(dim=3, vocab={f"w{i}": i for i in range(4 * k)},
+                           vectors=rng.normal(size=(4 * k, 3)).astype(np.float32))
+    codebook = Codebook(k=k, centroids=rng.normal(size=(k, 3)), seed=0, distortion=None)
+    rows = [rng.integers(0, 4 * k, size=int(rng.integers(0, max_tokens + 1)))
+            for _ in range(docs)]
+    hists = build_histograms(codebook, rows, model)
+    labels = [nearest_centroid_linear(model.vectors[r], codebook.centroids) for r in rows]
+    return hists, histogram_dicts(labels)
+
+
+class TestGramOracle:
+    """The dense Gram equals the pair-by-pair dict loop entry for entry."""
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), docs=st.integers(1, 12),
+           max_tokens=st.integers(0, 60))
+    def test_square(self, seed, k, docs, max_tokens):
+        hists, dicts = _labels_and_histograms(np.random.default_rng(seed), k, docs, max_tokens)
+        values, diag, _ = hik_reference(dicts)
+        gram = boswe_kernel_matrix(hists)
+        assert np.array_equal(gram.values, values)
+        assert np.array_equal(gram.diag_rows, diag)
+        assert np.array_equal(gram.diag_cols, diag)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), docs=st.integers(2, 14),
+           max_tokens=st.integers(0, 60), split=st.integers(1, 13))
+    def test_rectangular(self, seed, k, docs, max_tokens, split):
+        split = min(split, docs - 1)
+        hists, dicts = _labels_and_histograms(np.random.default_rng(seed), k, docs, max_tokens)
+        rows = BosweHistograms(hists.weights[:split], hists.token_counts[:split],
+                               hists.codebook_fingerprint)
+        cols = BosweHistograms(hists.weights[split:], hists.token_counts[split:],
+                               hists.codebook_fingerprint)
+        values, diag_rows, diag_cols = hik_reference(dicts[:split], dicts[split:])
+        gram = boswe_kernel_matrix(rows, cols)
+        assert np.array_equal(gram.values, values)
+        assert np.array_equal(gram.diag_rows, diag_rows)
+        assert np.array_equal(gram.diag_cols, diag_cols)
+        assert np.array_equal(gram.values, boswe_kernel_matrix(hists).values[:split, split:])
 
 
 class TestCodebookIO:

@@ -209,6 +209,32 @@ class TestCommands:
         ])
         assert code == 0, err
 
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_train_drops_blank_essay(self, workdir, tmp_path, capsys, caplog, representation):
+        # The same corpus with essay 5's text blanked, and without essay 5.
+        lines = make_corpus_tsv(30, seed=7).decode().splitlines()
+        fields = lines[5].split("\t")
+        blank_id = fields[0]
+        fields[2] = "   "
+        blank, clean = tmp_path / "blank.tsv", tmp_path / "clean.tsv"
+        blank.write_text("\n".join(lines[:5] + ["\t".join(fields)] + lines[6:]) + "\n")
+        clean.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        flags = ["--representation", representation, "--k", "8", "--seed", "1"]
+        if representation != "hisk":
+            flags += ["--embeddings", workdir / "emb.bin"]
+        models = {}
+        for name, data in (("blank", blank), ("clean", clean)):
+            models[name] = tmp_path / f"{name}.bin"
+            with caplog.at_level("WARNING", logger="kaes.harness"):
+                code, _, err = run_main(capsys, ["train", "--data", data, *flags,
+                                                 "--out", models[name]])
+            assert code == 0, err
+        assert f"dropping 1 blank essays: {blank_id}" in caplog.text
+        assert models["blank"].read_bytes() == models["clean"].read_bytes()
+        if representation != "hisk":
+            assert (Path(f"{models['blank']}.codebook").read_bytes()
+                    == Path(f"{models['clean']}.codebook").read_bytes())
+
     def test_train_reads_gram_cached_by_kernel(self, workdir, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"
         code, _, _ = run_main(capsys, ["kernel", "--data", workdir / "data.tsv",
