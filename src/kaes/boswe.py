@@ -127,8 +127,7 @@ class Codebook:
     """k cluster centroids; :meth:`assign_batch` maps vectors to them exactly.
 
     Centroids are stored as float32 (the on-disk precision); all distance
-    arithmetic runs on one shared float64 copy.  Labels of embedding rows are
-    memoized per model, so each token type is assigned once per codebook.
+    arithmetic runs on one shared float64 copy.
     """
 
     k: int
@@ -137,8 +136,6 @@ class Codebook:
     distortion: float | None
     fingerprint: str = field(init=False)
     _centroids64: np.ndarray = field(init=False, repr=False)
-    _memo_model: EmbeddingModel | None = field(default=None, init=False, repr=False)
-    _memo: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.centroids = np.ascontiguousarray(self.centroids, dtype=np.float32)
@@ -157,18 +154,6 @@ class Codebook:
                 f"vectors have shape {vectors.shape}, expected (n, {self.dim})"
             )
         return _assign_blocked(vectors, self._centroids64)
-
-    def _assign_rows(self, model: EmbeddingModel, rows: np.ndarray) -> np.ndarray:
-        """Labels of the embedding rows ``rows`` of ``model``, memoized per row."""
-        if model is not self._memo_model:
-            self._memo_model = model
-            self._memo = np.full(model.vectors.shape[0], -1, dtype=np.int64)
-        labels = self._memo[rows]
-        todo = np.unique(rows[labels < 0])
-        if todo.size:
-            self._memo[todo] = self.assign_batch(model.vectors[todo])
-            labels = self._memo[rows]
-        return labels
 
 
 def _kmeans_pp_init(
@@ -230,7 +215,7 @@ def fit_codebook(
     changes or after ``max_iters``.  Deterministic given ``seed``.  Clusters
     that empty out keep their previous centroid, so the mean squared
     distortion never increases between iterations.  Fewer than k distinct
-    vectors is an error.
+    vectors, or a NaN or infinite component, is an error.
 
     With ``return_history=True`` returns ``(codebook, distortions)`` where
     ``distortions`` has one mean-squared-distance entry per Lloyd iteration.
@@ -238,6 +223,8 @@ def fit_codebook(
     points = np.ascontiguousarray(vectors, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise KaesError("vectors must be a nonempty 2-d array")
+    if not np.isfinite(points).all():
+        raise KaesError("vectors hold NaN or infinite values")
 
     rng = derive_rng(seed, KMEANS)
     centers, _ = _kmeans_pp_init(points, k, rng)
@@ -291,18 +278,23 @@ class BosweHistograms:
     def __len__(self) -> int:
         return self.weights.shape[0]
 
+    def __getitem__(self, docs: slice) -> BosweHistograms:
+        """The histograms of the documents in the slice ``docs``."""
+        return BosweHistograms(self.weights[docs], self.token_counts[docs],
+                               self.codebook_fingerprint)
+
 
 def build_histograms(
     codebook: Codebook, docs: Sequence[np.ndarray], model: EmbeddingModel
 ) -> BosweHistograms:
     """Histograms of documents given as the ``model`` rows of their embedded tokens.
 
-    Each token type is assigned once per codebook and model; later calls
-    reuse its label.
+    Each distinct row is assigned once per call.
     """
     lengths = np.array([len(rows) for rows in docs], dtype=np.int64)
-    rows = np.concatenate([np.empty(0, dtype=np.intp), *docs])
-    labels = codebook._assign_rows(model, rows)
+    distinct, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.intp), *docs]),
+                                  return_inverse=True)
+    labels = codebook.assign_batch(model.vectors[distinct])[inverse]
     doc = np.repeat(np.arange(len(docs)), lengths)
     counts = np.bincount(doc * codebook.k + labels, minlength=len(docs) * codebook.k)
     weights = counts.reshape(len(docs), codebook.k) / np.maximum(lengths, 1)[:, None]

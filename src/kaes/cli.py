@@ -9,37 +9,30 @@ config file (``--config``); explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from .boswe import load_codebook, save_codebook
-from .corpus import ASAP_SCORE_RANGES, parse_asap_tsv, unscale_score
+from .corpus import ASAP_SCORE_RANGES
 from .errors import KaesError
 from .harness import (
     REPRESENTATIONS,
     ExperimentConfig,
-    _block,
-    _embed,
-    _embedded_essays,
-    _fold_codebook,
-    _histograms,
-    _tokens_by_id,
-    _without_blank,
     emit_report,
-    load_embeddings_if_needed,
+    fit_essay_codebook,
+    load_essays,
     normalized_hisk_gram,
     parse_config_file,
+    predict_scores,
     run_cross_domain,
     run_in_domain,
     table_from_csv,
+    train_model,
 )
-from .string_kernel import kernel_matrix, normalize_kernel, save_kernel_matrix
-from .svr import SvrConfig, load_svr_model, predict, save_svr_model, train_nu_svr
+from .string_kernel import kernel_matrix, save_kernel_matrix
+from .svr import SvrConfig, load_svr_model, save_svr_model
 
 # Flags that set the ExperimentConfig field (or SvrConfig field) of the same name.
 _CONFIG_FLAGS = {
@@ -137,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file from `train`")
     p.add_argument("--train-data", dest="train_data",
                    help="TSV with the training essays (defaults to --data)")
-    p.add_argument("--codebook", help="codebook file (defaults to <model>.codebook)")
     p.add_argument("--out", help="write predictions TSV here instead of stdout")
 
     for name, extra in (("eval-indomain", False), ("eval-crossdomain", True)):
@@ -192,12 +184,8 @@ def _experiment_config(resolver: _Resolver, mode: str = "in-domain") -> Experime
     )
 
 
-def _load_essays(path: str, prompt: int | None):
-    return parse_asap_tsv(Path(path).read_bytes(), prompt_filter=prompt)
-
-
 def cmd_ingest(resolver: _Resolver) -> int:
-    essays = _load_essays(_require(resolver, "data"), resolver.get("prompt", int))
+    essays = load_essays(_require(resolver, "data"), resolver.get("prompt", int))
     by_prompt = Counter(e.prompt for e in essays)
     for prompt in sorted(by_prompt):
         scores = [e.raw_score for e in essays if e.prompt == prompt]
@@ -211,12 +199,8 @@ def cmd_ingest(resolver: _Resolver) -> int:
 
 
 def cmd_codebook(resolver: _Resolver) -> int:
-    _require(resolver, "embeddings")
-    # A codebook is the histogram stage, whatever --representation says.
-    cfg = dataclasses.replace(_experiment_config(resolver), representation="boswe")
-    essays = _load_essays(cfg.data_path, cfg.prompt)
-    embedded = _embedded_essays(cfg, essays)
-    codebook = _fold_codebook(embedded, tuple(e.id for e in essays), cfg, cfg.seed)
+    cfg = _experiment_config(resolver)
+    codebook = fit_essay_codebook(cfg, load_essays(cfg.data_path, cfg.prompt))
     out = _require(resolver, "out")
     save_codebook(codebook, out)
     print(f"codebook: k={codebook.k} dim={codebook.dim} "
@@ -234,7 +218,7 @@ def cmd_kernel(resolver: _Resolver) -> int:
     out = resolver.get("out")
     if out is None and cfg.cache_dir is None:
         raise KaesError("give --out or --cache-dir to store the kernel matrix")
-    essays = _load_essays(cfg.data_path, cfg.prompt)
+    essays = load_essays(cfg.data_path, cfg.prompt)
     if out is not None:
         raw = kernel_matrix(
             [e.text for e in essays], row_ids=tuple(e.id for e in essays),
@@ -250,20 +234,7 @@ def cmd_kernel(resolver: _Resolver) -> int:
 
 def cmd_train(resolver: _Resolver) -> int:
     cfg = _experiment_config(resolver)
-    cfg.validate()
-    essays = _without_blank(_load_essays(cfg.data_path, cfg.prompt))
-    if not essays:
-        raise KaesError("no essays selected")
-    ids = tuple(e.id for e in essays)
-    hisk = None if cfg.representation == "boswe" else normalized_hisk_gram(essays, cfg)
-    codebook = hists = None
-    embedded = _embedded_essays(cfg, essays)
-    if embedded is not None:
-        # The codebook seed is the run seed itself; the protocols derive one per fold.
-        codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
-        hists = _histograms(codebook, embedded, ids)
-    y = np.array([e.unit_score for e in essays])
-    model = train_nu_svr(_block(cfg, hisk, hists), y, cfg.svr, seed=cfg.seed)
+    model, codebook = train_model(cfg, load_essays(cfg.data_path, cfg.prompt))
     out = _require(resolver, "out")
     save_svr_model(model, out)
     if codebook is not None:
@@ -277,40 +248,16 @@ def cmd_train(resolver: _Resolver) -> int:
 
 def cmd_predict(resolver: _Resolver) -> int:
     cfg = _experiment_config(resolver)
-    cfg.validate()
     model_path = _require(resolver, "model")
     model = load_svr_model(model_path)
-    train_path = resolver.get("train_data") or cfg.data_path
-    train_essays = {e.id: e for e in _load_essays(train_path, cfg.prompt)}
-    missing = [eid for eid in model.train_ids if eid not in train_essays]
-    if missing:
-        raise KaesError(f"training essays missing from --train-data: {missing[:5]}")
-    support = set(model.support_ids)
-    support_essays = [train_essays[eid] for eid in model.train_ids if eid in support]
-    support_ids = tuple(e.id for e in support_essays)
-    test_essays = _load_essays(cfg.data_path, cfg.prompt)
-    test_ids = tuple(e.id for e in test_essays)
-
-    hisk = None
-    if cfg.representation != "boswe":
-        hisk = normalize_kernel(kernel_matrix(
-            [e.text for e in test_essays], [e.text for e in support_essays],
-            row_ids=test_ids, col_ids=support_ids, n_min=cfg.ngram_min, n_max=cfg.ngram_max,
-        ))
-    hists = test_hists = None
-    support_tokens = _tokens_by_id(cfg, support_essays)
-    test_tokens = _tokens_by_id(cfg, test_essays)
-    emb_model = load_embeddings_if_needed(cfg, support_tokens, test_tokens)
-    if emb_model is not None:
-        codebook = load_codebook(resolver.get("codebook") or model_path + ".codebook")
-        hists = _histograms(codebook, _embed(emb_model, support_tokens), support_ids)
-        test_hists = _histograms(codebook, _embed(emb_model, test_tokens), test_ids)
-    preds = predict(model, _block(cfg, hisk, test_hists, hists))
-
+    # `train` writes a codebook beside the model when its kernel needs one.
+    codebook_path = Path(model_path + ".codebook")
+    codebook = load_codebook(codebook_path) if codebook_path.exists() else None
+    train_essays = load_essays(resolver.get("train_data") or cfg.data_path, cfg.prompt)
+    scores = predict_scores(cfg, model, codebook, load_essays(cfg.data_path, cfg.prompt),
+                            train_essays)
     lines = ["essay_id\tessay_set\tprediction"]
-    for essay, value in zip(test_essays, preds):
-        score = unscale_score(float(value), ASAP_SCORE_RANGES[essay.prompt])
-        lines.append(f"{essay.id}\t{essay.prompt}\t{score}")
+    lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
     output = "\n".join(lines) + "\n"
     out = resolver.get("out")
     if out:

@@ -24,7 +24,7 @@ import io
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -63,7 +63,7 @@ from .string_kernel import (
     normalize_text,
     save_kernel_matrix,
 )
-from .svr import SvrConfig, predict, train_nu_svr
+from .svr import SvrConfig, SvrModel, predict, train_nu_svr
 
 logger = logging.getLogger(__name__)
 
@@ -273,44 +273,25 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 # Shared plumbing
 
 
-def load_essays(cfg: ExperimentConfig) -> list[Essay]:
-    data = Path(cfg.data_path).read_bytes()
-    return parse_asap_tsv(data)
+def load_essays(path: str | Path, prompt: int | None = None) -> list[Essay]:
+    """The essays of an ASAP-format TSV file; only those of ``prompt`` when given."""
+    return parse_asap_tsv(Path(path).read_bytes(), prompt_filter=prompt)
 
 
 def _without_blank(essays: list[Essay]) -> list[Essay]:
     """``essays`` minus those with no text once normalized, dropped with a warning.
 
     A blank essay has no n-grams and no tokens, so no kernel can score it.
+    Nothing left is an error.
     """
     kept, blank = [], []
     for e in essays:
         (kept if normalize_text(e.text) else blank).append(e)
     if blank:
         logger.warning("dropping %d blank essays: %s", len(blank), ", ".join(e.id for e in blank))
+    if not kept:
+        raise KaesError("no essays selected; check --data and the prompt ids")
     return kept
-
-
-def _tokens_by_id(cfg: ExperimentConfig, essays: Sequence[Essay]) -> dict[str, list[str]] | None:
-    """Each essay's tokens by id; None for hisk, which embeds no tokens."""
-    if cfg.representation == "hisk":
-        return None
-    return {e.id: tokenize(e.text) for e in essays}
-
-
-def load_embeddings_if_needed(
-    cfg: ExperimentConfig, *tokens_by_id: dict[str, list[str]] | None
-) -> EmbeddingModel | None:
-    """The vectors of the token types in ``tokens_by_id`` (from :func:`_tokens_by_id`).
-
-    Only those records of the vectors file are kept, so every lookup a run
-    makes gets the vector a full load would give.  None for hisk.
-    """
-    if cfg.representation == "hisk":
-        return None
-    keep = {t for by_id in tokens_by_id for tokens in by_id.values() for t in tokens}
-    logger.info("loading embeddings of %d token types from %s", len(keep), cfg.embeddings_path)
-    return load_word2vec_binary(cfg.embeddings_path, vocab_limit=cfg.vocab_limit, keep=keep)
 
 
 def _gram_cache_key(essays: Sequence[Essay], cfg: ExperimentConfig) -> str:
@@ -379,30 +360,39 @@ class _Embedded:
     rows: dict[str, np.ndarray]
 
 
-def _embed(model: EmbeddingModel | None, tokens_by_id: dict[str, list[str]]) -> _Embedded | None:
-    """Map each essay's tokens to rows once per run (None when ``model`` is)."""
-    if model is None:
-        return None
-    types = sorted({t for tokens in tokens_by_id.values() for t in tokens if t in model.vocab})
-    index = {t: i for i, t in enumerate(types)}
-    table = EmbeddingModel(
-        dim=model.dim, vocab=index,
-        vectors=model.vectors[np.array([model.vocab[t] for t in types], dtype=np.intp)],
-    )
-    rows = {eid: np.array([index[t] for t in tokens if t in index], dtype=np.intp)
-            for eid, tokens in tokens_by_id.items()}
-    sizes = [(len(rows[eid]), len(tokens)) for eid, tokens in tokens_by_id.items() if tokens]
+def _embedded_essays(
+    cfg: ExperimentConfig, *essay_lists: Sequence[Essay]
+) -> tuple[_Embedded | None, ...]:
+    """Each list of essays as rows of one table of the word vectors they use.
+
+    The vectors file is read once, keeping only the essays' token types, so
+    every lookup gets the vector a full load would give.  Rows are keyed by
+    id per list, as two lists may hold the same essays.  A NaN or infinite
+    vector is an error that names its token.  All None for hisk.
+    """
+    if cfg.representation == "hisk":
+        return (None,) * len(essay_lists)
+    tokens = [{e.id: tokenize(e.text) for e in essays} for essays in essay_lists]
+    keep = {t for by_id in tokens for words in by_id.values() for t in words}
+    logger.info("loading embeddings of %d token types from %s", len(keep), cfg.embeddings_path)
+    model = load_word2vec_binary(cfg.embeddings_path, vocab_limit=cfg.vocab_limit, keep=keep)
+    index = {t: i for i, t in enumerate(sorted(model.vocab))}
+    table = EmbeddingModel(dim=model.dim, vocab=index, vectors=model.vectors[
+        np.array([model.vocab[t] for t in index], dtype=np.intp)])
+    finite = np.isfinite(table.vectors).all(axis=1)
+    if not finite.all():
+        bad = [t for t, i in index.items() if not finite[i]]
+        raise KaesError(f"{cfg.embeddings_path}: NaN or infinite vectors of {len(bad)} tokens: "
+                        + ", ".join(repr(t) for t in bad[:5]))
+    rows = [{eid: np.array([index[t] for t in words if t in index], dtype=np.intp)
+             for eid, words in by_id.items()} for by_id in tokens]
+    sizes = [(len(r[eid]), len(words))
+             for r, by_id in zip(rows, tokens) for eid, words in by_id.items() if words]
     if sizes:
-        embedded, total = np.array(sizes).T
-        oov = 1.0 - embedded / total
+        kept, total = np.array(sizes).T
+        oov = 1.0 - kept / total
         logger.debug("histograms: mean OOV rate %.3f, per-document %s", oov.mean(), oov)
-    return _Embedded(table, rows)
-
-
-def _embedded_essays(cfg: ExperimentConfig, essays: Sequence[Essay]) -> _Embedded | None:
-    """``essays`` as rows of the vectors they use, loaded for this run (None for hisk)."""
-    tokens_by_id = _tokens_by_id(cfg, essays)
-    return _embed(load_embeddings_if_needed(cfg, tokens_by_id), tokens_by_id)
+    return tuple(_Embedded(table, r) for r in rows)
 
 
 def _fold_codebook(
@@ -421,34 +411,17 @@ def _fold_codebook(
     )
 
 
-def _histograms(
-    codebook: Codebook, embedded: _Embedded, ids: tuple[str, ...]
-) -> tuple[tuple[str, ...], BosweHistograms]:
-    """The histograms of essays ``ids``, paired with those ids."""
-    return ids, build_histograms(codebook, [embedded.rows[eid] for eid in ids], embedded.model)
+def _histograms(codebook: Codebook, embedded: _Embedded, ids: Sequence[str]) -> BosweHistograms:
+    return build_histograms(codebook, [embedded.rows[eid] for eid in ids], embedded.model)
 
 
-def _block(
-    cfg: ExperimentConfig,
-    hisk: KernelMatrix | None,
-    rows: tuple[tuple[str, ...], BosweHistograms] | None,
-    cols: tuple[tuple[str, ...], BosweHistograms] | None = None,
+def _fuse(
+    cfg: ExperimentConfig, hisk: KernelMatrix | None, boswe: KernelMatrix | None
 ) -> KernelMatrix:
-    """The ``cfg.representation`` kernel block of rows x cols (cols None: rows x rows).
-
-    ``hisk`` is the normalized n-gram block over the same ids (None for
-    boswe); ``rows`` and ``cols`` pair the documents' ids with their
-    histograms (None for hisk).
-    """
-    if cfg.representation == "hisk":
-        return hisk
-    row_ids, row_h = rows
-    if cols is None:
-        boswe = boswe_kernel_matrix(row_h, row_ids=row_ids)
-    else:
-        col_ids, col_h = cols
-        boswe = boswe_kernel_matrix(row_h, col_h, row_ids=row_ids, col_ids=col_ids)
-    return boswe if cfg.representation == "boswe" else sum_kernels(hisk, boswe)
+    """The ``cfg.representation`` kernel block from its n-gram and histogram blocks."""
+    if cfg.representation == "fused":
+        return sum_kernels(hisk, boswe)
+    return boswe if hisk is None else hisk
 
 
 def _cell_blocks(
@@ -459,18 +432,22 @@ def _cell_blocks(
     embedded: _Embedded | None,
     tags: tuple[int, ...],
 ) -> tuple[KernelMatrix, KernelMatrix, Codebook | None]:
-    """Train and eval kernel blocks for one cell, plus its codebook (None for hisk)."""
-    hisk_train = hisk_eval = None
+    """Train and eval kernel blocks for one cell, plus its codebook (None for hisk).
+
+    One histogram call covers the train and eval essays, so each token type
+    is assigned once per codebook.
+    """
+    hisk_train = hisk_eval = boswe_train = boswe_eval = codebook = None
     if hisk_gram is not None:
         hisk_train = hisk_gram.take(train_ids, train_ids)
         hisk_eval = hisk_gram.take(eval_ids, train_ids)
-    if cfg.representation == "hisk":
-        return hisk_train, hisk_eval, None
-    seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
-    codebook = _fold_codebook(embedded, train_ids, cfg, seed)
-    train_h = _histograms(codebook, embedded, train_ids)
-    eval_h = _histograms(codebook, embedded, eval_ids)
-    return _block(cfg, hisk_train, train_h), _block(cfg, hisk_eval, eval_h, train_h), codebook
+    if embedded is not None:
+        seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
+        codebook = _fold_codebook(embedded, train_ids, cfg, seed)
+        hists, n = _histograms(codebook, embedded, train_ids + eval_ids), len(train_ids)
+        boswe_train = boswe_kernel_matrix(hists[:n], row_ids=train_ids)
+        boswe_eval = boswe_kernel_matrix(hists[n:], hists[:n], row_ids=eval_ids, col_ids=train_ids)
+    return _fuse(cfg, hisk_train, boswe_train), _fuse(cfg, hisk_eval, boswe_eval), codebook
 
 
 def _score_cell(
@@ -500,13 +477,8 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     cfg.validate()
     if cfg.mode != "in-domain":
         raise KaesError(f"run_in_domain called with mode {cfg.mode!r}")
-    essays = load_essays(cfg)
-    if cfg.prompt is not None:
-        essays = [e for e in essays if e.prompt == cfg.prompt]
-    essays = _without_blank(essays)
-    if not essays:
-        raise KaesError("no essays selected; check --data and --prompt")
-    embedded = _embedded_essays(cfg, essays)
+    essays = _without_blank(load_essays(cfg.data_path, cfg.prompt))
+    (embedded,) = _embedded_essays(cfg, essays)
     reps = cfg.resolved_repetitions()
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
@@ -531,7 +503,8 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
     cfg.validate()
     if cfg.mode != "cross-domain":
         raise KaesError(f"run_cross_domain called with mode {cfg.mode!r}")
-    essays = _without_blank([e for e in load_essays(cfg) if e.prompt in (cfg.source, cfg.target)])
+    essays = _without_blank([e for e in load_essays(cfg.data_path)
+                             if e.prompt in (cfg.source, cfg.target)])
     source_essays = [e for e in essays if e.prompt == cfg.source]
     target_essays = [e for e in essays if e.prompt == cfg.target]
     if not source_essays or not target_essays:
@@ -540,7 +513,7 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
             f"(got {len(source_essays)} and {len(target_essays)} essays)"
         )
     pair_essays = source_essays + target_essays
-    embedded = _embedded_essays(cfg, pair_essays)
+    (embedded,) = _embedded_essays(cfg, pair_essays)
     reps = cfg.resolved_repetitions()
     source_ids = tuple(e.id for e in source_essays)
 
@@ -652,3 +625,79 @@ def _result_cell(
         n_runs=len(values),
         failed=failed,
     )
+
+
+# ---------------------------------------------------------------------------
+# One model: `kaes train` and `kaes predict`
+
+
+def fit_essay_codebook(cfg: ExperimentConfig, essays: Sequence[Essay]) -> Codebook:
+    """The codebook that :func:`train_model` fits on ``essays``, whatever the representation.
+
+    Its seed is the run seed itself; the protocols derive one per fold.
+    """
+    cfg = replace(cfg, representation="boswe")
+    cfg.validate()
+    (embedded,) = _embedded_essays(cfg, essays)
+    return _fold_codebook(embedded, [e.id for e in essays], cfg, cfg.seed)
+
+
+def train_model(
+    cfg: ExperimentConfig, essays: Sequence[Essay]
+) -> tuple[SvrModel, Codebook | None]:
+    """A nu-SVR scorer over the ``cfg.representation`` kernel of ``essays``.
+
+    Blank essays are dropped with a warning, as the protocols drop them.
+    Returns the model and its codebook (None for hisk).
+    """
+    cfg.validate()
+    essays = _without_blank(essays)
+    ids = tuple(e.id for e in essays)
+    hisk = None if cfg.representation == "boswe" else normalized_hisk_gram(essays, cfg)
+    boswe = codebook = None
+    if cfg.representation != "hisk":
+        (embedded,) = _embedded_essays(cfg, essays)
+        codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
+        boswe = boswe_kernel_matrix(_histograms(codebook, embedded, ids), row_ids=ids)
+    y = np.array([e.unit_score for e in essays])
+    return train_nu_svr(_fuse(cfg, hisk, boswe), y, cfg.svr, seed=cfg.seed), codebook
+
+
+def predict_scores(
+    cfg: ExperimentConfig,
+    model: SvrModel,
+    codebook: Codebook | None,
+    essays: Sequence[Essay],
+    train_essays: Sequence[Essay],
+) -> list[tuple[Essay, int]]:
+    """Each essay of ``essays`` with its score under ``model``, on its prompt's scale.
+
+    ``model`` and ``codebook`` come from :func:`train_model` on essays that
+    ``train_essays`` holds.  Blank essays are dropped with a warning.
+    """
+    cfg.validate()
+    if codebook is None and cfg.representation != "hisk":
+        raise KaesError(f"representation {cfg.representation!r} needs the model's codebook")
+    by_id = {e.id: e for e in train_essays}
+    missing = [eid for eid in model.train_ids if eid not in by_id]
+    if missing:
+        raise KaesError(f"training essays missing from --train-data: {missing[:5]}")
+    support_essays = [by_id[eid] for eid in model.support_ids]
+    essays = _without_blank(essays)
+    ids = tuple(e.id for e in essays)
+
+    hisk = None
+    if cfg.representation != "boswe":
+        hisk = normalize_kernel(kernel_matrix(
+            [e.text for e in essays], [e.text for e in support_essays],
+            row_ids=ids, col_ids=model.support_ids, n_min=cfg.ngram_min, n_max=cfg.ngram_max,
+        ))
+    boswe = None
+    support_embedded, embedded = _embedded_essays(cfg, support_essays, essays)
+    if embedded is not None:
+        boswe = boswe_kernel_matrix(_histograms(codebook, embedded, ids),
+                                    _histograms(codebook, support_embedded, model.support_ids),
+                                    row_ids=ids, col_ids=model.support_ids)
+    preds = predict(model, _fuse(cfg, hisk, boswe))
+    return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
+            for e, p in zip(essays, preds)]

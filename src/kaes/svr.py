@@ -71,7 +71,7 @@ class SvrModel:
 
     @property
     def support_ids(self) -> tuple[str, ...]:
-        return tuple(np.asarray(self.train_ids)[self.support_mask])
+        return tuple(eid for eid, kept in zip(self.train_ids, self.support_mask) if kept)
 
 
 def _check_square_symmetric(kernel: KernelMatrix) -> np.ndarray:

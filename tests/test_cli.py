@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -14,9 +15,11 @@ import kaes.harness
 from kaes.boswe import load_codebook
 from kaes.cli import main
 from kaes.corpus import parse_asap_tsv
-from kaes.embeddings import tokenize
+from kaes.boswe import save_codebook
+from kaes.embeddings import load_word2vec_binary, save_word2vec_binary, tokenize
+from kaes.harness import ExperimentConfig, load_essays, predict_scores, train_model
 from kaes.string_kernel import load_kernel_matrix
-from kaes.svr import load_svr_model
+from kaes.svr import load_svr_model, save_svr_model
 
 from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
 
@@ -162,6 +165,10 @@ class TestCommands:
             code, _, err = run_main(capsys, argv)
             assert code == 1
             assert "error: at byte " in err
+            codebook_path.unlink()
+            code, _, err = run_main(capsys, argv)
+            assert code == 1
+            assert "error: representation 'fused' needs the model's codebook" in err
 
     def test_config_file_with_flag_override(self, workdir, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -234,6 +241,100 @@ class TestCommands:
         if representation != "hisk":
             assert (Path(f"{models['blank']}.codebook").read_bytes()
                     == Path(f"{models['clean']}.codebook").read_bytes())
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_predict_drops_blank_essay(self, workdir, tmp_path, capsys, caplog, representation):
+        # The training corpus, as test data with essay 5's text blanked, and without essay 5.
+        lines = make_corpus_tsv(30, seed=7).decode().splitlines()
+        fields = lines[5].split("\t")
+        blank_id = fields[0]
+        fields[2] = "   "
+        train, blank, clean = tmp_path / "train.tsv", tmp_path / "blank.tsv", tmp_path / "clean.tsv"
+        train.write_text("\n".join(lines) + "\n")
+        blank.write_text("\n".join(lines[:5] + ["\t".join(fields)] + lines[6:]) + "\n")
+        clean.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        flags = ["--representation", representation, "--k", "8", "--seed", "1"]
+        if representation != "hisk":
+            flags += ["--embeddings", workdir / "emb.bin"]
+        model = tmp_path / "model.bin"
+        code, _, err = run_main(capsys, ["train", "--data", train, *flags, "--out", model])
+        assert code == 0, err
+        preds = {}
+        for name, data in (("blank", blank), ("clean", clean)):
+            preds[name] = tmp_path / f"{name}-preds.tsv"
+            with caplog.at_level("WARNING", logger="kaes.harness"):
+                code, _, err = run_main(capsys, [
+                    "predict", "--data", data, "--train-data", train, "--model", model,
+                    *flags, "--out", preds[name]])
+            assert code == 0, err
+        assert f"dropping 1 blank essays: {blank_id}" in caplog.text
+        assert preds["blank"].read_bytes() == preds["clean"].read_bytes()
+        assert len(preds["clean"].read_text().splitlines()) == 30
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_non_finite_vector_fails_cleanly(self, workdir, tmp_path, capsys, command):
+        data = tmp_path / "data.tsv"
+        data.write_bytes(make_corpus_tsv(30, seed=7))
+        vectors = load_word2vec_binary(workdir / "emb.bin")
+        vectors.vectors[vectors.vocab["omega"], 3] = np.nan
+        nan_vectors = tmp_path / "nan.bin"
+        save_word2vec_binary(vectors, nan_vectors)
+        flags = ["--data", data, "--representation", "boswe", "--k", "8"]
+        model = tmp_path / "model.bin"
+        if command == "predict":
+            code, _, err = run_main(capsys, ["train", *flags, "--embeddings", workdir / "emb.bin",
+                                             "--out", model])
+            assert code == 0, err
+            argv = ["predict", *flags, "--embeddings", nan_vectors, "--model", model]
+        else:
+            argv = ["train", *flags, "--embeddings", nan_vectors, "--out", model]
+        code, out, err = run_main(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "'omega'" in err and "NaN or infinite" in err
+        assert "Traceback" not in err
+
+    def test_predict_loads_vectors_once(self, workdir, tmp_path, capsys, monkeypatch):
+        common = ["--data", workdir / "data.tsv", "--prompt", "1", "--representation", "fused",
+                  "--embeddings", workdir / "emb.bin", "--k", "8", "--seed", "1"]
+        model = tmp_path / "model.bin"
+        code, _, err = run_main(capsys, ["train", *common, "--out", model])
+        assert code == 0, err
+        loaded = record_vector_loads(monkeypatch)
+        code, _, err = run_main(capsys, ["predict", *common, "--model", model])
+        assert code == 0, err
+        assert len(loaded) == 1
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_library_matches_commands(self, workdir, tmp_path, capsys, representation):
+        data = workdir / "data.tsv"
+        flags = ["--data", data, "--prompt", "1", "--representation", representation,
+                 "--k", "8", "--seed", "1"]
+        cfg = ExperimentConfig(mode="in-domain", data_path=str(data), prompt=1,
+                               representation=representation, k=8, seed=1)
+        if representation != "hisk":
+            flags += ["--embeddings", workdir / "emb.bin"]
+            cfg.embeddings_path = str(workdir / "emb.bin")
+        model_path, preds = tmp_path / "model.bin", tmp_path / "preds.tsv"
+        code, _, err = run_main(capsys, ["train", *flags, "--out", model_path])
+        assert code == 0, err
+        code, _, err = run_main(capsys, ["predict", *flags, "--model", model_path,
+                                         "--out", preds])
+        assert code == 0, err
+
+        essays = load_essays(data, 1)
+        model, codebook = train_model(cfg, essays)
+        model_bytes, codebook_bytes = io.BytesIO(), io.BytesIO()
+        save_svr_model(model, model_bytes)
+        assert model_bytes.getvalue() == model_path.read_bytes()
+        if representation == "hisk":
+            assert codebook is None
+        else:
+            save_codebook(codebook, codebook_bytes)
+            assert codebook_bytes.getvalue() == Path(f"{model_path}.codebook").read_bytes()
+        scores = predict_scores(cfg, model, codebook, essays, essays)
+        lines = ["essay_id\tessay_set\tprediction"]
+        lines += [f"{e.id}\t{e.prompt}\t{score}" for e, score in scores]
+        assert ("\n".join(lines) + "\n").encode() == preds.read_bytes()
 
     def test_train_reads_gram_cached_by_kernel(self, workdir, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kaes.harness
+from kaes.boswe import Codebook
 from kaes.corpus import parse_asap_tsv
-from kaes.embeddings import tokenize
+from kaes.embeddings import load_word2vec_binary, tokenize
 from kaes.errors import KaesError
 from kaes.harness import (
     ExperimentConfig,
@@ -278,6 +280,49 @@ class TestBlankEssays:
             assert self.outcome(run_cross_domain, cfg, blank) == self.outcome(
                 run_cross_domain, cfg, clean)
         assert "999" in caplog.text
+
+
+class TestAssignOnce:
+    def test_cell_assigns_each_row_of_its_essays_once(self, corpus_dir, tmp_path, monkeypatch):
+        # Some essays use a word that no other essay uses, so some eval folds
+        # hold token types that their training folds lack.
+        lines = (corpus_dir / "prompt1.tsv").read_text().splitlines()
+        for i in range(1, 11):
+            fields = lines[i].split("\t")
+            fields[2] += f" decoy{i}"
+            lines[i] = "\t".join(fields)
+        (tmp_path / "data.tsv").write_text("\n".join(lines) + "\n")
+        cfg = in_domain_cfg(corpus_dir, representation="boswe", audit=True,
+                            data_path=str(tmp_path / "data.tsv"),
+                            embeddings_path=str(corpus_dir / "decoys.bin"))
+        # Record the vectors that histograms (not k-means) pass to assign_batch.
+        passed, fitting = [], []
+        fit_codebook, assign_batch = kaes.harness.fit_codebook, Codebook.assign_batch
+
+        def fit(*args, **kwargs):
+            fitting.append(True)
+            try:
+                return fit_codebook(*args, **kwargs)
+            finally:
+                fitting.pop()
+
+        def assign(codebook, vectors):
+            if not fitting:
+                passed.append(np.array(vectors))
+            return assign_batch(codebook, vectors)
+
+        monkeypatch.setattr(kaes.harness, "fit_codebook", fit)
+        monkeypatch.setattr(Codebook, "assign_batch", assign)
+        table = run_in_domain(cfg)
+        assert table.cells[0].failed is None
+        text = {e.id: e.text for e in parse_asap_tsv(Path(cfg.data_path).read_bytes())}
+        vectors = load_word2vec_binary(cfg.embeddings_path)
+        assert len(passed) == len(table.audit) == 5
+        for rows, cell in zip(passed, table.audit):
+            types = sorted({t for eid in cell.train_ids + cell.eval_ids
+                            for t in tokenize(text[eid]) if t in vectors.vocab})
+            # One row per type, in sorted token order.
+            assert np.array_equal(rows, vectors.vectors[[vectors.vocab[t] for t in types]])
 
 
 class TestVectorsLoad:
