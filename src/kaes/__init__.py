@@ -26,13 +26,11 @@ from .corpus import (
     make_transfer_split,
     parse_asap_tsv,
     scale_score,
-    transfer_split_manifest,
     unscale_score,
 )
 from .embeddings import (
     EmbeddingModel,
     load_word2vec_binary,
-    lookup,
     save_word2vec_binary,
     tokenize,
 )
@@ -65,7 +63,6 @@ from .string_kernel import (
 from .svr import (
     SvrConfig,
     SvrModel,
-    dual_objective,
     load_svr_model,
     predict,
     save_svr_model,

@@ -207,8 +207,7 @@ def fit_codebook(
     k: int = DEFAULT_CLUSTERS,
     seed: int = 0,
     max_iters: int = DEFAULT_KMEANS_ITERS,
-    return_history: bool = False,
-):
+) -> Codebook:
     """Cluster word vectors into a codebook with k-means.
 
     k-means++ seeding followed by Lloyd iterations; stops when no assignment
@@ -216,9 +215,6 @@ def fit_codebook(
     that empty out keep their previous centroid, so the mean squared
     distortion never increases between iterations.  Fewer than k distinct
     vectors, or a NaN or infinite component, is an error.
-
-    With ``return_history=True`` returns ``(codebook, distortions)`` where
-    ``distortions`` has one mean-squared-distance entry per Lloyd iteration.
     """
     points = np.ascontiguousarray(vectors, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -229,10 +225,7 @@ def fit_codebook(
     rng = derive_rng(seed, KMEANS)
     centers, _ = _kmeans_pp_init(points, k, rng)
     labels = _assign_blocked(points, centers)
-    history: list[float] = []
     for _ in range(max_iters):
-        if return_history:
-            history.append(float(_sqdist_to_assigned(points, centers, labels).mean()))
         order = np.argsort(labels, kind="stable")
         sorted_labels = labels[order]
         present, starts = np.unique(sorted_labels, return_index=True)
@@ -257,8 +250,6 @@ def fit_codebook(
     codebook.distortion = float(
         _sqdist_to_assigned(points, codebook._centroids64, final_labels).mean()
     )
-    if return_history:
-        return codebook, history
     return codebook
 
 

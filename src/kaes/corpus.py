@@ -91,14 +91,12 @@ def unscale_score(unit: float, score_range: ScoreRange) -> int:
 def parse_asap_tsv(
     data: bytes,
     prompt_filter: int | None = None,
-    score_ranges: dict[int, ScoreRange] | None = None,
 ) -> list[Essay]:
     """Parse ASAP-format TSV bytes into validated essays.
 
     Args:
         data: raw file content (header row required; CR/LF tolerated).
         prompt_filter: if given, keep only rows of that prompt.
-        score_ranges: per-prompt ranges; defaults to the published ASAP table.
 
     Raises:
         TsvParseError: missing columns, wrong column count, non-integer
@@ -106,7 +104,6 @@ def parse_asap_tsv(
         ScoreValidationError: unknown prompt or out-of-range score (message
             carries the essay id).
     """
-    ranges = ASAP_SCORE_RANGES if score_ranges is None else score_ranges
     text = data.decode(_ENCODING, errors="surrogateescape")
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -137,7 +134,7 @@ def parse_asap_tsv(
             raise TsvParseError(f"non-integer essay_set {row[col['essay_set']]!r}", line=lineno)
         if prompt_filter is not None and prompt != prompt_filter:
             continue
-        if prompt not in ranges:
+        if prompt not in ASAP_SCORE_RANGES:
             raise ScoreValidationError(f"essay {essay_id}: unknown prompt {prompt}")
         try:
             raw_score = int(row[col["domain1_score"]])
@@ -145,7 +142,7 @@ def parse_asap_tsv(
             raise TsvParseError(
                 f"non-integer domain1_score {row[col['domain1_score']]!r}", line=lineno
             )
-        score_range = ranges[prompt]
+        score_range = ASAP_SCORE_RANGES[prompt]
         if not score_range.contains(raw_score):
             raise ScoreValidationError(
                 f"essay {essay_id}: score {raw_score} outside range {score_range}"
@@ -175,14 +172,7 @@ class FoldPlan:
     differ by at most one.
     """
 
-    fold_count: int
-    repetitions: int
-    seed: int
     assignment: tuple[dict[str, int], ...]
-
-    def fold_ids(self, repetition: int, fold: int) -> tuple[str, ...]:
-        mapping = self.assignment[repetition]
-        return tuple(eid for eid, f in mapping.items() if f == fold)
 
     def split_ids(self, repetition: int, fold: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Return (train_ids, eval_ids) for one repetition/fold cell."""
@@ -190,31 +180,6 @@ class FoldPlan:
         train = tuple(eid for eid, f in mapping.items() if f != fold)
         evaluation = tuple(eid for eid, f in mapping.items() if f == fold)
         return train, evaluation
-
-    def to_manifest(self) -> str:
-        """Serialize as a plain-text audit manifest (repetition, fold, id)."""
-        lines = [f"# folds={self.fold_count} repetitions={self.repetitions} seed={self.seed}"]
-        for rep, mapping in enumerate(self.assignment):
-            for eid, fold in sorted(mapping.items()):
-                lines.append(f"{rep}\t{fold}\t{eid}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_manifest(cls, text: str) -> "FoldPlan":
-        lines = [ln for ln in text.split("\n") if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise TsvParseError("manifest header line missing", line=1)
-        meta = dict(item.split("=") for item in lines[0].lstrip("# ").split())
-        assignment: list[dict[str, int]] = [dict() for _ in range(int(meta["repetitions"]))]
-        for lineno, line in enumerate(lines[1:], start=2):
-            rep_s, fold_s, eid = line.split("\t")
-            assignment[int(rep_s)][eid] = int(fold_s)
-        return cls(
-            fold_count=int(meta["folds"]),
-            repetitions=int(meta["repetitions"]),
-            seed=int(meta["seed"]),
-            assignment=tuple(assignment),
-        )
 
 
 def make_folds(essays: list[Essay], fold_count: int, repetitions: int, seed: int) -> FoldPlan:
@@ -240,9 +205,7 @@ def make_folds(essays: list[Essay], fold_count: int, repetitions: int, seed: int
             start += size
         # Re-key in corpus order so iteration over the mapping is stable.
         assignment.append({eid: mapping[eid] for eid in ids})
-    return FoldPlan(
-        fold_count=fold_count, repetitions=repetitions, seed=seed, assignment=tuple(assignment)
-    )
+    return FoldPlan(assignment=tuple(assignment))
 
 
 def make_transfer_split(
@@ -272,19 +235,6 @@ def make_transfer_split(
     rng = derive_rng(seed, TRANSFER_SUBSAMPLE, repetition)
     picked = rng.choice(len(pool), size=n_t, replace=False)
     return tuple(pool[i] for i in sorted(picked)), eval_ids
-
-
-def transfer_split_manifest(
-    extra_train_ids: tuple[str, ...], eval_ids: tuple[str, ...], repetition: int
-) -> str:
-    """Plain-text audit manifest of one transfer split (same shape as fold plans)."""
-    lines = [f"# transfer repetition={repetition} extra={len(extra_train_ids)} "
-             f"eval={len(eval_ids)}"]
-    for eid in extra_train_ids:
-        lines.append(f"{repetition}\textra\t{eid}")
-    for eid in eval_ids:
-        lines.append(f"{repetition}\teval\t{eid}")
-    return "\n".join(lines) + "\n"
 
 
 def _mix_partition_seed(seed: int) -> int:

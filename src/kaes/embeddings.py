@@ -49,14 +49,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def lookup(model: EmbeddingModel, token: str) -> np.ndarray | None:
-    """The stored vector for ``token``, or None when out of vocabulary."""
-    idx = model.vocab.get(token)
-    if idx is None:
-        return None
-    return model.vectors[idx]
-
-
 def load_word2vec_binary(
     source: str | Path | BinaryIO,
     vocab_limit: int | None = DEFAULT_VOCAB_LIMIT,

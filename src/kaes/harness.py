@@ -62,6 +62,7 @@ from .string_kernel import (
     normalize_kernel,
     normalize_text,
     save_kernel_matrix,
+    self_similarities,
 )
 from .svr import SvrConfig, SvrModel, predict, train_nu_svr
 
@@ -94,7 +95,6 @@ class ExperimentConfig:
     nt: tuple[int, ...] = DEFAULT_SUBSAMPLE_SIZES
     vocab_limit: int | None = DEFAULT_VOCAB_LIMIT
     kmeans_iters: int = DEFAULT_KMEANS_ITERS
-    audit: bool = False
 
     def resolved_repetitions(self) -> int:
         if self.repetitions is not None:
@@ -116,6 +116,13 @@ class ExperimentConfig:
                     raise KaesError(f"invalid prompt id {p}")
         elif self.prompt is not None and self.prompt not in ASAP_SCORE_RANGES:
             raise KaesError(f"invalid prompt id {self.prompt}")
+        # Cross-validation needs a fold to train on besides the one it scores.
+        min_folds = 2 if self.mode == "in-domain" else 1
+        if self.folds < min_folds:
+            raise KaesError(f"--folds must be at least {min_folds} in {self.mode} mode, "
+                            f"got {self.folds}")
+        if self.k < 1:
+            raise KaesError(f"--k must be at least 1, got {self.k}")
 
     def summary(self) -> str:
         parts = [
@@ -135,18 +142,6 @@ class ExperimentConfig:
         elif self.prompt is not None:
             parts.append(f"prompt={self.prompt}")
         return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    """Id sets used at each stage of one cell, for leakage inspection."""
-
-    key: str
-    repetition: int
-    fold_or_nt: int
-    train_ids: tuple[str, ...]
-    eval_ids: tuple[str, ...]
-    codebook_doc_ids: tuple[str, ...] | None
 
 
 @dataclass
@@ -170,7 +165,6 @@ class ResultTable:
     representation: str
     meta: str = ""
     cells: list[ResultCell] = field(default_factory=list)
-    audit: list[AuditRecord] = field(default_factory=list)
 
     def overall(self) -> float | None:
         """Unweighted mean over per-key means (in-domain all-prompt runs)."""
@@ -305,8 +299,31 @@ def _gram_cache_key(essays: Sequence[Essay], cfg: ExperimentConfig) -> str:
     return digest.hexdigest()[:24]
 
 
+def _cache_mismatch(
+    raw: KernelMatrix, essays: Sequence[Essay], cfg: ExperimentConfig
+) -> str | None:
+    """Why a loaded cache file cannot be the raw n-gram Gram of ``essays``, or None."""
+    ids = tuple(e.id for e in essays)
+    if raw.row_ids != ids or raw.col_ids != ids:
+        return "it does not match the document set"
+    if raw.kind != "hisk-raw":
+        return f"it holds a {raw.kind} matrix, not hisk-raw"
+    if not np.isfinite(raw.values).all():
+        return "it holds NaN or infinite values"
+    if not np.array_equal(raw.values, raw.values.T):
+        return "it is not symmetric"
+    closed_form = self_similarities([e.text for e in essays], cfg.ngram_min, cfg.ngram_max)
+    if not np.array_equal(raw.diag_rows, closed_form):
+        return "its diagonal is not the documents' self-similarities"
+    return None
+
+
 def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> KernelMatrix:
-    """Full normalized n-gram Gram over a document set, disk-cached when possible."""
+    """Full normalized n-gram Gram over a document set, disk-cached when possible.
+
+    A cache file that cannot be read, or that cannot be the raw Gram matrix
+    of these documents, is a miss: it is logged, recomputed and rewritten.
+    """
     ids = tuple(e.id for e in essays)
     cache_path = None
     if cfg.cache_dir:
@@ -319,11 +336,10 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
             except BinaryFormatError as exc:
                 logger.warning("ignoring unreadable cache file %s: %s", cache_path, exc)
             else:
-                if raw.row_ids == ids:
+                mismatch = _cache_mismatch(raw, essays, cfg)
+                if mismatch is None:
                     return normalize_kernel(raw)
-                logger.warning(
-                    "ignoring cache file %s: it does not match the document set", cache_path
-                )
+                logger.warning("ignoring cache file %s: %s", cache_path, mismatch)
     logger.info(
         "computing %d-document n-gram Gram matrix (range [%d,%d])",
         len(essays), cfg.ngram_min, cfg.ngram_max,
@@ -431,13 +447,13 @@ def _cell_blocks(
     hisk_gram: KernelMatrix | None,
     embedded: _Embedded | None,
     tags: tuple[int, ...],
-) -> tuple[KernelMatrix, KernelMatrix, Codebook | None]:
-    """Train and eval kernel blocks for one cell, plus its codebook (None for hisk).
+) -> tuple[KernelMatrix, KernelMatrix]:
+    """Train and eval kernel blocks for one cell.
 
     One histogram call covers the train and eval essays, so each token type
     is assigned once per codebook.
     """
-    hisk_train = hisk_eval = boswe_train = boswe_eval = codebook = None
+    hisk_train = hisk_eval = boswe_train = boswe_eval = None
     if hisk_gram is not None:
         hisk_train = hisk_gram.take(train_ids, train_ids)
         hisk_eval = hisk_gram.take(eval_ids, train_ids)
@@ -447,7 +463,7 @@ def _cell_blocks(
         hists, n = _histograms(codebook, embedded, train_ids + eval_ids), len(train_ids)
         boswe_train = boswe_kernel_matrix(hists[:n], row_ids=train_ids)
         boswe_eval = boswe_kernel_matrix(hists[n:], hists[:n], row_ids=eval_ids, col_ids=train_ids)
-    return _fuse(cfg, hisk_train, boswe_train), _fuse(cfg, hisk_eval, boswe_eval), codebook
+    return _fuse(cfg, hisk_train, boswe_train), _fuse(cfg, hisk_eval, boswe_eval)
 
 
 def _score_cell(
@@ -489,12 +505,12 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
 
         def splits(subset=subset):
             plan = make_folds(subset, fold_count=cfg.folds, repetitions=reps, seed=cfg.seed)
-            return [[(rep, fold, (rep, fold), f"rep{rep}/fold{fold}",
+            return [[(rep, (rep, fold), f"rep{rep}/fold{fold}",
                       functools.partial(plan.split_ids, rep, fold))
                      for rep in range(reps) for fold in range(cfg.folds)]]
 
         table.cells += _protocol_cells(cfg, str(prompt), (None,), subset, splits,
-                                       ASAP_SCORE_RANGES[prompt], embedded, table.audit)
+                                       ASAP_SCORE_RANGES[prompt], embedded)
     return table
 
 
@@ -524,14 +540,13 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
         return source_ids + extra_ids, eval_ids
 
     def splits():
-        return [[(rep, n_t, (rep, nt_index), f"rep{rep}", functools.partial(split, n_t, rep))
+        return [[(rep, (rep, nt_index), f"rep{rep}", functools.partial(split, n_t, rep))
                  for rep in range(reps)]
                 for nt_index, n_t in enumerate(cfg.nt)]
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
     table.cells += _protocol_cells(cfg, f"{cfg.source}->{cfg.target}", cfg.nt, pair_essays,
-                                   splits, ASAP_SCORE_RANGES[cfg.target], embedded,
-                                   table.audit)
+                                   splits, ASAP_SCORE_RANGES[cfg.target], embedded)
     return table
 
 
@@ -543,15 +558,14 @@ def _protocol_cells(
     splits,
     score_range: ScoreRange,
     embedded: _Embedded | None,
-    audit: list[AuditRecord],
 ) -> list[ResultCell]:
     """One result cell per entry of ``n_ts``, all over one document set.
 
-    ``splits()`` returns, per cell, its splits as ``(rep, fold_or_nt, tags,
-    where, ids)``: ``tags`` seed the split's codebook, ``where`` names it in
-    failure notes and ``ids()`` gives its (train, eval) ids.  The Gram matrix
-    is prepared once; if that or ``splits()`` fails, every cell fails with the
-    reason.  A failing split only costs its own kappa.
+    ``splits()`` returns, per cell, its splits as ``(rep, tags, where, ids)``:
+    ``tags`` seed the split's codebook, ``where`` names it in failure notes
+    and ``ids()`` gives its (train, eval) ids.  The Gram matrix is prepared
+    once; if that or ``splits()`` fails, every cell fails with the reason.
+    A failing split only costs its own kappa.
     """
     what = f"pair {key}" if cfg.mode == "cross-domain" else f"prompt {key}"
     try:
@@ -571,12 +585,12 @@ def _protocol_cells(
     for n_t, group in zip(n_ts, cell_splits):
         by_rep: dict[int, list[float]] = {}
         failures: list[str] = []
-        for rep, fold_or_nt, tags, where, ids in group:
+        for rep, tags, where, ids in group:
             try:
                 train_ids, eval_ids = ids()
                 logger.debug("%s n_t=%s %s: train=%d eval=%d",
                              what, n_t, where, len(train_ids), len(eval_ids))
-                k_train, k_eval, codebook = _cell_blocks(
+                k_train, k_eval = _cell_blocks(
                     cfg, train_ids, eval_ids, hisk_gram, embedded, tags
                 )
                 kappa = _score_cell(cfg, k_train, k_eval, unit_by_id, raw_by_id, score_range)
@@ -586,12 +600,6 @@ def _protocol_cells(
                 logger.error("%s n_t=%s %s failed: %s", what, n_t, where, reason)
                 continue
             by_rep.setdefault(rep, []).append(kappa)
-            if cfg.audit:
-                audit.append(AuditRecord(
-                    key=key, repetition=rep, fold_or_nt=fold_or_nt,
-                    train_ids=tuple(sorted(train_ids)), eval_ids=tuple(sorted(eval_ids)),
-                    codebook_doc_ids=None if codebook is None else tuple(sorted(train_ids)),
-                ))
         cells.append(_result_cell(cfg, key, n_t, by_rep, failures))
     return cells
 

@@ -71,10 +71,6 @@ class KernelMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    @property
-    def is_square(self) -> bool:
-        return self.row_ids == self.col_ids
-
     def take(self, row_ids: Sequence[str], col_ids: Sequence[str]) -> "KernelMatrix":
         """Slice a sub-block by document ids, keeping kind and diagonals."""
         row_pos = {eid: i for i, eid in enumerate(self.row_ids)}
@@ -92,6 +88,21 @@ class KernelMatrix:
             diag_rows=None if self.diag_rows is None else self.diag_rows[ri],
             diag_cols=None if self.diag_cols is None else self.diag_cols[ci],
         )
+
+
+def self_similarities(texts: Sequence[str], n_min: int, n_max: int) -> np.ndarray:
+    """Each text's kernel value with itself: ``sum_n max(len - n + 1, 0)``.
+
+    ``len`` is the canonicalized length and n runs over n_min .. n_max.  The
+    terms are an arithmetic series, summed in closed form as exact integers,
+    so the cost does not grow with the n-gram range.
+    """
+    lengths = np.array([len(normalize_text(t)) for t in texts], dtype=np.int64)
+    longest = int(lengths.max(initial=0))
+    lo, hi = min(n_min, longest + 1), min(n_max, longest)
+    top = np.minimum(lengths, hi)
+    count = np.maximum(top - lo + 1, 0)
+    return (count * (2 * lengths + 2 - lo - top) // 2).astype(np.float64)
 
 
 def _default_ids(n: int, prefix: str) -> tuple[str, ...]:
@@ -213,7 +224,7 @@ def kernel_matrix(
     the canonicalized texts (see :func:`normalize_text`), of the smaller of
     its counts in text i and in text j.  With ``cols=None`` (or the
     identical list) this is the square Gram matrix of ``rows``, whose
-    diagonal is the closed form ``sum_n max(len - n + 1, 0)``.
+    diagonal is :func:`self_similarities`.
 
     Every value is exact.  Products of 0/1 columns are 0 or 1, so each
     block's sums are integers of at most ``_GRAM_BLOCK_CELLS`` terms, below
@@ -235,9 +246,7 @@ def kernel_matrix(
         raise KernelMismatchError("id list length does not match text list length")
 
     texts = [normalize_text(t) for t in (rows if square else [*rows, *cols])]
-    lengths = np.array([len(t) for t in texts], dtype=np.int64)
-    totals = np.maximum(lengths[:, None] - np.arange(n_min - 1, n_max), 0).sum(axis=1)
-    totals = totals.astype(np.float64)
+    totals = self_similarities(texts, n_min, n_max)
     values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
     for gram, doc, count in _shared_ngram_counts(texts, len(rows), square, n_min, n_max):
         _add_intersections(values, gram, doc, count, square, _GRAM_BLOCK_CELLS)

@@ -113,19 +113,14 @@ def train_nu_svr(
     y: np.ndarray,
     config: SvrConfig = SvrConfig(),
     seed: int = 0,
-    record_objective: bool = False,
-):
+) -> SvrModel:
     """Solve the nu-SVR dual over a precomputed kernel.
 
     Stops when the larger of the two per-block KKT violations drops below
     ``config.kkt_tolerance``, or after ``config.max_iterations`` pair
     updates (the model is then returned with ``converged=False`` and a
-    warning).  The solver itself is deterministic; ``seed`` is recorded for
-    audit only.
-
-    With ``record_objective=True`` returns ``(model, objectives)`` where
-    ``objectives`` holds the dual objective before the first update and
-    after every update.
+    warning).  The solver itself is deterministic; ``seed`` is only stored
+    in the model.
     """
     values = _check_square_symmetric(kernel)
     y = np.asarray(y, dtype=np.float64)
@@ -142,15 +137,6 @@ def train_nu_svr(
     beta_a = np.clip(budget / 2.0 - np.arange(r) * bound, 0.0, bound)
     beta_s = beta_a.copy()
     u = np.zeros(r)
-
-    objectives: list[float] = []
-
-    def objective() -> float:
-        coef = beta_a - beta_s
-        return 0.5 * float(coef @ u) - float(y @ coef)
-
-    if record_objective:
-        objectives.append(objective())
 
     tol = config.kkt_tolerance
     iterations = 0
@@ -199,8 +185,6 @@ def train_nu_svr(
         iterations += 1
         if iterations % _REFRESH_INTERVAL == 0:
             u = values @ (beta_a - beta_s)
-        if record_objective:
-            objectives.append(objective())
 
     if not converged:
         logger.warning(
@@ -212,7 +196,7 @@ def train_nu_svr(
     g_a = u - y
     rho_a = _class_level(g_a, beta_a, bound)
     rho_s = _class_level(-g_a, beta_s, bound)
-    model = SvrModel(
+    return SvrModel(
         coefficients=beta_a - beta_s,
         bias=(rho_s - rho_a) / 2.0,
         epsilon_star=-(rho_a + rho_s) / 2.0,
@@ -222,16 +206,6 @@ def train_nu_svr(
         converged=converged,
         iterations=iterations,
     )
-    if record_objective:
-        return model, objectives
-    return model
-
-
-def dual_objective(kernel: KernelMatrix, y: np.ndarray, coefficients: np.ndarray) -> float:
-    """Dual objective value of signed coefficients (for diagnostics/tests)."""
-    coef = np.asarray(coefficients, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return 0.5 * float(coef @ kernel.values @ coef) - float(y @ coef)
 
 
 def predict(model: SvrModel, kernel: KernelMatrix) -> np.ndarray:

@@ -179,6 +179,13 @@ def project_capped_simplex(v: np.ndarray, cap: float, total: float) -> np.ndarra
     return np.clip(v - shift, 0.0, cap)
 
 
+def dual_objective(kernel: KernelMatrix, y: np.ndarray, coefficients: np.ndarray) -> float:
+    """nu-SVR dual objective 0.5 c' K c - y' c of signed coefficients c = a - s."""
+    coef = np.asarray(coefficients, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return 0.5 * float(coef @ kernel.values @ coef) - float(y @ coef)
+
+
 def solve_nu_svr_qp(
     kernel: np.ndarray,
     y: np.ndarray,

@@ -20,11 +20,12 @@ from kaes.fusion import sum_kernels
 from kaes.harness import ExperimentConfig, emit_report, run_cross_domain, run_in_domain
 from kaes.metrics import qwk
 from kaes.string_kernel import kernel_matrix, normalize_kernel
-from kaes.svr import SvrConfig, dual_objective, train_nu_svr
+from kaes.svr import SvrConfig, train_nu_svr
 
 from oracles import (
     FeatureMatrix,
     concat_features,
+    dual_objective,
     linear_gram,
     naive_hisk,
     qwk_direct,

@@ -202,6 +202,21 @@ class TestCommands:
         assert code == 1
         assert "error: missing required option --data" in err
 
+    @pytest.mark.parametrize("argv, minimum", [
+        (["eval-indomain", "--prompt", "1", "--folds", "1"], "--folds must be at least 2"),
+        (["eval-indomain", "--prompt", "1", "--folds", "0"], "--folds must be at least 2"),
+        (["eval-indomain", "--prompt", "1", "--k", "0"], "--k must be at least 1"),
+        (["eval-crossdomain", "--source", "1", "--target", "2", "--folds", "0"],
+         "--folds must be at least 1"),
+    ])
+    def test_too_few_folds_or_clusters_fail_up_front(self, workdir, capsys, monkeypatch,
+                                                     argv, minimum):
+        monkeypatch.setattr(kaes.harness, "load_essays", None)  # nothing is read
+        code, out, err = run_main(capsys, [*argv, "--data", workdir / "pair.tsv"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {minimum}")
+        assert "Traceback" not in err
 
     def test_train_boswe_ignores_whitespace_only_essay(self, workdir, tmp_path, capsys):
         lines = make_corpus_tsv(30, seed=7).decode().splitlines()

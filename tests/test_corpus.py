@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from kaes.corpus import (
     ASAP_SCORE_RANGES,
     Essay,
-    FoldPlan,
     ScoreRange,
     make_folds,
     make_transfer_split,
@@ -119,12 +118,12 @@ class TestParse:
 class TestFolds:
     def test_balanced_partition(self):
         plan = make_folds(make_essays(10), fold_count=5, repetitions=1, seed=0)
-        sizes = [len(plan.fold_ids(0, f)) for f in range(5)]
+        sizes = [len(plan.split_ids(0, f)[1]) for f in range(5)]
         assert sizes == [2, 2, 2, 2, 2]
 
     def test_remainder_rule(self):
         plan = make_folds(make_essays(11), fold_count=5, repetitions=1, seed=0)
-        sizes = sorted(len(plan.fold_ids(0, f)) for f in range(5))
+        sizes = sorted(len(plan.split_ids(0, f)[1]) for f in range(5))
         assert sizes == [2, 2, 2, 2, 3]
 
     def test_determinism(self):
@@ -142,19 +141,13 @@ class TestFolds:
         plan = make_folds(essays, fold_count=5, repetitions=4, seed=3)
         all_ids = {e.id for e in essays}
         for rep in range(4):
-            folds = [set(plan.fold_ids(rep, f)) for f in range(5)]
+            folds = [set(plan.split_ids(rep, f)[1]) for f in range(5)]
             assert set().union(*folds) == all_ids
             assert sum(len(f) for f in folds) == len(all_ids)
 
     def test_too_few_essays(self):
         with pytest.raises(ScoreValidationError):
             make_folds(make_essays(3), fold_count=5, repetitions=1, seed=0)
-
-    def test_manifest_round_trip(self):
-        plan = make_folds(make_essays(12), fold_count=4, repetitions=2, seed=11)
-        restored = FoldPlan.from_manifest(plan.to_manifest())
-        assert restored.assignment == plan.assignment
-        assert restored.seed == plan.seed
 
 
 class TestTransferSplit:
@@ -190,13 +183,3 @@ class TestTransferSplit:
     def test_subsample_too_large(self):
         with pytest.raises(ScoreValidationError):
             make_transfer_split(make_essays(10), 9, 0, seed=1)
-
-    def test_split_manifest(self):
-        from kaes.corpus import transfer_split_manifest
-
-        extra, evaluation = make_transfer_split(make_essays(30), 4, 2, seed=5)
-        manifest = transfer_split_manifest(extra, evaluation, repetition=2)
-        lines = manifest.splitlines()
-        assert lines[0].startswith("# transfer repetition=2")
-        assert sum(1 for ln in lines if "\textra\t" in ln) == 4
-        assert sum(1 for ln in lines if "\teval\t" in ln) == len(evaluation)

@@ -7,12 +7,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kaes.embeddings import (
+    EmbeddingModel,
     load_word2vec_binary,
-    lookup,
     save_word2vec_binary,
     tokenize,
 )
 from kaes.errors import BinaryFormatError
+
+
+def vector_of(model: EmbeddingModel, token: str) -> np.ndarray | None:
+    """The vector the model holds for ``token``, or None when out of vocabulary."""
+    return model.vectors[model.vocab[token]] if token in model.vocab else None
 
 
 def fixture_bytes(trailing_newline: bool = True) -> bytes:
@@ -28,12 +33,12 @@ class TestLoader:
         assert model.dim == 3
         assert len(model) == 2
         assert list(model.vocab) == ["cat", "dog"]
-        np.testing.assert_array_equal(lookup(model, "cat"), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(vector_of(model, "cat"), [1.0, 2.0, 3.0])
 
     def test_without_record_newlines(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes(trailing_newline=False)))
         assert len(model) == 2
-        np.testing.assert_array_equal(lookup(model, "dog"), [-1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(vector_of(model, "dog"), [-1.0, 0.5, 0.25])
 
     def test_vocab_limit(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()), vocab_limit=1)
@@ -57,7 +62,7 @@ class TestLoader:
         vec = np.array([9.0, 9.0, 9.0], dtype="<f4").tobytes()
         data = b"3 3\n" + fixture_bytes()[4:] + b"cat " + vec + b"\n"
         model = load_word2vec_binary(io.BytesIO(data))
-        np.testing.assert_array_equal(lookup(model, "cat"), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(vector_of(model, "cat"), [1.0, 2.0, 3.0])
 
     def test_round_trip_bit_identical(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()))
@@ -112,7 +117,7 @@ class TestKeep:
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()), keep={"dog", "bird"})
         assert list(model.vocab) == ["dog"]
         assert model.vectors.shape == (1, 3)
-        np.testing.assert_array_equal(lookup(model, "dog"), [-1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(vector_of(model, "dog"), [-1.0, 0.5, 0.25])
 
     def test_vocab_limit_counts_scanned_records(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()), vocab_limit=1, keep={"dog"})
@@ -146,8 +151,8 @@ class TestKeep:
         assert len(kept) <= len(keep)
         assert set(kept.vocab) <= keep
         for token in TOKENS + ["absent"]:
-            want = lookup(full, token) if token in keep else None
-            got = lookup(kept, token)
+            want = vector_of(full, token) if token in keep else None
+            got = vector_of(kept, token)
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.tobytes() == want.tobytes()
@@ -179,13 +184,13 @@ class TestTokenize:
 class TestLookup:
     def test_in_vocab_verbatim(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()))
-        np.testing.assert_array_equal(lookup(model, "dog"), [-1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(vector_of(model, "dog"), [-1.0, 0.5, 0.25])
 
     def test_oov_is_none(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()))
-        assert lookup(model, "bird") is None
+        assert vector_of(model, "bird") is None
 
     def test_pipeline_case_consistency(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()))
         (token,) = tokenize("Cat")
-        assert lookup(model, token) is not None
+        assert vector_of(model, token) is not None

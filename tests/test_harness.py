@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from kaes.harness import (
     run_in_domain,
     table_from_csv,
 )
-from kaes.string_kernel import KernelMatrix, save_kernel_matrix
+from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
 from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
 
 
@@ -65,6 +66,24 @@ def cross_domain_cfg(corpus_dir, **overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def record_cells(monkeypatch) -> tuple[list, list]:
+    """Record each cell's (train ids, eval ids) and the ids each codebook is fitted on."""
+    cells, codebooks = [], []
+    cell_blocks, fold_codebook = kaes.harness._cell_blocks, kaes.harness._fold_codebook
+
+    def blocks(cfg, train_ids, eval_ids, *args):
+        cells.append((train_ids, eval_ids))
+        return cell_blocks(cfg, train_ids, eval_ids, *args)
+
+    def codebook(embedded, train_ids, *args):
+        codebooks.append(tuple(train_ids))
+        return fold_codebook(embedded, train_ids, *args)
+
+    monkeypatch.setattr(kaes.harness, "_cell_blocks", blocks)
+    monkeypatch.setattr(kaes.harness, "_fold_codebook", codebook)
+    return cells, codebooks
 
 
 class TestInDomain:
@@ -110,23 +129,39 @@ class TestInDomain:
         warm = emit_report(run_in_domain(cfg), "text")
         assert warm == cold
 
-    @pytest.mark.parametrize("damage", ["truncated", "other-ids", "header-bit-flip"])
+    @pytest.mark.parametrize("damage", [
+        "truncated", "other-ids", "header-bit-flip", "hisk-normalized", "boswe",
+        "zero-diagonal", "nan-entry", "asymmetric",
+    ])
     def test_bad_cache_file_is_a_miss(self, corpus_dir, tmp_path, caplog, damage):
         cache = tmp_path / "cache"
         cfg = in_domain_cfg(corpus_dir, representation="hisk", cache_dir=str(cache))
         cold = emit_report(run_in_domain(cfg), "text")
         (cached,) = cache.iterdir()
         good = cached.read_bytes()
+        raw = load_kernel_matrix(cached)
         if damage == "truncated":
             cached.write_bytes(good[:17])
         elif damage == "header-bit-flip":
             # The top bit of the row count (u32 LE at byte 8) flipped: the
             # file declares about 2**31 rows that it does not hold.
             cached.write_bytes(good[:11] + bytes([good[11] ^ 0x80]) + good[12:])
-        else:
+        elif damage == "other-ids":
             other = KernelMatrix(values=np.eye(2), row_ids=("x", "y"), col_ids=("x", "y"),
                                  kind="hisk-raw")
             save_kernel_matrix(other, cached)
+        elif damage in ("hisk-normalized", "boswe"):
+            # Well-formed, with the right ids, but of another kind.
+            save_kernel_matrix(replace(raw, kind=damage), cached)
+        else:
+            values = raw.values.copy()
+            if damage == "zero-diagonal":
+                np.fill_diagonal(values, 0.0)
+            elif damage == "nan-entry":
+                values[0, 1] = values[1, 0] = np.nan
+            else:
+                values[0, 1] += 1.0
+            save_kernel_matrix(replace(raw, values=values), cached)
         with caplog.at_level(logging.WARNING, logger="kaes.harness"):
             again = emit_report(run_in_domain(cfg), "text")
         assert again == cold
@@ -134,16 +169,18 @@ class TestInDomain:
         assert list(cache.iterdir()) == [cached]
         assert cached.read_bytes() == good
 
-    def test_isolation_audit(self, corpus_dir):
-        cfg = in_domain_cfg(corpus_dir, audit=True)
-        table = run_in_domain(cfg)
-        assert table.audit
-        for record in table.audit:
-            train = set(record.train_ids)
-            evaluation = set(record.eval_ids)
-            assert train.isdisjoint(evaluation)
-            assert record.codebook_doc_ids is not None
-            assert set(record.codebook_doc_ids) == train
+    def test_isolation_audit(self, corpus_dir, monkeypatch):
+        cells, codebooks = record_cells(monkeypatch)
+        table = run_in_domain(in_domain_cfg(corpus_dir))
+        assert table.cells[0].failed is None
+        assert len(cells) == len(codebooks) == 5
+        all_ids = {e.id for e in parse_asap_tsv((corpus_dir / "prompt1.tsv").read_bytes())}
+        assert set().union(*(evaluation for _, evaluation in cells)) == all_ids
+        for (train, evaluation), fitted in zip(cells, codebooks):
+            assert set(train).isdisjoint(evaluation)
+            assert set(train) | set(evaluation) == all_ids
+            # Each fold's codebook sees its training essays and no other.
+            assert fitted == train
 
     def test_failed_cells_recorded_not_raised(self, corpus_dir):
         # k larger than the number of embedded token types: every fold fails,
@@ -213,15 +250,17 @@ class TestCrossDomain:
         assert cell.failed is None
         assert cell.n_runs == 5
 
-    def test_training_size_is_source_plus_nt(self, corpus_dir):
-        table = run_cross_domain(cross_domain_cfg(corpus_dir, audit=True))
-        by_nt = {}
-        for record in table.audit:
-            by_nt.setdefault(record.fold_or_nt, []).append(record)
-        for n_t, records in by_nt.items():
-            for record in records:
-                assert len(record.train_ids) == 60 + n_t
-                assert set(record.train_ids).isdisjoint(record.eval_ids)
+    def test_training_size_is_source_plus_nt(self, corpus_dir, monkeypatch):
+        cells, _ = record_cells(monkeypatch)
+        cfg = cross_domain_cfg(corpus_dir)
+        table = run_cross_domain(cfg)
+        assert [c.n_t for c in table.cells] == [0, 10]
+        assert all(c.failed is None for c in table.cells)
+        # The cells of each sub-sample size run in turn, five repetitions each.
+        assert len(cells) == 2 * 5
+        for n_t, (train, evaluation) in zip([0] * 5 + [10] * 5, cells):
+            assert len(train) == 60 + n_t
+            assert set(train).isdisjoint(evaluation)
 
     def test_determinism(self, corpus_dir):
         cfg = cross_domain_cfg(corpus_dir)
@@ -292,7 +331,7 @@ class TestAssignOnce:
             fields[2] += f" decoy{i}"
             lines[i] = "\t".join(fields)
         (tmp_path / "data.tsv").write_text("\n".join(lines) + "\n")
-        cfg = in_domain_cfg(corpus_dir, representation="boswe", audit=True,
+        cfg = in_domain_cfg(corpus_dir, representation="boswe",
                             data_path=str(tmp_path / "data.tsv"),
                             embeddings_path=str(corpus_dir / "decoys.bin"))
         # Record the vectors that histograms (not k-means) pass to assign_batch.
@@ -313,13 +352,14 @@ class TestAssignOnce:
 
         monkeypatch.setattr(kaes.harness, "fit_codebook", fit)
         monkeypatch.setattr(Codebook, "assign_batch", assign)
+        cells, _ = record_cells(monkeypatch)
         table = run_in_domain(cfg)
         assert table.cells[0].failed is None
         text = {e.id: e.text for e in parse_asap_tsv(Path(cfg.data_path).read_bytes())}
         vectors = load_word2vec_binary(cfg.embeddings_path)
-        assert len(passed) == len(table.audit) == 5
-        for rows, cell in zip(passed, table.audit):
-            types = sorted({t for eid in cell.train_ids + cell.eval_ids
+        assert len(passed) == len(cells) == 5
+        for rows, (train, evaluation) in zip(passed, cells):
+            types = sorted({t for eid in train + evaluation
                             for t in tokenize(text[eid]) if t in vectors.vocab})
             # One row per type, in sorted token order.
             assert np.array_equal(rows, vectors.vectors[[vectors.vocab[t] for t in types]])

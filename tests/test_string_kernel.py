@@ -16,6 +16,7 @@ from kaes.string_kernel import (
     normalize_kernel,
     normalize_text,
     save_kernel_matrix,
+    self_similarities,
 )
 
 from oracles import naive_hisk, naive_ngram_counts
@@ -167,11 +168,27 @@ class TestOracle:
     def test_cols_given_as_the_rows_list_is_square(self):
         texts = ["ab c", "b ca"]
         k = kernel_matrix(texts, texts, n_min=1, n_max=3)
-        assert k.is_square
+        assert k.row_ids == k.col_ids == ("doc0", "doc1")
         assert np.array_equal(k.values, kernel_matrix(texts, n_min=1, n_max=3).values)
 
 
 class TestKernelMatrix:
+    @pytest.mark.parametrize("n_min", [1, 3, 12])
+    def test_huge_ngram_max_equals_the_longest_text(self, n_min):
+        # No n-gram is longer than the longest text, so a larger n_max adds
+        # nothing; the self-similarities cost O(documents) whatever it is.
+        rows, cols = ["the cat sat", "a dog"], ["cat", "dogs and cats"]
+        longest = max(len(normalize_text(t)) for t in rows + cols)
+        for args in ([rows], [rows, cols]):
+            huge = kernel_matrix(*args, n_min=n_min, n_max=10**12)
+            exact = kernel_matrix(*args, n_min=n_min, n_max=longest)
+            assert np.array_equal(huge.values, exact.values)
+            assert np.array_equal(huge.diag_rows, exact.diag_rows)
+            assert np.array_equal(huge.diag_cols, exact.diag_cols)
+        assert np.array_equal(self_similarities(rows + cols, n_min, 10**12),
+                              [sum(naive_ngram_counts(t, n_min, longest).values())
+                               for t in rows + cols])
+
     def test_identical_documents(self):
         k = kernel_matrix(["same text"] * 3, n_min=1, n_max=3)
         assert np.all(k.values == 9 + 8 + 7)
