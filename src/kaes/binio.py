@@ -10,9 +10,13 @@ before the read fails.
 from __future__ import annotations
 
 import contextlib
+import functools
+import operator
+import re
 import struct
+from itertools import accumulate, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 from .errors import BinaryFormatError
 
@@ -32,6 +36,11 @@ def write_id(stream: BinaryIO, doc_id: str) -> None:
     raw = doc_id.encode("utf-8")
     stream.write(struct.pack("<I", len(raw)))
     stream.write(raw)
+
+
+@functools.lru_cache(maxsize=8)
+def _record_pattern(size: int) -> re.Pattern[bytes]:
+    return re.compile(rb"([^ ]*) (?s:.){%d}" % size)
 
 
 class Reader:
@@ -135,3 +144,57 @@ class Reader:
                 return
             self._pos += 1
             self.offset += 1
+
+    def read_records(
+        self, size: int, limit: int, wanted: Callable[[bytes], bool] | None
+    ) -> tuple[int, list[tuple[bytes, bytes]]]:
+        """Consume the word2vec records that lie wholly in the buffer, at most ``limit``.
+
+        A record is newlines, a field that ends at a space, the space, and
+        ``size`` more bytes.  Returns how many records were consumed, with the
+        field and the ``size`` bytes of each one whose field ``wanted`` accepts
+        (of every one when ``wanted`` is None).  It consumes none, and never
+        reads the stream, when the next record is not wholly in the buffer:
+        that one is read by :meth:`skip_newlines`, :meth:`read_until` and
+        :meth:`read` or :meth:`skip`, which fetch more and raise the errors of
+        a cut record.
+
+        One ``findall`` of ``([^ ]*) (?s:.){size}`` splits the records, and
+        it splits them exactly as those steps do:
+
+        - At a record that is wholly in the buffer, the pattern matches on its
+          first try: the greedy ``[^ ]*`` runs to the first space, where
+          ``read_until(b" ")`` stops too, and ``size`` bytes follow that
+          space.  Before the field it takes the newlines that
+          :meth:`skip_newlines` consumes, and stripping them leaves the field.
+        - At a record that is not, no match starts: ``[^ ]*`` cannot pass a
+          space, so every way of matching needs the same first space, and
+          fewer than ``size`` bytes follow it (or there is none).  No match
+          starts at a later position either, as every later space has fewer
+          bytes after it.
+        - Each match is longer than ``size`` bytes, and the next search starts
+          where a match ended, trying that position first.
+
+        So the matches are the complete records from the current position,
+        back to back, up to the first record that is cut.
+        """
+        start = self._pos
+        # No record fits; this also keeps the pattern's count below the chunk size.
+        if len(self._buf) - start <= size:
+            return 0, []
+        heads = _record_pattern(size).findall(self._buf, start)
+        del heads[limit:]
+        if not heads:
+            return 0, []
+        fields = list(map(bytes.lstrip, heads, repeat(b"\n")))
+        # ends[i + 1] is where record i ends: after its newlines, field, space and size bytes.
+        ends = list(accumulate(map(operator.add, map(len, heads), repeat(size + 1)),
+                               initial=start))
+        picked = range(len(heads))
+        if wanted is not None:
+            picked = compress(picked, map(wanted, fields))
+        buf = self._buf
+        found = [(fields[i], buf[ends[i + 1] - size : ends[i + 1]]) for i in picked]
+        self._pos = ends[-1]
+        self.offset += ends[-1] - start
+        return len(heads), found

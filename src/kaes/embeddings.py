@@ -62,9 +62,15 @@ def load_word2vec_binary(
 
     With ``keep``, only records whose token is in it are kept; the others are
     still scanned, so they count towards ``vocab_limit`` and a truncated one
-    still fails, but their vectors are skipped unconverted.  Every kept token
-    has the vector a full load gives it; only row numbers differ.
+    still fails, but their tokens are not decoded and their vectors not
+    converted.  Every kept token has the vector a full load gives it; only
+    row numbers differ.
+
+    The records that lie wholly in the reader's buffer are split in one pass
+    by :meth:`Reader.read_records`; any other one, such as the one that
+    straddles two chunks or a cut one, is read field by field.
     """
+    wanted = None if keep is None else _token_bytes(keep).__contains__
     with open_binary(source, "rb") as stream:
         reader = Reader(stream)
         header = reader.read_until(b"\n", "header")
@@ -80,18 +86,45 @@ def load_word2vec_binary(
 
         n_scan = vocab_size if vocab_limit is None else min(vocab_limit, vocab_size)
         vocab: dict[str, int] = {}
-        rows: list[np.ndarray] = []
-        for _ in range(n_scan):
-            reader.skip_newlines()
-            raw_token = reader.read_until(b" ", "token")
-            token = raw_token.decode("utf-8", errors="surrogateescape")
-            if token in vocab or (keep is not None and token not in keep):
-                reader.skip(4 * dim, f"vector of {token!r}")
-                continue
-            vocab[token] = len(rows)
-            rows.append(np.frombuffer(reader.read(4 * dim, f"vector of {token!r}"), dtype="<f4"))
-        vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
-        return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)
+        table = bytearray()
+        scanned = 0
+        while scanned < n_scan:
+            count, found = reader.read_records(4 * dim, n_scan - scanned, wanted)
+            if not count:  # the next record is not wholly in the buffer
+                count = 1
+                reader.skip_newlines()
+                raw = reader.read_until(b" ", "token")
+                what = f"vector of {raw.decode('utf-8', errors='surrogateescape')!r}"
+                if wanted is None or wanted(raw):
+                    found = [(raw, reader.read(4 * dim, what))]
+                else:
+                    reader.skip(4 * dim, what)
+            scanned += count
+            for raw, vector in found:
+                token = raw.decode("utf-8", errors="surrogateescape")
+                if token not in vocab:
+                    vocab[token] = len(vocab)
+                    table += vector
+    vectors = np.frombuffer(table, dtype="<f4").reshape(len(vocab), dim)
+    return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)
+
+
+def _token_bytes(tokens: Collection[str]) -> set[bytes]:
+    """The bytes of the records whose tokens are ``tokens``.
+
+    A record's token is its bytes decoded with surrogateescape, which every
+    byte string survives, so a string that does not come back from its own
+    encoding is no record's token and is left out.
+    """
+    out = set()
+    for token in tokens:
+        try:
+            raw = token.encode("utf-8", errors="surrogateescape")
+        except UnicodeEncodeError:  # a surrogate no decoding produces
+            continue
+        if raw.decode("utf-8", errors="surrogateescape") == token:
+            out.add(raw)
+    return out
 
 
 def save_word2vec_binary(model: EmbeddingModel, target: str | Path | BinaryIO) -> None:

@@ -123,6 +123,12 @@ class ExperimentConfig:
                             f"got {self.folds}")
         if self.k < 1:
             raise KaesError(f"--k must be at least 1, got {self.k}")
+        if self.repetitions is not None and self.repetitions < 1:
+            raise KaesError(f"--repetitions must be at least 1, got {self.repetitions}")
+        if any(n < 0 for n in self.nt):
+            raise KaesError(f"--nt sizes must be at least 0, got {min(self.nt)}")
+        if self.vocab_limit is not None and self.vocab_limit < 0:
+            raise KaesError(f"--vocab-limit must be at least 0, got {self.vocab_limit}")
 
     def summary(self) -> str:
         parts = [

@@ -6,15 +6,20 @@ loops over the formula, nearest centroids by a linear scan, k-means++
 seeding and histogram intersections by the elementwise formulas, the nu-SVR
 dual solved by projected gradient with an accelerated first-order method
 run to a tight fixed-point tolerance, and explicit feature rows whose inner
-products are the linear kernel.
+products are the linear kernel.  The one exception is the word2vec loader:
+it reads each record field by field through ``binio.Reader``, so that the
+batch split of ``load_word2vec_binary`` is checked against those reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import BinaryIO, Collection
 
 import numpy as np
 
-from kaes.errors import KaesError, KernelMismatchError
+from kaes.binio import Reader
+from kaes.embeddings import _MAX_DIM, DEFAULT_VOCAB_LIMIT, EmbeddingModel
+from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
 from kaes.string_kernel import KernelMatrix, normalize_text
 
 
@@ -287,3 +292,38 @@ def concat_features(x1: FeatureMatrix, x2: FeatureMatrix) -> FeatureMatrix:
     if x1.ids != x2.ids:
         raise KernelMismatchError(f"document ids differ: {x1.ids} vs {x2.ids}")
     return FeatureMatrix(ids=x1.ids, values=np.hstack([x1.values, x2.values]))
+
+
+def load_word2vec_reference(
+    stream: BinaryIO,
+    vocab_limit: int | None = DEFAULT_VOCAB_LIMIT,
+    keep: Collection[str] | None = None,
+) -> EmbeddingModel:
+    """``load_word2vec_binary`` one record at a time: skip the newlines, read
+    the token up to its space, then read or skip the vector."""
+    reader = Reader(stream)
+    header = reader.read_until(b"\n", "header")
+    try:
+        count_s, dim_s = header.split()
+        vocab_size, dim = int(count_s), int(dim_s)
+    except ValueError:
+        raise BinaryFormatError(f"malformed header {header!r}", offset=0) from None
+    if vocab_size <= 0 or dim <= 0:
+        raise BinaryFormatError(f"non-positive header values {header!r}", offset=0)
+    if dim > _MAX_DIM:
+        raise BinaryFormatError(f"dimension too large in header {header!r}", offset=0)
+
+    n_scan = vocab_size if vocab_limit is None else min(vocab_limit, vocab_size)
+    vocab: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    for _ in range(n_scan):
+        reader.skip_newlines()
+        raw_token = reader.read_until(b" ", "token")
+        token = raw_token.decode("utf-8", errors="surrogateescape")
+        if token in vocab or (keep is not None and token not in keep):
+            reader.skip(4 * dim, f"vector of {token!r}")
+            continue
+        vocab[token] = len(rows)
+        rows.append(np.frombuffer(reader.read(4 * dim, f"vector of {token!r}"), dtype="<f4"))
+    vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
+    return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)

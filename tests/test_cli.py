@@ -208,6 +208,12 @@ class TestCommands:
         (["eval-indomain", "--prompt", "1", "--k", "0"], "--k must be at least 1"),
         (["eval-crossdomain", "--source", "1", "--target", "2", "--folds", "0"],
          "--folds must be at least 1"),
+        (["eval-indomain", "--prompt", "1", "--repetitions", "0"],
+         "--repetitions must be at least 1"),
+        (["eval-crossdomain", "--source", "1", "--target", "2", "--nt", "0,-3"],
+         "--nt sizes must be at least 0"),
+        (["eval-indomain", "--prompt", "1", "--vocab-limit", "-5"],
+         "--vocab-limit must be at least 0"),
     ])
     def test_too_few_folds_or_clusters_fail_up_front(self, workdir, capsys, monkeypatch,
                                                      argv, minimum):

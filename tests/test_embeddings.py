@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kaes.embeddings import (
     tokenize,
 )
 from kaes.errors import BinaryFormatError
+from oracles import load_word2vec_reference
 
 
 def vector_of(model: EmbeddingModel, token: str) -> np.ndarray | None:
@@ -112,7 +114,22 @@ def _outcome(data: bytes, **kwargs):
         return exc
 
 
+def _load_outcome(load, stream, **kwargs):
+    try:
+        model = load(stream, **kwargs)
+    except BinaryFormatError as exc:
+        return exc.offset, str(exc)
+    return model.dim, list(model.vocab.items()), model.vectors.dtype, model.vectors.tobytes()
+
+
 class TestKeep:
+    def test_list_keep_loads_as_set_keep(self):
+        data = _vectors_file(["cat", "dog", "cat", "é"], 3, True, seed=1)
+        want = _load_outcome(load_word2vec_binary, io.BytesIO(data), keep={"cat", "é", "bird"})
+        got = _load_outcome(load_word2vec_binary, io.BytesIO(data), keep=["bird", "é", "cat"])
+        assert got == want
+        assert want[1] == [("cat", 0), ("é", 1)]
+
     def test_keeps_only_listed_tokens(self):
         model = load_word2vec_binary(io.BytesIO(fixture_bytes()), keep={"dog", "bird"})
         assert list(model.vocab) == ["dog"]
@@ -156,6 +173,64 @@ class TestKeep:
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.tobytes() == want.tobytes()
+
+
+class _ShortReads(io.BytesIO):
+    """A stream whose every read returns 1-7 bytes, so that records straddle chunks."""
+
+    def __init__(self, data: bytes, seed: int):
+        super().__init__(data)
+        self._rng = random.Random(seed)
+
+    def read(self, size=-1):
+        n = self._rng.randint(1, 7)
+        return super().read(n if size < 0 else min(size, n))
+
+
+# Token bytes: "\xc3" alone and "\xff" are not UTF-8, "\n" may sit inside a
+# token, and short draws repeat tokens and give empty ones.
+TOKEN_PARTS = [b"a", b"b", b"\n", b"\xc3\xa9", b"\xc3", b"\xff"]
+# Strings no record decodes to: a surrogate that surrogateescape never makes,
+# and two escaped bytes that together decode to "\xe9".
+NO_TOKEN = ["absent", "\ud800", "\udcc3\udca9"]
+
+
+@st.composite
+def word2vec_files(draw):
+    """A word2vec file of random records, and a ``keep`` for it (or None)."""
+    dim = draw(st.integers(1, 4))
+    records = draw(st.lists(st.tuples(
+        st.integers(0, 2),  # newlines before the record: blank lines before the first
+        st.lists(st.sampled_from(TOKEN_PARTS), max_size=3).map(b"".join),
+        st.binary(min_size=4 * dim, max_size=4 * dim),
+        st.booleans(),  # a newline after the vector
+    ), max_size=8))
+    declared = len(records) + draw(st.integers(-1, 2))
+    parts = [f"{declared} {dim}\n".encode()]
+    for newlines, token, vector, newline_after in records:
+        parts += [b"\n" * newlines, token, b" ", vector, b"\n" * newline_after]
+    strings = [token.decode("utf-8", errors="surrogateescape") for _, token, _, _ in records]
+    strings = st.sampled_from(strings + NO_TOKEN)
+    keep = draw(st.one_of(st.none(), st.sets(strings), st.lists(strings).map(tuple)))
+    return b"".join(parts), keep
+
+
+class TestReferenceLoader:
+    @settings(max_examples=120, deadline=None)
+    @given(file=word2vec_files(), vocab_limit=st.one_of(st.none(), st.integers(0, 14)),
+           seed=st.integers(0, 2**16))
+    @example(file=(b"2 1\n\n\n\xc3\xa9 abcd\n\xc3 efgh", {"\udcc3\udca9", "\udcc3"}),
+             vocab_limit=None, seed=0)
+    def test_every_truncation_loads_as_record_by_record(self, file, vocab_limit, seed):
+        content, keep = file
+        for end in range(len(content) + 1):
+            cut = content[:end]
+            want = _load_outcome(load_word2vec_reference, io.BytesIO(cut),
+                                 vocab_limit=vocab_limit, keep=keep)
+            for stream in (io.BytesIO(cut), _ShortReads(cut, seed)):
+                got = _load_outcome(load_word2vec_binary, stream,
+                                    vocab_limit=vocab_limit, keep=keep)
+                assert got == want, (end, type(stream).__name__)
 
 
 class TestTokenize:
