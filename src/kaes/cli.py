@@ -30,6 +30,7 @@ from .harness import (
     run_in_domain,
     table_from_csv,
     train_model,
+    without_blank,
 )
 from .string_kernel import kernel_matrix, save_kernel_matrix
 from .svr import SvrConfig, load_svr_model, save_svr_model
@@ -215,10 +216,12 @@ def cmd_kernel(resolver: _Resolver) -> int:
             "only the n-gram Gram matrix is cacheable ahead of time; histogram "
             "kernels depend on the per-fold codebook"
         )
+    cfg.validate()
     out = resolver.get("out")
     if out is None and cfg.cache_dir is None:
         raise KaesError("give --out or --cache-dir to store the kernel matrix")
-    essays = load_essays(cfg.data_path, cfg.prompt)
+    # The same essays the protocols and `train` score, so --cache-dir warms their entry.
+    essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
     if out is not None:
         raw = kernel_matrix(
             [e.text for e in essays], row_ids=tuple(e.id for e in essays),

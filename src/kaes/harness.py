@@ -121,8 +121,15 @@ class ExperimentConfig:
         if self.folds < min_folds:
             raise KaesError(f"--folds must be at least {min_folds} in {self.mode} mode, "
                             f"got {self.folds}")
+        if self.ngram_min < 1:
+            raise KaesError(f"--ngram-min must be at least 1, got {self.ngram_min}")
+        if self.ngram_max < self.ngram_min:
+            raise KaesError(f"--ngram-max must be at least --ngram-min ({self.ngram_min}), "
+                            f"got {self.ngram_max}")
         if self.k < 1:
             raise KaesError(f"--k must be at least 1, got {self.k}")
+        if self.kmeans_iters < 0:
+            raise KaesError(f"--kmeans-iters must be at least 0, got {self.kmeans_iters}")
         if self.repetitions is not None and self.repetitions < 1:
             raise KaesError(f"--repetitions must be at least 1, got {self.repetitions}")
         if any(n < 0 for n in self.nt):
@@ -278,7 +285,7 @@ def load_essays(path: str | Path, prompt: int | None = None) -> list[Essay]:
     return parse_asap_tsv(Path(path).read_bytes(), prompt_filter=prompt)
 
 
-def _without_blank(essays: list[Essay]) -> list[Essay]:
+def without_blank(essays: list[Essay]) -> list[Essay]:
     """``essays`` minus those with no text once normalized, dropped with a warning.
 
     A blank essay has no n-grams and no tokens, so no kernel can score it.
@@ -499,7 +506,7 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     cfg.validate()
     if cfg.mode != "in-domain":
         raise KaesError(f"run_in_domain called with mode {cfg.mode!r}")
-    essays = _without_blank(load_essays(cfg.data_path, cfg.prompt))
+    essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
     (embedded,) = _embedded_essays(cfg, essays)
     reps = cfg.resolved_repetitions()
 
@@ -525,7 +532,7 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
     cfg.validate()
     if cfg.mode != "cross-domain":
         raise KaesError(f"run_cross_domain called with mode {cfg.mode!r}")
-    essays = _without_blank([e for e in load_essays(cfg.data_path)
+    essays = without_blank([e for e in load_essays(cfg.data_path)
                              if e.prompt in (cfg.source, cfg.target)])
     source_essays = [e for e in essays if e.prompt == cfg.source]
     target_essays = [e for e in essays if e.prompt == cfg.target]
@@ -665,7 +672,7 @@ def train_model(
     Returns the model and its codebook (None for hisk).
     """
     cfg.validate()
-    essays = _without_blank(essays)
+    essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
     hisk = None if cfg.representation == "boswe" else normalized_hisk_gram(essays, cfg)
     boswe = codebook = None
@@ -697,7 +704,7 @@ def predict_scores(
     if missing:
         raise KaesError(f"training essays missing from --train-data: {missing[:5]}")
     support_essays = [by_id[eid] for eid in model.support_ids]
-    essays = _without_blank(essays)
+    essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
 
     hisk = None

@@ -29,9 +29,10 @@ KIND_TAGS = {"hisk-raw": 0, "hisk-normalized": 1, "boswe": 2, "fused": 3, "linea
 _TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
 # Cells (documents x threshold columns) of one float32 0/1 block of the Gram
-# product.  A block's sums are bounded by its column count, which is at most
-# this budget, so it must stay below 2**24 for float32 sums to be exact.
+# product.
 _GRAM_BLOCK_CELLS = 1 << 22
+# Integers up to this one are exact in float32.
+_EXACT_F32 = 1 << 24
 
 
 def normalize_text(text: str) -> str:
@@ -97,7 +98,12 @@ def self_similarities(texts: Sequence[str], n_min: int, n_max: int) -> np.ndarra
     terms are an arithmetic series, summed in closed form as exact integers,
     so the cost does not grow with the n-gram range.
     """
-    lengths = np.array([len(normalize_text(t)) for t in texts], dtype=np.int64)
+    return _self_similarities([len(normalize_text(t)) for t in texts], n_min, n_max)
+
+
+def _self_similarities(lengths: Sequence[int], n_min: int, n_max: int) -> np.ndarray:
+    """:func:`self_similarities` of texts of canonicalized ``lengths``."""
+    lengths = np.array(lengths, dtype=np.int64)
     longest = int(lengths.max(initial=0))
     lo, hi = min(n_min, longest + 1), min(n_max, longest)
     top = np.minimum(lengths, hi)
@@ -109,105 +115,184 @@ def _default_ids(n: int, prefix: str) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for keys in 0 .. bound - 1.
+
+    Keys that fit 16 bits are sorted as such, which numpy does by radix sort.
+    """
+    return np.argsort(key.astype(np.uint16) if bound <= 1 << 16 else key, kind="stable")
+
+
 def _shared_ngram_counts(
     texts: Sequence[str], n_rows: int, square: bool, n_min: int, n_max: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Per n-gram length from n_min up, the counts that reach off-diagonal entries.
 
-    Yields ``(gram, doc, count)`` arrays with one element per (n-gram,
-    document) pair of nonzero count, sorted by n-gram id and then document;
-    ids are ranks within one length.  An n-gram is kept only if it occurs in
-    two documents (``square``), or in a row document (index below
-    ``n_rows``) and in a column document; any other adds to
-    self-similarities alone.
+    Yields ``(doc, count, pairs, parent)``.  ``doc`` and ``count`` have one
+    element per (n-gram, document) pair of nonzero count, sorted by n-gram
+    id and then document; ``pairs[g]`` is the number of pairs of n-gram g,
+    and ``parent[g]`` is the id of the (n-1)-gram prefix of a kept n-gram g
+    if all occurrences of that prefix extend to g, and -1 otherwise.  An
+    n-gram is kept only if it occurs in two documents (``square``), or in a
+    row document (index below ``n_rows``) and in a column document; any
+    other adds to self-similarities alone, and has no pairs.
 
     N-grams get their ids by rank refinement over the code points of all
     texts at once: the (n+1)-gram at a position is ranked by the pair (id of
-    its n-gram prefix, next character).  An n-gram that is not kept has no
-    kept extension, so its positions leave the refinement.
+    its n-gram prefix, next character).  Each text is followed by an end
+    mark, which ranks above every character, and an n-gram ending in it is
+    never kept.  An n-gram that is not kept has no kept extension, so its
+    positions leave the refinement.
     """
     lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    if not lengths.any():
+        return
     # Corpus text holds lone surrogates (bytes decoded with surrogateescape);
     # surrogatepass encodes each as one code unit, like any other character.
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    if codes.size == 0:
-        return
-    chars, char_rank = np.unique(codes, return_inverse=True)
-    doc_of = np.repeat(np.arange(len(texts)), lengths)
-    end_of = np.repeat(np.cumsum(lengths), lengths)
+    seen = np.zeros(int(codes.max()) + 1, dtype=bool)
+    seen[codes] = True
+    rank = np.cumsum(seen, dtype=np.int32) - 1
+    n_chars = int(rank[-1]) + 2  # the characters and the end mark
+    char_rank = np.insert(rank[codes], np.cumsum(lengths), n_chars - 1)
+    doc_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths + 1)
     # Positions stay sorted by (prefix id, position), so a stable sort on the
     # next key also orders each n-gram's occurrences by document.
-    start = np.arange(codes.size)
-    prefix = np.zeros(codes.size, dtype=np.int64)
+    start = np.arange(char_rank.size)
+    key = np.zeros(char_rank.size, dtype=np.int64)  # prefix id * n_chars, nondecreasing
+    prefix_size = np.array([char_rank.size])  # occurrences per prefix; the empty one is everywhere
     for n in range(1, n_max + 1):
-        key = prefix * chars.size + char_rank[start + n - 1]
-        order = np.argsort(key, kind="stable")
+        bound = int(key[-1]) + n_chars
+        key += char_rank[n - 1:][start]
+        order = _stable_order(key, bound)
         key, start = key[order], start[order]
         doc = doc_of[start]
-        new_gram = np.r_[True, key[1:] != key[:-1]]
-        gram = np.cumsum(new_gram) - 1
-        first = np.flatnonzero(new_gram | np.r_[True, doc[1:] != doc[:-1]])
-        pair_gram, pair_doc = gram[first], doc[first]
+        new = np.empty(key.size, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        heads = np.flatnonzero(new)
+        size = np.diff(heads, append=key.size)
+        # Documents ascend within an n-gram, so its first and last positions
+        # tell whether it is shared.
+        first_doc, last_doc = doc[heads], doc[heads + size - 1]
         if square:
-            shared = np.bincount(pair_gram) >= 2
+            shared = first_doc != last_doc
         else:
-            in_rows = pair_doc < n_rows
-            grams = int(gram[-1]) + 1
-            shared = (np.bincount(pair_gram[in_rows], minlength=grams) > 0) & (
-                np.bincount(pair_gram[~in_rows], minlength=grams) > 0
-            )
+            shared = (first_doc < n_rows) & (last_doc >= n_rows)
+        head_key = key[heads]
+        shared &= head_key % n_chars != n_chars - 1  # does not end in the end mark
         if n >= n_min:
-            keep = shared[pair_gram]
-            pair_count = np.diff(np.append(first, key.size))
-            yield pair_gram[keep], pair_doc[keep], pair_count[keep]
-        extend = shared[gram] & (start + n < end_of[start])
-        start, prefix = start[extend], gram[extend]
+            pair_new = new.copy()
+            pair_new[1:] |= doc[1:] != doc[:-1]
+            first = np.flatnonzero(pair_new)  # the first position of each pair
+            pairs = np.diff(np.flatnonzero(new[first]), append=first.size)
+            kept = np.repeat(shared, pairs)
+            count = np.diff(first, append=key.size)
+            parent = head_key // n_chars
+            parent[(size != prefix_size[parent]) | ~shared] = -1
+            yield doc[first[kept]], count[kept], np.where(shared, pairs, 0), parent
+        start = start[np.repeat(shared, size)]
         if start.size == 0:
             return
+        key = np.repeat(np.flatnonzero(shared) * n_chars, size[shared])
+        prefix_size = size
+
+
+def _merged_columns(
+    levels: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The counts of :func:`_shared_ngram_counts`, with repeats merged and weighted.
+
+    An n-gram that occurs as often as its (n-1)-gram prefix has the same
+    count in every document, so the two add the same amount to every
+    kernel value.  Each such chain of n-grams is yielded once, as its
+    longest n-gram, with a weight: the number of n-grams it stands for (at
+    most 2**24).  Yields ``(doc, count, pairs, weight)``, where ``pairs``
+    and ``weight`` have one element per n-gram, sorted by weight.
+    """
+    held = None
+    for doc, count, pairs, parent in levels:
+        weight = np.ones(parent.size, dtype=np.int64)
+        if held is not None:
+            h_weight = held[3]
+            (merge,) = np.nonzero(parent >= 0)
+            up = parent[merge]
+            below_cap = h_weight[up] < _EXACT_F32
+            merge, up = merge[below_cap], up[below_cap]
+            weight[merge] += h_weight[up]
+            h_weight[up] = 0
+            yield from _by_weight(*held)
+        held = doc, count, pairs, weight
+    if held is not None:
+        yield from _by_weight(*held)
+
+
+def _by_weight(
+    doc: np.ndarray, count: np.ndarray, pairs: np.ndarray, weight: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The n-grams with pairs and nonzero ``weight``, in the order of their weights."""
+    grams = np.flatnonzero((pairs > 0) & (weight > 0))
+    if grams.size == 0:
+        return
+    grams = grams[_stable_order(weight[grams], int(weight.max()) + 1)]
+    first = (np.cumsum(pairs) - pairs)[grams]
+    pairs = pairs[grams]
+    at = np.repeat(first - (np.cumsum(pairs) - pairs), pairs) + np.arange(pairs.sum())
+    yield doc[at], count[at], pairs, weight[grams]
 
 
 def _add_intersections(
-    values: np.ndarray, gram: np.ndarray, doc: np.ndarray, count: np.ndarray,
-    square: bool, budget: int,
+    values: np.ndarray, doc: np.ndarray, count: np.ndarray, pairs: np.ndarray,
+    weight: np.ndarray, square: bool, budget: int,
 ) -> None:
-    """Add sum_g min(count[i, g], count[j, g]) to each entry (i, j) of ``values``.
+    """Add sum_g weight[g] * min(count[i, g], count[j, g]) to each entry (i, j) of ``values``.
 
     ``min(a, b) = sum_t [a >= t][b >= t]``, so n-gram g expands into the 0/1
     columns t = 1 .. (its largest count), and ``values`` gains
-    ``B_rows @ B_cols.T``, summed over float32 blocks of at most ``budget``
-    cells (documents x columns).  Arguments are as yielded by
-    :func:`_shared_ngram_counts`; column documents follow the row documents.
+    ``B_rows @ W @ B_cols.T``, summed over float32 blocks of at most
+    ``budget`` cells (documents x columns).  Arguments are as yielded by
+    :func:`_merged_columns`; column documents follow the row documents.
     """
-    if count.size == 0:
-        return
     n_rows = values.shape[0]
     n_docs = n_rows if square else n_rows + values.shape[1]
-    first = np.flatnonzero(np.r_[True, gram[1:] != gram[:-1]])
-    depth = np.maximum.reduceat(count, first)
-    per_gram = np.diff(np.append(first, gram.size))
-    col_hi = np.repeat(np.cumsum(depth), per_gram)
-    col_lo = col_hi - np.repeat(depth, per_gram)
-    # The ones of entry e are columns col_lo[e] .. col_lo[e] + count[e] - 1,
-    # stored at one_start[e] .. one_start[e + 1] - 1.
+    depth = np.maximum.reduceat(count, np.cumsum(pairs) - pairs)
+    col_hi = np.repeat(np.cumsum(depth), pairs)
+    col_lo = col_hi - np.repeat(depth, pairs)
+    col_weight = np.repeat(weight, depth)
+    # A block holds B's columns lo .. hi - 1 as rows, one column per document.
+    # The ones of entry e are rows col_lo[e] .. col_lo[e] + count[e] - 1 of
+    # column doc[e]; their offsets (row * n_docs + doc) are stored at
+    # one_start[e] .. one_start[e + 1] - 1 of one_at.
     one_start = np.zeros(count.size + 1, dtype=np.int64)
     np.cumsum(count, out=one_start[1:])
-    one_doc = np.repeat(doc, count)
-    one_col = np.repeat(col_lo - one_start[:-1], count) + np.arange(one_start[-1])
+    one_at = np.repeat((col_lo - one_start[:-1]) * n_docs + doc, count)
+    one_at += np.arange(one_start[-1]) * n_docs
     n_cols = int(col_hi[-1])
-    width = max(1, budget // n_docs)
+    # A block's sums are at most its column weights' sum, kept to 2**24.
+    width = max(1, min(budget // n_docs, _EXACT_F32 // int(col_weight[-1])))
     for lo in range(0, n_cols, width):
         hi = min(lo + width, n_cols)
-        # Entries are sorted by n-gram, so col_lo and col_hi never decrease.
+        # Entries are sorted by weight and n-gram, so col_lo and col_hi never decrease.
         a = one_start[np.searchsorted(col_hi, lo, "right")]
         b = one_start[np.searchsorted(col_lo, hi, "left")]
-        cols = one_col[a:b]
-        inside = (cols >= lo) & (cols < hi)
-        block = np.zeros((n_docs, hi - lo), dtype=np.float32)
-        block[one_doc[a:b][inside], cols[inside] - lo] = 1.0
-        if square:
-            values += block @ block.T
-        else:
-            values += block[:n_rows] @ block[n_rows:].T
+        at = one_at[a:b]
+        at = at[(at >= lo * n_docs) & (at < hi * n_docs)] - lo * n_docs
+        block = np.zeros((hi - lo, n_docs), dtype=np.float32)
+        block.reshape(-1)[at] = 1.0
+        # One product per run of equal weight; square ones are symmetric
+        # rank-k updates, which numpy hands to the BLAS as such.
+        w = col_weight[lo:hi]
+        runs = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+        total = None
+        for r0, r1 in zip(runs, [*runs[1:], hi - lo]):
+            part = block[r0:r1]
+            product = part.T @ part if square else part[:, :n_rows].T @ part[:, n_rows:]
+            product *= w[r0]
+            if total is None:
+                total = product
+            else:
+                total += product
+        values += total
 
 
 def kernel_matrix(
@@ -226,11 +311,12 @@ def kernel_matrix(
     identical list) this is the square Gram matrix of ``rows``, whose
     diagonal is :func:`self_similarities`.
 
-    Every value is exact.  Products of 0/1 columns are 0 or 1, so each
-    block's sums are integers of at most ``_GRAM_BLOCK_CELLS`` terms, below
-    2**24 and exact in float32, and blocks add up in float64, exact while an
-    entry stays below 2**53.  The result does not depend on the block size
-    or on how the BLAS orders its sums.
+    Every value is exact.  A block's products are 0/1 columns times integer
+    weights, so its sums are integers of at most the sum of its column
+    weights, which the block width keeps at 2**24 or less, exact in float32;
+    blocks add up in float64, exact while an entry stays below 2**53.  The
+    result does not depend on the block size, on how repeated columns are
+    merged or on how the BLAS orders its sums.
     """
     if n_min < 1 or n_max < n_min:
         raise KernelMismatchError(f"invalid n-gram range [{n_min}, {n_max}]")
@@ -246,10 +332,11 @@ def kernel_matrix(
         raise KernelMismatchError("id list length does not match text list length")
 
     texts = [normalize_text(t) for t in (rows if square else [*rows, *cols])]
-    totals = self_similarities(texts, n_min, n_max)
+    totals = _self_similarities([len(t) for t in texts], n_min, n_max)
     values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
-    for gram, doc, count in _shared_ngram_counts(texts, len(rows), square, n_min, n_max):
-        _add_intersections(values, gram, doc, count, square, _GRAM_BLOCK_CELLS)
+    levels = _shared_ngram_counts(texts, len(rows), square, n_min, n_max)
+    for doc, count, pairs, weight in _merged_columns(levels):
+        _add_intersections(values, doc, count, pairs, weight, square, _GRAM_BLOCK_CELLS)
     if square:
         np.fill_diagonal(values, totals)
     return KernelMatrix(

@@ -214,6 +214,12 @@ class TestCommands:
          "--nt sizes must be at least 0"),
         (["eval-indomain", "--prompt", "1", "--vocab-limit", "-5"],
          "--vocab-limit must be at least 0"),
+        (["eval-indomain", "--prompt", "1", "--ngram-min", "0"],
+         "--ngram-min must be at least 1"),
+        (["eval-indomain", "--prompt", "1", "--ngram-min", "4", "--ngram-max", "3"],
+         "--ngram-max must be at least --ngram-min (4), got 3"),
+        (["eval-indomain", "--prompt", "1", "--kmeans-iters", "-1"],
+         "--kmeans-iters must be at least 0"),
     ])
     def test_too_few_folds_or_clusters_fail_up_front(self, workdir, capsys, monkeypatch,
                                                      argv, minimum):
@@ -377,6 +383,34 @@ class TestCommands:
                                          "--out", tmp_path / "warm.bin"])
         assert code == 0, err
         assert (tmp_path / "warm.bin").read_bytes() == (tmp_path / "cold.bin").read_bytes()
+
+    def test_kernel_drops_blank_essay(self, tmp_path, capsys, caplog, monkeypatch):
+        lines = make_corpus_tsv(30, seed=7).decode().splitlines()
+        fields = lines[5].split("\t")
+        blank_id = fields[0]
+        fields[2] = "   "
+        lines[5] = "\t".join(fields)
+        data, cache, out = tmp_path / "blank.tsv", tmp_path / "cache", tmp_path / "k.km"
+        data.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("WARNING", logger="kaes.harness"):
+            code, _, err = run_main(capsys, ["kernel", "--data", data, "--out", out])
+        assert code == 0, err
+        assert f"dropping 1 blank essays: {blank_id}" in caplog.text
+        assert load_kernel_matrix(out).shape == (29, 29)
+        code, _, err = run_main(capsys, ["kernel", "--data", data, "--cache-dir", cache])
+        assert code == 0, err
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("computed an n-gram Gram matrix")
+
+        monkeypatch.setattr(kaes.harness, "kernel_matrix", no_gram)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="kaes.harness"):
+            code, _, err = run_main(capsys, ["eval-indomain", "--data", data, *EVAL_ARGS[1:],
+                                             "--cache-dir", cache])
+        assert code == 0, err
+        assert "loading cached Gram matrix hisk_" in caplog.text
+        assert "ignoring" not in caplog.text
 
     def test_commands_load_only_their_essays_vectors(self, workdir, tmp_path, capsys,
                                                      monkeypatch):

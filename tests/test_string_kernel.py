@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kaes import string_kernel
 from kaes.errors import BinaryFormatError, KernelMismatchError
@@ -28,23 +28,31 @@ short_text = st.text(alphabet="abc ", max_size=30)
 # whitespace runs collapse to one space.
 _PIECES = ["a", "b", "A", "B", "é", "İ", "\udc81", "?", " ", "\t", "\n", "  \t\n "]
 mixed_text = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+# Adds texts of one repeated character or phrase, whose n-grams form long
+# chains that merge into weighted columns.
+chain_text = mixed_text | st.builds(str.__mul__, st.sampled_from(["q", "\udc81", " ", "ab "]),
+                                    st.integers(0, 8))
 
 
 def interned_counts(text: str, n_min: int, n_max: int) -> dict[str, int]:
     """N-gram counts of ``text`` as the kernel's interning step finds them.
 
     The text is paired with a copy of itself so that every n-gram is shared,
-    hence kept; ids rank n-grams of one length in code-point order.
+    hence kept; ids rank in code-point order the n-grams of one length and
+    those that end in the end mark that follows each text.
     """
     s = normalize_text(text)
+    marked = [*map(ord, s), 0x110000]  # above every code point, like the end mark
     counts = {}
-    for n, (gram, doc, count) in zip(
+    for n, (doc, count, pairs, _) in zip(
         range(n_min, n_max + 1),
         string_kernel._shared_ngram_counts([s, s], 1, True, n_min, n_max),
     ):
-        names = sorted({s[i : i + n] for i in range(len(s) - n + 1)})
+        gram = np.repeat(np.arange(pairs.size), pairs)
+        names = sorted({tuple(marked[i : i + n]) for i in range(len(s) - n + 2)})
         mine = doc == 0
-        counts.update(zip((names[g] for g in gram[mine]), count[mine].tolist()))
+        counts.update(zip(("".join(map(chr, names[g])) for g in gram[mine]),
+                          count[mine].tolist()))
     return counts
 
 
@@ -170,6 +178,59 @@ class TestOracle:
         k = kernel_matrix(texts, texts, n_min=1, n_max=3)
         assert k.row_ids == k.col_ids == ("doc0", "doc1")
         assert np.array_equal(k.values, kernel_matrix(texts, n_min=1, n_max=3).values)
+
+
+class TestMergedColumns:
+    @given(
+        st.lists(chain_text, min_size=1, max_size=5),
+        st.lists(chain_text, min_size=1, max_size=4),
+        st.integers(1, 3), st.integers(0, 5), st.sampled_from([1, 2, 3, 1 << 24]),
+    )
+    @example(["qqqq", "qq", "q"], ["qqq"], 1, 3, 2)
+    @example(["ab ab ab ", "ab ab "], ["ab "], 1, 5, 1 << 24)
+    @example(["  ", "\udc81\udc81 a", "a \udc81"], [""], 1, 1, 1 << 24)
+    @settings(max_examples=80, deadline=None)
+    def test_any_weight_cap_equals_naive_hisk(self, rows, cols, n_min, extra, cap):
+        # The cap bounds both the chain weights and the block widths.
+        n_max = n_min + extra
+        with mock.patch.object(string_kernel, "_EXACT_F32", cap):
+            square = kernel_at_budgets(rows, n_min=n_min, n_max=n_max)
+            rect = kernel_at_budgets(rows, cols, n_min=n_min, n_max=n_max)
+        assert np.array_equal(square.values,
+                              [[naive_hisk(x, y, n_min, n_max) for y in rows] for x in rows])
+        assert np.array_equal(rect.values,
+                              [[naive_hisk(x, y, n_min, n_max) for y in cols] for x in rows])
+
+    def test_a_chain_of_ngrams_is_one_column_weighted_by_its_length(self):
+        # "a" -> "ab" -> "abc" -> "abcd" occur exactly as often as each other,
+        # and so do "b" -> "bc" -> "bcd" and "c" -> "cd"; "d" stands alone.
+        levels = string_kernel._shared_ngram_counts(["abcd", "abcd"], 2, True, 1, 4)
+        weights = [w.tolist() for *_, w in string_kernel._merged_columns(levels)]
+        assert weights == [[1], [2], [3], [4]]
+        assert kernel_matrix(["abcd", "abcd"], n_min=1, n_max=4).values[0, 1] == 10
+
+    def test_weights_stop_growing_at_the_cap(self):
+        with mock.patch.object(string_kernel, "_EXACT_F32", 2):
+            levels = string_kernel._shared_ngram_counts(["abcd", "abcd"], 2, True, 1, 4)
+            weights = [w.tolist() for *_, w in string_kernel._merged_columns(levels)]
+            assert weights == [[1], [2, 2, 2], [1], [2]]
+            assert kernel_matrix(["abcd", "abcd"], n_min=1, n_max=4).values[0, 1] == 10
+
+    def test_large_alphabet_sorts_keys_wider_than_16_bits(self):
+        rng = np.random.default_rng(3)
+        alphabet = [chr(0x100 + i) for i in range(1000)]
+        texts = ["".join(rng.choice(alphabet, 300)) for _ in range(8)]
+        bounds = []
+        real = string_kernel._stable_order
+
+        def stable_order(key, bound):
+            bounds.append(bound)
+            return real(key, bound)
+
+        with mock.patch.object(string_kernel, "_stable_order", stable_order):
+            k = kernel_at_budgets(texts, n_min=1, n_max=4)
+        assert max(bounds) > 1 << 16
+        assert np.array_equal(k.values, [[naive_hisk(x, y, 1, 4) for y in texts] for x in texts])
 
 
 class TestKernelMatrix:
