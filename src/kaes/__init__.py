@@ -31,7 +31,6 @@ from .corpus import (
 from .embeddings import (
     EmbeddingModel,
     load_word2vec_binary,
-    save_word2vec_binary,
     tokenize,
 )
 from .errors import (

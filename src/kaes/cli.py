@@ -229,9 +229,12 @@ def cmd_kernel(resolver: _Resolver) -> int:
         )
         save_kernel_matrix(raw, out)
         print(f"kernel: {raw.shape[0]}x{raw.shape[1]} hisk-raw -> {out}")
-    else:
-        normalized_hisk_gram(essays, cfg)
-        print(f"kernel: {len(essays)}x{len(essays)} cached under {cfg.cache_dir}")
+        return 0
+    # One Gram per prompt, as `eval-indomain` and `train` read them.
+    for prompt in sorted({e.prompt for e in essays}):
+        subset = [e for e in essays if e.prompt == prompt]
+        normalized_hisk_gram(subset, cfg)
+        print(f"kernel: prompt {prompt}: {len(subset)}x{len(subset)} cached under {cfg.cache_dir}")
     return 0
 
 

@@ -125,15 +125,3 @@ def _token_bytes(tokens: Collection[str]) -> set[bytes]:
         if raw.decode("utf-8", errors="surrogateescape") == token:
             out.add(raw)
     return out
-
-
-def save_word2vec_binary(model: EmbeddingModel, target: str | Path | BinaryIO) -> None:
-    """Write a model back in the binary format (companion to the loader)."""
-    with open_binary(target, "wb") as stream:
-        stream.write(f"{len(model.vocab)} {model.dim}\n".encode("ascii"))
-        by_index = sorted(model.vocab.items(), key=lambda item: item[1])
-        for token, idx in by_index:
-            stream.write(token.encode("utf-8", errors="surrogateescape"))
-            stream.write(b" ")
-            stream.write(np.ascontiguousarray(model.vectors[idx], dtype="<f4").tobytes())
-            stream.write(b"\n")

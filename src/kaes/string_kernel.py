@@ -33,6 +33,15 @@ _TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 _GRAM_BLOCK_CELLS = 1 << 22
 # Integers up to this one are exact in float32.
 _EXACT_F32 = 1 << 24
+# A shared n-gram held at most once by each of at most this many documents
+# leaves the refinement and the 0/1 product; its pairs of occurrences are
+# extended character by character instead.  Median kernel_matrix seconds on
+# perfbench/synth.py essays (one BLAS thread, 2-vCPU guest), by limit:
+#   60 essays:  0.167 (0), 0.149 (2), 0.130 (4), 0.138 (8), 0.142 (16, 32);
+#   360 essays: 2.10 (0), 1.82 (2), 1.63 (4), 1.36 (8), 1.33 (16), 1.62 (32).
+# 4, 8 and 16 are alike at 60 essays; 8 and 16 lead at 360, and 8 makes
+# fewer pairs of occurrences.
+_ONCE_GROUP_DOCS = 8
 
 
 def normalize_text(text: str) -> str:
@@ -123,11 +132,32 @@ def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(key.astype(np.uint16) if bound <= 1 << 16 else key, kind="stable")
 
 
+def _char_ranks(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The code points of all texts as ranks, each text followed by an end mark.
+
+    Returns ``(char_rank, doc_of)``: ``char_rank`` ranks the characters in
+    code-point order, and the end mark above them all; ``doc_of`` is the
+    index of the text of each element.  At least one text must be non-empty.
+    """
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    # Corpus text holds lone surrogates (bytes decoded with surrogateescape);
+    # surrogatepass encodes each as one code unit, like any other character.
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    seen = np.zeros(int(codes.max()) + 1, dtype=bool)
+    seen[codes] = True
+    rank = np.cumsum(seen, dtype=np.int32) - 1
+    char_rank = np.insert(rank[codes], np.cumsum(lengths), rank[-1] + 1)
+    doc_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths + 1)
+    return char_rank, doc_of
+
+
 def _shared_ngram_counts(
-    texts: Sequence[str], n_rows: int, square: bool, n_min: int, n_max: int
+    char_rank: np.ndarray, doc_of: np.ndarray, n_rows: int, square: bool,
+    n_min: int, n_max: int, leaving: list[tuple[int, np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Per n-gram length from n_min up, the counts that reach off-diagonal entries.
 
+    ``char_rank`` and ``doc_of`` are as returned by :func:`_char_ranks`.
     Yields ``(doc, count, pairs, parent)``.  ``doc`` and ``count`` have one
     element per (n-gram, document) pair of nonzero count, sorted by n-gram
     id and then document; ``pairs[g]`` is the number of pairs of n-gram g,
@@ -137,25 +167,20 @@ def _shared_ngram_counts(
     row document (index below ``n_rows``) and in a column document; any
     other adds to self-similarities alone, and has no pairs.
 
+    A shared n-gram that each document holds at most once, in at most
+    ``_ONCE_GROUP_DOCS`` documents, leaves instead: it is yielded with no
+    pairs and parent -1, and ``leaving`` gains ``(n, p, q)``, the start
+    positions of each pair of its occurrences that reaches an entry (see
+    :func:`_add_once_per_document`).
+
     N-grams get their ids by rank refinement over the code points of all
     texts at once: the (n+1)-gram at a position is ranked by the pair (id of
     its n-gram prefix, next character).  Each text is followed by an end
     mark, which ranks above every character, and an n-gram ending in it is
-    never kept.  An n-gram that is not kept has no kept extension, so its
-    positions leave the refinement.
+    never kept.  An n-gram that is not kept has no kept extension, unless it
+    left; either way its positions leave the refinement.
     """
-    lengths = np.array([len(t) for t in texts], dtype=np.int64)
-    if not lengths.any():
-        return
-    # Corpus text holds lone surrogates (bytes decoded with surrogateescape);
-    # surrogatepass encodes each as one code unit, like any other character.
-    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    seen = np.zeros(int(codes.max()) + 1, dtype=bool)
-    seen[codes] = True
-    rank = np.cumsum(seen, dtype=np.int32) - 1
-    n_chars = int(rank[-1]) + 2  # the characters and the end mark
-    char_rank = np.insert(rank[codes], np.cumsum(lengths), n_chars - 1)
-    doc_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths + 1)
+    n_chars = int(char_rank[-1]) + 1  # the characters and the end mark
     # Positions stay sorted by (prefix id, position), so a stable sort on the
     # next key also orders each n-gram's occurrences by document.
     start = np.arange(char_rank.size)
@@ -181,11 +206,16 @@ def _shared_ngram_counts(
             shared = (first_doc < n_rows) & (last_doc >= n_rows)
         head_key = key[heads]
         shared &= head_key % n_chars != n_chars - 1  # does not end in the end mark
+        pair_new = new.copy()
+        pair_new[1:] |= doc[1:] != doc[:-1]
+        first = np.flatnonzero(pair_new)  # the first position of each pair
+        pairs = np.diff(np.flatnonzero(new[first]), append=first.size)
+        once = shared & (size <= _ONCE_GROUP_DOCS) & (pairs == size)
+        if once.any():
+            leaving.append((n, *_occurrence_pairs(start, doc, heads[once], size[once],
+                                                   n_rows, square)))
+            shared &= ~once
         if n >= n_min:
-            pair_new = new.copy()
-            pair_new[1:] |= doc[1:] != doc[:-1]
-            first = np.flatnonzero(pair_new)  # the first position of each pair
-            pairs = np.diff(np.flatnonzero(new[first]), append=first.size)
             kept = np.repeat(shared, pairs)
             count = np.diff(first, append=key.size)
             parent = head_key // n_chars
@@ -196,6 +226,68 @@ def _shared_ngram_counts(
             return
         key = np.repeat(np.flatnonzero(shared) * n_chars, size[shared])
         prefix_size = size
+
+
+def _occurrence_pairs(
+    start: np.ndarray, doc: np.ndarray, heads: np.ndarray, size: np.ndarray,
+    n_rows: int, square: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start positions ``(p, q)`` of each pair of occurrences of some n-grams.
+
+    The occurrences of n-gram g are ``start[heads[g]:heads[g] + size[g]]``,
+    in ascending document ``doc``, so ``doc[p] < doc[q]``; in a rectangle
+    only (row, column) pairs are returned.
+    """
+    # The pairs (i, j), i < j, in the order (0, 1), (0, 2), (1, 2), (0, 3), ...:
+    # those of an n-gram with s occurrences are the first s * (s - 1) / 2.
+    tri = np.arange(int(size.max()))
+    j = np.repeat(tri, tri)
+    i = np.arange(j.size) - np.repeat(tri * (tri - 1) // 2, tri)
+    m = size * (size - 1) // 2
+    nth = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    first = np.repeat(heads, m)
+    p, q = first + i[nth], first + j[nth]
+    if not square:
+        rect = (doc[p] < n_rows) & (doc[q] >= n_rows)
+        p, q = p[rect], q[rect]
+    return start[p], start[q]
+
+
+def _add_once_per_document(
+    values: np.ndarray, char_rank: np.ndarray, doc_of: np.ndarray,
+    leaving: list[tuple[int, np.ndarray, np.ndarray]], square: bool, n_min: int, n_max: int,
+) -> None:
+    """Add the intersections of the n-grams that left :func:`_shared_ngram_counts`.
+
+    Each document holds such an n-gram at most once, so it holds each of
+    its extensions at most once too: every min-count is 0 or 1.  A pair of
+    occurrences at p and q of an n-gram of length n therefore adds to its
+    entry the number of lengths from max(n, n_min) to n_max at which the
+    text at p and the text at q still agree, before an end mark.  The sums
+    are integers, exact in float64 below 2**53.
+    """
+    if not leaving:
+        return
+    n, p, q = zip(*leaving)
+    n = np.repeat(n, [pairs.size for pairs in p])
+    p, q = np.concatenate(p), np.concatenate(q)
+    end_mark = char_rank[-1]
+    # agree[i]: characters the occurrences share, counted up to n_max.  The
+    # first n are the n-gram; an end mark stops each text before the array ends.
+    agree = n.copy()
+    at = np.flatnonzero(agree < n_max)
+    while at.size:
+        a, b = char_rank[p[at] + agree[at]], char_rank[q[at] + agree[at]]
+        at = at[(a == b) & (a != end_mark)]
+        agree[at] += 1
+        at = at[agree[at] < n_max]
+    counted = np.maximum(agree - np.maximum(n, n_min) + 1, 0)
+    n_rows, n_cols = values.shape
+    cells = doc_of[p].astype(np.int64) * n_cols + doc_of[q] - (0 if square else n_rows)
+    sums = np.bincount(cells, weights=counted, minlength=values.size).reshape(values.shape)
+    values += sums
+    if square:
+        values += sums.T
 
 
 def _merged_columns(
@@ -276,7 +368,8 @@ def _add_intersections(
         a = one_start[np.searchsorted(col_hi, lo, "right")]
         b = one_start[np.searchsorted(col_lo, hi, "left")]
         at = one_at[a:b]
-        at = at[(at >= lo * n_docs) & (at < hi * n_docs)] - lo * n_docs
+        if width < n_cols:  # entries at the block's edges have ones outside it
+            at = at[(at >= lo * n_docs) & (at < hi * n_docs)] - lo * n_docs
         block = np.zeros((hi - lo, n_docs), dtype=np.float32)
         block.reshape(-1)[at] = 1.0
         # One product per run of equal weight; square ones are symmetric
@@ -314,9 +407,12 @@ def kernel_matrix(
     Every value is exact.  A block's products are 0/1 columns times integer
     weights, so its sums are integers of at most the sum of its column
     weights, which the block width keeps at 2**24 or less, exact in float32;
-    blocks add up in float64, exact while an entry stays below 2**53.  The
-    result does not depend on the block size, on how repeated columns are
-    merged or on how the BLAS orders its sums.
+    blocks add up in float64, exact while an entry stays below 2**53.  A
+    rare n-gram that each document holds at most once skips the product: each
+    pair of its occurrences adds an integer count of n-gram lengths, summed
+    by ``np.bincount`` in float64, also exact below 2**53.  The result does
+    not depend on the block size, on how repeated columns are merged, on
+    which n-grams skip the product or on how the BLAS orders its sums.
     """
     if n_min < 1 or n_max < n_min:
         raise KernelMismatchError(f"invalid n-gram range [{n_min}, {n_max}]")
@@ -334,9 +430,13 @@ def kernel_matrix(
     texts = [normalize_text(t) for t in (rows if square else [*rows, *cols])]
     totals = _self_similarities([len(t) for t in texts], n_min, n_max)
     values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
-    levels = _shared_ngram_counts(texts, len(rows), square, n_min, n_max)
-    for doc, count, pairs, weight in _merged_columns(levels):
-        _add_intersections(values, doc, count, pairs, weight, square, _GRAM_BLOCK_CELLS)
+    if any(texts):
+        char_rank, doc_of = _char_ranks(texts)
+        leaving = []
+        levels = _shared_ngram_counts(char_rank, doc_of, len(rows), square, n_min, n_max, leaving)
+        for doc, count, pairs, weight in _merged_columns(levels):
+            _add_intersections(values, doc, count, pairs, weight, square, _GRAM_BLOCK_CELLS)
+        _add_once_per_document(values, char_rank, doc_of, leaving, square, n_min, n_max)
     if square:
         np.fill_diagonal(values, totals)
     return KernelMatrix(

@@ -8,16 +8,18 @@ embedded token) should score essays almost perfectly.
 from __future__ import annotations
 
 import io
+from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
+from kaes.binio import open_binary
 from kaes.corpus import ASAP_SCORE_RANGES
 import kaes.harness
 from kaes.embeddings import (
     DEFAULT_VOCAB_LIMIT,
     EmbeddingModel,
     load_word2vec_binary,
-    save_word2vec_binary,
 )
 
 FILLER_WORDS = [
@@ -47,6 +49,18 @@ def make_corpus_tsv(n_essays: int, seed: int, prompts: tuple[int, ...] = (1,)) -
             lines.append(f"{essay_id}\t{prompt}\t{' '.join(words)}\t{raw}")
             essay_id += 1
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def save_word2vec_binary(model: EmbeddingModel, target: str | Path | BinaryIO) -> None:
+    """Write a model in the word2vec binary format that ``load_word2vec_binary`` reads."""
+    with open_binary(target, "wb") as stream:
+        stream.write(f"{len(model.vocab)} {model.dim}\n".encode("ascii"))
+        by_index = sorted(model.vocab.items(), key=lambda item: item[1])
+        for token, idx in by_index:
+            stream.write(token.encode("utf-8", errors="surrogateescape"))
+            stream.write(b" ")
+            stream.write(np.ascontiguousarray(model.vectors[idx], dtype="<f4").tobytes())
+            stream.write(b"\n")
 
 
 def make_embeddings_bytes(dim: int = 16, seed: int = 0, decoys: int = 0) -> bytes:

@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kaes.binio import Reader
 from kaes.boswe import Codebook, load_codebook, save_codebook
-from kaes.embeddings import EmbeddingModel, load_word2vec_binary, save_word2vec_binary
+from kaes.embeddings import EmbeddingModel, load_word2vec_binary
 from kaes.errors import BinaryFormatError
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
 from kaes.svr import SvrConfig, SvrModel, load_svr_model, save_svr_model
+from synthesis import save_word2vec_binary
 
 KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a", "bé"),
                       col_ids=("x", "y", "z"), kind="fused")

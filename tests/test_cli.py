@@ -16,12 +16,14 @@ from kaes.boswe import load_codebook
 from kaes.cli import main
 from kaes.corpus import parse_asap_tsv
 from kaes.boswe import save_codebook
-from kaes.embeddings import load_word2vec_binary, save_word2vec_binary, tokenize
+from kaes.embeddings import load_word2vec_binary, tokenize
 from kaes.harness import ExperimentConfig, load_essays, predict_scores, train_model
 from kaes.string_kernel import load_kernel_matrix
 from kaes.svr import load_svr_model, save_svr_model
 
-from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
+from synthesis import (
+    make_corpus_tsv, make_embeddings_bytes, record_vector_loads, save_word2vec_binary,
+)
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +413,22 @@ class TestCommands:
         assert code == 0, err
         assert "loading cached Gram matrix hisk_" in caplog.text
         assert "ignoring" not in caplog.text
+
+    def test_kernel_without_prompt_warms_each_prompts_gram(self, tmp_path, capsys, caplog):
+        data, cache = tmp_path / "two.tsv", tmp_path / "cache"
+        data.write_bytes(make_corpus_tsv(20, seed=1, prompts=(1, 2)))
+        evaluate = ["eval-indomain", "--data", data, *EVAL_ARGS[3:]]  # every prompt
+        code, cold, err = run_main(capsys, evaluate)
+        assert code == 0, err
+        code, _, err = run_main(capsys, ["kernel", "--data", data, "--cache-dir", cache])
+        assert code == 0, err
+        assert len(list(cache.glob("hisk_*.km"))) == 2
+        with caplog.at_level("INFO", logger="kaes.harness"):
+            code, warm, err = run_main(capsys, [*evaluate, "--cache-dir", cache])
+        assert code == 0, err
+        assert "computing" not in caplog.text
+        assert caplog.text.count("loading cached Gram matrix hisk_") == 2
+        assert warm == cold
 
     def test_commands_load_only_their_essays_vectors(self, workdir, tmp_path, capsys,
                                                      monkeypatch):

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from kaes.embeddings import (
     EmbeddingModel,
     load_word2vec_binary,
-    save_word2vec_binary,
     tokenize,
 )
 from kaes.errors import BinaryFormatError
 from oracles import load_word2vec_reference
+from synthesis import save_word2vec_binary
 
 
 def vector_of(model: EmbeddingModel, token: str) -> np.ndarray | None:

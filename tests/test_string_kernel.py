@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kaes import string_kernel
+from kaes.corpus import parse_asap_tsv
 from kaes.errors import BinaryFormatError, KernelMismatchError
 from kaes.string_kernel import (
     KernelMatrix,
@@ -20,6 +22,7 @@ from kaes.string_kernel import (
 )
 
 from oracles import naive_hisk, naive_ngram_counts
+from synthesis import make_corpus_tsv
 
 short_text = st.text(alphabet="abc ", max_size=30)
 
@@ -34,6 +37,28 @@ chain_text = mixed_text | st.builds(str.__mul__, st.sampled_from(["q", "\udc81",
                                     st.integers(0, 8))
 
 
+@st.composite
+def rows_and_cols_with_a_suffix(draw):
+    """Row and column texts; the last column is a suffix of some row.
+
+    An n-gram that ends a text and its suffix runs into both end marks at
+    the same offset.
+    """
+    rows = draw(st.lists(chain_text, min_size=1, max_size=4))
+    cols = draw(st.lists(chain_text, max_size=3))
+    source = draw(st.sampled_from(rows))
+    return rows, [*cols, source[draw(st.integers(0, len(source))):]]
+
+
+def refined_levels(texts, n_rows, square, n_min, n_max):
+    """The levels of ``_shared_ngram_counts``, with no shared n-gram leaving them."""
+    char_rank, doc_of = string_kernel._char_ranks(texts)
+    with mock.patch.object(string_kernel, "_ONCE_GROUP_DOCS", 0):
+        return list(string_kernel._shared_ngram_counts(
+            char_rank, doc_of, n_rows, square, n_min, n_max, []
+        ))
+
+
 def interned_counts(text: str, n_min: int, n_max: int) -> dict[str, int]:
     """N-gram counts of ``text`` as the kernel's interning step finds them.
 
@@ -42,11 +67,12 @@ def interned_counts(text: str, n_min: int, n_max: int) -> dict[str, int]:
     those that end in the end mark that follows each text.
     """
     s = normalize_text(text)
+    if not s:
+        return {}
     marked = [*map(ord, s), 0x110000]  # above every code point, like the end mark
     counts = {}
     for n, (doc, count, pairs, _) in zip(
-        range(n_min, n_max + 1),
-        string_kernel._shared_ngram_counts([s, s], 1, True, n_min, n_max),
+        range(n_min, n_max + 1), refined_levels([s, s], 1, True, n_min, n_max)
     ):
         gram = np.repeat(np.arange(pairs.size), pairs)
         names = sorted({tuple(marked[i : i + n]) for i in range(len(s) - n + 2)})
@@ -204,14 +230,14 @@ class TestMergedColumns:
     def test_a_chain_of_ngrams_is_one_column_weighted_by_its_length(self):
         # "a" -> "ab" -> "abc" -> "abcd" occur exactly as often as each other,
         # and so do "b" -> "bc" -> "bcd" and "c" -> "cd"; "d" stands alone.
-        levels = string_kernel._shared_ngram_counts(["abcd", "abcd"], 2, True, 1, 4)
+        levels = refined_levels(["abcd", "abcd"], 2, True, 1, 4)
         weights = [w.tolist() for *_, w in string_kernel._merged_columns(levels)]
         assert weights == [[1], [2], [3], [4]]
         assert kernel_matrix(["abcd", "abcd"], n_min=1, n_max=4).values[0, 1] == 10
 
     def test_weights_stop_growing_at_the_cap(self):
         with mock.patch.object(string_kernel, "_EXACT_F32", 2):
-            levels = string_kernel._shared_ngram_counts(["abcd", "abcd"], 2, True, 1, 4)
+            levels = refined_levels(["abcd", "abcd"], 2, True, 1, 4)
             weights = [w.tolist() for *_, w in string_kernel._merged_columns(levels)]
             assert weights == [[1], [2, 2, 2], [1], [2]]
             assert kernel_matrix(["abcd", "abcd"], n_min=1, n_max=4).values[0, 1] == 10
@@ -231,6 +257,73 @@ class TestMergedColumns:
             k = kernel_at_budgets(texts, n_min=1, n_max=4)
         assert max(bounds) > 1 << 16
         assert np.array_equal(k.values, [[naive_hisk(x, y, 1, 4) for y in texts] for x in texts])
+
+
+class TestOncePerDocument:
+    @given(rows_and_cols_with_a_suffix(), st.integers(1, 4), st.integers(0, 5),
+           st.sampled_from(["never", "pairs", "all"]))
+    @example((["hello world"], ["world"]), 1, 6, "all")
+    @example((["ab ab ab ", "xab "], ["qqq", "ab "]), 2, 5, "pairs")
+    @example((["\udc81a\udc81b", "b\udc81"], ["a\udc81b"]), 1, 3, "all")
+    @settings(max_examples=100, deadline=None)
+    def test_any_size_limit_equals_naive_hisk(self, texts, n_min, extra, limit):
+        rows, cols = texts
+        n_max = n_min + extra
+        docs = [*rows, *cols]
+        size_limit = {"never": 0, "pairs": 2, "all": len(docs) + 1}[limit]
+        with mock.patch.object(string_kernel, "_ONCE_GROUP_DOCS", size_limit):
+            square = kernel_at_budgets(docs, n_min=n_min, n_max=n_max)
+            rect = kernel_at_budgets(rows, cols, n_min=n_min, n_max=n_max)
+        assert np.array_equal(square.values,
+                              [[naive_hisk(x, y, n_min, n_max) for y in docs] for x in docs])
+        assert np.array_equal(rect.values,
+                              [[naive_hisk(x, y, n_min, n_max) for y in cols] for x in rows])
+
+    def test_once_per_document_ngrams_skip_the_product(self):
+        # Every n-gram here occurs in at most 4 documents, below the limit, so
+        # only those that some document holds twice reach the 0/1 columns.
+        texts = ["the cat sat", "a cat sat on a mat", "the dog sat", "cats"]
+        char_rank, doc_of = string_kernel._char_ranks(texts)
+        leaving = []
+        levels = string_kernel._shared_ngram_counts(char_rank, doc_of, 4, True, 1, 15, leaving)
+        columns = list(string_kernel._merged_columns(levels))
+        for doc, count, pairs, _ in columns:
+            assert np.all(np.maximum.reduceat(count, np.cumsum(pairs) - pairs) > 1)
+        assert columns and leaving
+
+    def test_leaving_pairs_are_start_positions(self):
+        # "a" and "b" occur once in each text and leave at length 1; each
+        # text is followed by an end mark, so "yab" starts at position 4.
+        char_rank, doc_of = string_kernel._char_ranks(["xab", "yab", "ab"])
+        leaving = []
+        levels = string_kernel._shared_ngram_counts(char_rank, doc_of, 3, True, 1, 3, leaving)
+        assert list(string_kernel._merged_columns(levels)) == []
+        [(n, p, q)] = leaving
+        assert n == 1
+        pairs = sorted(zip(p.tolist(), q.tolist()))
+        assert pairs == [(1, 5), (1, 8), (2, 6), (2, 9), (5, 8), (6, 9)]
+        assert np.array_equal(kernel_matrix(["xab", "yab", "ab"], n_min=1, n_max=3).values,
+                              [[6, 3, 3], [3, 6, 3], [3, 3, 3]])
+
+    def test_golden_digests(self):
+        # sha256 of the values and of the cache-file bytes, recorded before
+        # once-per-document n-grams left the refinement.
+        essays = parse_asap_tsv(make_corpus_tsv(30, seed=12, prompts=(1, 2)))
+        texts, ids = [e.text for e in essays], tuple(e.id for e in essays)
+        square = kernel_matrix(texts, row_ids=ids)
+        rect = kernel_matrix(texts[:40], texts[40:], row_ids=ids[:40], col_ids=ids[40:])
+        digests = []
+        for k in (square, rect):
+            buf = io.BytesIO()
+            save_kernel_matrix(k, buf)
+            digests += [hashlib.sha256(np.ascontiguousarray(k.values, "<f8")).hexdigest(),
+                        hashlib.sha256(buf.getvalue()).hexdigest()]
+        assert digests == [
+            "19794f410cddf486e90ce92130edc4adc1b5c49ffa91f1a7979adef18808df74",
+            "75c631ef8a29aa67b2fe5ccf36f501bc65d5238d307a4191797b687923b96594",
+            "a1202291f8056892b7d1197662e9becb80c86051ffdb124a2f321656740b79ed",
+            "02156edd82e6b072aaa1deea0a897069f86efee80e701e97f21876736db61086",
+        ]
 
 
 class TestKernelMatrix:
