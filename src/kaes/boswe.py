@@ -118,10 +118,6 @@ def _assign_blocked(
     return out
 
 
-def _sqdist_to_assigned(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
-    return ((points - centroids[labels]) ** 2).sum(axis=1)
-
-
 @dataclass
 class Codebook:
     """k cluster centroids; :meth:`assign_batch` maps vectors to them exactly.
@@ -133,7 +129,6 @@ class Codebook:
     k: int
     centroids: np.ndarray  # (k, dim) float32
     seed: int
-    distortion: float | None
     fingerprint: str = field(init=False)
     _centroids64: np.ndarray = field(init=False, repr=False)
 
@@ -213,8 +208,9 @@ def fit_codebook(
     k-means++ seeding followed by Lloyd iterations; stops when no assignment
     changes or after ``max_iters``.  Deterministic given ``seed``.  Clusters
     that empty out keep their previous centroid, so the mean squared
-    distortion never increases between iterations.  Fewer than k distinct
-    vectors, or a NaN or infinite component, is an error.
+    distance of the points to their centroids never increases between
+    iterations.  Fewer than k distinct vectors, or a NaN or infinite
+    component, is an error.
     """
     points = np.ascontiguousarray(vectors, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -237,20 +233,7 @@ def fit_codebook(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-
-    codebook = Codebook(
-        k=k,
-        centroids=centers.astype(np.float32),
-        seed=seed,
-        distortion=None,
-    )
-    # Report distortion against the stored (float32) centroids, i.e. the
-    # artifact a user actually gets back.
-    final_labels = codebook.assign_batch(points)
-    codebook.distortion = float(
-        _sqdist_to_assigned(points, codebook._centroids64, final_labels).mean()
-    )
-    return codebook
+    return Codebook(k=k, centroids=centers.astype(np.float32), seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,16 +281,14 @@ def boswe_kernel_matrix(
     row_ids: Sequence[str] | None = None,
     col_ids: Sequence[str] | None = None,
 ) -> KernelMatrix:
-    """Intersection-kernel matrix between histogram sets (kind "boswe").
+    """Intersection-kernel matrix between histogram sets.
 
     Entry (a, b) is ``sum_j min(h_a[j], h_b[j])``, added in ascending cluster
     id from 0.0 over the clusters where both documents have mass: clusters
     are visited in ascending id, and each adds its minima to the block of
-    rows and columns that have mass in it.  Each self-similarity, on the
-    diagonal and in ``diag_rows``/``diag_cols``, is summed in the same order
-    (a running sum, whose zero terms add +0.0 and change nothing).  So the
-    values do not depend on the block shape, and a rectangular block equals
-    the matching entries of the square matrix over its documents.
+    rows and columns that have mass in it.  So the values do not depend on
+    the block shape, and a rectangular block equals the matching entries of
+    the square matrix over its documents.
     """
     symmetric = cols is None or cols is rows
     if len(rows) == 0 or (cols is not None and len(cols) == 0):
@@ -330,14 +311,7 @@ def boswe_kernel_matrix(
     )
     if len(rids) != len(rows) or len(cids) != len(cols_eff):
         raise KernelMismatchError("id list length does not match histogram list length")
-    return KernelMatrix(
-        values=values,
-        row_ids=rids,
-        col_ids=cids,
-        kind="boswe",
-        diag_rows=np.cumsum(rows.weights, axis=1)[:, -1],
-        diag_cols=np.cumsum(cols_eff.weights, axis=1)[:, -1],
-    )
+    return KernelMatrix(values=values, row_ids=rids, col_ids=cids)
 
 
 def save_codebook(codebook: Codebook, path: str | Path | BinaryIO) -> None:
@@ -349,7 +323,7 @@ def save_codebook(codebook: Codebook, path: str | Path | BinaryIO) -> None:
 
 
 def load_codebook(path: str | Path | BinaryIO) -> Codebook:
-    """Read a codebook written by :func:`save_codebook` (distortion is not stored)."""
+    """Read a codebook written by :func:`save_codebook`."""
     with open_binary(path, "rb") as stream:
         reader = Reader(stream)
         reader.expect_magic(CODEBOOK_MAGIC)
@@ -360,4 +334,4 @@ def load_codebook(path: str | Path | BinaryIO) -> Codebook:
             )
         raw = reader.read(k * dim * 4, "centroids")
         centroids = np.frombuffer(raw, dtype="<f4").reshape(k, dim).copy()
-        return Codebook(k=k, centroids=centroids, seed=seed, distortion=None)
+        return Codebook(k=k, centroids=centroids, seed=seed)

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: ``ingest`` validates a data file,
-``codebook``/``kernel``/``train``/``predict`` run individual stages, and
-``eval-indomain``/``eval-crossdomain``/``report`` run the full protocols and
-render result tables.  Every flag can also be given in a flat key=value
-config file (``--config``); explicit flags win over file values.
+``kernel`` warms the n-gram Gram cache, ``train``/``predict`` fit and apply
+one model, and ``eval-indomain``/``eval-crossdomain``/``report`` run the full
+protocols and render result tables.  Every flag can also be given in a flat
+key=value config file (``--config``); explicit flags win over file values.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .harness import (
     REPRESENTATIONS,
     ExperimentConfig,
     emit_report,
-    fit_essay_codebook,
     load_essays,
     normalized_hisk_gram,
     parse_config_file,
@@ -32,7 +31,6 @@ from .harness import (
     train_model,
     without_blank,
 )
-from .string_kernel import kernel_matrix, save_kernel_matrix
 from .svr import SvrConfig, load_svr_model, save_svr_model
 
 # Flags that set the ExperimentConfig field (or SvrConfig field) of the same name.
@@ -106,17 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     _add_data_flags(p)
 
-    p = sub.add_parser("codebook", help="fit a super-word codebook and save it")
+    p = sub.add_parser("kernel", help="cache each prompt's n-gram Gram matrix in --cache-dir")
     p.add_argument("--config")
     _add_data_flags(p)
     _add_model_flags(p)
-    p.add_argument("--out", required=True, help="output codebook file")
-
-    p = sub.add_parser("kernel", help="compute and cache an n-gram Gram matrix")
-    p.add_argument("--config")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--out", help="explicit output path (defaults into --cache-dir)")
 
     p = sub.add_parser("train", help="train a scoring model on one prompt")
     p.add_argument("--config")
@@ -199,16 +190,6 @@ def cmd_ingest(resolver: _Resolver) -> int:
     return 0
 
 
-def cmd_codebook(resolver: _Resolver) -> int:
-    cfg = _experiment_config(resolver)
-    codebook = fit_essay_codebook(cfg, load_essays(cfg.data_path, cfg.prompt))
-    out = _require(resolver, "out")
-    save_codebook(codebook, out)
-    print(f"codebook: k={codebook.k} dim={codebook.dim} "
-          f"distortion={codebook.distortion:.6f} -> {out}")
-    return 0
-
-
 def cmd_kernel(resolver: _Resolver) -> int:
     cfg = _experiment_config(resolver)
     if cfg.representation != "hisk":
@@ -217,20 +198,10 @@ def cmd_kernel(resolver: _Resolver) -> int:
             "kernels depend on the per-fold codebook"
         )
     cfg.validate()
-    out = resolver.get("out")
-    if out is None and cfg.cache_dir is None:
-        raise KaesError("give --out or --cache-dir to store the kernel matrix")
-    # The same essays the protocols and `train` score, so --cache-dir warms their entry.
+    _require(resolver, "cache_dir")
+    # The same essays the protocols and `train` score, so each prompt's entry
+    # is the one `eval-indomain` and `train` read.
     essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
-    if out is not None:
-        raw = kernel_matrix(
-            [e.text for e in essays], row_ids=tuple(e.id for e in essays),
-            n_min=cfg.ngram_min, n_max=cfg.ngram_max,
-        )
-        save_kernel_matrix(raw, out)
-        print(f"kernel: {raw.shape[0]}x{raw.shape[1]} hisk-raw -> {out}")
-        return 0
-    # One Gram per prompt, as `eval-indomain` and `train` read them.
     for prompt in sorted({e.prompt for e in essays}):
         subset = [e for e in essays if e.prompt == prompt]
         normalized_hisk_gram(subset, cfg)
@@ -243,8 +214,11 @@ def cmd_train(resolver: _Resolver) -> int:
     model, codebook = train_model(cfg, load_essays(cfg.data_path, cfg.prompt))
     out = _require(resolver, "out")
     save_svr_model(model, out)
+    # `predict` reads a codebook beside the model, so none may outlive its model.
     if codebook is not None:
         save_codebook(codebook, out + ".codebook")
+    else:
+        Path(out + ".codebook").unlink(missing_ok=True)
     print(
         f"model: {len(model.support_ids)}/{len(model.train_ids)} support vectors, "
         f"epsilon={model.epsilon_star:.6f}, converged={model.converged} -> {out}"
@@ -303,7 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     resolver = _Resolver(args)
     handlers = {
         "ingest": cmd_ingest,
-        "codebook": cmd_codebook,
         "kernel": cmd_kernel,
         "train": cmd_train,
         "predict": cmd_predict,

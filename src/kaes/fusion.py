@@ -18,7 +18,7 @@ def _first_divergent(a: tuple[str, ...], b: tuple[str, ...]) -> str:
 
 
 def sum_kernels(k1: KernelMatrix, k2: KernelMatrix) -> KernelMatrix:
-    """Elementwise sum of two aligned kernel matrices (kind "fused")."""
+    """Elementwise sum of two aligned kernel matrices."""
     if k1.shape != k2.shape:
         raise KernelMismatchError(f"kernel shapes differ: {k1.shape} vs {k2.shape}")
     if k1.row_ids != k2.row_ids:
@@ -29,16 +29,4 @@ def sum_kernels(k1: KernelMatrix, k2: KernelMatrix) -> KernelMatrix:
         raise KernelMismatchError(
             f"column ids diverge at {_first_divergent(k1.col_ids, k2.col_ids)}"
         )
-    diag_rows = diag_cols = None
-    if k1.diag_rows is not None and k2.diag_rows is not None:
-        diag_rows = k1.diag_rows + k2.diag_rows
-    if k1.diag_cols is not None and k2.diag_cols is not None:
-        diag_cols = k1.diag_cols + k2.diag_cols
-    return KernelMatrix(
-        values=k1.values + k2.values,
-        row_ids=k1.row_ids,
-        col_ids=k1.col_ids,
-        kind="fused",
-        diag_rows=diag_rows,
-        diag_cols=diag_cols,
-    )
+    return KernelMatrix(values=k1.values + k2.values, row_ids=k1.row_ids, col_ids=k1.col_ids)

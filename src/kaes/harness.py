@@ -24,7 +24,7 @@ import io
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -319,8 +319,6 @@ def _cache_mismatch(
     ids = tuple(e.id for e in essays)
     if raw.row_ids != ids or raw.col_ids != ids:
         return "it does not match the document set"
-    if raw.kind != "hisk-raw":
-        return f"it holds a {raw.kind} matrix, not hisk-raw"
     if not np.isfinite(raw.values).all():
         return "it holds NaN or infinite values"
     if not np.array_equal(raw.values, raw.values.T):
@@ -652,17 +650,6 @@ def _result_cell(
 # One model: `kaes train` and `kaes predict`
 
 
-def fit_essay_codebook(cfg: ExperimentConfig, essays: Sequence[Essay]) -> Codebook:
-    """The codebook that :func:`train_model` fits on ``essays``, whatever the representation.
-
-    Its seed is the run seed itself; the protocols derive one per fold.
-    """
-    cfg = replace(cfg, representation="boswe")
-    cfg.validate()
-    (embedded,) = _embedded_essays(cfg, essays)
-    return _fold_codebook(embedded, [e.id for e in essays], cfg, cfg.seed)
-
-
 def train_model(
     cfg: ExperimentConfig, essays: Sequence[Essay]
 ) -> tuple[SvrModel, Codebook | None]:
@@ -694,7 +681,9 @@ def predict_scores(
     """Each essay of ``essays`` with its score under ``model``, on its prompt's scale.
 
     ``model`` and ``codebook`` come from :func:`train_model` on essays that
-    ``train_essays`` holds.  Blank essays are dropped with a warning.
+    ``train_essays`` holds.  Blank essays are dropped with a warning.  One
+    histogram call covers the test and support essays, so each token type is
+    assigned once.
     """
     cfg.validate()
     if codebook is None and cfg.representation != "hisk":
@@ -716,9 +705,10 @@ def predict_scores(
     boswe = None
     support_embedded, embedded = _embedded_essays(cfg, support_essays, essays)
     if embedded is not None:
-        boswe = boswe_kernel_matrix(_histograms(codebook, embedded, ids),
-                                    _histograms(codebook, support_embedded, model.support_ids),
-                                    row_ids=ids, col_ids=model.support_ids)
+        rows = [embedded.rows[eid] for eid in ids]
+        rows += [support_embedded.rows[eid] for eid in model.support_ids]
+        hists, n = build_histograms(codebook, rows, embedded.model), len(ids)
+        boswe = boswe_kernel_matrix(hists[:n], hists[n:], row_ids=ids, col_ids=model.support_ids)
     preds = predict(model, _fuse(cfg, hisk, boswe))
     return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
             for e, p in zip(essays, preds)]

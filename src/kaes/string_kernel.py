@@ -25,8 +25,8 @@ DEFAULT_NGRAM_MIN = 1
 DEFAULT_NGRAM_MAX = 15
 
 KERNEL_MAGIC = b"KAESKM01"
-KIND_TAGS = {"hisk-raw": 0, "hisk-normalized": 1, "boswe": 2, "fused": 3, "linear": 4}
-_TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
+# The header's kind byte.  Only raw n-gram Grams are written, so it is always 0.
+_RAW_KIND = 0
 
 # Cells (documents x threshold columns) of one float32 0/1 block of the Gram
 # product.
@@ -51,17 +51,17 @@ def normalize_text(text: str) -> str:
 
 @dataclass
 class KernelMatrix:
-    """Dense similarity matrix with document ids and provenance.
+    """Dense similarity matrix with document ids.
 
-    ``diag_rows``/``diag_cols`` hold the self-similarities of the row and
-    column documents so rectangular blocks can be normalized consistently
-    with the square training matrix they came from.
+    A raw n-gram block also holds ``diag_rows``/``diag_cols``, the
+    self-similarities of its row and column documents, so that rectangular
+    blocks are normalized consistently with the square training matrix they
+    came from.  Other blocks hold None there.
     """
 
     values: np.ndarray
     row_ids: tuple[str, ...]
     col_ids: tuple[str, ...]
-    kind: str
     diag_rows: np.ndarray | None = None
     diag_cols: np.ndarray | None = None
 
@@ -74,15 +74,13 @@ class KernelMatrix:
                 f"kernel shape {self.values.shape} does not match id lists "
                 f"({len(self.row_ids)} x {len(self.col_ids)})"
             )
-        if self.kind not in KIND_TAGS:
-            raise KernelMismatchError(f"unknown kernel kind {self.kind!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
     def take(self, row_ids: Sequence[str], col_ids: Sequence[str]) -> "KernelMatrix":
-        """Slice a sub-block by document ids, keeping kind and diagonals."""
+        """Slice a sub-block by document ids, keeping its diagonals."""
         row_pos = {eid: i for i, eid in enumerate(self.row_ids)}
         col_pos = {eid: i for i, eid in enumerate(self.col_ids)}
         try:
@@ -94,7 +92,6 @@ class KernelMatrix:
             values=self.values[np.ix_(ri, ci)],
             row_ids=tuple(row_ids),
             col_ids=tuple(col_ids),
-            kind=self.kind,
             diag_rows=None if self.diag_rows is None else self.diag_rows[ri],
             diag_cols=None if self.diag_cols is None else self.diag_cols[ci],
         )
@@ -443,7 +440,6 @@ def kernel_matrix(
         values=values,
         row_ids=rids,
         col_ids=cids,
-        kind="hisk-raw",
         diag_rows=totals[: len(rows)],
         diag_cols=totals.copy() if square else totals[len(rows):],
     )
@@ -455,10 +451,9 @@ def normalize_kernel(kernel: KernelMatrix) -> KernelMatrix:
     Entry (i, j) is divided by sqrt(diag_rows[i] * diag_cols[j]); a square
     input therefore comes out with a unit diagonal.  Documents with zero
     self-similarity (empty after canonicalization) cannot be normalized and
-    are reported by id.
+    are reported by id.  The result holds no self-similarities, so it cannot
+    be normalized again.
     """
-    if kernel.kind != "hisk-raw":
-        raise KernelMismatchError(f"can only normalize hisk-raw matrices, got {kernel.kind!r}")
     if kernel.diag_rows is None or kernel.diag_cols is None:
         raise KernelMismatchError("kernel lacks self-similarities; cannot normalize")
     for ids, diag in ((kernel.row_ids, kernel.diag_rows), (kernel.col_ids, kernel.diag_cols)):
@@ -468,22 +463,19 @@ def normalize_kernel(kernel: KernelMatrix) -> KernelMatrix:
                 f"document {ids[bad[0]]!r} has zero self-similarity (empty text?)"
             )
     scale = np.sqrt(np.outer(kernel.diag_rows, kernel.diag_cols))
-    return KernelMatrix(
-        values=kernel.values / scale,
-        row_ids=kernel.row_ids,
-        col_ids=kernel.col_ids,
-        kind="hisk-normalized",
-        diag_rows=np.ones(len(kernel.row_ids)),
-        diag_cols=np.ones(len(kernel.col_ids)),
-    )
+    return KernelMatrix(values=kernel.values / scale, row_ids=kernel.row_ids,
+                        col_ids=kernel.col_ids)
 
 
 def save_kernel_matrix(kernel: KernelMatrix, path: str | Path | BinaryIO) -> None:
-    """Write a kernel matrix in the binary cache format (bit-exact)."""
+    """Write a kernel matrix in the binary cache format (bit-exact).
+
+    Values and ids are stored; the kind byte is always 0.
+    """
     with open_binary(path, "wb") as stream:
         rows, cols = kernel.shape
         stream.write(KERNEL_MAGIC)
-        stream.write(struct.pack("<IIB", rows, cols, KIND_TAGS[kernel.kind]))
+        stream.write(struct.pack("<IIB", rows, cols, _RAW_KIND))
         stream.write(np.ascontiguousarray(kernel.values, dtype="<f8").tobytes())
         for doc_id in kernel.row_ids:
             write_id(stream, doc_id)
@@ -502,7 +494,7 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
         reader = Reader(stream)
         reader.expect_magic(KERNEL_MAGIC)
         rows, cols, tag = reader.unpack("<IIB", "header")
-        if tag not in _TAG_KINDS:
+        if tag != _RAW_KIND:
             raise BinaryFormatError(f"unknown kind tag {tag}", offset=reader.offset - 1)
         values = np.frombuffer(reader.read(rows * cols * 8, "values"), dtype="<f8")
         values = values.reshape(rows, cols).copy()
@@ -515,7 +507,6 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
             values=values,
             row_ids=row_ids,
             col_ids=col_ids,
-            kind=_TAG_KINDS[tag],
             diag_rows=diag,
             diag_cols=None if diag is None else diag.copy(),
         )

@@ -91,6 +91,18 @@ def nearest_centroid_linear(points: np.ndarray, centroids: np.ndarray) -> np.nda
     )
 
 
+def codebook_distortion(points: np.ndarray, codebook) -> float:
+    """Mean squared distance of the points to their nearest centroids of ``codebook``.
+
+    The codebook's stored float32 centroids are compared in float64, nearest
+    by :func:`nearest_centroid_linear`.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    centroids = np.asarray(codebook.centroids, dtype=np.float64)
+    labels = nearest_centroid_linear(points, centroids)
+    return float(((points - centroids[labels]) ** 2).sum(axis=1).mean())
+
+
 def kmeans_pp_reference(
     points: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,12 +143,11 @@ def histogram_dicts(labels_per_doc) -> list[dict[int, float]]:
 
 def hik_reference(
     rows: list[dict[int, float]], cols: list[dict[int, float]] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Min-sum intersection Gram of dict histograms, one pair at a time.
 
     Each entry adds the smaller weight of every shared cluster in ascending
-    cluster id, starting from 0.0.  Returns the matrix and the rows' and the
-    columns' self-similarities, each the sum of its weights in that order.
+    cluster id, starting from 0.0.
     """
 
     def pair(a: dict[int, float], b: dict[int, float]) -> float:
@@ -146,16 +157,8 @@ def hik_reference(
                 value += min(a[cid], b[cid])
         return value
 
-    def self_similarity(h: dict[int, float]) -> float:
-        value = 0.0
-        for cid in sorted(h):
-            value += h[cid]
-        return value
-
     cols = rows if cols is None else cols
-    values = np.array([[pair(a, b) for b in cols] for a in rows], dtype=np.float64)
-    return (values, np.array([self_similarity(h) for h in rows], dtype=np.float64),
-            np.array([self_similarity(h) for h in cols], dtype=np.float64))
+    return np.array([[pair(a, b) for b in cols] for a in rows], dtype=np.float64)
 
 
 def project_capped_simplex(v: np.ndarray, cap: float, total: float) -> np.ndarray:
@@ -277,14 +280,7 @@ def linear_gram(x: FeatureMatrix, y: FeatureMatrix | None = None) -> KernelMatri
     y_eff = x if y is None else y
     if x.cols != y_eff.cols:
         raise KernelMismatchError(f"feature counts differ: {x.cols} vs {y_eff.cols}")
-    return KernelMatrix(
-        values=x.values @ y_eff.values.T,
-        row_ids=x.ids,
-        col_ids=y_eff.ids,
-        kind="linear",
-        diag_rows=np.einsum("ij,ij->i", x.values, x.values),
-        diag_cols=np.einsum("ij,ij->i", y_eff.values, y_eff.values),
-    )
+    return KernelMatrix(values=x.values @ y_eff.values.T, row_ids=x.ids, col_ids=y_eff.ids)
 
 
 def concat_features(x1: FeatureMatrix, x2: FeatureMatrix) -> FeatureMatrix:

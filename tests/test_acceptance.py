@@ -126,7 +126,7 @@ def test_criterion_5_nu_svr_oracle():
         c = float(rng.choice([10.0, 100.0, 1000.0]))
         nu = float(rng.choice([0.1, 0.2, 0.3, 0.5]))
         kernel = KernelMatrix(values=gram, row_ids=tuple(map(str, range(r))),
-                              col_ids=tuple(map(str, range(r))), kind="linear")
+                              col_ids=tuple(map(str, range(r))))
         cfg = SvrConfig(c=c, nu=nu, kkt_tolerance=1e-5)
         model = train_nu_svr(kernel, y, cfg)
         _, _, oracle_obj = solve_nu_svr_qp(gram, y, c, nu)

@@ -19,8 +19,8 @@ from kaes.svr import SvrConfig, SvrModel, load_svr_model, save_svr_model
 from synthesis import save_word2vec_binary
 
 KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a", "bé"),
-                      col_ids=("x", "y", "z"), kind="fused")
-CODEBOOK = Codebook(k=2, centroids=np.array([[1, 2, 3], [4, -5, 6.5]]), seed=7, distortion=None)
+                      col_ids=("x", "y", "z"))
+CODEBOOK = Codebook(k=2, centroids=np.array([[1, 2, 3], [4, -5, 6.5]]), seed=7)
 MODEL = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
                  train_ids=("a", "bé"), config=SvrConfig(c=10.0, nu=0.5), seed=3,
                  converged=True, iterations=12)
@@ -35,7 +35,7 @@ def _ids(*ids: str) -> bytes:
 # name: (object, save, load, its bytes spelled out field by field)
 FORMATS = {
     "kernel": (KERNEL, save_kernel_matrix, load_kernel_matrix,
-               b"KAESKM01" + struct.pack("<IIB", 2, 3, 3)
+               b"KAESKM01" + struct.pack("<IIB", 2, 3, 0)
                + np.array(KERNEL.values, dtype="<f8").tobytes() + _ids("a", "bé", "x", "y", "z")),
     "codebook": (CODEBOOK, save_codebook, load_codebook,
                  b"KAESCB01" + struct.pack("<IIQ", 2, 3, 7)

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 import kaes
-import kaes.cli
 import kaes.harness
-from kaes.boswe import load_codebook
 from kaes.cli import main
 from kaes.corpus import parse_asap_tsv
 from kaes.boswe import save_codebook
@@ -95,18 +93,7 @@ class TestCommands:
         ])
         assert code == 0
         (path,) = cache.glob("hisk_*.km")
-        loaded = load_kernel_matrix(path)
-        assert loaded.kind == "hisk-raw"
-        assert loaded.shape == (60, 60)
-
-    def test_kernel_explicit_out(self, workdir, tmp_path, capsys):
-        out_path = tmp_path / "k.km"
-        code, _, _ = run_main(capsys, [
-            "kernel", "--data", workdir / "data.tsv", "--out", out_path,
-            "--ngram-max", "3",
-        ])
-        assert code == 0
-        assert load_kernel_matrix(out_path).shape == (60, 60)
+        assert load_kernel_matrix(path).shape == (60, 60)
 
     def test_kernel_rejects_boswe(self, workdir, capsys):
         code, _, _ = run_main(capsys, [
@@ -114,14 +101,20 @@ class TestCommands:
         ])
         assert code == 1
 
-    def test_codebook_command(self, workdir, tmp_path, capsys):
-        out_path = tmp_path / "cb.bin"
-        code, out, _ = run_main(capsys, [
-            "codebook", "--data", workdir / "data.tsv", "--embeddings",
-            workdir / "emb.bin", "--k", "8", "--seed", "1", "--out", out_path,
-        ])
-        assert code == 0
-        assert load_codebook(out_path).k == 8
+    @pytest.mark.parametrize("argv, code, message", [
+        (["codebook", "--k", "8", "--out", "cb.bin"], 2, "invalid choice: 'codebook'"),
+        (["kernel", "--out", "k.km"], 2, "unrecognized arguments: --out k.km"),
+        (["kernel"], 1, "error: missing required option --cache-dir"),
+    ])
+    def test_removed_command_and_options(self, workdir, capsys, argv, code, message):
+        try:
+            returned = main([str(a) for a in [*argv, "--data", workdir / "data.tsv"]])
+        except SystemExit as exc:  # argparse rejects the command line
+            returned = exc.code
+        err = capsys.readouterr().err
+        assert returned == code
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("representation", ["hisk", "fused"])
     def test_train_then_predict(self, workdir, tmp_path, capsys, representation):
@@ -322,6 +315,20 @@ class TestCommands:
         assert err.startswith("error: ") and "'omega'" in err and "NaN or infinite" in err
         assert "Traceback" not in err
 
+    def test_retrained_hisk_model_drops_stale_codebook(self, workdir, tmp_path, capsys):
+        common = ["--data", workdir / "data.tsv", "--prompt", "1", "--embeddings",
+                  workdir / "emb.bin", "--k", "8", "--seed", "1"]
+        model = tmp_path / "m.bin"
+        for representation in ("boswe", "hisk"):
+            code, _, err = run_main(capsys, ["train", *common, "--representation",
+                                             representation, "--out", model])
+            assert code == 0, err
+        assert not Path(f"{model}.codebook").exists()
+        code, out, err = run_main(capsys, ["predict", *common, "--representation", "boswe",
+                                           "--model", model])
+        assert code == 1 and out == ""
+        assert "error: representation 'boswe' needs the model's codebook" in err
+
     def test_predict_loads_vectors_once(self, workdir, tmp_path, capsys, monkeypatch):
         common = ["--data", workdir / "data.tsv", "--prompt", "1", "--representation", "fused",
                   "--embeddings", workdir / "emb.bin", "--k", "8", "--seed", "1"]
@@ -380,7 +387,6 @@ class TestCommands:
             raise AssertionError("computed an n-gram Gram matrix")
 
         monkeypatch.setattr(kaes.harness, "kernel_matrix", no_gram)
-        monkeypatch.setattr(kaes.cli, "kernel_matrix", no_gram)
         code, _, err = run_main(capsys, [*train, "--cache-dir", cache,
                                          "--out", tmp_path / "warm.bin"])
         assert code == 0, err
@@ -392,15 +398,14 @@ class TestCommands:
         blank_id = fields[0]
         fields[2] = "   "
         lines[5] = "\t".join(fields)
-        data, cache, out = tmp_path / "blank.tsv", tmp_path / "cache", tmp_path / "k.km"
+        data, cache = tmp_path / "blank.tsv", tmp_path / "cache"
         data.write_text("\n".join(lines) + "\n")
         with caplog.at_level("WARNING", logger="kaes.harness"):
-            code, _, err = run_main(capsys, ["kernel", "--data", data, "--out", out])
+            code, _, err = run_main(capsys, ["kernel", "--data", data, "--cache-dir", cache])
         assert code == 0, err
         assert f"dropping 1 blank essays: {blank_id}" in caplog.text
-        assert load_kernel_matrix(out).shape == (29, 29)
-        code, _, err = run_main(capsys, ["kernel", "--data", data, "--cache-dir", cache])
-        assert code == 0, err
+        (cached,) = cache.glob("hisk_*.km")
+        assert load_kernel_matrix(cached).shape == (29, 29)
 
         def no_gram(*args, **kwargs):
             raise AssertionError("computed an n-gram Gram matrix")
@@ -454,15 +459,14 @@ class TestCommands:
                     ["train", "--data", train, *common, "--out", out / "model.bin"],
                     ["predict", "--data", test, "--train-data", train, *common,
                      "--model", out / "model.bin", "--out", out / "preds.tsv"],
-                    ["codebook", "--data", train, *common, "--out", out / "codebook.bin"],
                 ):
                     code, _, err = run_main(capsys, argv)
                     assert code == 0, err
-            files = ("model.bin", "model.bin.codebook", "preds.tsv", "codebook.bin")
+            files = ("model.bin", "model.bin.codebook", "preds.tsv")
             return [(out / name).read_bytes() for name in files], loaded
 
-        kept, (train_model, predict_model, codebook_model) = outputs(full=False)
-        full, (full_model, _, _) = outputs(full=True)
+        kept, (train_model, predict_model) = outputs(full=False)
+        full, (full_model, _) = outputs(full=True)
         assert kept == full
 
         def embedded_tokens(path, ids=None):
@@ -470,7 +474,7 @@ class TestCommands:
                     for t in tokenize(e.text) if t in full_model.vocab}
 
         support = set(load_svr_model(tmp_path / "kept" / "model.bin").support_ids)
-        assert set(train_model.vocab) == set(codebook_model.vocab) == embedded_tokens(train)
+        assert set(train_model.vocab) == embedded_tokens(train)
         assert set(predict_model.vocab) == embedded_tokens(train, support) | embedded_tokens(test)
         assert "decoy7" in predict_model.vocab
         assert len(train_model) < len(full_model)

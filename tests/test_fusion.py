@@ -11,10 +11,10 @@ from kaes.string_kernel import KernelMatrix
 from oracles import FeatureMatrix, concat_features, linear_gram
 
 
-def km(values, ids=None, kind="boswe"):
+def km(values, ids=None):
     values = np.asarray(values, dtype=float)
     ids = ids or tuple(f"d{i}" for i in range(values.shape[0]))
-    return KernelMatrix(values=values, row_ids=tuple(ids), col_ids=tuple(ids), kind=kind)
+    return KernelMatrix(values=values, row_ids=tuple(ids), col_ids=tuple(ids))
 
 
 def random_psd(rng, n):
@@ -29,7 +29,6 @@ class TestSumKernels:
         k2 = km(np.zeros((4, 4)))
         fused = sum_kernels(k1, k2)
         assert np.array_equal(fused.values, k1.values)
-        assert fused.kind == "fused"
 
     def test_sum_of_psd_is_psd(self):
         rng = np.random.default_rng(1)
@@ -55,14 +54,6 @@ class TestSumKernels:
     def test_shape_mismatch(self):
         with pytest.raises(KernelMismatchError, match="shapes"):
             sum_kernels(km(np.zeros((2, 2))), km(np.zeros((3, 3))))
-
-    def test_diagonals_sum(self):
-        k1 = km(np.eye(3) * 2)
-        k1.diag_rows = k1.diag_cols = np.full(3, 2.0)
-        k2 = km(np.eye(3))
-        k2.diag_rows = k2.diag_cols = np.ones(3)
-        fused = sum_kernels(k1, k2)
-        np.testing.assert_array_equal(fused.diag_rows, np.full(3, 3.0))
 
 
 class TestLinearGram:

@@ -19,10 +19,13 @@ from kaes.harness import (
     ResultCell,
     ResultTable,
     emit_report,
+    load_essays,
     parse_config_file,
+    predict_scores,
     run_cross_domain,
     run_in_domain,
     table_from_csv,
+    train_model,
 )
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
 from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
@@ -147,12 +150,12 @@ class TestInDomain:
             # file declares about 2**31 rows that it does not hold.
             cached.write_bytes(good[:11] + bytes([good[11] ^ 0x80]) + good[12:])
         elif damage == "other-ids":
-            other = KernelMatrix(values=np.eye(2), row_ids=("x", "y"), col_ids=("x", "y"),
-                                 kind="hisk-raw")
+            other = KernelMatrix(values=np.eye(2), row_ids=("x", "y"), col_ids=("x", "y"))
             save_kernel_matrix(other, cached)
         elif damage in ("hisk-normalized", "boswe"):
-            # Well-formed, with the right ids, but of another kind.
-            save_kernel_matrix(replace(raw, kind=damage), cached)
+            # The kind byte (offset 16), which must be 0, set to 1 or 4.
+            tag = {"hisk-normalized": 1, "boswe": 4}[damage]
+            cached.write_bytes(good[:16] + bytes([tag]) + good[17:])
         else:
             values = raw.values.copy()
             if damage == "zero-diagonal":
@@ -357,12 +360,23 @@ class TestAssignOnce:
         assert table.cells[0].failed is None
         text = {e.id: e.text for e in parse_asap_tsv(Path(cfg.data_path).read_bytes())}
         vectors = load_word2vec_binary(cfg.embeddings_path)
+
+        def rows_of_types(ids):
+            # One row per type, in sorted token order.
+            types = sorted({t for eid in ids for t in tokenize(text[eid]) if t in vectors.vocab})
+            return vectors.vectors[[vectors.vocab[t] for t in types]]
+
         assert len(passed) == len(cells) == 5
         for rows, (train, evaluation) in zip(passed, cells):
-            types = sorted({t for eid in train + evaluation
-                            for t in tokenize(text[eid]) if t in vectors.vocab})
-            # One row per type, in sorted token order.
-            assert np.array_equal(rows, vectors.vectors[[vectors.vocab[t] for t in types]])
+            assert np.array_equal(rows, rows_of_types(train + evaluation))
+        # Prediction assigns the test and support essays' rows in one call.
+        essays = load_essays(cfg.data_path)
+        model, codebook = train_model(cfg, essays)
+        passed.clear()
+        predict_scores(cfg, model, codebook, essays[:12], essays)
+        assert len(passed) == 1
+        test_ids = [e.id for e in essays[:12]]
+        assert np.array_equal(passed[0], rows_of_types(test_ids + list(model.support_ids)))
 
 
 class TestVectorsLoad:

@@ -407,7 +407,6 @@ class TestNormalize:
         texts = ["alpha beta", "gamma delta", "alpha delta"]
         k = normalize_kernel(kernel_matrix(texts, n_min=1, n_max=4))
         assert np.allclose(np.diagonal(k.values), 1.0)
-        assert k.kind == "hisk-normalized"
 
     def test_disjoint_pair_zero(self):
         k = normalize_kernel(kernel_matrix(["aaa", "bbb"], n_min=1, n_max=2))
@@ -435,7 +434,6 @@ class TestKernelIO:
             values=rng.normal(size=(rows, cols)),
             row_ids=tuple(f"r{i}" for i in range(rows)),
             col_ids=tuple(f"c{j}" for j in range(cols)),
-            kind="fused",
         )
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -447,7 +445,16 @@ class TestKernelIO:
         assert loaded.values.dtype == np.float64
         assert loaded.row_ids == original.row_ids
         assert loaded.col_ids == original.col_ids
-        assert loaded.kind == original.kind
+
+    @pytest.mark.parametrize("tag", [1, 4])
+    def test_kind_byte_other_than_zero_rejected(self, tag):
+        buf = io.BytesIO()
+        save_kernel_matrix(self._random_kernel(), buf)
+        data = buf.getvalue()
+        assert data[16] == 0
+        with pytest.raises(BinaryFormatError, match=f"unknown kind tag {tag}") as info:
+            load_kernel_matrix(io.BytesIO(data[:16] + bytes([tag]) + data[17:]))
+        assert info.value.offset == 16
 
     def test_square_recovers_diagonal(self, tmp_path):
         k = kernel_matrix(["ab", "cd"], n_min=1, n_max=2)

@@ -23,7 +23,7 @@ from oracles import dual_objective, solve_nu_svr_qp
 def square_kernel(values, ids=None) -> KernelMatrix:
     values = np.asarray(values, dtype=float)
     ids = ids or tuple(f"d{i}" for i in range(values.shape[0]))
-    return KernelMatrix(values=values, row_ids=tuple(ids), col_ids=tuple(ids), kind="linear")
+    return KernelMatrix(values=values, row_ids=tuple(ids), col_ids=tuple(ids))
 
 
 def random_problem(rng, r, features=4, jitter=1e-9):
@@ -101,8 +101,7 @@ class TestTraining:
 
     def test_rectangular_kernel_rejected(self):
         values = np.ones((2, 3))
-        kernel = KernelMatrix(values=values, row_ids=("a", "b"), col_ids=("x", "y", "z"),
-                              kind="linear")
+        kernel = KernelMatrix(values=values, row_ids=("a", "b"), col_ids=("x", "y", "z"))
         with pytest.raises(KernelMismatchError):
             train_nu_svr(kernel, np.zeros(2))
 
@@ -173,9 +172,7 @@ class TestPredict:
     def test_zero_kernel_row_gives_bias(self):
         rng = np.random.default_rng(9)
         kernel, y, model = self._fit(rng)
-        zero_block = KernelMatrix(
-            values=np.zeros((1, 20)), row_ids=("t0",), col_ids=kernel.col_ids, kind="linear"
-        )
+        zero_block = KernelMatrix(values=np.zeros((1, 20)), row_ids=("t0",), col_ids=kernel.col_ids)
         assert predict(model, zero_block)[0] == pytest.approx(model.bias)
 
     def test_row_permutation_permutes_output(self):
@@ -185,14 +182,12 @@ class TestPredict:
             values=rng.normal(size=(5, 20)),
             row_ids=tuple(f"t{i}" for i in range(5)),
             col_ids=kernel.col_ids,
-            kind="linear",
         )
         perm = [3, 1, 4, 0, 2]
         permuted = KernelMatrix(
             values=block.values[perm],
             row_ids=tuple(block.row_ids[i] for i in perm),
             col_ids=block.col_ids,
-            kind="linear",
         )
         np.testing.assert_array_equal(predict(model, permuted), predict(model, block)[perm])
 
@@ -200,8 +195,7 @@ class TestPredict:
         rng = np.random.default_rng(11)
         kernel, y, model = self._fit(rng)
         shuffled = tuple(reversed(kernel.col_ids))
-        bad = KernelMatrix(values=np.zeros((1, 20)), row_ids=("t",), col_ids=shuffled,
-                           kind="linear")
+        bad = KernelMatrix(values=np.zeros((1, 20)), row_ids=("t",), col_ids=shuffled)
         with pytest.raises(KernelMismatchError, match="not aligned"):
             predict(model, bad)
 
