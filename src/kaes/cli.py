@@ -3,16 +3,21 @@
 Subcommands mirror the pipeline stages: ``ingest`` validates a data file,
 ``kernel`` warms the n-gram Gram cache, ``train``/``predict`` fit and apply
 one model, and ``eval-indomain``/``eval-crossdomain``/``report`` run the full
-protocols and render result tables.  Every flag can also be given in a flat
-key=value config file (``--config``); explicit flags win over file values.
+protocols and render result tables.  Each setting is declared once, in
+``_SETTINGS``; a command takes as flags the settings ``_COMMANDS`` lists for
+it.  Each can also come from a key=value file (``--config``); a flag wins.
+A command ignores the file's keys of other commands' settings, but every
+key must name a setting and hold a valid value.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .boswe import load_codebook, save_codebook
 from .corpus import ASAP_SCORE_RANGES
@@ -23,7 +28,6 @@ from .harness import (
     emit_report,
     load_essays,
     normalized_hisk_gram,
-    parse_config_file,
     predict_scores,
     run_cross_domain,
     run_in_domain,
@@ -33,64 +37,71 @@ from .harness import (
 )
 from .svr import SvrConfig, load_svr_model, save_svr_model
 
-# Flags that set the ExperimentConfig field (or SvrConfig field) of the same name.
-_CONFIG_FLAGS = {
-    "representation": str, "prompt": int, "source": int, "target": int, "cache_dir": str,
-    "ngram_min": int, "ngram_max": int, "k": int, "seed": int, "folds": int,
-    "repetitions": int, "kmeans_iters": int,
+
+def int_list(raw: str) -> tuple[int, ...] | None:
+    """Comma-separated integers; an empty value keeps the default."""
+    if not raw:
+        return None
+    return tuple(int(part) for part in raw.split(",") if part.strip() != "")
+
+
+class _Setting(NamedTuple):
+    help: str
+    type: Callable[[str], Any] = str
+    choices: tuple[str, ...] | None = None
+
+
+_SETTINGS = {
+    "data": _Setting("ASAP-format TSV file"),
+    "prompt": _Setting("prompt id 1-8", int),
+    "representation": _Setting("kernel to score with", choices=REPRESENTATIONS),
+    "embeddings": _Setting("word2vec binary embeddings file"),
+    "ngram_min": _Setting("shortest n-gram length", int),
+    "ngram_max": _Setting("longest n-gram length", int),
+    "k": _Setting("codebook size", int),
+    "kmeans_iters": _Setting("k-means iterations", int),
+    "vocab_limit": _Setting("word2vec records to scan; 0 scans all", int),
+    "seed": _Setting("random seed of folds, sub-samples, k-means and the solver", int),
+    "c": _Setting("regularization budget", float),
+    "nu": _Setting("nu parameter in (0, 1]", float),
+    "kkt_tolerance": _Setting("solver stopping tolerance", float),
+    "max_iterations": _Setting("solver iteration cap", int),
+    "cache_dir": _Setting("n-gram Gram cache directory"),
+    "source": _Setting("source prompt id", int),
+    "target": _Setting("target prompt id", int),
+    "nt": _Setting("comma-separated sub-sample sizes", int_list),
+    "repetitions": _Setting("protocol repetitions", int),
+    "folds": _Setting("folds per repetition", int),
+    "format": _Setting("report format", choices=("text", "csv")),
+    "table": _Setting("csv table from an eval run"),
+    "model": _Setting("model file from `train`"),
+    "train_data": _Setting("TSV with the training essays (defaults to --data)"),
+    "out": _Setting("output file: the model (train), the predictions TSV instead of stdout "
+                    "(predict) or also the csv table (eval-*)"),
 }
-_SVR_FLAGS = {"c": float, "nu": float, "kkt_tolerance": float, "max_iterations": int}
 
+_NGRAMS = ("ngram_min", "ngram_max")
+_CODEBOOK = ("embeddings", "k", "kmeans_iters", "vocab_limit", "seed")
+_SVR = ("c", "nu", "kkt_tolerance", "max_iterations")
+_MODEL = ("representation", *_NGRAMS, *_CODEBOOK, *_SVR, "cache_dir")
+_PROTOCOL = ("repetitions", "folds", "format", "out")
 
-class _Resolver:
-    """Merge argparse values with config-file values (flags win)."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file: dict[str, str] = {}
-        if getattr(args, "config", None):
-            self.file = parse_config_file(args.config)
-
-    def get(self, key: str, cast=str, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key not in self.file:
-            return default
-        try:
-            return cast(self.file[key])
-        except ValueError:
-            raise KaesError(
-                f"{self.args.config}: {key}={self.file[key]} is not a valid {cast.__name__}"
-            ) from None
-
-
-def _parse_nt(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip() != "")
-    except ValueError:
-        raise KaesError(f"nt must be comma-separated integers, got {raw!r}") from None
-
-
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="ASAP-format TSV file")
-    p.add_argument("--prompt", type=int, help="prompt id 1-8")
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--representation", choices=REPRESENTATIONS)
-    p.add_argument("--embeddings", help="word2vec binary embeddings file")
-    p.add_argument("--ngram-min", type=int, dest="ngram_min")
-    p.add_argument("--ngram-max", type=int, dest="ngram_max")
-    p.add_argument("--k", type=int, help="codebook size")
-    p.add_argument("--c", type=float, help="regularization budget")
-    p.add_argument("--nu", type=float, help="nu parameter in (0, 1]")
-    p.add_argument("--kkt-tolerance", type=float, dest="kkt_tolerance")
-    p.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p.add_argument("--kmeans-iters", type=int, dest="kmeans_iters")
-    p.add_argument("--vocab-limit", type=int, dest="vocab_limit")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cache-dir", dest="cache_dir")
+# Command: (help, the settings it takes).  `predict` also takes --k,
+# --kmeans-iters and --seed, which it does not read (the codebook is the
+# model's), so that it accepts the model flags that `train` was given.
+_COMMANDS = {
+    "ingest": ("validate and summarize a data file", ("data", "prompt")),
+    "kernel": ("cache each prompt's n-gram Gram matrix in --cache-dir",
+               ("data", "prompt", *_NGRAMS, "cache_dir")),
+    "train": ("train a scoring model on one prompt", ("data", "prompt", *_MODEL, "out")),
+    "predict": ("score essays with a trained model",
+                ("data", "prompt", "representation", *_NGRAMS, *_CODEBOOK,
+                 "model", "train_data", "out")),
+    "eval-indomain": ("run the indomain protocol", ("data", "prompt", *_MODEL, *_PROTOCOL)),
+    "eval-crossdomain": ("run the crossdomain protocol",
+                         ("data", *_MODEL, "source", "target", "nt", *_PROTOCOL)),
+    "report": ("re-render a saved result table", ("table", "format")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,85 +110,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and summarize a data file")
-    p.add_argument("--config")
-    _add_data_flags(p)
-
-    p = sub.add_parser("kernel", help="cache each prompt's n-gram Gram matrix in --cache-dir")
-    p.add_argument("--config")
-    _add_data_flags(p)
-    _add_model_flags(p)
-
-    p = sub.add_parser("train", help="train a scoring model on one prompt")
-    p.add_argument("--config")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--out", required=True, help="output model file")
-
-    p = sub.add_parser("predict", help="score essays with a trained model")
-    p.add_argument("--config")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--model", required=True, help="model file from `train`")
-    p.add_argument("--train-data", dest="train_data",
-                   help="TSV with the training essays (defaults to --data)")
-    p.add_argument("--out", help="write predictions TSV here instead of stdout")
-
-    for name, extra in (("eval-indomain", False), ("eval-crossdomain", True)):
-        p = sub.add_parser(name, help=f"run the {name.split('-')[1]} protocol")
-        p.add_argument("--config")
-        _add_data_flags(p)
-        _add_model_flags(p)
-        if extra:
-            p.add_argument("--source", type=int)
-            p.add_argument("--target", type=int)
-            p.add_argument("--nt", help="comma-separated sub-sample sizes")
-        p.add_argument("--repetitions", type=int)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--format", choices=("text", "csv"))
-        p.add_argument("--out", help="also write the csv table to this path")
-
-    p = sub.add_parser("report", help="re-render a saved result table")
-    p.add_argument("--config")
-    p.add_argument("--table", required=True, help="csv table from an eval run")
-    p.add_argument("--format", choices=("text", "csv"))
-
+    for command, (summary, names) in _COMMANDS.items():
+        # No prefix matching: `--c` must not stand for `--config` or `--cache-dir`.
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="key=value settings file; flags win over it")
+        for name in names:
+            setting = _SETTINGS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=setting.type,
+                           choices=setting.choices, help=setting.help)
     return parser
 
 
-def _require(resolver: _Resolver, key: str):
-    value = resolver.get(key)
-    if value is None:
+def _read_config(path: str) -> dict[str, Any]:
+    """The settings of a key=value file; '#' starts a comment, blank lines are skipped."""
+    out: dict[str, Any] = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
+        at = f"{path}: line {lineno}"
+        if not eq:
+            raise KaesError(f"{at}: expected key=value, got {stripped!r}")
+        setting = _SETTINGS.get(key)
+        if setting is None:
+            raise KaesError(f"{at}: {key!r} is not a setting")
+        try:
+            out[key] = setting.type(raw)
+        except ValueError:
+            raise KaesError(f"{at}: {key}={raw} is not a valid {setting.type.__name__}") from None
+        if setting.choices and out[key] not in setting.choices:
+            raise KaesError(f"{at}: {key}={raw} is not one of {', '.join(setting.choices)}")
+    return out
+
+
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """The command's settings that a flag or the config file gives; flags win."""
+    file = _read_config(args.config) if args.config else {}
+    given = {name: getattr(args, name) for name in _COMMANDS[args.command][1]}
+    given = {name: file.get(name) if value is None else value for name, value in given.items()}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _require(settings: dict[str, Any], key: str):
+    if key not in settings:
         raise KaesError(f"missing required option --{key.replace('_', '-')}")
-    return value
+    return settings[key]
 
 
-def _experiment_config(resolver: _Resolver, mode: str = "in-domain") -> ExperimentConfig:
-    """Settings of any subcommand; a flag that is not set keeps the config default."""
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_SVR_FIELDS = {f.name for f in dataclasses.fields(SvrConfig)}
 
-    def given(flags: dict) -> dict:
-        values = {key: resolver.get(key, cast) for key, cast in flags.items()}
-        return {key: value for key, value in values.items() if value is not None}
 
-    fields = given(_CONFIG_FLAGS)
-    nt = resolver.get("nt")
-    if nt:
-        fields["nt"] = _parse_nt(nt)
-    vocab_limit = resolver.get("vocab_limit", int)
-    if vocab_limit is not None:
-        fields["vocab_limit"] = vocab_limit or None  # 0 keeps every vector
+def _experiment_config(settings: dict[str, Any], mode: str = "in-domain") -> ExperimentConfig:
+    """The command's ExperimentConfig; a setting that is not given keeps its default."""
+    fields = {key: value for key, value in settings.items() if key in _CONFIG_FIELDS}
+    if "vocab_limit" in fields:
+        fields["vocab_limit"] = fields["vocab_limit"] or None  # 0 keeps every vector
     return ExperimentConfig(
         mode=mode,
-        data_path=_require(resolver, "data"),
-        embeddings_path=resolver.get("embeddings"),
-        svr=SvrConfig(**given(_SVR_FLAGS)),
+        data_path=_require(settings, "data"),
+        embeddings_path=settings.get("embeddings"),
+        svr=SvrConfig(**{key: value for key, value in settings.items() if key in _SVR_FIELDS}),
         **fields,
     )
 
 
-def cmd_ingest(resolver: _Resolver) -> int:
-    essays = load_essays(_require(resolver, "data"), resolver.get("prompt", int))
+def cmd_ingest(settings: dict[str, Any]) -> int:
+    essays = load_essays(_require(settings, "data"), settings.get("prompt"))
     by_prompt = Counter(e.prompt for e in essays)
     for prompt in sorted(by_prompt):
         scores = [e.raw_score for e in essays if e.prompt == prompt]
@@ -190,15 +191,10 @@ def cmd_ingest(resolver: _Resolver) -> int:
     return 0
 
 
-def cmd_kernel(resolver: _Resolver) -> int:
-    cfg = _experiment_config(resolver)
-    if cfg.representation != "hisk":
-        raise KaesError(
-            "only the n-gram Gram matrix is cacheable ahead of time; histogram "
-            "kernels depend on the per-fold codebook"
-        )
+def cmd_kernel(settings: dict[str, Any]) -> int:
+    cfg = _experiment_config(settings)
     cfg.validate()
-    _require(resolver, "cache_dir")
+    _require(settings, "cache_dir")
     # The same essays the protocols and `train` score, so each prompt's entry
     # is the one `eval-indomain` and `train` read.
     essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
@@ -209,10 +205,10 @@ def cmd_kernel(resolver: _Resolver) -> int:
     return 0
 
 
-def cmd_train(resolver: _Resolver) -> int:
-    cfg = _experiment_config(resolver)
+def cmd_train(settings: dict[str, Any]) -> int:
+    cfg = _experiment_config(settings)
+    out = _require(settings, "out")
     model, codebook = train_model(cfg, load_essays(cfg.data_path, cfg.prompt))
-    out = _require(resolver, "out")
     save_svr_model(model, out)
     # `predict` reads a codebook beside the model, so none may outlive its model.
     if codebook is not None:
@@ -226,20 +222,20 @@ def cmd_train(resolver: _Resolver) -> int:
     return 0
 
 
-def cmd_predict(resolver: _Resolver) -> int:
-    cfg = _experiment_config(resolver)
-    model_path = _require(resolver, "model")
+def cmd_predict(settings: dict[str, Any]) -> int:
+    cfg = _experiment_config(settings)
+    model_path = _require(settings, "model")
     model = load_svr_model(model_path)
     # `train` writes a codebook beside the model when its kernel needs one.
     codebook_path = Path(model_path + ".codebook")
     codebook = load_codebook(codebook_path) if codebook_path.exists() else None
-    train_essays = load_essays(resolver.get("train_data") or cfg.data_path, cfg.prompt)
+    train_essays = load_essays(settings.get("train_data") or cfg.data_path, cfg.prompt)
     scores = predict_scores(cfg, model, codebook, load_essays(cfg.data_path, cfg.prompt),
                             train_essays)
     lines = ["essay_id\tessay_set\tprediction"]
     lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
     output = "\n".join(lines) + "\n"
-    out = resolver.get("out")
+    out = settings.get("out")
     if out:
         Path(out).write_text(output)
     else:
@@ -247,23 +243,23 @@ def cmd_predict(resolver: _Resolver) -> int:
     return 0
 
 
-def _write_report(resolver: _Resolver, table) -> None:
-    sys.stdout.buffer.write(emit_report(table, resolver.get("format", str, "text")))
+def _write_report(settings: dict[str, Any], table) -> None:
+    sys.stdout.buffer.write(emit_report(table, settings.get("format", "text")))
 
 
-def cmd_eval(resolver: _Resolver, mode: str) -> int:
-    cfg = _experiment_config(resolver, mode)
+def cmd_eval(settings: dict[str, Any], mode: str) -> int:
+    cfg = _experiment_config(settings, mode)
     table = run_in_domain(cfg) if mode == "in-domain" else run_cross_domain(cfg)
-    _write_report(resolver, table)
-    out = resolver.get("out")
+    _write_report(settings, table)
+    out = settings.get("out")
     if out:
         Path(out).write_bytes(emit_report(table, "csv"))
     return 0
 
 
-def cmd_report(resolver: _Resolver) -> int:
-    table = table_from_csv(Path(_require(resolver, "table")).read_bytes())
-    _write_report(resolver, table)
+def cmd_report(settings: dict[str, Any]) -> int:
+    table = table_from_csv(Path(_require(settings, "table")).read_bytes())
+    _write_report(settings, table)
     return 0
 
 
@@ -274,20 +270,17 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    resolver = _Resolver(args)
     handlers = {
         "ingest": cmd_ingest,
         "kernel": cmd_kernel,
         "train": cmd_train,
         "predict": cmd_predict,
+        "eval-indomain": lambda settings: cmd_eval(settings, "in-domain"),
+        "eval-crossdomain": lambda settings: cmd_eval(settings, "cross-domain"),
         "report": cmd_report,
     }
     try:
-        if args.command == "eval-indomain":
-            return cmd_eval(resolver, "in-domain")
-        if args.command == "eval-crossdomain":
-            return cmd_eval(resolver, "cross-domain")
-        return handlers[args.command](resolver)
+        return handlers[args.command](_settings(args))
     except KaesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -167,7 +167,6 @@ class ResultCell:
     mean: float | None
     std: float | None
     values: tuple[float, ...] = ()
-    rep_means: tuple[float, ...] = ()
     n_runs: int = 0
     failed: str | None = None
 
@@ -240,40 +239,28 @@ def emit_report(table: ResultTable, format: str = "text") -> bytes:
 def table_from_csv(data: bytes) -> ResultTable:
     """Rebuild a table from the csv emitted by :func:`emit_report`."""
     reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    rows = list(reader)
-    if not rows or rows[0][:3] != ["key", "n_t", "representation"]:
+    if next(reader, [])[:3] != ["key", "n_t", "representation"]:
         raise KaesError("not a result-table csv (missing header row)")
     cells = []
     representation = ""
-    for row in rows[1:]:
-        key, nt, representation, mean, std, runs, failed = row
-        cells.append(
-            ResultCell(
-                key=key,
-                n_t=None if nt == "" else int(nt),
-                representation=representation,
-                mean=None if mean == "" else float(mean),
-                std=None if std == "" else float(std),
-                n_runs=int(runs),
-                failed=failed or None,
+    for row in reader:
+        try:
+            key, nt, representation, mean, std, runs, failed = row
+            cells.append(
+                ResultCell(
+                    key=key,
+                    n_t=None if nt == "" else int(nt),
+                    representation=representation,
+                    mean=None if mean == "" else float(mean),
+                    std=None if std == "" else float(std),
+                    n_runs=int(runs),
+                    failed=failed or None,
+                )
             )
-        )
+        except ValueError as exc:
+            raise KaesError(f"result table line {reader.line_num}: {exc}") from None
     mode = "cross-domain" if any(c.n_t is not None for c in cells) else "in-domain"
     return ResultTable(mode=mode, representation=representation, cells=cells)
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value config file; '#' starts a comment, blank lines ignored."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise KaesError(f"{path}: line {lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +627,6 @@ def _result_cell(
         mean=float(np.mean(values)),
         std=float(np.std(rep_means)) if len(rep_means) > 1 else 0.0,
         values=tuple(values),
-        rep_means=tuple(rep_means),
         n_runs=len(values),
         failed=failed,
     )
@@ -688,6 +674,10 @@ def predict_scores(
     cfg.validate()
     if codebook is None and cfg.representation != "hisk":
         raise KaesError(f"representation {cfg.representation!r} needs the model's codebook")
+    # `train` writes a codebook only for boswe and fused models.
+    if codebook is not None and cfg.representation == "hisk":
+        raise KaesError("representation 'hisk' does not match a model with a codebook; "
+                        "it was trained as boswe or fused")
     by_id = {e.id: e for e in train_essays}
     missing = [eid for eid in model.train_ids if eid not in by_id]
     if missing:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kaes
+import kaes.cli
 import kaes.harness
 from kaes.cli import main
 from kaes.corpus import parse_asap_tsv
@@ -95,16 +96,43 @@ class TestCommands:
         (path,) = cache.glob("hisk_*.km")
         assert load_kernel_matrix(path).shape == (60, 60)
 
-    def test_kernel_rejects_boswe(self, workdir, capsys):
-        code, _, _ = run_main(capsys, [
-            "kernel", "--data", workdir / "data.tsv", "--representation", "boswe",
-        ])
-        assert code == 1
+    def test_kernel_warms_gram_for_shared_fused_config(self, workdir, tmp_path, capsys,
+                                                       monkeypatch):
+        # `kernel` ignores the codebook and solver settings that fused `train` reads.
+        cache = tmp_path / "cache"
+        shared = tmp_path / "fused.cfg"
+        shared.write_text(
+            f"data={workdir / 'data.tsv'}\nprompt=1\nrepresentation=fused\n"
+            f"embeddings={workdir / 'emb.bin'}\nk=8\nc=10\nfolds=3\ncache_dir={cache}\n"
+        )
+        code, _, err = run_main(capsys, ["kernel", "--config", shared])
+        assert code == 0, err
+        assert len(list(cache.glob("hisk_*.km"))) == 1
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("computed an n-gram Gram matrix")
+
+        monkeypatch.setattr(kaes.harness, "kernel_matrix", no_gram)
+        code, _, err = run_main(capsys, ["train", "--config", shared,
+                                         "--out", tmp_path / "m.bin"])
+        assert code == 0, err
+        assert Path(f"{tmp_path / 'm.bin'}.codebook").exists()
 
     @pytest.mark.parametrize("argv, code, message", [
         (["codebook", "--k", "8", "--out", "cb.bin"], 2, "invalid choice: 'codebook'"),
         (["kernel", "--out", "k.km"], 2, "unrecognized arguments: --out k.km"),
         (["kernel"], 1, "error: missing required option --cache-dir"),
+        *[([command, flag, value], 2, f"unrecognized arguments: {flag} {value}")
+          for command, flags in (
+              ("kernel", {"--representation": "hisk", "--embeddings": "e.bin", "--k": "8",
+                          "--c": "10", "--nu": "0.5", "--kkt-tolerance": "0.01",
+                          "--max-iterations": "100", "--kmeans-iters": "5",
+                          "--vocab-limit": "10", "--seed": "1"}),
+              ("predict", {"--c": "10", "--nu": "0.5", "--kkt-tolerance": "0.01",
+                           "--max-iterations": "100", "--cache-dir": "cache"}),
+              ("eval-crossdomain", {"--prompt": "1"}),
+          )
+          for flag, value in flags.items()],
     ])
     def test_removed_command_and_options(self, workdir, capsys, argv, code, message):
         try:
@@ -191,6 +219,30 @@ class TestCommands:
         assert "Traceback" not in err
         if key != "nt":
             assert str(cfg_path) in err
+
+    def test_train_reads_out_from_config(self, workdir, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(f"data={workdir / 'data.tsv'}\nprompt=1\nout={model}\n")
+        code, out, err = run_main(capsys, ["train", "--config", cfg_path])
+        assert code == 0, err
+        assert out.endswith(f"-> {model}\n")
+        assert len(load_svr_model(model).train_ids) == 60
+
+    def test_train_without_out_fails_cleanly(self, workdir, monkeypatch, capsys):
+        monkeypatch.setattr(kaes.cli, "train_model", None)  # nothing is trained
+        code, _, err = run_main(capsys, ["train", "--data", workdir / "data.tsv"])
+        assert code == 1
+        assert err == "error: missing required option --out\n"
+
+    @pytest.mark.parametrize("line", ["ngram-max=3", "kmeans_iter=5"])
+    def test_unknown_config_key_fails(self, workdir, tmp_path, capsys, line):
+        cfg_path = tmp_path / "typo.cfg"
+        cfg_path.write_text(f"data={workdir / 'data.tsv'}\nprompt=1\n{line}\n")
+        code, out, err = run_main(capsys, EVAL_ARGS + ["--config", cfg_path])
+        assert code == 1 and out == ""
+        key = line.split("=")[0]
+        assert err == f"error: {cfg_path}: line 3: {key!r} is not a setting\n"
 
     def test_missing_required_flag_fails_cleanly(self, capsys):
         code, _, err = run_main(capsys, ["eval-indomain", "--prompt", "1"])
@@ -328,6 +380,31 @@ class TestCommands:
                                            "--model", model])
         assert code == 1 and out == ""
         assert "error: representation 'boswe' needs the model's codebook" in err
+
+    def test_predict_hisk_refuses_model_with_codebook(self, workdir, tmp_path, capsys):
+        common = ["--data", workdir / "data.tsv", "--prompt", "1", "--embeddings",
+                  workdir / "emb.bin", "--k", "8", "--seed", "1"]
+        model = tmp_path / "m.bin"
+        code, _, err = run_main(capsys, ["train", *common, "--representation", "fused",
+                                         "--out", model])
+        assert code == 0, err
+        code, out, err = run_main(capsys, ["predict", *common, "--representation", "hisk",
+                                           "--model", model])
+        assert code == 1 and out == ""
+        assert err == ("error: representation 'hisk' does not match a model with a codebook; "
+                       "it was trained as boswe or fused\n")
+
+    @pytest.mark.parametrize("row, reason", [
+        ("1,,hisk,0.900,0.0100,5", "not enough values to unpack (expected 7, got 6)"),
+        ("1,,hisk,high,0.0100,5,", "could not convert string to float: 'high'"),
+    ])
+    def test_report_names_malformed_line(self, tmp_path, capsys, row, reason):
+        table = tmp_path / "table.csv"
+        table.write_text("key,n_t,representation,qwk_mean,qwk_std,runs,failed\n"
+                         f"2,,hisk,0.800,0.0100,5,\n{row}\n")
+        code, out, err = run_main(capsys, ["report", "--table", table])
+        assert code == 1 and out == ""
+        assert err == f"error: result table line 3: {reason}\n"
 
     def test_predict_loads_vectors_once(self, workdir, tmp_path, capsys, monkeypatch):
         common = ["--data", workdir / "data.tsv", "--prompt", "1", "--representation", "fused",

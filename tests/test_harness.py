@@ -11,6 +11,7 @@ import pytest
 
 import kaes.harness
 from kaes.boswe import Codebook
+from kaes.cli import _read_config
 from kaes.corpus import parse_asap_tsv
 from kaes.embeddings import load_word2vec_binary, tokenize
 from kaes.errors import KaesError
@@ -20,7 +21,6 @@ from kaes.harness import (
     ResultTable,
     emit_report,
     load_essays,
-    parse_config_file,
     predict_scores,
     run_cross_domain,
     run_in_domain,
@@ -110,7 +110,7 @@ class TestInDomain:
         table = run_in_domain(cfg)
         (cell,) = table.cells
         assert cell.n_runs == 5  # one trained model per fold
-        assert len(cell.rep_means) == 1
+        assert cell.std == 0.0  # one repetition
 
     def test_determinism_same_seed(self, corpus_dir):
         cfg = in_domain_cfg(corpus_dir)
@@ -465,13 +465,13 @@ class TestConfigFile:
     def test_parse_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nrepresentation=fused\nk = 16\n\nseed=3\n")
-        assert parse_config_file(path) == {"representation": "fused", "k": "16", "seed": "3"}
+        assert _read_config(path) == {"representation": "fused", "k": 16, "seed": 3}
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("representation fused\n")
         with pytest.raises(KaesError, match="line 1"):
-            parse_config_file(path)
+            _read_config(path)
 
     def test_validate_catches_bad_prompt(self, corpus_dir):
         cfg = ExperimentConfig(mode="in-domain", representation="hisk",
