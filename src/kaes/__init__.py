@@ -14,8 +14,6 @@ from .boswe import (
     boswe_kernel_matrix,
     build_histograms,
     fit_codebook,
-    load_codebook,
-    save_codebook,
 )
 from .corpus import (
     ASAP_SCORE_RANGES,
@@ -45,9 +43,12 @@ from .harness import (
     ExperimentConfig,
     ResultCell,
     ResultTable,
+    ScoringModel,
     emit_report,
+    load_model,
     run_cross_domain,
     run_in_domain,
+    save_model,
     table_from_csv,
 )
 from .metrics import QwkReport, average_qwk, qwk
@@ -62,9 +63,7 @@ from .string_kernel import (
 from .svr import (
     SvrConfig,
     SvrModel,
-    load_svr_model,
     predict,
-    save_svr_model,
     train_nu_svr,
 )
 

@@ -1,5 +1,5 @@
 """The one reader, and the shared writing helpers, of the binary file formats
-(embeddings, kernel cache, codebook, model).
+(embeddings, kernel cache, model).
 
 Every loader reads through :class:`Reader`.  It raises
 :class:`BinaryFormatError` with the byte offset of any problem, and it never
@@ -99,6 +99,11 @@ class Reader:
             raise BinaryFormatError(
                 f"bad magic {bytes(found)!r}, expected {magic!r}", offset=self.offset - len(magic)
             )
+
+    def expect_end(self) -> None:
+        """Fail if any byte follows the last field."""
+        if self._pos < len(self._buf) or self._stream.read(1):
+            raise BinaryFormatError("trailing bytes after the last field", offset=self.offset)
 
     def read_id(self) -> str:
         """A document id written by :func:`write_id`."""

@@ -10,24 +10,18 @@ character n-grams.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .binio import Reader, open_binary
 from .embeddings import EmbeddingModel
-from .errors import BinaryFormatError, KernelMismatchError, KaesError
+from .errors import KernelMismatchError, KaesError
 from .seeding import KMEANS, derive_rng
 from .string_kernel import KernelMatrix
 
 DEFAULT_CLUSTERS = 500
 DEFAULT_KMEANS_ITERS = 100
-
-CODEBOOK_MAGIC = b"KAESCB01"
-
 
 # Unit roundoff of float64, and the smallest subnormal (twice the largest
 # absolute error of one operation whose result underflows).
@@ -312,26 +306,3 @@ def boswe_kernel_matrix(
     if len(rids) != len(rows) or len(cids) != len(cols_eff):
         raise KernelMismatchError("id list length does not match histogram list length")
     return KernelMatrix(values=values, row_ids=rids, col_ids=cids)
-
-
-def save_codebook(codebook: Codebook, path: str | Path | BinaryIO) -> None:
-    """Write a codebook in the binary format (bit-exact round trip)."""
-    with open_binary(path, "wb") as stream:
-        stream.write(CODEBOOK_MAGIC)
-        stream.write(struct.pack("<IIQ", codebook.k, codebook.dim, codebook.seed))
-        stream.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
-
-
-def load_codebook(path: str | Path | BinaryIO) -> Codebook:
-    """Read a codebook written by :func:`save_codebook`."""
-    with open_binary(path, "rb") as stream:
-        reader = Reader(stream)
-        reader.expect_magic(CODEBOOK_MAGIC)
-        k, dim, seed = reader.unpack("<IIQ", "header")
-        if k == 0 or dim == 0:
-            raise BinaryFormatError(
-                f"empty codebook: k={k}, dim={dim}", offset=len(CODEBOOK_MAGIC)
-            )
-        raw = reader.read(k * dim * 4, "centroids")
-        centroids = np.frombuffer(raw, dtype="<f4").reshape(k, dim).copy()
-        return Codebook(k=k, centroids=centroids, seed=seed)

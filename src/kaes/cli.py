@@ -19,7 +19,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .boswe import load_codebook, save_codebook
 from .corpus import ASAP_SCORE_RANGES
 from .errors import KaesError
 from .harness import (
@@ -27,15 +26,17 @@ from .harness import (
     ExperimentConfig,
     emit_report,
     load_essays,
+    load_model,
     normalized_hisk_gram,
     predict_scores,
     run_cross_domain,
     run_in_domain,
+    save_model,
     table_from_csv,
     train_model,
     without_blank,
 )
-from .svr import SvrConfig, load_svr_model, save_svr_model
+from .svr import SvrConfig
 
 
 def int_list(raw: str) -> tuple[int, ...] | None:
@@ -86,17 +87,18 @@ _SVR = ("c", "nu", "kkt_tolerance", "max_iterations")
 _MODEL = ("representation", *_NGRAMS, *_CODEBOOK, *_SVR, "cache_dir")
 _PROTOCOL = ("repetitions", "folds", "format", "out")
 
-# Command: (help, the settings it takes).  `predict` also takes --k,
-# --kmeans-iters and --seed, which it does not read (the codebook is the
-# model's), so that it accepts the model flags that `train` was given.
+# Command: (help, the settings it takes).  `predict` reads its kernel from
+# the model; --representation is checked against it, and --k,
+# --kmeans-iters and --seed are taken but neither read nor checked, so that
+# `predict` accepts the codebook flags that `train` was given.
 _COMMANDS = {
     "ingest": ("validate and summarize a data file", ("data", "prompt")),
     "kernel": ("cache each prompt's n-gram Gram matrix in --cache-dir",
                ("data", "prompt", *_NGRAMS, "cache_dir")),
     "train": ("train a scoring model on one prompt", ("data", "prompt", *_MODEL, "out")),
     "predict": ("score essays with a trained model",
-                ("data", "prompt", "representation", *_NGRAMS, *_CODEBOOK,
-                 "model", "train_data", "out")),
+                ("data", "prompt", "representation", "embeddings", "k", "kmeans_iters",
+                 "seed", "model", "train_data", "out")),
     "eval-indomain": ("run the indomain protocol", ("data", "prompt", *_MODEL, *_PROTOCOL)),
     "eval-crossdomain": ("run the crossdomain protocol",
                          ("data", *_MODEL, "source", "target", "nt", *_PROTOCOL)),
@@ -208,30 +210,26 @@ def cmd_kernel(settings: dict[str, Any]) -> int:
 def cmd_train(settings: dict[str, Any]) -> int:
     cfg = _experiment_config(settings)
     out = _require(settings, "out")
-    model, codebook = train_model(cfg, load_essays(cfg.data_path, cfg.prompt))
-    save_svr_model(model, out)
-    # `predict` reads a codebook beside the model, so none may outlive its model.
-    if codebook is not None:
-        save_codebook(codebook, out + ".codebook")
-    else:
-        Path(out + ".codebook").unlink(missing_ok=True)
+    model = train_model(cfg, load_essays(cfg.data_path, cfg.prompt))
+    save_model(model, out)
+    svr = model.svr
     print(
-        f"model: {len(model.support_ids)}/{len(model.train_ids)} support vectors, "
-        f"epsilon={model.epsilon_star:.6f}, converged={model.converged} -> {out}"
+        f"model: {len(svr.support_ids)}/{len(svr.train_ids)} support vectors, "
+        f"epsilon={svr.epsilon_star:.6f}, converged={svr.converged} -> {out}"
     )
     return 0
 
 
 def cmd_predict(settings: dict[str, Any]) -> int:
-    cfg = _experiment_config(settings)
-    model_path = _require(settings, "model")
-    model = load_svr_model(model_path)
-    # `train` writes a codebook beside the model when its kernel needs one.
-    codebook_path = Path(model_path + ".codebook")
-    codebook = load_codebook(codebook_path) if codebook_path.exists() else None
-    train_essays = load_essays(settings.get("train_data") or cfg.data_path, cfg.prompt)
-    scores = predict_scores(cfg, model, codebook, load_essays(cfg.data_path, cfg.prompt),
-                            train_essays)
+    data, prompt = _require(settings, "data"), settings.get("prompt")
+    model = load_model(_require(settings, "model"))
+    given = settings.get("representation", model.representation)
+    if given != model.representation:
+        raise KaesError(f"--representation {given} does not match the model, "
+                        f"which was trained as {model.representation}")
+    train_essays = load_essays(settings.get("train_data") or data, prompt)
+    scores = predict_scores(model, load_essays(data, prompt), train_essays,
+                            settings.get("embeddings"))
     lines = ["essay_id\tessay_set\tprediction"]
     lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
     output = "\n".join(lines) + "\n"
@@ -281,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](_settings(args))
-    except KaesError as exc:
+    except (KaesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

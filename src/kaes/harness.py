@@ -23,13 +23,15 @@ import hashlib
 import io
 import logging
 import os
+import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from .binio import Reader, open_binary, write_id
 from .boswe import (
     DEFAULT_CLUSTERS,
     DEFAULT_KMEANS_ITERS,
@@ -114,6 +116,8 @@ class ExperimentConfig:
             for p in (self.source, self.target):
                 if p not in ASAP_SCORE_RANGES:
                     raise KaesError(f"invalid prompt id {p}")
+            if self.source == self.target:
+                raise KaesError(f"--source and --target must differ, got {self.source} for both")
         elif self.prompt is not None and self.prompt not in ASAP_SCORE_RANGES:
             raise KaesError(f"invalid prompt id {self.prompt}")
         # Cross-validation needs a fold to train on besides the one it scores.
@@ -132,6 +136,8 @@ class ExperimentConfig:
             raise KaesError(f"--kmeans-iters must be at least 0, got {self.kmeans_iters}")
         if self.repetitions is not None and self.repetitions < 1:
             raise KaesError(f"--repetitions must be at least 1, got {self.repetitions}")
+        if not self.nt:
+            raise KaesError("--nt must list at least one sub-sample size")
         if any(n < 0 for n in self.nt):
             raise KaesError(f"--nt sizes must be at least 0, got {min(self.nt)}")
         if self.vocab_limit is not None and self.vocab_limit < 0:
@@ -238,7 +244,10 @@ def emit_report(table: ResultTable, format: str = "text") -> bytes:
 
 def table_from_csv(data: bytes) -> ResultTable:
     """Rebuild a table from the csv emitted by :func:`emit_report`."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise KaesError(f"result table is not UTF-8: {exc}") from None
     if next(reader, [])[:3] != ["key", "n_t", "representation"]:
         raise KaesError("not a result-table csv (missing header row)")
     cells = []
@@ -269,6 +278,8 @@ def table_from_csv(data: bytes) -> ResultTable:
 
 def load_essays(path: str | Path, prompt: int | None = None) -> list[Essay]:
     """The essays of an ASAP-format TSV file; only those of ``prompt`` when given."""
+    if prompt is not None and prompt not in ASAP_SCORE_RANGES:
+        raise KaesError(f"invalid prompt id {prompt}")
     return parse_asap_tsv(Path(path).read_bytes(), prompt_filter=prompt)
 
 
@@ -635,14 +646,30 @@ def _result_cell(
 # ---------------------------------------------------------------------------
 # One model: `kaes train` and `kaes predict`
 
+MODEL_MAGIC = b"KAESMD01"
 
-def train_model(
-    cfg: ExperimentConfig, essays: Sequence[Essay]
-) -> tuple[SvrModel, Codebook | None]:
+
+@dataclass
+class ScoringModel:
+    """A trained scorer and the kernel it was trained on.
+
+    ``codebook`` is None exactly for hisk.  The n-gram range is read only
+    by representations with an n-gram kernel, and ``vocab_limit`` (None
+    scans every vector) only by those with a codebook.
+    """
+
+    svr: SvrModel
+    representation: str
+    ngram_min: int
+    ngram_max: int
+    vocab_limit: int | None
+    codebook: Codebook | None
+
+
+def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     """A nu-SVR scorer over the ``cfg.representation`` kernel of ``essays``.
 
     Blank essays are dropped with a warning, as the protocols drop them.
-    Returns the model and its codebook (None for hisk).
     """
     cfg.validate()
     essays = without_blank(essays)
@@ -654,51 +681,106 @@ def train_model(
         codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
         boswe = boswe_kernel_matrix(_histograms(codebook, embedded, ids), row_ids=ids)
     y = np.array([e.unit_score for e in essays])
-    return train_nu_svr(_fuse(cfg, hisk, boswe), y, cfg.svr, seed=cfg.seed), codebook
+    svr = train_nu_svr(_fuse(cfg, hisk, boswe), y, cfg.svr, seed=cfg.seed)
+    return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max,
+                        cfg.vocab_limit, codebook)
 
 
 def predict_scores(
-    cfg: ExperimentConfig,
-    model: SvrModel,
-    codebook: Codebook | None,
+    model: ScoringModel,
     essays: Sequence[Essay],
     train_essays: Sequence[Essay],
+    embeddings_path: str | None = None,
 ) -> list[tuple[Essay, int]]:
     """Each essay of ``essays`` with its score under ``model``, on its prompt's scale.
 
-    ``model`` and ``codebook`` come from :func:`train_model` on essays that
-    ``train_essays`` holds.  Blank essays are dropped with a warning.  One
+    The kernel is the model's own; ``train_essays`` must hold the model's
+    training essays, and ``embeddings_path`` is the vectors file that boswe
+    and fused models need.  Blank essays are dropped with a warning.  One
     histogram call covers the test and support essays, so each token type is
     assigned once.
     """
+    # What the shared helpers read of a run's settings; no data file is read here.
+    cfg = ExperimentConfig(mode="in-domain", data_path="", representation=model.representation,
+                           embeddings_path=embeddings_path, vocab_limit=model.vocab_limit)
     cfg.validate()
-    if codebook is None and cfg.representation != "hisk":
-        raise KaesError(f"representation {cfg.representation!r} needs the model's codebook")
-    # `train` writes a codebook only for boswe and fused models.
-    if codebook is not None and cfg.representation == "hisk":
-        raise KaesError("representation 'hisk' does not match a model with a codebook; "
-                        "it was trained as boswe or fused")
+    svr = model.svr
     by_id = {e.id: e for e in train_essays}
-    missing = [eid for eid in model.train_ids if eid not in by_id]
+    missing = [eid for eid in svr.train_ids if eid not in by_id]
     if missing:
         raise KaesError(f"training essays missing from --train-data: {missing[:5]}")
-    support_essays = [by_id[eid] for eid in model.support_ids]
+    support_essays = [by_id[eid] for eid in svr.support_ids]
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
 
     hisk = None
-    if cfg.representation != "boswe":
+    if model.representation != "boswe":
         hisk = normalize_kernel(kernel_matrix(
             [e.text for e in essays], [e.text for e in support_essays],
-            row_ids=ids, col_ids=model.support_ids, n_min=cfg.ngram_min, n_max=cfg.ngram_max,
+            row_ids=ids, col_ids=svr.support_ids, n_min=model.ngram_min, n_max=model.ngram_max,
         ))
     boswe = None
     support_embedded, embedded = _embedded_essays(cfg, support_essays, essays)
     if embedded is not None:
         rows = [embedded.rows[eid] for eid in ids]
-        rows += [support_embedded.rows[eid] for eid in model.support_ids]
-        hists, n = build_histograms(codebook, rows, embedded.model), len(ids)
-        boswe = boswe_kernel_matrix(hists[:n], hists[n:], row_ids=ids, col_ids=model.support_ids)
-    preds = predict(model, _fuse(cfg, hisk, boswe))
+        rows += [support_embedded.rows[eid] for eid in svr.support_ids]
+        hists, n = build_histograms(model.codebook, rows, embedded.model), len(ids)
+        boswe = boswe_kernel_matrix(hists[:n], hists[n:], row_ids=ids, col_ids=svr.support_ids)
+    preds = predict(svr, _fuse(cfg, hisk, boswe))
     return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
             for e, p in zip(essays, preds)]
+
+
+def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
+    """Write ``model`` as one file; the layout is in the README (Binary formats)."""
+    svr, config, codebook = model.svr, model.svr.config, model.codebook
+    with open_binary(path, "wb") as stream:
+        stream.write(MODEL_MAGIC)
+        stream.write(struct.pack("<BIIQ", REPRESENTATIONS.index(model.representation),
+                                 model.ngram_min, model.ngram_max, model.vocab_limit or 0))
+        stream.write(struct.pack("<I", len(svr.train_ids)))
+        for doc_id, coef in zip(svr.train_ids, svr.coefficients):
+            write_id(stream, doc_id)
+            stream.write(struct.pack("<d", float(coef)))
+        stream.write(struct.pack("<dd", svr.bias, svr.epsilon_star))
+        stream.write(struct.pack("<dddQBQQ", config.c, config.nu, config.kkt_tolerance,
+                                 config.max_iterations, svr.converged, svr.seed, svr.iterations))
+        if codebook is not None:
+            stream.write(struct.pack("<IIQ", codebook.k, codebook.dim, codebook.seed))
+            stream.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
+
+
+def load_model(path: str | Path | BinaryIO) -> ScoringModel:
+    """Read a model written by :func:`save_model`; a malformed file is a BinaryFormatError."""
+    with open_binary(path, "rb") as stream:
+        reader = Reader(stream)
+        reader.expect_magic(MODEL_MAGIC)
+        code, ngram_min, ngram_max, vocab_limit = reader.unpack("<BIIQ", "kernel settings")
+        if code >= len(REPRESENTATIONS) or not 1 <= ngram_min <= ngram_max:
+            raise BinaryFormatError(f"invalid kernel settings: representation {code}, "
+                                    f"n-gram range [{ngram_min}, {ngram_max}]",
+                                    offset=len(MODEL_MAGIC))
+        (count,) = reader.unpack("<I", "row count")
+        rows = [(reader.read_id(), reader.unpack("<d", "coefficient")[0]) for _ in range(count)]
+        bias, epsilon_star = reader.unpack("<dd", "bias/epsilon")
+        echo_at = reader.offset
+        c, nu, tol, max_iter, conv, seed, iterations = reader.unpack("<dddQBQQ", "config echo")
+        try:
+            config = SvrConfig(c=c, nu=nu, kkt_tolerance=tol, max_iterations=max_iter)
+        except KaesError as exc:
+            raise BinaryFormatError(f"invalid config echo: {exc}", offset=echo_at) from exc
+        svr = SvrModel(coefficients=np.array([coef for _, coef in rows], dtype=np.float64),
+                       bias=bias, epsilon_star=epsilon_star,
+                       train_ids=tuple(eid for eid, _ in rows), config=config,
+                       seed=seed, converged=bool(conv), iterations=iterations)
+        codebook = None
+        if REPRESENTATIONS[code] != "hisk":
+            at = reader.offset
+            k, dim, codebook_seed = reader.unpack("<IIQ", "codebook header")
+            if k == 0 or dim == 0:
+                raise BinaryFormatError(f"empty codebook: k={k}, dim={dim}", offset=at)
+            centroids = np.frombuffer(reader.read(k * dim * 4, "centroids"), dtype="<f4")
+            codebook = Codebook(k=k, centroids=centroids.reshape(k, dim).copy(), seed=codebook_seed)
+        reader.expect_end()
+    return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max, vocab_limit or None,
+                        codebook)

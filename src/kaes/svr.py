@@ -15,20 +15,14 @@ at regularization ``c / r``.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass
-from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
-from .binio import Reader, open_binary, write_id
-from .errors import BinaryFormatError, KaesError, KernelMismatchError
+from .errors import KaesError, KernelMismatchError
 from .string_kernel import KernelMatrix
 
 logger = logging.getLogger(__name__)
-
-MODEL_MAGIC = b"KAESSV01"
 
 _REFRESH_INTERVAL = 1 << 16  # recompute u = K (a - a*) to cancel drift
 _ETA_FLOOR = 1e-12
@@ -228,55 +222,3 @@ def predict(model: SvrModel, kernel: KernelMatrix) -> np.ndarray:
             f"kernel columns are not aligned with the model's training rows ({detail})"
         )
     return kernel.values @ coef + model.bias
-
-
-def save_svr_model(model: SvrModel, path: str | Path | BinaryIO) -> None:
-    """Write a trained model: ids + coefficients, bias, epsilon, config echo."""
-    with open_binary(path, "wb") as stream:
-        stream.write(MODEL_MAGIC)
-        stream.write(struct.pack("<I", len(model.train_ids)))
-        for doc_id, coef in zip(model.train_ids, model.coefficients):
-            write_id(stream, doc_id)
-            stream.write(struct.pack("<d", float(coef)))
-        stream.write(struct.pack("<dd", model.bias, model.epsilon_star))
-        stream.write(
-            struct.pack(
-                "<dddQBQQ",
-                model.config.c,
-                model.config.nu,
-                model.config.kkt_tolerance,
-                model.config.max_iterations,
-                1 if model.converged else 0,
-                model.seed,
-                model.iterations,
-            )
-        )
-
-
-def load_svr_model(path: str | Path | BinaryIO) -> SvrModel:
-    with open_binary(path, "rb") as stream:
-        reader = Reader(stream)
-        reader.expect_magic(MODEL_MAGIC)
-        (count,) = reader.unpack("<I", "row count")
-        ids: list[str] = []
-        coefs: list[float] = []
-        for _ in range(count):
-            ids.append(reader.read_id())
-            coefs.append(reader.unpack("<d", "coefficient")[0])
-        bias, epsilon_star = reader.unpack("<dd", "bias/epsilon")
-        echo_at = reader.offset
-        c, nu, tol, max_iter, conv, seed, iterations = reader.unpack("<dddQBQQ", "config echo")
-        try:
-            config = SvrConfig(c=c, nu=nu, kkt_tolerance=tol, max_iterations=max_iter)
-        except KaesError as exc:
-            raise BinaryFormatError(f"invalid config echo: {exc}", offset=echo_at) from exc
-        return SvrModel(
-            coefficients=np.array(coefs, dtype=np.float64),
-            bias=bias,
-            epsilon_star=epsilon_star,
-            train_ids=tuple(ids),
-            config=config,
-            seed=seed,
-            converged=bool(conv),
-            iterations=iterations,
-        )

@@ -16,12 +16,12 @@ from kaes.boswe import (
     boswe_kernel_matrix,
     build_histograms,
     fit_codebook,
-    load_codebook,
-    save_codebook,
 )
 from kaes.embeddings import EmbeddingModel
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
+from kaes.harness import ScoringModel, load_model, save_model
 from kaes.seeding import KMEANS, derive_rng
+from kaes.svr import SvrConfig, SvrModel
 from oracles import (
     codebook_distortion,
     histogram_dicts,
@@ -475,12 +475,23 @@ class TestGramOracle:
 
 
 class TestCodebookIO:
+    """The codebook record of a boswe or fused model file."""
+
+    @staticmethod
+    def saved(codebook: Codebook) -> bytes:
+        svr = SvrModel(coefficients=np.array([0.5]), bias=0.0, epsilon_star=0.0,
+                       train_ids=("a",), config=SvrConfig(), seed=0, converged=True,
+                       iterations=1)
+        buf = io.BytesIO()
+        save_model(ScoringModel(svr, "boswe", 1, 15, None, codebook), buf)
+        return buf.getvalue()
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(21)
         codebook = fit_codebook(rng.normal(size=(40, 6)), k=5, seed=17)
-        path = tmp_path / "cb.bin"
-        save_codebook(codebook, path)
-        loaded = load_codebook(path)
+        path = tmp_path / "model.bin"
+        path.write_bytes(self.saved(codebook))
+        loaded = load_model(path).codebook
         assert np.array_equal(
             loaded.centroids.view(np.uint32), codebook.centroids.view(np.uint32)
         )
@@ -490,18 +501,18 @@ class TestCodebookIO:
 
     def test_bad_magic(self):
         with pytest.raises(BinaryFormatError, match="magic"):
-            load_codebook(io.BytesIO(b"WRONG!!!" + b"\x00" * 16))
+            load_model(io.BytesIO(b"WRONG!!!" + b"\x00" * 16))
 
     def test_truncated_centroids(self):
         rng = np.random.default_rng(22)
         codebook = fit_codebook(rng.normal(size=(20, 3)), k=2, seed=1)
-        buf = io.BytesIO()
-        save_codebook(codebook, buf)
         with pytest.raises(BinaryFormatError, match="truncated"):
-            load_codebook(io.BytesIO(buf.getvalue()[:-5]))
+            load_model(io.BytesIO(self.saved(codebook)[:-5]))
 
     @pytest.mark.parametrize("k, dim", [(0, 3), (2, 0)])
     def test_no_centroids_rejected(self, k, dim):
+        data = self.saved(Codebook(k=1, centroids=np.zeros((1, 1)), seed=1))
+        at = len(data) - 16 - 4  # the codebook header, then one f32 centroid
         with pytest.raises(BinaryFormatError, match="empty codebook") as info:
-            load_codebook(io.BytesIO(b"KAESCB01" + struct.pack("<IIQ", k, dim, 1)))
-        assert info.value.offset == 8
+            load_model(io.BytesIO(data[:at] + struct.pack("<IIQ", k, dim, 1)))
+        assert info.value.offset == at

@@ -13,12 +13,13 @@ import kaes
 import kaes.cli
 import kaes.harness
 from kaes.cli import main
-from kaes.corpus import parse_asap_tsv
-from kaes.boswe import save_codebook
+from kaes.corpus import ASAP_SCORE_RANGES, parse_asap_tsv, unscale_score
 from kaes.embeddings import load_word2vec_binary, tokenize
-from kaes.harness import ExperimentConfig, load_essays, predict_scores, train_model
-from kaes.string_kernel import load_kernel_matrix
-from kaes.svr import load_svr_model, save_svr_model
+from kaes.harness import (
+    ExperimentConfig, load_essays, load_model, predict_scores, save_model, train_model,
+)
+from kaes.string_kernel import kernel_matrix, load_kernel_matrix, normalize_kernel
+from kaes.svr import predict
 
 from synthesis import (
     make_corpus_tsv, make_embeddings_bytes, record_vector_loads, save_word2vec_binary,
@@ -116,7 +117,7 @@ class TestCommands:
         code, _, err = run_main(capsys, ["train", "--config", shared,
                                          "--out", tmp_path / "m.bin"])
         assert code == 0, err
-        assert Path(f"{tmp_path / 'm.bin'}.codebook").exists()
+        assert load_model(tmp_path / "m.bin").codebook is not None
 
     @pytest.mark.parametrize("argv, code, message", [
         (["codebook", "--k", "8", "--out", "cb.bin"], 2, "invalid choice: 'codebook'"),
@@ -133,6 +134,10 @@ class TestCommands:
               ("eval-crossdomain", {"--prompt": "1"}),
           )
           for flag, value in flags.items()],
+        # `predict` takes its n-gram range and vocabulary limit from the model.
+        *[(["predict", flag, value], 2, f"unrecognized arguments: {flag} {value}")
+          for flag, value in (("--ngram-min", "2"), ("--ngram-max", "8"),
+                              ("--vocab-limit", "10"))],
     ])
     def test_removed_command_and_options(self, workdir, capsys, argv, code, message):
         try:
@@ -156,10 +161,11 @@ class TestCommands:
             argv += ["--embeddings", workdir / "emb.bin"]
         code, out, _ = run_main(capsys, argv)
         assert code == 0
-        model = load_svr_model(model_path)
-        assert len(model.train_ids) == 60
-        if representation == "fused":
-            assert (tmp_path / f"model-{representation}.bin.codebook").exists()
+        assert list(tmp_path.iterdir()) == [model_path]  # one file holds the whole model
+        model = load_model(model_path)
+        assert len(model.svr.train_ids) == 60
+        assert model.representation == representation
+        assert (model.codebook is None) == (representation == "hisk")
 
         pred_path = tmp_path / f"preds-{representation}.tsv"
         argv = [
@@ -180,18 +186,20 @@ class TestCommands:
         assert np.corrcoef(pred, actual)[0, 1] > 0.9
 
         if representation == "fused":
-            # The top bit of k (u32 LE at byte 8) flipped: the codebook
-            # declares about 2**31 centroids that the file does not hold.
-            codebook_path = tmp_path / f"model-{representation}.bin.codebook"
-            data = codebook_path.read_bytes()
-            codebook_path.write_bytes(data[:11] + bytes([data[11] ^ 0x80]) + data[12:])
+            # The top bit of k (the u32 LE that starts the codebook record)
+            # flipped: the codebook declares about 2**31 centroids that the
+            # file does not hold.
+            data = model_path.read_bytes()
+            k_at = len(data) - (16 + model.codebook.k * model.codebook.dim * 4)
+            model_path.write_bytes(data[:k_at + 3] + bytes([data[k_at + 3] ^ 0x80])
+                                   + data[k_at + 4:])
             code, _, err = run_main(capsys, argv)
             assert code == 1
             assert "error: at byte " in err
-            codebook_path.unlink()
+            model_path.write_bytes(data[:k_at])  # no codebook record at all
             code, _, err = run_main(capsys, argv)
             assert code == 1
-            assert "error: representation 'fused' needs the model's codebook" in err
+            assert f"error: at byte {k_at}: truncated codebook header" in err
 
     def test_config_file_with_flag_override(self, workdir, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -227,7 +235,7 @@ class TestCommands:
         code, out, err = run_main(capsys, ["train", "--config", cfg_path])
         assert code == 0, err
         assert out.endswith(f"-> {model}\n")
-        assert len(load_svr_model(model).train_ids) == 60
+        assert len(load_model(model).svr.train_ids) == 60
 
     def test_train_without_out_fails_cleanly(self, workdir, monkeypatch, capsys):
         monkeypatch.setattr(kaes.cli, "train_model", None)  # nothing is trained
@@ -267,6 +275,10 @@ class TestCommands:
          "--ngram-max must be at least --ngram-min (4), got 3"),
         (["eval-indomain", "--prompt", "1", "--kmeans-iters", "-1"],
          "--kmeans-iters must be at least 0"),
+        (["eval-crossdomain", "--source", "1", "--target", "2", "--nt", ","],
+         "--nt must list at least one sub-sample size"),
+        (["eval-crossdomain", "--source", "1", "--target", "1"],
+         "--source and --target must differ, got 1 for both"),
     ])
     def test_too_few_folds_or_clusters_fail_up_front(self, workdir, capsys, monkeypatch,
                                                      argv, minimum):
@@ -312,9 +324,6 @@ class TestCommands:
             assert code == 0, err
         assert f"dropping 1 blank essays: {blank_id}" in caplog.text
         assert models["blank"].read_bytes() == models["clean"].read_bytes()
-        if representation != "hisk":
-            assert (Path(f"{models['blank']}.codebook").read_bytes()
-                    == Path(f"{models['clean']}.codebook").read_bytes())
 
     @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
     def test_predict_drops_blank_essay(self, workdir, tmp_path, capsys, caplog, representation):
@@ -375,11 +384,13 @@ class TestCommands:
             code, _, err = run_main(capsys, ["train", *common, "--representation",
                                              representation, "--out", model])
             assert code == 0, err
-        assert not Path(f"{model}.codebook").exists()
+        assert list(tmp_path.iterdir()) == [model]
+        assert load_model(model).codebook is None
         code, out, err = run_main(capsys, ["predict", *common, "--representation", "boswe",
                                            "--model", model])
         assert code == 1 and out == ""
-        assert "error: representation 'boswe' needs the model's codebook" in err
+        assert err == ("error: --representation boswe does not match the model, "
+                       "which was trained as hisk\n")
 
     def test_predict_hisk_refuses_model_with_codebook(self, workdir, tmp_path, capsys):
         common = ["--data", workdir / "data.tsv", "--prompt", "1", "--embeddings",
@@ -391,8 +402,78 @@ class TestCommands:
         code, out, err = run_main(capsys, ["predict", *common, "--representation", "hisk",
                                            "--model", model])
         assert code == 1 and out == ""
-        assert err == ("error: representation 'hisk' does not match a model with a codebook; "
-                       "it was trained as boswe or fused\n")
+        assert err == ("error: --representation hisk does not match the model, "
+                       "which was trained as fused\n")
+
+    @pytest.mark.parametrize("trained, given", [("boswe", "fused"), ("hisk", "boswe")])
+    def test_predict_refuses_another_representation(self, workdir, tmp_path, capsys,
+                                                    trained, given):
+        common = ["--data", workdir / "data.tsv", "--prompt", "1", "--embeddings",
+                  workdir / "emb.bin", "--k", "8", "--seed", "1"]
+        model = tmp_path / "m.bin"
+        code, _, err = run_main(capsys, ["train", *common, "--representation", trained,
+                                         "--out", model])
+        assert code == 0, err
+        code, out, err = run_main(capsys, ["predict", *common, "--representation", given,
+                                           "--model", model])
+        assert code == 1 and out == ""
+        assert err == (f"error: --representation {given} does not match the model, "
+                       f"which was trained as {trained}\n")
+
+    def test_predict_takes_the_kernel_from_the_model(self, workdir, tmp_path, capsys):
+        data = workdir / "data.tsv"
+        model_path, preds = tmp_path / "m.bin", tmp_path / "preds.tsv"
+        code, _, err = run_main(capsys, ["train", "--data", data, "--prompt", "1",
+                                         "--ngram-min", "2", "--ngram-max", "3",
+                                         "--out", model_path])
+        assert code == 0, err
+        # --k, --kmeans-iters and --seed are taken but not read, so not checked either.
+        code, _, err = run_main(capsys, ["predict", "--data", data, "--model", model_path,
+                                         "--k", "0", "--kmeans-iters", "-1", "--seed", "5",
+                                         "--out", preds])
+        assert code == 0, err
+        model = load_model(model_path)
+        assert (model.ngram_min, model.ngram_max) == (2, 3)
+        essays = load_essays(data, 1)
+        text = {e.id: e.text for e in essays}
+        block = normalize_kernel(kernel_matrix(
+            [e.text for e in essays], [text[eid] for eid in model.svr.support_ids],
+            row_ids=[e.id for e in essays], col_ids=model.svr.support_ids, n_min=2, n_max=3))
+        lines = ["essay_id\tessay_set\tprediction"]
+        lines += [f"{e.id}\t{e.prompt}\t{unscale_score(float(p), ASAP_SCORE_RANGES[1])}"
+                  for e, p in zip(essays, predict(model.svr, block))]
+        assert preds.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("flag", ["data", "config", "model", "embeddings", "table",
+                                      "train-data"])
+    def test_missing_input_file_fails_cleanly(self, workdir, tmp_path, capsys, flag):
+        data, missing = workdir / "data.tsv", tmp_path / "missing"
+        model = tmp_path / "m.bin"
+        if flag == "train-data":  # the model is read before the training essays
+            code, _, err = run_main(capsys, ["train", "--data", data, "--out", model])
+            assert code == 0, err
+        argv = {
+            "data": ["ingest", "--data", missing],
+            "config": ["ingest", "--config", missing],
+            "model": ["predict", "--data", data, "--model", missing],
+            "embeddings": ["train", "--data", data, "--representation", "boswe",
+                           "--embeddings", missing, "--out", tmp_path / "boswe.bin"],
+            "table": ["report", "--table", missing],
+            "train-data": ["predict", "--data", data, "--model", model,
+                           "--train-data", missing],
+        }[flag]
+        code, out, err = run_main(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_report_rejects_table_that_is_not_utf8(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"key,n_t,representation,qwk_mean,qwk_std,runs,failed\n"
+                          b"1,,hisk,0.9\xff,0.0100,5,\n")
+        code, out, err = run_main(capsys, ["report", "--table", table])
+        assert code == 1 and out == ""
+        assert err.startswith("error: result table is not UTF-8: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("row, reason", [
         ("1,,hisk,0.900,0.0100,5", "not enough values to unpack (expected 7, got 6)"),
@@ -435,16 +516,12 @@ class TestCommands:
         assert code == 0, err
 
         essays = load_essays(data, 1)
-        model, codebook = train_model(cfg, essays)
-        model_bytes, codebook_bytes = io.BytesIO(), io.BytesIO()
-        save_svr_model(model, model_bytes)
+        model = train_model(cfg, essays)
+        model_bytes = io.BytesIO()
+        save_model(model, model_bytes)
         assert model_bytes.getvalue() == model_path.read_bytes()
-        if representation == "hisk":
-            assert codebook is None
-        else:
-            save_codebook(codebook, codebook_bytes)
-            assert codebook_bytes.getvalue() == Path(f"{model_path}.codebook").read_bytes()
-        scores = predict_scores(cfg, model, codebook, essays, essays)
+        assert (model.codebook is None) == (representation == "hisk")
+        scores = predict_scores(model, essays, essays, cfg.embeddings_path)
         lines = ["essay_id\tessay_set\tprediction"]
         lines += [f"{e.id}\t{e.prompt}\t{score}" for e, score in scores]
         assert ("\n".join(lines) + "\n").encode() == preds.read_bytes()
@@ -539,8 +616,7 @@ class TestCommands:
                 ):
                     code, _, err = run_main(capsys, argv)
                     assert code == 0, err
-            files = ("model.bin", "model.bin.codebook", "preds.tsv")
-            return [(out / name).read_bytes() for name in files], loaded
+            return [(out / name).read_bytes() for name in ("model.bin", "preds.tsv")], loaded
 
         kept, (train_model, predict_model) = outputs(full=False)
         full, (full_model, _) = outputs(full=True)
@@ -550,7 +626,7 @@ class TestCommands:
             return {t for e in parse_asap_tsv(path.read_bytes()) if ids is None or e.id in ids
                     for t in tokenize(e.text) if t in full_model.vocab}
 
-        support = set(load_svr_model(tmp_path / "kept" / "model.bin").support_ids)
+        support = set(load_model(tmp_path / "kept" / "model.bin").svr.support_ids)
         assert set(train_model.vocab) == embedded_tokens(train)
         assert set(predict_model.vocab) == embedded_tokens(train, support) | embedded_tokens(test)
         assert "decoy7" in predict_model.vocab
@@ -590,6 +666,6 @@ class TestProcessDeterminism:
                             "--model", str(out / "model.bin"), "--out", str(out / "preds.tsv")],
                            capture_output=True, check=True, env=child_env())
             outputs.append([(out / name).read_bytes()
-                            for name in ("model.bin", "model.bin.codebook", "preds.tsv")])
+                            for name in ("model.bin", "preds.tsv")])
         assert outputs[0] == outputs[1]
         assert all(outputs[0])

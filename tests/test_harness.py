@@ -371,12 +371,12 @@ class TestAssignOnce:
             assert np.array_equal(rows, rows_of_types(train + evaluation))
         # Prediction assigns the test and support essays' rows in one call.
         essays = load_essays(cfg.data_path)
-        model, codebook = train_model(cfg, essays)
+        model = train_model(cfg, essays)
         passed.clear()
-        predict_scores(cfg, model, codebook, essays[:12], essays)
+        predict_scores(model, essays[:12], essays, cfg.embeddings_path)
         assert len(passed) == 1
         test_ids = [e.id for e in essays[:12]]
-        assert np.array_equal(passed[0], rows_of_types(test_ids + list(model.support_ids)))
+        assert np.array_equal(passed[0], rows_of_types(test_ids + list(model.svr.support_ids)))
 
 
 class TestVectorsLoad:
@@ -478,3 +478,8 @@ class TestConfigFile:
                                data_path=str(corpus_dir / "prompt1.tsv"), prompt=99)
         with pytest.raises(KaesError, match="prompt"):
             cfg.validate()
+
+    def test_load_essays_catches_bad_prompt(self, corpus_dir):
+        # `kaes predict` and `ingest` select essays without an ExperimentConfig.
+        with pytest.raises(KaesError, match="invalid prompt id 99"):
+            load_essays(corpus_dir / "prompt1.tsv", 99)

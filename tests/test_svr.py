@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
+from kaes.harness import ScoringModel, load_model, save_model
 from kaes.string_kernel import KernelMatrix
 from kaes.svr import (
     SvrConfig,
-    load_svr_model,
     predict,
-    save_svr_model,
     train_nu_svr,
 )
 
@@ -209,6 +208,15 @@ class TestPredict:
         np.testing.assert_allclose(predict(model, block), predict(model, full_block))
 
 
+def save_svr(model, buf) -> None:
+    """Write ``model`` as the SVR record of a hisk model file."""
+    save_model(ScoringModel(model, "hisk", 1, 15, None, None), buf)
+
+
+def load_svr(buf):
+    return load_model(buf).svr
+
+
 class TestModelIO:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
@@ -216,8 +224,8 @@ class TestModelIO:
         cfg = SvrConfig(c=12.5, nu=0.2, kkt_tolerance=1e-5, max_iterations=123456)
         model = train_nu_svr(kernel, y, cfg, seed=99)
         buf = io.BytesIO()
-        save_svr_model(model, buf)
-        loaded = load_svr_model(io.BytesIO(buf.getvalue()))
+        save_svr(model, buf)
+        loaded = load_svr(io.BytesIO(buf.getvalue()))
         assert np.array_equal(loaded.coefficients, model.coefficients)
         assert loaded.bias == model.bias
         assert loaded.epsilon_star == model.epsilon_star
@@ -231,26 +239,26 @@ class TestModelIO:
         kernel = square_kernel(np.eye(3) + 0.5, ids=("a", "bb", "c"))
         model = train_nu_svr(kernel, np.array([0.1, 0.5, 0.9]))
         buf = io.BytesIO()
-        save_svr_model(model, buf)
+        save_svr(model, buf)
         data = buf.getvalue()
         id_at = data.index(b"\x02\x00\x00\x00bb") + 4
         cases = [(data[:n], n) for n in range(len(data))]
         cases.append((data[:id_at] + b"\xff\xfe" + data[id_at + 2:], id_at))
         for case, at in cases:
             with pytest.raises(BinaryFormatError) as info:
-                load_svr_model(io.BytesIO(case))
+                load_svr(io.BytesIO(case))
             assert info.value.offset is not None and 0 <= info.value.offset <= at
         assert info.value.offset == id_at
 
     def test_out_of_range_config_echo_is_a_format_error_at_its_offset(self):
         model = train_nu_svr(square_kernel(np.eye(3) + 0.5), np.array([0.1, 0.5, 0.9]))
         buf = io.BytesIO()
-        save_svr_model(model, buf)
+        save_svr(model, buf)
         data = buf.getvalue()
         echo_at = len(data) - (8 * 3 + 8 + 1 + 16)
         for field, value in ((1, 0.0), (0, -1.0)):  # nu, then c
             at = echo_at + 8 * field
             damaged = data[:at] + struct.pack("<d", value) + data[at + 8:]
             with pytest.raises(BinaryFormatError, match="config echo") as info:
-                load_svr_model(io.BytesIO(damaged))
+                load_svr(io.BytesIO(damaged))
             assert info.value.offset == echo_at
