@@ -35,7 +35,6 @@ from .binio import Reader, open_binary, write_id
 from .boswe import (
     DEFAULT_CLUSTERS,
     DEFAULT_KMEANS_ITERS,
-    BosweHistograms,
     Codebook,
     boswe_kernel_matrix,
     build_histograms,
@@ -386,28 +385,26 @@ class _Embedded:
 
 
 def _embedded_essays(
-    cfg: ExperimentConfig, *essay_lists: Sequence[Essay]
-) -> tuple[_Embedded | None, ...]:
+    path: str, vocab_limit: int | None, *essay_lists: Sequence[Essay]
+) -> tuple[_Embedded, ...]:
     """Each list of essays as rows of one table of the word vectors they use.
 
-    The vectors file is read once, keeping only the essays' token types, so
-    every lookup gets the vector a full load would give.  Rows are keyed by
-    id per list, as two lists may hold the same essays.  A NaN or infinite
-    vector is an error that names its token.  All None for hisk.
+    The vectors file ``path`` is read once, keeping only the essays' token
+    types, so every lookup gets the vector a full load would give.  Rows are
+    keyed by id per list, as two lists may hold the same essays.  A NaN or
+    infinite vector is an error that names its token.
     """
-    if cfg.representation == "hisk":
-        return (None,) * len(essay_lists)
     tokens = [{e.id: tokenize(e.text) for e in essays} for essays in essay_lists]
     keep = {t for by_id in tokens for words in by_id.values() for t in words}
-    logger.info("loading embeddings of %d token types from %s", len(keep), cfg.embeddings_path)
-    model = load_word2vec_binary(cfg.embeddings_path, vocab_limit=cfg.vocab_limit, keep=keep)
+    logger.info("loading embeddings of %d token types from %s", len(keep), path)
+    model = load_word2vec_binary(path, vocab_limit=vocab_limit, keep=keep)
     index = {t: i for i, t in enumerate(sorted(model.vocab))}
     table = EmbeddingModel(dim=model.dim, vocab=index, vectors=model.vectors[
         np.array([model.vocab[t] for t in index], dtype=np.intp)])
     finite = np.isfinite(table.vectors).all(axis=1)
     if not finite.all():
         bad = [t for t, i in index.items() if not finite[i]]
-        raise KaesError(f"{cfg.embeddings_path}: NaN or infinite vectors of {len(bad)} tokens: "
+        raise KaesError(f"{path}: NaN or infinite vectors of {len(bad)} tokens: "
                         + ", ".join(repr(t) for t in bad[:5]))
     rows = [{eid: np.array([index[t] for t in words if t in index], dtype=np.intp)
              for eid, words in by_id.items()} for by_id in tokens]
@@ -436,43 +433,30 @@ def _fold_codebook(
     )
 
 
-def _histograms(codebook: Codebook, embedded: _Embedded, ids: Sequence[str]) -> BosweHistograms:
-    return build_histograms(codebook, [embedded.rows[eid] for eid in ids], embedded.model)
-
-
-def _fuse(
-    cfg: ExperimentConfig, hisk: KernelMatrix | None, boswe: KernelMatrix | None
+def kernel_block(
+    row_ids: tuple[str, ...],
+    col_ids: tuple[str, ...],
+    hisk: KernelMatrix | None,
+    codebook: Codebook | None,
+    row_tokens: _Embedded | None,
+    col_tokens: _Embedded | None,
 ) -> KernelMatrix:
-    """The ``cfg.representation`` kernel block from its n-gram and histogram blocks."""
-    if cfg.representation == "fused":
-        return sum_kernels(hisk, boswe)
-    return boswe if hisk is None else hisk
+    """The rows x cols kernel block of a representation.
 
-
-def _cell_blocks(
-    cfg: ExperimentConfig,
-    train_ids: tuple[str, ...],
-    eval_ids: tuple[str, ...],
-    hisk_gram: KernelMatrix | None,
-    embedded: _Embedded | None,
-    tags: tuple[int, ...],
-) -> tuple[KernelMatrix, KernelMatrix]:
-    """Train and eval kernel blocks for one cell.
-
-    One histogram call covers the train and eval essays, so each token type
-    is assigned once per codebook.
+    ``hisk`` is a normalized n-gram block holding these rows and columns,
+    None for boswe; ``codebook`` is None for hisk.  ``row_tokens`` and
+    ``col_tokens`` hold the row and the column essays' embedded tokens.  One
+    histogram call covers the rows and the columns, so each token type is
+    assigned once.  Fused is the sum of the n-gram and histogram blocks.
     """
-    hisk_train = hisk_eval = boswe_train = boswe_eval = None
-    if hisk_gram is not None:
-        hisk_train = hisk_gram.take(train_ids, train_ids)
-        hisk_eval = hisk_gram.take(eval_ids, train_ids)
-    if embedded is not None:
-        seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
-        codebook = _fold_codebook(embedded, train_ids, cfg, seed)
-        hists, n = _histograms(codebook, embedded, train_ids + eval_ids), len(train_ids)
-        boswe_train = boswe_kernel_matrix(hists[:n], row_ids=train_ids)
-        boswe_eval = boswe_kernel_matrix(hists[n:], hists[:n], row_ids=eval_ids, col_ids=train_ids)
-    return _fuse(cfg, hisk_train, boswe_train), _fuse(cfg, hisk_eval, boswe_eval)
+    blocks = []
+    if hisk is not None:
+        blocks.append(hisk.take(row_ids, col_ids))
+    if codebook is not None:
+        docs = [row_tokens.rows[eid] for eid in row_ids] + [col_tokens.rows[eid] for eid in col_ids]
+        hists, n = build_histograms(codebook, docs, row_tokens.model), len(row_ids)
+        blocks.append(boswe_kernel_matrix(hists[:n], hists[n:], row_ids=row_ids, col_ids=col_ids))
+    return sum_kernels(*blocks) if len(blocks) == 2 else blocks[0]
 
 
 def _score_cell(
@@ -503,7 +487,9 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     if cfg.mode != "in-domain":
         raise KaesError(f"run_in_domain called with mode {cfg.mode!r}")
     essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
-    (embedded,) = _embedded_essays(cfg, essays)
+    embedded = None
+    if cfg.representation != "hisk":
+        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit, essays)
     reps = cfg.resolved_repetitions()
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
@@ -538,7 +524,9 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
             f"(got {len(source_essays)} and {len(target_essays)} essays)"
         )
     pair_essays = source_essays + target_essays
-    (embedded,) = _embedded_essays(cfg, pair_essays)
+    embedded = None
+    if cfg.representation != "hisk":
+        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit, pair_essays)
     reps = cfg.resolved_repetitions()
     source_ids = tuple(e.id for e in source_essays)
 
@@ -599,10 +587,16 @@ def _protocol_cells(
                 train_ids, eval_ids = ids()
                 logger.debug("%s n_t=%s %s: train=%d eval=%d",
                              what, n_t, where, len(train_ids), len(eval_ids))
-                k_train, k_eval = _cell_blocks(
-                    cfg, train_ids, eval_ids, hisk_gram, embedded, tags
-                )
-                kappa = _score_cell(cfg, k_train, k_eval, unit_by_id, raw_by_id, score_range)
+                codebook = None
+                if embedded is not None:
+                    seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
+                    codebook = _fold_codebook(embedded, train_ids, cfg, seed)
+                # One (train + eval) x train block; its rows split into the two.
+                block = kernel_block(train_ids + eval_ids, train_ids, hisk_gram, codebook,
+                                     embedded, embedded)
+                kappa = _score_cell(cfg, block.take(train_ids, train_ids),
+                                    block.take(eval_ids, train_ids), unit_by_id, raw_by_id,
+                                    score_range)
             except Exception as exc:  # noqa: BLE001
                 reason = str(exc) or type(exc).__name__
                 failures.append(f"{where}: {reason}")
@@ -670,18 +664,21 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     """A nu-SVR scorer over the ``cfg.representation`` kernel of ``essays``.
 
     Blank essays are dropped with a warning, as the protocols drop them.
+    The vectors are read and the codebook fitted before the n-gram Gram, so
+    that a bad vectors file fails before the costly step.
     """
     cfg.validate()
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
-    hisk = None if cfg.representation == "boswe" else normalized_hisk_gram(essays, cfg)
-    boswe = codebook = None
+    embedded = codebook = hisk = None
     if cfg.representation != "hisk":
-        (embedded,) = _embedded_essays(cfg, essays)
+        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit, essays)
         codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
-        boswe = boswe_kernel_matrix(_histograms(codebook, embedded, ids), row_ids=ids)
+    if cfg.representation != "boswe":
+        hisk = normalized_hisk_gram(essays, cfg)
     y = np.array([e.unit_score for e in essays])
-    svr = train_nu_svr(_fuse(cfg, hisk, boswe), y, cfg.svr, seed=cfg.seed)
+    svr = train_nu_svr(kernel_block(ids, ids, hisk, codebook, embedded, embedded), y, cfg.svr,
+                       seed=cfg.seed)
     return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max,
                         cfg.vocab_limit, codebook)
 
@@ -694,16 +691,14 @@ def predict_scores(
 ) -> list[tuple[Essay, int]]:
     """Each essay of ``essays`` with its score under ``model``, on its prompt's scale.
 
-    The kernel is the model's own; ``train_essays`` must hold the model's
-    training essays, and ``embeddings_path`` is the vectors file that boswe
-    and fused models need.  Blank essays are dropped with a warning.  One
-    histogram call covers the test and support essays, so each token type is
-    assigned once.
+    The kernel is the model's own test x support block; ``train_essays``
+    must hold the model's training essays, and ``embeddings_path`` is the
+    vectors file that boswe and fused models need.  Blank essays are
+    dropped with a warning.  A model with no support vectors scores every
+    essay at its bias.
     """
-    # What the shared helpers read of a run's settings; no data file is read here.
-    cfg = ExperimentConfig(mode="in-domain", data_path="", representation=model.representation,
-                           embeddings_path=embeddings_path, vocab_limit=model.vocab_limit)
-    cfg.validate()
+    if model.codebook is not None and not embeddings_path:
+        raise KaesError(f"representation {model.representation!r} requires --embeddings")
     svr = model.svr
     by_id = {e.id: e for e in train_essays}
     missing = [eid for eid in svr.train_ids if eid not in by_id]
@@ -713,20 +708,21 @@ def predict_scores(
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
 
-    hisk = None
-    if model.representation != "boswe":
-        hisk = normalize_kernel(kernel_matrix(
-            [e.text for e in essays], [e.text for e in support_essays],
-            row_ids=ids, col_ids=svr.support_ids, n_min=model.ngram_min, n_max=model.ngram_max,
-        ))
-    boswe = None
-    support_embedded, embedded = _embedded_essays(cfg, support_essays, essays)
-    if embedded is not None:
-        rows = [embedded.rows[eid] for eid in ids]
-        rows += [support_embedded.rows[eid] for eid in svr.support_ids]
-        hists, n = build_histograms(model.codebook, rows, embedded.model), len(ids)
-        boswe = boswe_kernel_matrix(hists[:n], hists[n:], row_ids=ids, col_ids=svr.support_ids)
-    preds = predict(svr, _fuse(cfg, hisk, boswe))
+    # With no support vectors the block has no columns: each score is the bias.
+    block = KernelMatrix(np.zeros((len(ids), 0)), row_ids=ids, col_ids=())
+    if support_essays:
+        support_embedded = embedded = hisk = None
+        if model.codebook is not None:
+            support_embedded, embedded = _embedded_essays(
+                embeddings_path, model.vocab_limit, support_essays, essays)
+        if model.representation != "boswe":
+            hisk = normalize_kernel(kernel_matrix(
+                [e.text for e in essays], [e.text for e in support_essays], row_ids=ids,
+                col_ids=svr.support_ids, n_min=model.ngram_min, n_max=model.ngram_max,
+            ))
+        block = kernel_block(ids, svr.support_ids, hisk, model.codebook, embedded,
+                             support_embedded)
+    preds = predict(svr, block)
     return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
             for e, p in zip(essays, preds)]
 

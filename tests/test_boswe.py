@@ -470,8 +470,14 @@ class TestGramOracle:
         cols = BosweHistograms(hists.weights[split:], hists.token_counts[split:],
                                hists.codebook_fingerprint)
         gram = boswe_kernel_matrix(rows, cols)
+        square = boswe_kernel_matrix(hists).values
         assert np.array_equal(gram.values, hik_reference(dicts[:split], dicts[split:]))
-        assert np.array_equal(gram.values, boswe_kernel_matrix(hists).values[:split, split:])
+        assert np.array_equal(gram.values, square[:split, split:])
+        # Rows that contain the columns, as a protocol cell's (train + eval) x train
+        # block: a slice is another object, so the non-symmetric path runs.
+        block = boswe_kernel_matrix(hists, hists[:split])
+        assert np.array_equal(block.values, hik_reference(dicts, dicts[:split]))
+        assert np.array_equal(block.values, square[:, :split])
 
 
 class TestCodebookIO:

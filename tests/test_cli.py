@@ -444,6 +444,55 @@ class TestCommands:
                   for e, p in zip(essays, predict(model.svr, block))]
         assert preds.read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("representation", ["hisk", "fused"])
+    def test_predict_with_no_support_vectors_scores_the_bias(self, workdir, tmp_path, capsys,
+                                                            representation):
+        # Every prompt-1 essay scores 2, so the model fits a constant: no support vectors.
+        lines = make_corpus_tsv(12, seed=5, prompts=(1, 2)).decode().splitlines()
+        lines[1:13] = ["\t".join([*line.split("\t")[:3], "2"]) for line in lines[1:13]]
+        data, model_path = tmp_path / "flat.tsv", tmp_path / "m.bin"
+        data.write_text("\n".join(lines) + "\n")
+        common = ["--data", data, "--embeddings", workdir / "emb.bin"]
+        code, out, err = run_main(capsys, ["train", *common, "--prompt", "1", "--k", "4",
+                                           "--representation", representation,
+                                           "--out", model_path])
+        assert code == 0, err
+        assert out.startswith("model: 0/12 support vectors")
+        code, out, err = run_main(capsys, ["predict", *common, "--model", model_path])
+        assert code == 0, err
+        bias = load_model(model_path).svr.bias
+        # Each essay gets the bias on its own prompt's scale.
+        expected = ["essay_id\tessay_set\tprediction"]
+        expected += [f"{e.id}\t{e.prompt}\t{unscale_score(bias, ASAP_SCORE_RANGES[e.prompt])}"
+                     for e in load_essays(data)]
+        assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("representation", ["boswe", "fused"])
+    def test_predict_without_embeddings_fails_cleanly(self, workdir, tmp_path, capsys,
+                                                      representation):
+        data, model = workdir / "data.tsv", tmp_path / "m.bin"
+        code, _, err = run_main(capsys, ["train", "--data", data, "--prompt", "1",
+                                         "--representation", representation, "--embeddings",
+                                         workdir / "emb.bin", "--k", "8", "--out", model])
+        assert code == 0, err
+        code, out, err = run_main(capsys, ["predict", "--data", data, "--model", model])
+        assert code == 1 and out == ""
+        assert err == f"error: representation {representation!r} requires --embeddings\n"
+
+    def test_train_reads_vectors_before_the_gram(self, workdir, tmp_path, capsys, monkeypatch):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("computed an n-gram Gram matrix")
+
+        monkeypatch.setattr(kaes.harness, "kernel_matrix", no_gram)
+        cache, missing = tmp_path / "cache", tmp_path / "missing.bin"
+        code, out, err = run_main(capsys, [
+            "train", "--data", workdir / "data.tsv", "--prompt", "1", "--representation",
+            "fused", "--embeddings", missing, "--cache-dir", cache, "--out", tmp_path / "m.bin",
+        ])
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not list(cache.glob("hisk_*.km"))
+
     @pytest.mark.parametrize("flag", ["data", "config", "model", "embeddings", "table",
                                       "train-data"])
     def test_missing_input_file_fails_cleanly(self, workdir, tmp_path, capsys, flag):

@@ -74,17 +74,18 @@ def cross_domain_cfg(corpus_dir, **overrides) -> ExperimentConfig:
 def record_cells(monkeypatch) -> tuple[list, list]:
     """Record each cell's (train ids, eval ids) and the ids each codebook is fitted on."""
     cells, codebooks = [], []
-    cell_blocks, fold_codebook = kaes.harness._cell_blocks, kaes.harness._fold_codebook
+    kernel_block, fold_codebook = kaes.harness.kernel_block, kaes.harness._fold_codebook
 
-    def blocks(cfg, train_ids, eval_ids, *args):
-        cells.append((train_ids, eval_ids))
-        return cell_blocks(cfg, train_ids, eval_ids, *args)
+    def blocks(row_ids, col_ids, *args):
+        # A cell asks for one (train + eval) x train block.
+        cells.append((col_ids, row_ids[len(col_ids):]))
+        return kernel_block(row_ids, col_ids, *args)
 
     def codebook(embedded, train_ids, *args):
         codebooks.append(tuple(train_ids))
         return fold_codebook(embedded, train_ids, *args)
 
-    monkeypatch.setattr(kaes.harness, "_cell_blocks", blocks)
+    monkeypatch.setattr(kaes.harness, "kernel_block", blocks)
     monkeypatch.setattr(kaes.harness, "_fold_codebook", codebook)
     return cells, codebooks
 
