@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import operator
 import re
 import struct
@@ -32,8 +33,9 @@ def open_binary(target: str | Path | BinaryIO, mode: str) -> Iterator[BinaryIO]:
 
 
 def write_id(stream: BinaryIO, doc_id: str) -> None:
-    """Write a document id as its UTF-8 byte length (u32 LE), then the bytes."""
-    raw = doc_id.encode("utf-8")
+    """Write a document id (or text) as its UTF-8 byte length (u32 LE), then the bytes;
+    a lone surrogate from corpus parsing is written as its own code (surrogatepass)."""
+    raw = doc_id.encode("utf-8", "surrogatepass")
     stream.write(struct.pack("<I", len(raw)))
     stream.write(raw)
 
@@ -93,6 +95,14 @@ class Reader:
         """The fields of the ``struct`` format ``fmt``."""
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
+    def read_finite(self, what: str) -> float:
+        """An f64; NaN or infinity is a BinaryFormatError at its offset."""
+        at = self.offset
+        (value,) = self.unpack("<d", what)
+        if not math.isfinite(value):
+            raise BinaryFormatError(f"{what} is not finite: {value}", offset=at)
+        return value
+
     def expect_magic(self, magic: bytes) -> None:
         found = self.read(len(magic), "magic")
         if found != magic:
@@ -105,14 +115,14 @@ class Reader:
         if self._pos < len(self._buf) or self._stream.read(1):
             raise BinaryFormatError("trailing bytes after the last field", offset=self.offset)
 
-    def read_id(self) -> str:
-        """A document id written by :func:`write_id`."""
-        (length,) = self.unpack("<I", "id length")
+    def read_id(self, what: str = "id") -> str:
+        """A document id, or the ``what`` string, written by :func:`write_id`."""
+        (length,) = self.unpack("<I", f"{what} length")
         at = self.offset
         try:
-            return self.read(length, "id").decode("utf-8")
+            return self.read(length, what).decode("utf-8", "surrogatepass")
         except UnicodeDecodeError as exc:
-            raise BinaryFormatError(f"document id is not UTF-8: {exc}", offset=at) from exc
+            raise BinaryFormatError(f"{what} is not UTF-8: {exc}", offset=at) from exc
 
     def read_until(self, delim: bytes, what: str) -> bytes:
         """The bytes before the next ``delim`` (one byte), which is consumed too."""

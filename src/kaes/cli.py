@@ -76,7 +76,7 @@ _SETTINGS = {
     "format": _Setting("report format", choices=("text", "csv")),
     "table": _Setting("csv table from an eval run"),
     "model": _Setting("model file from `train`"),
-    "train_data": _Setting("TSV with the training essays (defaults to --data)"),
+    "train_data": _Setting("not read: the model holds its support essays"),
     "out": _Setting("output file: the model (train), the predictions TSV instead of stdout "
                     "(predict) or also the csv table (eval-*)"),
 }
@@ -87,10 +87,12 @@ _SVR = ("c", "nu", "kkt_tolerance", "max_iterations")
 _MODEL = ("representation", *_NGRAMS, *_CODEBOOK, *_SVR, "cache_dir")
 _PROTOCOL = ("repetitions", "folds", "format", "out")
 
-# Command: (help, the settings it takes).  `predict` reads its kernel from
-# the model; --representation is checked against it, and --k,
-# --kmeans-iters and --seed are taken but neither read nor checked, so that
-# `predict` accepts the codebook flags that `train` was given.
+# Command: (help, the settings it takes).  `predict` reads its kernel and its
+# support essays from the model; --representation is checked against it.
+# --train-data, --k, --kmeans-iters and --seed are taken but neither read nor
+# checked, because the benchmark's `fused-score` workload
+# (perfbench/workloads.py) still passes them to `predict`; they go once it
+# stops.
 _COMMANDS = {
     "ingest": ("validate and summarize a data file", ("data", "prompt")),
     "kernel": ("cache each prompt's n-gram Gram matrix in --cache-dir",
@@ -166,17 +168,20 @@ _SVR_FIELDS = {f.name for f in dataclasses.fields(SvrConfig)}
 
 
 def _experiment_config(settings: dict[str, Any], mode: str = "in-domain") -> ExperimentConfig:
-    """The command's ExperimentConfig; a setting that is not given keeps its default."""
+    """The command's validated ExperimentConfig; a setting that is not given
+    keeps its default, and a bad one fails before any input is read."""
     fields = {key: value for key, value in settings.items() if key in _CONFIG_FIELDS}
     if "vocab_limit" in fields:
         fields["vocab_limit"] = fields["vocab_limit"] or None  # 0 keeps every vector
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         mode=mode,
         data_path=_require(settings, "data"),
         embeddings_path=settings.get("embeddings"),
         svr=SvrConfig(**{key: value for key, value in settings.items() if key in _SVR_FIELDS}),
         **fields,
     )
+    cfg.validate()
+    return cfg
 
 
 def cmd_ingest(settings: dict[str, Any]) -> int:
@@ -195,7 +200,6 @@ def cmd_ingest(settings: dict[str, Any]) -> int:
 
 def cmd_kernel(settings: dict[str, Any]) -> int:
     cfg = _experiment_config(settings)
-    cfg.validate()
     _require(settings, "cache_dir")
     # The same essays the protocols and `train` score, so each prompt's entry
     # is the one `eval-indomain` and `train` read.
@@ -221,23 +225,22 @@ def cmd_train(settings: dict[str, Any]) -> int:
 
 
 def cmd_predict(settings: dict[str, Any]) -> int:
-    data, prompt = _require(settings, "data"), settings.get("prompt")
     model = load_model(_require(settings, "model"))
     given = settings.get("representation", model.representation)
     if given != model.representation:
         raise KaesError(f"--representation {given} does not match the model, "
                         f"which was trained as {model.representation}")
-    train_essays = load_essays(settings.get("train_data") or data, prompt)
-    scores = predict_scores(model, load_essays(data, prompt), train_essays,
-                            settings.get("embeddings"))
+    essays = load_essays(_require(settings, "data"), settings.get("prompt"))
+    scores = predict_scores(model, essays, settings.get("embeddings"))
     lines = ["essay_id\tessay_set\tprediction"]
     lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
-    output = "\n".join(lines) + "\n"
+    # An id byte that Windows-1252 leaves undefined is written back as itself.
+    output = ("\n".join(lines) + "\n").encode("utf-8", errors="surrogateescape")
     out = settings.get("out")
     if out:
-        Path(out).write_text(output)
+        Path(out).write_bytes(output)
     else:
-        sys.stdout.write(output)
+        sys.stdout.buffer.write(output)
     return 0
 
 

@@ -27,7 +27,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise KaesError(f"--nt sizes must be at least 0, got {min(self.nt)}")
         if self.vocab_limit is not None and self.vocab_limit < 0:
             raise KaesError(f"--vocab-limit must be at least 0, got {self.vocab_limit}")
+        if not 0 <= self.seed < 2**64:  # numpy seeds and the model file need a u64
+            raise KaesError(f"--seed must be in [0, 2**64), got {self.seed}")
 
     def summary(self) -> str:
         parts = [
@@ -302,7 +304,7 @@ def _gram_cache_key(essays: Sequence[Essay], cfg: ExperimentConfig) -> str:
     digest = hashlib.sha256()
     digest.update(f"hisk-gram|v1|{cfg.ngram_min}|{cfg.ngram_max}|".encode())
     for e in essays:
-        digest.update(e.id.encode("utf-8"))
+        digest.update(e.id.encode("utf-8", errors="surrogatepass"))
         digest.update(b"\x00")
         digest.update(e.text.encode("utf-8", errors="surrogatepass"))
         digest.update(b"\x01")
@@ -385,16 +387,16 @@ class _Embedded:
 
 
 def _embedded_essays(
-    path: str, vocab_limit: int | None, *essay_lists: Sequence[Essay]
+    path: str, vocab_limit: int | None, *essay_lists: Iterable[tuple[str, str]]
 ) -> tuple[_Embedded, ...]:
-    """Each list of essays as rows of one table of the word vectors they use.
+    """Each list of (id, text) pairs as rows of one table of the word vectors they use.
 
     The vectors file ``path`` is read once, keeping only the essays' token
     types, so every lookup gets the vector a full load would give.  Rows are
-    keyed by id per list, as two lists may hold the same essays.  A NaN or
+    keyed by id per list, as two lists may hold the same ids.  A NaN or
     infinite vector is an error that names its token.
     """
-    tokens = [{e.id: tokenize(e.text) for e in essays} for essays in essay_lists]
+    tokens = [{eid: tokenize(text) for eid, text in essays} for essays in essay_lists]
     keep = {t for by_id in tokens for words in by_id.values() for t in words}
     logger.info("loading embeddings of %d token types from %s", len(keep), path)
     model = load_word2vec_binary(path, vocab_limit=vocab_limit, keep=keep)
@@ -417,6 +419,24 @@ def _embedded_essays(
     return tuple(_Embedded(table, r) for r in rows)
 
 
+def _type_rows(embedded: _Embedded, ids: Sequence[str]) -> np.ndarray:
+    """The table rows of the essays' embedded token types, in sorted token order."""
+    return np.unique(np.concatenate([np.empty(0, dtype=np.intp),
+                                     *(embedded.rows[eid] for eid in ids)]))
+
+
+def _vectors_digest(embedded: _Embedded, ids: Sequence[str]) -> bytes:
+    """The sha256 of the dimension, then of the word2vec records (token, space,
+    f32 LE vector) of the essays' embedded token types in sorted token order."""
+    model = embedded.model
+    tokens = list(model.vocab)  # the table's rows are in sorted token order
+    digest = hashlib.sha256(b"%d\n" % model.dim)
+    for row in _type_rows(embedded, ids):
+        digest.update(tokens[row].encode("utf-8", errors="surrogateescape") + b" ")
+        digest.update(model.vectors[row].astype("<f4").tobytes())
+    return digest.digest()
+
+
 def _fold_codebook(
     embedded: _Embedded, train_ids: Sequence[str], cfg: ExperimentConfig, seed: int
 ) -> Codebook:
@@ -424,8 +444,7 @@ def _fold_codebook(
 
     The points are the types' vectors in sorted token order.
     """
-    rows = np.unique(np.concatenate([np.empty(0, dtype=np.intp),
-                                     *(embedded.rows[eid] for eid in train_ids)]))
+    rows = _type_rows(embedded, train_ids)
     if not rows.size:
         raise KaesError("no embedded tokens in the training documents")
     return fit_codebook(
@@ -489,7 +508,8 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
     embedded = None
     if cfg.representation != "hisk":
-        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit, essays)
+        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
+                                       [(e.id, e.text) for e in essays])
     reps = cfg.resolved_repetitions()
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
@@ -526,7 +546,8 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
     pair_essays = source_essays + target_essays
     embedded = None
     if cfg.representation != "hisk":
-        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit, pair_essays)
+        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
+                                       [(e.id, e.text) for e in pair_essays])
     reps = cfg.resolved_repetitions()
     source_ids = tuple(e.id for e in source_essays)
 
@@ -640,16 +661,19 @@ def _result_cell(
 # ---------------------------------------------------------------------------
 # One model: `kaes train` and `kaes predict`
 
-MODEL_MAGIC = b"KAESMD01"
+MODEL_MAGIC = b"KAESMD02"
 
 
 @dataclass
 class ScoringModel:
     """A trained scorer and the kernel it was trained on.
 
-    ``codebook`` is None exactly for hisk.  The n-gram range is read only
-    by representations with an n-gram kernel, and ``vocab_limit`` (None
-    scans every vector) only by those with a codebook.
+    ``codebook`` and ``vectors_digest`` (see :func:`_vectors_digest`) are
+    None exactly for hisk.  The n-gram range is read only by
+    representations with an n-gram kernel, and ``vocab_limit`` (None scans
+    every vector) only by those with a codebook.  ``support_texts`` are the
+    texts of the support essays, in ``svr.support_ids`` order: the columns
+    of every kernel block the model scores with.
     """
 
     svr: SvrModel
@@ -658,6 +682,8 @@ class ScoringModel:
     ngram_max: int
     vocab_limit: int | None
     codebook: Codebook | None
+    support_texts: tuple[str, ...]
+    vectors_digest: bytes | None
 
 
 def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
@@ -670,58 +696,58 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     cfg.validate()
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
-    embedded = codebook = hisk = None
+    embedded = codebook = hisk = digest = None
     if cfg.representation != "hisk":
-        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit, essays)
+        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
+                                       [(e.id, e.text) for e in essays])
         codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
     if cfg.representation != "boswe":
         hisk = normalized_hisk_gram(essays, cfg)
     y = np.array([e.unit_score for e in essays])
     svr = train_nu_svr(kernel_block(ids, ids, hisk, codebook, embedded, embedded), y, cfg.svr,
                        seed=cfg.seed)
+    if embedded is not None:
+        digest = _vectors_digest(embedded, svr.support_ids)
     return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max,
-                        cfg.vocab_limit, codebook)
+                        cfg.vocab_limit, codebook,
+                        tuple(e.text for e, kept in zip(essays, svr.support_mask) if kept), digest)
 
 
 def predict_scores(
-    model: ScoringModel,
-    essays: Sequence[Essay],
-    train_essays: Sequence[Essay],
-    embeddings_path: str | None = None,
+    model: ScoringModel, essays: Sequence[Essay], embeddings_path: str | None = None
 ) -> list[tuple[Essay, int]]:
     """Each essay of ``essays`` with its score under ``model``, on its prompt's scale.
 
-    The kernel is the model's own test x support block; ``train_essays``
-    must hold the model's training essays, and ``embeddings_path`` is the
-    vectors file that boswe and fused models need.  Blank essays are
+    The kernel is the model's own test x support block, over the support
+    texts it holds.  ``embeddings_path`` is the vectors file that boswe and
+    fused models need; one that gives the support essays' token types other
+    vectors than the model was trained with is an error.  Blank essays are
     dropped with a warning.  A model with no support vectors scores every
     essay at its bias.
     """
     if model.codebook is not None and not embeddings_path:
         raise KaesError(f"representation {model.representation!r} requires --embeddings")
-    svr = model.svr
-    by_id = {e.id: e for e in train_essays}
-    missing = [eid for eid in svr.train_ids if eid not in by_id]
-    if missing:
-        raise KaesError(f"training essays missing from --train-data: {missing[:5]}")
-    support_essays = [by_id[eid] for eid in svr.support_ids]
+    svr, support_ids = model.svr, model.svr.support_ids
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
 
     # With no support vectors the block has no columns: each score is the bias.
     block = KernelMatrix(np.zeros((len(ids), 0)), row_ids=ids, col_ids=())
-    if support_essays:
+    if support_ids:
         support_embedded = embedded = hisk = None
         if model.codebook is not None:
             support_embedded, embedded = _embedded_essays(
-                embeddings_path, model.vocab_limit, support_essays, essays)
+                embeddings_path, model.vocab_limit, zip(support_ids, model.support_texts),
+                [(e.id, e.text) for e in essays])
+            if _vectors_digest(support_embedded, support_ids) != model.vectors_digest:
+                raise KaesError(f"{embeddings_path}: the support essays' tokens have other "
+                                "vectors than the model was trained with")
         if model.representation != "boswe":
             hisk = normalize_kernel(kernel_matrix(
-                [e.text for e in essays], [e.text for e in support_essays], row_ids=ids,
-                col_ids=svr.support_ids, n_min=model.ngram_min, n_max=model.ngram_max,
+                [e.text for e in essays], model.support_texts, row_ids=ids, col_ids=support_ids,
+                n_min=model.ngram_min, n_max=model.ngram_max,
             ))
-        block = kernel_block(ids, svr.support_ids, hisk, model.codebook, embedded,
-                             support_embedded)
+        block = kernel_block(ids, support_ids, hisk, model.codebook, embedded, support_embedded)
     preds = predict(svr, block)
     return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
             for e, p in zip(essays, preds)]
@@ -741,7 +767,10 @@ def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
         stream.write(struct.pack("<dd", svr.bias, svr.epsilon_star))
         stream.write(struct.pack("<dddQBQQ", config.c, config.nu, config.kkt_tolerance,
                                  config.max_iterations, svr.converged, svr.seed, svr.iterations))
+        for text in model.support_texts:
+            write_id(stream, text)
         if codebook is not None:
+            stream.write(model.vectors_digest)
             stream.write(struct.pack("<IIQ", codebook.k, codebook.dim, codebook.seed))
             stream.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
 
@@ -757,8 +786,8 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
                                     f"n-gram range [{ngram_min}, {ngram_max}]",
                                     offset=len(MODEL_MAGIC))
         (count,) = reader.unpack("<I", "row count")
-        rows = [(reader.read_id(), reader.unpack("<d", "coefficient")[0]) for _ in range(count)]
-        bias, epsilon_star = reader.unpack("<dd", "bias/epsilon")
+        rows = [(reader.read_id(), reader.read_finite("coefficient")) for _ in range(count)]
+        bias, epsilon_star = reader.read_finite("bias"), reader.read_finite("epsilon")
         echo_at = reader.offset
         c, nu, tol, max_iter, conv, seed, iterations = reader.unpack("<dddQBQQ", "config echo")
         try:
@@ -769,14 +798,21 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
                        bias=bias, epsilon_star=epsilon_star,
                        train_ids=tuple(eid for eid, _ in rows), config=config,
                        seed=seed, converged=bool(conv), iterations=iterations)
-        codebook = None
+        support_texts = tuple(reader.read_id("support text") for _ in svr.support_ids)
+        codebook = digest = None
         if REPRESENTATIONS[code] != "hisk":
+            digest = bytes(reader.read(32, "vectors digest"))
             at = reader.offset
             k, dim, codebook_seed = reader.unpack("<IIQ", "codebook header")
             if k == 0 or dim == 0:
                 raise BinaryFormatError(f"empty codebook: k={k}, dim={dim}", offset=at)
+            at = reader.offset
             centroids = np.frombuffer(reader.read(k * dim * 4, "centroids"), dtype="<f4")
+            bad = np.flatnonzero(~np.isfinite(centroids))
+            if bad.size:
+                raise BinaryFormatError(f"centroid value is not finite: {centroids[bad[0]]}",
+                                        offset=at + 4 * int(bad[0]))
             codebook = Codebook(k=k, centroids=centroids.reshape(k, dim).copy(), seed=codebook_seed)
         reader.expect_end()
     return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max, vocab_limit or None,
-                        codebook)
+                        codebook, support_texts, digest)

@@ -15,6 +15,7 @@ at regularization ``c / r``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,14 @@ class SvrConfig:
     max_iterations: int = 10_000_000
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise KaesError(f"c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise KaesError(f"c must be positive and finite, got {self.c}")
         if not (0 < self.nu <= 1):
             raise KaesError(f"nu must be in (0, 1], got {self.nu}")
-        if self.kkt_tolerance <= 0:
-            raise KaesError(f"kkt_tolerance must be positive, got {self.kkt_tolerance}")
+        if not 0 < self.kkt_tolerance < math.inf:
+            raise KaesError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
+        if not 0 <= self.max_iterations < 2**64:  # a model file stores it as a u64
+            raise KaesError(f"max_iterations must be in [0, 2**64), got {self.max_iterations}")
 
 
 @dataclass

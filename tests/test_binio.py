@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from kaes.binio import Reader
+from kaes.binio import Reader, write_id
 from kaes.boswe import Codebook
 from kaes.embeddings import EmbeddingModel, load_word2vec_binary
 from kaes.errors import BinaryFormatError
-from kaes.harness import ScoringModel, load_model, save_model
+from kaes.harness import MODEL_MAGIC, ScoringModel, load_model, save_model
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
 from kaes.svr import SvrConfig, SvrModel
 from synthesis import save_word2vec_binary
@@ -25,14 +26,19 @@ CODEBOOK = Codebook(k=2, centroids=np.array([[1, 2, 3], [4, -5, 6.5]]), seed=7)
 SVR = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
                train_ids=("a", "bé"), config=SvrConfig(c=10.0, nu=0.5), seed=3,
                converged=True, iterations=12)
-HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, 500_000, None)
-FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, None, CODEBOOK)
+# Both rows are support rows; the second text holds a byte that Windows-1252
+# leaves undefined, which corpus parsing makes a lone surrogate.
+SUPPORT_TEXTS = ("one text", "t\udc81wo")
+DIGEST = bytes(range(32))
+HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, 500_000, None, SUPPORT_TEXTS, None)
+FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, None, CODEBOOK, SUPPORT_TEXTS, DIGEST)
 VECTORS = EmbeddingModel(dim=3, vocab={"cat": 0, "dog": 1},
                          vectors=np.array([[1, 2, 3], [-1, 0.5, 0.25]], dtype=np.float32))
 
 
 def _ids(*ids: str) -> bytes:
-    return b"".join(struct.pack("<I", len(i.encode())) + i.encode() for i in ids)
+    raw = [i.encode("utf-8", "surrogatepass") for i in ids]
+    return b"".join(struct.pack("<I", len(r)) + r for r in raw)
 
 
 # The SVR record of a model file: rows, each id and coefficient, bias and
@@ -41,6 +47,8 @@ SVR_RECORD = (struct.pack("<I", 2)
               + _ids("a") + struct.pack("<d", 0.5) + _ids("bé") + struct.pack("<d", -0.25)
               + struct.pack("<dd", 0.125, 0.01)
               + struct.pack("<dddQBQQ", 10.0, 0.5, 1e-3, 10_000_000, 1, 3, 12))
+# The support texts: one per nonzero coefficient, in row order, each as an id.
+TEXTS_RECORD = b"\x08\0\0\0one text" + b"\x06\0\0\0t\xed\xb2\x81wo"
 
 # name: (object, save, load, its bytes spelled out field by field)
 FORMATS = {
@@ -48,10 +56,11 @@ FORMATS = {
                b"KAESKM01" + struct.pack("<IIB", 2, 3, 0)
                + np.array(KERNEL.values, dtype="<f8").tobytes() + _ids("a", "bé", "x", "y", "z")),
     "model": (HISK_MODEL, save_model, load_model,
-              b"KAESMD01" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD),
+              b"KAESMD02" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD
+              + TEXTS_RECORD),
     "fused-model": (FUSED_MODEL, save_model, load_model,
-                    b"KAESMD01" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
-                    + struct.pack("<IIQ", 2, 3, 7)
+                    b"KAESMD02" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
+                    + TEXTS_RECORD + DIGEST + struct.pack("<IIQ", 2, 3, 7)
                     + np.array([[1, 2, 3], [4, -5, 6.5]], dtype="<f4").tobytes()),
     "word2vec": (VECTORS, save_word2vec_binary, load_word2vec_binary,
                  b"2 3\ncat " + np.array([1, 2, 3], dtype="<f4").tobytes()
@@ -115,6 +124,17 @@ class TestReader:
             reader.skip(2, "tail")
         assert info.value.offset == len(data)
 
+    @pytest.mark.parametrize("doc_id, raw", [
+        ("hé", b"h\xc3\xa9"),
+        # The lone surrogate that corpus parsing makes of byte 0x81.
+        ("x\udc81", b"x\xed\xb2\x81"),
+    ])
+    def test_id_round_trips(self, doc_id, raw):
+        buf = io.BytesIO()
+        write_id(buf, doc_id)
+        assert buf.getvalue() == struct.pack("<I", len(raw)) + raw
+        assert Reader(io.BytesIO(buf.getvalue())).read_id() == doc_id
+
     def test_unterminated_field_reports_its_start(self):
         reader = Reader(io.BytesIO(b"1 2\nword-without-space"), chunk=4)
         reader.read_until(b"\n", "header")
@@ -172,17 +192,21 @@ class TestModelFile:
                                             model.ngram_max, model.vocab_limit)
             assert np.array_equal(loaded.svr.coefficients, SVR.coefficients)
             assert loaded.svr.train_ids == SVR.train_ids and loaded.svr.config == SVR.config
+            assert loaded.support_texts == SUPPORT_TEXTS
+            assert loaded.vectors_digest == model.vectors_digest
             if model.codebook is None:
                 assert loaded.codebook is None
             else:
                 assert loaded.codebook.fingerprint == CODEBOOK.fingerprint
 
     def test_model_and_codebook_pair_of_earlier_versions_is_rejected(self):
-        # The model file that earlier versions wrote beside a `.codebook` file.
-        data = b"KAESSV01" + SVR_RECORD
-        with pytest.raises(BinaryFormatError, match="bad magic") as info:
-            load_model(io.BytesIO(data))
-        assert info.value.offset == 0
+        # The model file that earlier versions wrote beside a `.codebook` file,
+        # and the one-file model that held no support texts and no vectors digest.
+        for data in (b"KAESSV01" + SVR_RECORD,
+                     b"KAESMD01" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD):
+            with pytest.raises(BinaryFormatError, match="bad magic") as info:
+                load_model(io.BytesIO(data))
+            assert info.value.offset == 0
 
     @pytest.mark.parametrize("settings, reason", [
         (struct.pack("<BIIQ", 3, 1, 15, 0), "representation 3"),
@@ -191,8 +215,28 @@ class TestModelFile:
     ])
     def test_invalid_kernel_settings(self, settings, reason):
         with pytest.raises(BinaryFormatError, match=reason) as info:
-            load_model(io.BytesIO(b"KAESMD01" + settings + SVR_RECORD))
+            load_model(io.BytesIO(MODEL_MAGIC + settings + SVR_RECORD + TEXTS_RECORD))
         assert info.value.offset == 8
+
+    # A number of the fused-model layout that must be finite: its offset (from
+    # the end for centroids), format, value there and name in the error.
+    @pytest.mark.parametrize("at, fmt, value, what", [
+        (34, "<d", 0.5, "coefficient"),
+        (49, "<d", -0.25, "coefficient"),
+        (57, "<d", 0.125, "bias"),
+        (65, "<d", 0.01, "epsilon"),
+        (-24, "<f", 1.0, "centroid value"),
+        (-4, "<f", 6.5, "centroid value"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_is_rejected(self, at, fmt, value, what, bad):
+        layout = FORMATS["fused-model"][3]
+        at, size = at % len(layout), struct.calcsize(fmt)
+        assert struct.unpack(fmt, layout[at:at + size]) == (value,)
+        data = layout[:at] + struct.pack(fmt, bad) + layout[at + size:]
+        with pytest.raises(BinaryFormatError, match=f"{what} is not finite") as info:
+            load_model(io.BytesIO(data))
+        assert info.value.offset == at
 
     def test_bytes_after_the_last_record_are_rejected(self):
         layout = FORMATS["fused-model"][3]
@@ -200,4 +244,4 @@ class TestModelFile:
         for data in (FORMATS["model"][3] + b"\0", layout[:8] + b"\0" + layout[9:]):
             with pytest.raises(BinaryFormatError, match="trailing bytes") as info:
                 load_model(io.BytesIO(data))
-            assert info.value.offset == 25 + len(SVR_RECORD)
+            assert info.value.offset == 25 + len(SVR_RECORD) + len(TEXTS_RECORD)

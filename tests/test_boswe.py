@@ -489,7 +489,7 @@ class TestCodebookIO:
                        train_ids=("a",), config=SvrConfig(), seed=0, converged=True,
                        iterations=1)
         buf = io.BytesIO()
-        save_model(ScoringModel(svr, "boswe", 1, 15, None, codebook), buf)
+        save_model(ScoringModel(svr, "boswe", 1, 15, None, codebook, ("a",), bytes(32)), buf)
         return buf.getvalue()
 
     def test_round_trip_bit_exact(self, tmp_path):

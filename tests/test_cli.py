@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import subprocess
@@ -14,7 +15,7 @@ import kaes.cli
 import kaes.harness
 from kaes.cli import main
 from kaes.corpus import ASAP_SCORE_RANGES, parse_asap_tsv, unscale_score
-from kaes.embeddings import load_word2vec_binary, tokenize
+from kaes.embeddings import EmbeddingModel, load_word2vec_binary, tokenize
 from kaes.harness import (
     ExperimentConfig, load_essays, load_model, predict_scores, save_model, train_model,
 )
@@ -24,6 +25,16 @@ from kaes.svr import predict
 from synthesis import (
     make_corpus_tsv, make_embeddings_bytes, record_vector_loads, save_word2vec_binary,
 )
+
+# sha256 of the `kaes predict` output of a model trained on
+# make_corpus_tsv(60, seed=11) (prompt 1, k=8, seed 1) scoring
+# make_corpus_tsv(30, seed=12), recorded when `predict` still read the
+# training essays' texts from --train-data.
+PREDICTION_DIGESTS = {
+    "hisk": "5c33855de9cf2becec33cdb59764525f7e7d085cda1e019000e9e41c6afa5f99",
+    "boswe": "d2206b220c7b2baa74d6636889ecacc96d62b7c774df8e52481995e5707e37b9",
+    "fused": "ca6d938aa7ba591eedb133e41c581355ffc0c8d3924ffca3a00b15226c52f91f",
+}
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +290,17 @@ class TestCommands:
          "--nt must list at least one sub-sample size"),
         (["eval-crossdomain", "--source", "1", "--target", "1"],
          "--source and --target must differ, got 1 for both"),
+        # Solver and seed settings that cannot be solved or saved.
+        (["eval-indomain", "--prompt", "1", "--c", "nan"], "c must be positive and finite"),
+        (["eval-indomain", "--prompt", "1", "--c", "inf"], "c must be positive and finite"),
+        (["eval-indomain", "--prompt", "1", "--kkt-tolerance", "nan"],
+         "kkt_tolerance must be positive and finite"),
+        (["eval-indomain", "--prompt", "1", "--max-iterations", "-1"],
+         "max_iterations must be in [0, 2**64), got -1"),
+        (["eval-indomain", "--prompt", "1", "--seed", "-1"], "--seed must be in [0, 2**64)"),
+        (["train", "--max-iterations", "-1", "--out", "m.bin"],
+         "max_iterations must be in [0, 2**64)"),
+        (["train", "--seed", str(2**64), "--out", "m.bin"], "--seed must be in [0, 2**64)"),
     ])
     def test_too_few_folds_or_clusters_fail_up_front(self, workdir, capsys, monkeypatch,
                                                      argv, minimum):
@@ -347,8 +369,7 @@ class TestCommands:
             preds[name] = tmp_path / f"{name}-preds.tsv"
             with caplog.at_level("WARNING", logger="kaes.harness"):
                 code, _, err = run_main(capsys, [
-                    "predict", "--data", data, "--train-data", train, "--model", model,
-                    *flags, "--out", preds[name]])
+                    "predict", "--data", data, "--model", model, *flags, "--out", preds[name]])
             assert code == 0, err
         assert f"dropping 1 blank essays: {blank_id}" in caplog.text
         assert preds["blank"].read_bytes() == preds["clean"].read_bytes()
@@ -444,6 +465,84 @@ class TestCommands:
                   for e, p in zip(essays, predict(model.svr, block))]
         assert preds.read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("representation", sorted(PREDICTION_DIGESTS))
+    def test_predict_reads_no_training_tsv(self, workdir, tmp_path, capsys, representation):
+        train, test, model = tmp_path / "train.tsv", tmp_path / "test.tsv", tmp_path / "m.bin"
+        train.write_bytes(make_corpus_tsv(60, seed=11))
+        test.write_bytes(make_corpus_tsv(30, seed=12))  # the same ids, other texts
+        flags = ["--prompt", "1", "--representation", representation, "--k", "8", "--seed", "1"]
+        if representation != "hisk":
+            flags += ["--embeddings", workdir / "emb.bin"]
+        code, _, err = run_main(capsys, ["train", "--data", train, *flags, "--out", model])
+        assert code == 0, err
+        train.unlink()
+        # --train-data is taken and not read.
+        code, out, err = run_main(capsys, ["predict", "--data", test, "--train-data", train,
+                                           *flags, "--model", model])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == PREDICTION_DIGESTS[representation]
+
+    @pytest.mark.parametrize("representation", ["boswe", "fused"])
+    def test_predict_checks_the_support_essays_vectors(self, workdir, tmp_path, capsys,
+                                                       representation):
+        vectors, changed, model = tmp_path / "v.bin", tmp_path / "changed.bin", tmp_path / "m.bin"
+        vectors.write_bytes(make_embeddings_bytes(decoys=3))
+        common = ["--data", workdir / "data.tsv", "--prompt", "1", "--representation",
+                  representation, "--k", "8", "--seed", "1"]
+        code, _, err = run_main(capsys, ["train", *common, "--embeddings", vectors,
+                                         "--out", model])
+        assert code == 0, err
+        assert any("omega" in text for text in load_model(model).support_texts)
+        code, expected, err = run_main(capsys, ["predict", *common, "--embeddings", vectors,
+                                                "--model", model])
+        assert code == 0, err
+        table = load_word2vec_binary(vectors, vocab_limit=None)
+        # "omega" is a support essay's token; no essay uses "decoy1".
+        for token, same in (("omega", False), ("decoy1", True)):
+            one_changed = table.vectors.copy()
+            one_changed[table.vocab[token], 0] += 1.0
+            save_word2vec_binary(EmbeddingModel(table.dim, table.vocab, one_changed), changed)
+            code, out, err = run_main(capsys, ["predict", *common, "--embeddings", changed,
+                                               "--model", model])
+            if same:
+                assert (code, out) == (0, expected), err
+            else:
+                assert code == 1 and out == ""
+                assert err == (f"error: {changed}: the support essays' tokens have other "
+                               "vectors than the model was trained with\n")
+
+    def test_id_and_text_with_an_undefined_cp1252_byte(self, workdir, tmp_path, capsys, caplog):
+        # Parsing decodes byte 0x81, which Windows-1252 leaves undefined, to a lone surrogate.
+        lines = make_corpus_tsv(30, seed=7).split(b"\n")
+        lines[1] = b"x\x81" + lines[1][lines[1].index(b"\t"):]
+        fields = lines[2].split(b"\t")
+        fields[2] += b" caf\x81 omega"
+        lines[2] = b"\t".join(fields)
+        data, cache, model = tmp_path / "odd.tsv", tmp_path / "cache", tmp_path / "m.bin"
+        data.write_bytes(b"\n".join(lines))
+        common = ["--data", data, "--prompt", "1", "--representation", "fused",
+                  "--embeddings", workdir / "emb.bin", "--k", "8", "--seed", "1"]
+        code, _, err = run_main(capsys, ["kernel", "--data", data, "--cache-dir", cache])
+        assert code == 0, err
+        reports = []
+        with caplog.at_level("INFO", logger="kaes.harness"):
+            for where in (tmp_path / "cold", tmp_path / "cold", cache):  # cold, warm, `kernel`'s
+                code, out, err = run_main(capsys, ["eval-indomain", *common, "--repetitions",
+                                                   "1", "--cache-dir", where])
+                assert code == 0, err
+                reports.append(out)
+            code, _, err = run_main(capsys, ["train", *common, "--cache-dir", cache,
+                                             "--out", model])
+            assert code == 0, err
+        assert reports[0] == reports[1] == reports[2]
+        assert caplog.text.count("loading cached Gram matrix") == 3
+        assert "ignoring" not in caplog.text
+        assert "x\udc81" in load_model(model).svr.train_ids
+        code, _, err = run_main(capsys, ["predict", *common, "--model", model,
+                                         "--out", tmp_path / "preds.tsv"])
+        assert code == 0, err
+        assert b"\nx\x81\t1\t" in (tmp_path / "preds.tsv").read_bytes()
+
     @pytest.mark.parametrize("representation", ["hisk", "fused"])
     def test_predict_with_no_support_vectors_scores_the_bias(self, workdir, tmp_path, capsys,
                                                             representation):
@@ -493,14 +592,9 @@ class TestCommands:
         assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert not list(cache.glob("hisk_*.km"))
 
-    @pytest.mark.parametrize("flag", ["data", "config", "model", "embeddings", "table",
-                                      "train-data"])
+    @pytest.mark.parametrize("flag", ["data", "config", "model", "embeddings", "table"])
     def test_missing_input_file_fails_cleanly(self, workdir, tmp_path, capsys, flag):
         data, missing = workdir / "data.tsv", tmp_path / "missing"
-        model = tmp_path / "m.bin"
-        if flag == "train-data":  # the model is read before the training essays
-            code, _, err = run_main(capsys, ["train", "--data", data, "--out", model])
-            assert code == 0, err
         argv = {
             "data": ["ingest", "--data", missing],
             "config": ["ingest", "--config", missing],
@@ -508,8 +602,6 @@ class TestCommands:
             "embeddings": ["train", "--data", data, "--representation", "boswe",
                            "--embeddings", missing, "--out", tmp_path / "boswe.bin"],
             "table": ["report", "--table", missing],
-            "train-data": ["predict", "--data", data, "--model", model,
-                           "--train-data", missing],
         }[flag]
         code, out, err = run_main(capsys, argv)
         assert code == 1 and out == ""
@@ -570,7 +662,7 @@ class TestCommands:
         save_model(model, model_bytes)
         assert model_bytes.getvalue() == model_path.read_bytes()
         assert (model.codebook is None) == (representation == "hisk")
-        scores = predict_scores(model, essays, essays, cfg.embeddings_path)
+        scores = predict_scores(model, essays, cfg.embeddings_path)
         lines = ["essay_id\tessay_set\tprediction"]
         lines += [f"{e.id}\t{e.prompt}\t{score}" for e, score in scores]
         assert ("\n".join(lines) + "\n").encode() == preds.read_bytes()
@@ -660,8 +752,8 @@ class TestCommands:
                 loaded = record_vector_loads(patch, full)
                 for argv in (
                     ["train", "--data", train, *common, "--out", out / "model.bin"],
-                    ["predict", "--data", test, "--train-data", train, *common,
-                     "--model", out / "model.bin", "--out", out / "preds.tsv"],
+                    ["predict", "--data", test, *common, "--model", out / "model.bin",
+                     "--out", out / "preds.tsv"],
                 ):
                     code, _, err = run_main(capsys, argv)
                     assert code == 0, err

@@ -374,7 +374,7 @@ class TestAssignOnce:
         essays = load_essays(cfg.data_path)
         model = train_model(cfg, essays)
         passed.clear()
-        predict_scores(model, essays[:12], essays, cfg.embeddings_path)
+        predict_scores(model, essays[:12], cfg.embeddings_path)
         assert len(passed) == 1
         test_ids = [e.id for e in essays[:12]]
         assert np.array_equal(passed[0], rows_of_types(test_ids + list(model.svr.support_ids)))

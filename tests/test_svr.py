@@ -209,8 +209,9 @@ class TestPredict:
 
 
 def save_svr(model, buf) -> None:
-    """Write ``model`` as the SVR record of a hisk model file."""
-    save_model(ScoringModel(model, "hisk", 1, 15, None, None), buf)
+    """Write ``model`` as the SVR record of a hisk model file; the support
+    ids stand in for the support texts."""
+    save_model(ScoringModel(model, "hisk", 1, 15, None, None, model.support_ids, None), buf)
 
 
 def load_svr(buf):
@@ -255,7 +256,9 @@ class TestModelIO:
         buf = io.BytesIO()
         save_svr(model, buf)
         data = buf.getvalue()
-        echo_at = len(data) - (8 * 3 + 8 + 1 + 16)
+        # The config echo, then the support texts (the support ids, see save_svr).
+        texts = sum(4 + len(eid.encode()) for eid in model.support_ids)
+        echo_at = len(data) - texts - (8 * 3 + 8 + 1 + 16)
         for field, value in ((1, 0.0), (0, -1.0)):  # nu, then c
             at = echo_at + 8 * field
             damaged = data[:at] + struct.pack("<d", value) + data[at + 8:]
