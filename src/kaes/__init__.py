@@ -8,13 +8,7 @@ source-to-target transfer (cross-domain) protocols scored with quadratic
 weighted kappa.
 """
 
-from .boswe import (
-    BosweHistograms,
-    Codebook,
-    boswe_kernel_matrix,
-    build_histograms,
-    fit_codebook,
-)
+from .boswe import Codebook, boswe_kernel_matrix, fit_codebook
 from .corpus import (
     ASAP_SCORE_RANGES,
     Essay,

@@ -9,13 +9,11 @@ character n-grams.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingModel
 from .errors import KernelMismatchError, KaesError
 from .seeding import KMEANS, derive_rng
 from .string_kernel import KernelMatrix
@@ -114,22 +112,23 @@ def _assign_blocked(
 
 @dataclass
 class Codebook:
-    """k cluster centroids; :meth:`assign_batch` maps vectors to them exactly.
+    """Cluster centroids; :meth:`assign_batch` maps vectors to them exactly.
 
     Centroids are stored as float32 (the on-disk precision); all distance
     arithmetic runs on one shared float64 copy.
     """
 
-    k: int
     centroids: np.ndarray  # (k, dim) float32
     seed: int
-    fingerprint: str = field(init=False)
     _centroids64: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.centroids = np.ascontiguousarray(self.centroids, dtype=np.float32)
         self._centroids64 = self.centroids.astype(np.float64)
-        self.fingerprint = hashlib.sha256(self.centroids.tobytes()).hexdigest()[:16]
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
 
     @property
     def dim(self) -> int:
@@ -227,82 +226,41 @@ def fit_codebook(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return Codebook(k=k, centroids=centers.astype(np.float32), seed=seed)
-
-
-@dataclass(frozen=True, eq=False)
-class BosweHistograms:
-    """L1-normalized cluster histograms of a list of documents, one row each.
-
-    ``weights[i, j]`` is the count of document i's embedded tokens in cluster
-    j divided by ``token_counts[i]``.  A document with no embedded tokens has
-    an all-zero row, which intersects to 0 with everything.
-    """
-
-    weights: np.ndarray  # (documents, k) float64
-    token_counts: np.ndarray  # (documents,) int64
-    codebook_fingerprint: str
-
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
-    def __getitem__(self, docs: slice) -> BosweHistograms:
-        """The histograms of the documents in the slice ``docs``."""
-        return BosweHistograms(self.weights[docs], self.token_counts[docs],
-                               self.codebook_fingerprint)
-
-
-def build_histograms(
-    codebook: Codebook, docs: Sequence[np.ndarray], model: EmbeddingModel
-) -> BosweHistograms:
-    """Histograms of documents given as the ``model`` rows of their embedded tokens.
-
-    Each distinct row is assigned once per call.
-    """
-    lengths = np.array([len(rows) for rows in docs], dtype=np.int64)
-    distinct, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.intp), *docs]),
-                                  return_inverse=True)
-    labels = codebook.assign_batch(model.vectors[distinct])[inverse]
-    doc = np.repeat(np.arange(len(docs)), lengths)
-    counts = np.bincount(doc * codebook.k + labels, minlength=len(docs) * codebook.k)
-    weights = counts.reshape(len(docs), codebook.k) / np.maximum(lengths, 1)[:, None]
-    return BosweHistograms(weights, lengths, codebook.fingerprint)
+    return Codebook(centroids=centers.astype(np.float32), seed=seed)
 
 
 def boswe_kernel_matrix(
-    rows: BosweHistograms,
-    cols: BosweHistograms | None = None,
-    row_ids: Sequence[str] | None = None,
-    col_ids: Sequence[str] | None = None,
+    rows: Sequence[np.ndarray],
+    cols: Sequence[np.ndarray],
+    codebook: Codebook,
+    vectors: np.ndarray,
+    row_ids: Sequence[str],
+    col_ids: Sequence[str],
 ) -> KernelMatrix:
-    """Intersection-kernel matrix between histogram sets.
+    """Intersection-kernel block between the histograms of two document lists.
 
-    Entry (a, b) is ``sum_j min(h_a[j], h_b[j])``, added in ascending cluster
-    id from 0.0 over the clusters where both documents have mass: clusters
-    are visited in ascending id, and each adds its minima to the block of
-    rows and columns that have mass in it.  So the values do not depend on
-    the block shape, and a rectangular block equals the matching entries of
-    the square matrix over its documents.
+    Each document is given as the rows of ``vectors`` of its embedded
+    tokens.  Entry (a, b) is ``sum_j min(h_a[j], h_b[j])`` over the
+    documents' L1-normalized ``codebook`` histograms, added in ascending
+    cluster id from 0.0 over the clusters where both documents have mass:
+    clusters are visited in ascending id, and each adds its minima to the
+    block of rows and columns that have mass in it.  So the values do not
+    depend on the block shape, and a block equals the matching entries of
+    the square matrix over its documents; an empty list gives an empty block.
     """
-    symmetric = cols is None or cols is rows
-    if len(rows) == 0 or (cols is not None and len(cols) == 0):
-        raise KernelMismatchError("cannot build a kernel matrix from an empty document list")
-    cols_eff = rows if symmetric else cols
-    if rows.codebook_fingerprint != cols_eff.codebook_fingerprint:
-        raise KernelMismatchError("histograms were built against different codebooks")
-    by_cluster_r = np.ascontiguousarray(rows.weights.T)
-    by_cluster_c = by_cluster_r if symmetric else np.ascontiguousarray(cols_eff.weights.T)
-    values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
-    for h_r, h_c in zip(by_cluster_r, by_cluster_c):
-        r = np.flatnonzero(h_r)
-        c = r if symmetric else np.flatnonzero(h_c)
+    # The histograms of rows and columns together, so each distinct row is
+    # assigned once.  A document with no rows has an all-zero histogram.
+    docs, n = [*rows, *cols], len(rows)
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    distinct, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.intp), *docs]),
+                                  return_inverse=True)
+    labels = codebook.assign_batch(vectors[distinct])[inverse]
+    doc = np.repeat(np.arange(len(docs)), lengths)
+    counts = np.bincount(doc * codebook.k + labels, minlength=len(docs) * codebook.k)
+    weights = counts.reshape(len(docs), codebook.k) / np.maximum(lengths, 1)[:, None]
+    values = np.zeros((n, len(cols)), dtype=np.float64)
+    for h in np.ascontiguousarray(weights.T):  # one cluster's weights, in ascending id
+        r, c = np.flatnonzero(h[:n]), np.flatnonzero(h[n:])
         if r.size and c.size:
-            values[np.ix_(r, c)] += np.minimum.outer(h_r[r], h_c[c])
-    rids = tuple(row_ids) if row_ids is not None else tuple(f"doc{i}" for i in range(len(rows)))
-    cids = rids if symmetric and col_ids is None else (
-        tuple(col_ids) if col_ids is not None
-        else tuple(f"col{i}" for i in range(len(cols_eff)))
-    )
-    if len(rids) != len(rows) or len(cids) != len(cols_eff):
-        raise KernelMismatchError("id list length does not match histogram list length")
-    return KernelMatrix(values=values, row_ids=rids, col_ids=cids)
+            values[np.ix_(r, c)] += np.minimum.outer(h[r], h[n + c])
+    return KernelMatrix(values=values, row_ids=tuple(row_ids), col_ids=tuple(col_ids))

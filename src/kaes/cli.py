@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .corpus import ASAP_SCORE_RANGES
+from .corpus import _ENCODING, ASAP_SCORE_RANGES
 from .errors import KaesError
 from .harness import (
     REPRESENTATIONS,
@@ -126,9 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict[str, Any]:
-    """The settings of a key=value file; '#' starts a comment, blank lines are skipped."""
+    """The settings of a UTF-8 key=value file; '#' starts a comment, blank lines are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise KaesError(f"{path}: {exc}") from None
     out: dict[str, Any] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -234,8 +238,8 @@ def cmd_predict(settings: dict[str, Any]) -> int:
     scores = predict_scores(model, essays, settings.get("embeddings"))
     lines = ["essay_id\tessay_set\tprediction"]
     lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
-    # An id byte that Windows-1252 leaves undefined is written back as itself.
-    output = ("\n".join(lines) + "\n").encode("utf-8", errors="surrogateescape")
+    # Encoded as parse_asap_tsv decodes, so each id is written back as its own bytes.
+    output = ("\n".join(lines) + "\n").encode(_ENCODING, errors="surrogateescape")
     out = settings.get("out")
     if out:
         Path(out).write_bytes(output)

@@ -34,5 +34,5 @@ class BinaryFormatError(KaesError):
 
 
 class KernelMismatchError(KaesError):
-    """Two kernel-side objects (histograms, matrices) are not comparable:
-    different codebooks, shapes, or id lists; or an n-gram range is invalid."""
+    """Kernel inputs do not fit: vectors and codebook of other dimensions,
+    shapes or id lists that differ, no documents, or an invalid n-gram range."""

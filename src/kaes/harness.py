@@ -37,7 +37,6 @@ from .boswe import (
     DEFAULT_KMEANS_ITERS,
     Codebook,
     boswe_kernel_matrix,
-    build_histograms,
     fit_codebook,
 )
 from .corpus import (
@@ -129,6 +128,8 @@ class ExperimentConfig:
         if self.ngram_max < self.ngram_min:
             raise KaesError(f"--ngram-max must be at least --ngram-min ({self.ngram_min}), "
                             f"got {self.ngram_max}")
+        if self.ngram_max >= 2**32:  # the model file stores the n-gram range as u32
+            raise KaesError(f"--ngram-max must be below 2**32, got {self.ngram_max}")
         if self.k < 1:
             raise KaesError(f"--k must be at least 1, got {self.k}")
         if self.kmeans_iters < 0:
@@ -141,6 +142,8 @@ class ExperimentConfig:
             raise KaesError(f"--nt sizes must be at least 0, got {min(self.nt)}")
         if self.vocab_limit is not None and self.vocab_limit < 0:
             raise KaesError(f"--vocab-limit must be at least 0, got {self.vocab_limit}")
+        if self.vocab_limit is not None and self.vocab_limit >= 2**64:  # a u64 in the model file
+            raise KaesError(f"--vocab-limit must be below 2**64, got {self.vocab_limit}")
         if not 0 <= self.seed < 2**64:  # numpy seeds and the model file need a u64
             raise KaesError(f"--seed must be in [0, 2**64), got {self.seed}")
 
@@ -464,17 +467,16 @@ def kernel_block(
 
     ``hisk`` is a normalized n-gram block holding these rows and columns,
     None for boswe; ``codebook`` is None for hisk.  ``row_tokens`` and
-    ``col_tokens`` hold the row and the column essays' embedded tokens.  One
-    histogram call covers the rows and the columns, so each token type is
-    assigned once.  Fused is the sum of the n-gram and histogram blocks.
+    ``col_tokens`` hold the row and the column essays' embedded tokens, as
+    rows of one table.  Fused is the sum of the n-gram and histogram blocks.
     """
     blocks = []
     if hisk is not None:
         blocks.append(hisk.take(row_ids, col_ids))
     if codebook is not None:
-        docs = [row_tokens.rows[eid] for eid in row_ids] + [col_tokens.rows[eid] for eid in col_ids]
-        hists, n = build_histograms(codebook, docs, row_tokens.model), len(row_ids)
-        blocks.append(boswe_kernel_matrix(hists[:n], hists[n:], row_ids=row_ids, col_ids=col_ids))
+        blocks.append(boswe_kernel_matrix(
+            [row_tokens.rows[eid] for eid in row_ids], [col_tokens.rows[eid] for eid in col_ids],
+            codebook, row_tokens.model.vectors, row_ids, col_ids))
     return sum_kernels(*blocks) if len(blocks) == 2 else blocks[0]
 
 
@@ -812,7 +814,7 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
             if bad.size:
                 raise BinaryFormatError(f"centroid value is not finite: {centroids[bad[0]]}",
                                         offset=at + 4 * int(bad[0]))
-            codebook = Codebook(k=k, centroids=centroids.reshape(k, dim).copy(), seed=codebook_seed)
+            codebook = Codebook(centroids.reshape(k, dim).copy(), codebook_seed)
         reader.expect_end()
     return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max, vocab_limit or None,
                         codebook, support_texts, digest)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from kaes.boswe import boswe_kernel_matrix, build_histograms, fit_codebook
+from kaes.boswe import boswe_kernel_matrix, fit_codebook
 from kaes.corpus import ScoreRange
 from kaes.embeddings import EmbeddingModel
 from kaes.fusion import sum_kernels
@@ -85,12 +85,9 @@ def test_criterion_3_psd_suites():
         texts = [random_string(rng, max_len=40) + "x" for _ in range(n_docs)]
         raw = kernel_matrix(texts, n_min=1, n_max=5)
         normalized = normalize_kernel(raw)
-        hists = build_histograms(
-            codebook,
-            [rng.integers(0, len(emb.vocab), size=rng.integers(1, 15)) for _ in range(n_docs)],
-            emb,
-        )
-        boswe = boswe_kernel_matrix(hists, row_ids=normalized.row_ids)
+        docs = [rng.integers(0, len(emb.vocab), size=rng.integers(1, 15)) for _ in range(n_docs)]
+        boswe = boswe_kernel_matrix(docs, docs, codebook, emb.vectors,
+                                    normalized.row_ids, normalized.col_ids)
         fused = sum_kernels(normalized, boswe)
         for kind, matrix in (("hisk-raw", raw), ("hisk-normalized", normalized),
                              ("boswe", boswe), ("fused", fused)):

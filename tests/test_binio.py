@@ -22,7 +22,7 @@ from synthesis import save_word2vec_binary
 
 KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a", "bé"),
                       col_ids=("x", "y", "z"))
-CODEBOOK = Codebook(k=2, centroids=np.array([[1, 2, 3], [4, -5, 6.5]]), seed=7)
+CODEBOOK = Codebook(centroids=np.array([[1, 2, 3], [4, -5, 6.5]]), seed=7)
 SVR = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
                train_ids=("a", "bé"), config=SvrConfig(c=10.0, nu=0.5), seed=3,
                converged=True, iterations=12)
@@ -197,7 +197,7 @@ class TestModelFile:
             if model.codebook is None:
                 assert loaded.codebook is None
             else:
-                assert loaded.codebook.fingerprint == CODEBOOK.fingerprint
+                assert loaded.codebook.centroids.tobytes() == CODEBOOK.centroids.tobytes()
 
     def test_model_and_codebook_pair_of_earlier_versions_is_rejected(self):
         # The model file that earlier versions wrote beside a `.codebook` file,

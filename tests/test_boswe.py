@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 
@@ -9,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from kaes.boswe import (
     DEFAULT_KMEANS_ITERS,
-    BosweHistograms,
     Codebook,
     _assign_blocked,
     _kmeans_pp_init,
     boswe_kernel_matrix,
-    build_histograms,
     fit_codebook,
 )
 from kaes.embeddings import EmbeddingModel
@@ -42,10 +41,32 @@ def rows_of(model: EmbeddingModel, tokens) -> np.ndarray:
     return np.array([model.vocab[t] for t in tokens if t in model.vocab], dtype=np.intp)
 
 
-def histogram(codebook: Codebook, tokens, model: EmbeddingModel):
-    """The histograms of one document, and its weights as {cluster id: weight}."""
-    hist = build_histograms(codebook, [rows_of(model, tokens)], model)
-    return hist, {int(j): float(hist.weights[0, j]) for j in np.flatnonzero(hist.weights[0])}
+def gram(codebook: Codebook, model: EmbeddingModel, rows, cols) -> np.ndarray:
+    """The block between two lists of token lists."""
+    rows, cols = [rows_of(model, d) for d in rows], [rows_of(model, d) for d in cols]
+    return boswe_kernel_matrix(rows, cols, codebook, model.vectors,
+                               [f"r{i}" for i in range(len(rows))],
+                               [f"c{i}" for i in range(len(cols))]).values
+
+
+def probe_weights(codebook: Codebook, docs, model: EmbeddingModel) -> np.ndarray:
+    """Each document's histogram weights in the clusters that vocabulary tokens fall in.
+
+    A probe document holding one token t gives K(d, [t]) = d's weight in
+    t's cluster; column j probes cluster j through its first token, and is
+    all zero for a cluster that no token falls in.
+    """
+    labels = codebook.assign_batch(model.vectors)
+    words = list(model.vocab)
+    probes = [[words[int(np.argmax(labels == j))]] if (labels == j).any() else []
+              for j in range(codebook.k)]
+    return gram(codebook, model, docs, probes)
+
+
+def histogram(codebook: Codebook, tokens, model: EmbeddingModel) -> dict[int, float]:
+    """One document's nonzero weights as {cluster id: weight}."""
+    weights = probe_weights(codebook, [tokens], model)[0]
+    return {int(j): float(weights[j]) for j in np.flatnonzero(weights)}
 
 
 _shapes = dict(
@@ -84,7 +105,7 @@ class TestKMeans:
         a = fit_codebook(points, k=5, seed=9)
         b = fit_codebook(points, k=5, seed=9)
         assert np.array_equal(a.centroids, b.centroids)
-        assert a.fingerprint == b.fingerprint
+        assert a.centroids.tobytes() == b.centroids.tobytes()
 
     def test_too_few_distinct(self):
         points = np.array([[1.0, 1.0]] * 10)
@@ -119,8 +140,9 @@ class TestKMeans:
             fit_codebook(points, k=k, seed=0)
         assert str(info.value) == f"need at least k={k} distinct vectors, got {distinct}"
 
-    # fingerprint and distortion of fixed seeded inputs, recorded when seeding
-    # computed every distance with the elementwise formula
+    # fingerprint (sha256 of the centroid bytes) and distortion of fixed seeded
+    # inputs, recorded when seeding computed every distance with the
+    # elementwise formula
     @pytest.mark.parametrize("name, fingerprint, distortion", [
         ("gaussian", "13daa57623960b01", 3.892164104321965),
         ("grid", "4e64f73752e3e27c", 0.5164886069467068),
@@ -140,7 +162,7 @@ class TestKMeans:
             points = base + rng.normal(size=(150, 6)) * 1e-3
             points[:40] = points[rng.integers(40, 150, size=40)]
             codebook = fit_codebook(points, k=10, seed=3, max_iters=10)
-        assert codebook.fingerprint == fingerprint
+        assert hashlib.sha256(codebook.centroids.tobytes()).hexdigest()[:16] == fingerprint
         assert codebook_distortion(points, codebook) == distortion
 
 
@@ -229,8 +251,7 @@ def _check_against_linear_scan(points: np.ndarray, centroids: np.ndarray) -> Non
 
 class TestAssign:
     def _codebook(self, centroids) -> Codebook:
-        return Codebook(k=len(centroids), centroids=np.asarray(centroids, dtype=np.float32),
-                        seed=0)
+        return Codebook(centroids=np.asarray(centroids, dtype=np.float32), seed=0)
 
     def test_exact_centroid_match(self):
         rng = np.random.default_rng(1)
@@ -310,6 +331,8 @@ class TestAssign:
 
 
 class TestHistograms:
+    """Histogram weights, read through the block with one-token probe documents."""
+
     def setup_method(self):
         self.model = toy_model({
             "left": [0.0, 0.0],
@@ -320,42 +343,38 @@ class TestHistograms:
         self.codebook = fit_codebook(self.model.vectors, k=2, seed=0)
 
     def test_single_cluster_document(self):
-        _, weights = histogram(self.codebook, ["left", "leftish", "left"], self.model)
+        weights = histogram(self.codebook, ["left", "leftish", "left"], self.model)
         assert len(weights) == 1
         assert sum(weights.values()) == pytest.approx(1.0)
 
     def test_empty_token_list(self):
-        hist, weights = histogram(self.codebook, [], self.model)
-        assert weights == {}
-        assert hist.weights.shape == (1, 2)
-        assert list(hist.token_counts) == [0]
+        assert histogram(self.codebook, [], self.model) == {}
+        assert probe_weights(self.codebook, [[]], self.model).shape == (1, 2)
+        assert gram(self.codebook, self.model, [[]], [[]])[0, 0] == 0.0
 
     def test_three_one_split(self):
-        hist, weights = histogram(self.codebook, ["left", "leftish", "left", "right"],
-                                  self.model)
+        weights = histogram(self.codebook, ["left", "leftish", "left", "right"], self.model)
         assert sorted(weights.values()) == [0.25, 0.75]
-        assert list(hist.token_counts) == [4]
 
     def test_oov_skipped_but_counted(self):
-        hist, _ = histogram(self.codebook, ["left", "missing", "right"], self.model)
-        assert list(hist.token_counts) == [2]
+        # Only the two embedded tokens count: each weighs 1/2, not 1/3.
+        weights = histogram(self.codebook, ["left", "missing", "right"], self.model)
+        assert sorted(weights.values()) == [0.5, 0.5]
 
     def test_raw_counts(self):
         # Weights are the raw counts over the token count.
-        hist, weights = histogram(self.codebook, ["left", "right", "right"], self.model)
-        assert sorted(w * hist.token_counts[0] for w in weights.values()) == [1.0, 2.0]
+        weights = histogram(self.codebook, ["left", "right", "right"], self.model)
+        assert sorted(w * 3 for w in weights.values()) == [1.0, 2.0]
 
     def test_mass_property(self):
         rng = np.random.default_rng(3)
         tokens = list(rng.choice(list(self.model.vocab), size=17))
-        hist, weights = histogram(self.codebook, tokens, self.model)
-        assert hist.token_counts[0] == 17
+        weights = histogram(self.codebook, tokens, self.model)
         assert sum(round(w * 17) for w in weights.values()) == 17
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
     def _fresh(self) -> Codebook:
-        return Codebook(k=self.codebook.k, centroids=self.codebook.centroids,
-                        seed=self.codebook.seed)
+        return Codebook(centroids=self.codebook.centroids, seed=self.codebook.seed)
 
     def test_other_vectors_give_other_histograms(self):
         # The same tokens, with each vector moved to the other cluster.
@@ -364,20 +383,20 @@ class TestHistograms:
             "rightish": [0.2, 0.0],
         })
         tokens = ["left", "leftish", "right"]
-        before, _ = histogram(self.codebook, tokens, self.model)
-        after, _ = histogram(self.codebook, tokens, swapped)
-        assert np.array_equal(after.weights, histogram(self._fresh(), tokens, swapped)[0].weights)
-        assert not np.array_equal(after.weights, before.weights)
+        before = probe_weights(self.codebook, [tokens], self.model)
+        after = probe_weights(self.codebook, [tokens], swapped)
+        assert np.array_equal(after, probe_weights(self._fresh(), [tokens], swapped))
+        assert not np.array_equal(after, before)
 
     def test_documents_are_independent_rows(self):
         rng = np.random.default_rng(6)
-        docs = [rows_of(self.model, rng.choice(list(self.model.vocab), size=int(size)))
+        docs = [list(rng.choice(list(self.model.vocab), size=int(size)))
                 for size in rng.integers(0, 12, size=7)]
-        together = build_histograms(self.codebook, docs, self.model)
+        together = probe_weights(self.codebook, docs, self.model)
         for i, doc in enumerate(docs):
-            alone = build_histograms(self._fresh(), [doc], self.model)
-            assert np.array_equal(together.weights[i], alone.weights[0])
-            assert together.token_counts[i] == len(doc)
+            alone = probe_weights(self._fresh(), [doc], self.model)
+            assert np.array_equal(together[i], alone[0])
+            assert sum(round(w * len(doc)) for w in together[i]) == len(doc)
 
 
 class TestHik:
@@ -387,15 +406,14 @@ class TestHik:
         })
         self.codebook = fit_codebook(self.model.vectors, k=4, seed=0)
 
-    def _hists(self, *docs):
-        return build_histograms(self.codebook, [rows_of(self.model, d) for d in docs],
-                                self.model)
+    def _square(self, *docs) -> np.ndarray:
+        return gram(self.codebook, self.model, docs, docs)
 
     def _pair(self, a, b) -> float:
-        return boswe_kernel_matrix(self._hists(a), self._hists(b)).values[0, 0]
+        return gram(self.codebook, self.model, [a], [b])[0, 0]
 
     def test_self_intersection_is_one(self):
-        assert boswe_kernel_matrix(self._hists(["a", "b", "a"])).values[0, 0] == pytest.approx(1.0)
+        assert self._pair(["a", "b", "a"], ["a", "b", "a"]) == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
         assert self._pair(["a", "a"], ["b", "c"]) == 0.0
@@ -405,48 +423,48 @@ class TestHik:
         h2 = ["a", "b", "b", "b"]  # 0.25 / 0.75
         assert self._pair(h1, h2) == pytest.approx(0.5)
 
-    def test_codebook_mismatch(self):
-        other = fit_codebook(self.model.vectors, k=3, seed=1)
-        h1 = self._hists(["a"])
-        h2 = build_histograms(other, [rows_of(self.model, ["a"])], self.model)
-        with pytest.raises(KernelMismatchError):
-            boswe_kernel_matrix(h1, h2)
-
     def test_bound(self):
-        k = boswe_kernel_matrix(self._hists(["a", "b", "c"], ["a", "d"])).values
+        k = self._square(["a", "b", "c"], ["a", "d"])
         assert k[0, 1] <= min(k[0, 0], k[1, 1]) + 1e-12
 
     def test_kernel_matrix_identical_histograms(self):
-        k = boswe_kernel_matrix(self._hists(*[["a", "b"]] * 3))
-        assert np.allclose(k.values, 1.0)
+        assert np.allclose(self._square(*[["a", "b"]] * 3), 1.0)
 
     def test_kernel_matrix_symmetric_and_psd(self):
         rng = np.random.default_rng(9)
-        hists = self._hists(*[
+        k = self._square(*[
             list(rng.choice(["a", "b", "c", "d"], size=rng.integers(1, 12)))
             for _ in range(10)
         ])
-        k = boswe_kernel_matrix(hists)
-        assert np.array_equal(k.values, k.values.T)
-        assert np.linalg.eigvalsh(k.values).min() >= -1e-8 * np.trace(k.values)
+        assert np.array_equal(k, k.T)
+        assert np.linalg.eigvalsh(k).min() >= -1e-8 * np.trace(k)
+
+    def test_empty_document_list_gives_an_empty_block(self):
+        assert gram(self.codebook, self.model, [], [["a"], []]).shape == (0, 2)
+        assert gram(self.codebook, self.model, [["a"]], []).shape == (1, 0)
 
     def test_empty_histogram_in_matrix(self):
-        k = boswe_kernel_matrix(self._hists(["a"], []))
-        assert k.values[0, 1] == 0.0
-        assert k.values[1, 1] == 0.0
-        assert list(np.diagonal(k.values)) == [1.0, 0.0]
+        k = self._square(["a"], [])
+        assert k[0, 1] == 0.0
+        assert k[1, 1] == 0.0
+        assert list(np.diagonal(k)) == [1.0, 0.0]
 
 
-def _labels_and_histograms(rng, k: int, docs: int, max_tokens: int):
-    """Random documents as embedding rows (some empty), their histograms and labels."""
+def _random_documents(rng, k: int, docs: int, max_tokens: int):
+    """Random documents as embedding rows (some empty), the block's other
+    arguments, and the documents' histograms as dicts."""
     model = EmbeddingModel(dim=3, vocab={f"w{i}": i for i in range(4 * k)},
                            vectors=rng.normal(size=(4 * k, 3)).astype(np.float32))
-    codebook = Codebook(k=k, centroids=rng.normal(size=(k, 3)), seed=0)
+    codebook = Codebook(centroids=rng.normal(size=(k, 3)), seed=0)
     rows = [rng.integers(0, 4 * k, size=int(rng.integers(0, max_tokens + 1)))
             for _ in range(docs)]
-    hists = build_histograms(codebook, rows, model)
     labels = [nearest_centroid_linear(model.vectors[r], codebook.centroids) for r in rows]
-    return hists, histogram_dicts(labels)
+    return rows, (codebook, model.vectors), histogram_dicts(labels)
+
+
+def _block(rows, cols, tables) -> np.ndarray:
+    return boswe_kernel_matrix(rows, cols, *tables, [f"r{i}" for i in range(len(rows))],
+                               [f"c{i}" for i in range(len(cols))]).values
 
 
 class TestGramOracle:
@@ -456,28 +474,23 @@ class TestGramOracle:
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), docs=st.integers(1, 12),
            max_tokens=st.integers(0, 60))
     def test_square(self, seed, k, docs, max_tokens):
-        hists, dicts = _labels_and_histograms(np.random.default_rng(seed), k, docs, max_tokens)
-        assert np.array_equal(boswe_kernel_matrix(hists).values, hik_reference(dicts))
+        rows, tables, dicts = _random_documents(np.random.default_rng(seed), k, docs, max_tokens)
+        assert np.array_equal(_block(rows, rows, tables), hik_reference(dicts))
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), docs=st.integers(2, 14),
            max_tokens=st.integers(0, 60), split=st.integers(1, 13))
     def test_rectangular(self, seed, k, docs, max_tokens, split):
         split = min(split, docs - 1)
-        hists, dicts = _labels_and_histograms(np.random.default_rng(seed), k, docs, max_tokens)
-        rows = BosweHistograms(hists.weights[:split], hists.token_counts[:split],
-                               hists.codebook_fingerprint)
-        cols = BosweHistograms(hists.weights[split:], hists.token_counts[split:],
-                               hists.codebook_fingerprint)
-        gram = boswe_kernel_matrix(rows, cols)
-        square = boswe_kernel_matrix(hists).values
-        assert np.array_equal(gram.values, hik_reference(dicts[:split], dicts[split:]))
-        assert np.array_equal(gram.values, square[:split, split:])
-        # Rows that contain the columns, as a protocol cell's (train + eval) x train
-        # block: a slice is another object, so the non-symmetric path runs.
-        block = boswe_kernel_matrix(hists, hists[:split])
-        assert np.array_equal(block.values, hik_reference(dicts, dicts[:split]))
-        assert np.array_equal(block.values, square[:, :split])
+        rows, tables, dicts = _random_documents(np.random.default_rng(seed), k, docs, max_tokens)
+        gram = _block(rows[:split], rows[split:], tables)
+        square = _block(rows, rows, tables)
+        assert np.array_equal(gram, hik_reference(dicts[:split], dicts[split:]))
+        assert np.array_equal(gram, square[:split, split:])
+        # Rows that contain the columns, as a protocol cell's (train + eval) x train block.
+        block = _block(rows, rows[:split], tables)
+        assert np.array_equal(block, hik_reference(dicts, dicts[:split]))
+        assert np.array_equal(block, square[:, :split])
 
 
 class TestCodebookIO:
@@ -503,7 +516,16 @@ class TestCodebookIO:
         )
         assert loaded.k == 5
         assert loaded.seed == 17
-        assert loaded.fingerprint == codebook.fingerprint
+        assert loaded.centroids.tobytes() == codebook.centroids.tobytes()
+
+    def test_k_is_the_centroid_count(self):
+        # A codebook's size cannot disagree with its centroids, so every
+        # codebook saves to a model file that loads.
+        codebook = Codebook(centroids=np.arange(12.0).reshape(3, 4), seed=2)
+        assert (codebook.k, codebook.dim) == (3, 4)
+        assert load_model(io.BytesIO(self.saved(codebook))).codebook.k == 3
+        with pytest.raises(TypeError):
+            Codebook(k=2, centroids=np.zeros((3, 4)), seed=2)
 
     def test_bad_magic(self):
         with pytest.raises(BinaryFormatError, match="magic"):
@@ -517,7 +539,7 @@ class TestCodebookIO:
 
     @pytest.mark.parametrize("k, dim", [(0, 3), (2, 0)])
     def test_no_centroids_rejected(self, k, dim):
-        data = self.saved(Codebook(k=1, centroids=np.zeros((1, 1)), seed=1))
+        data = self.saved(Codebook(centroids=np.zeros((1, 1)), seed=1))
         at = len(data) - 16 - 4  # the codebook header, then one f32 centroid
         with pytest.raises(BinaryFormatError, match="empty codebook") as info:
             load_model(io.BytesIO(data[:at] + struct.pack("<IIQ", k, dim, 1)))

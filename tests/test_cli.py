@@ -239,6 +239,14 @@ class TestCommands:
         if key != "nt":
             assert str(cfg_path) in err
 
+    def test_config_file_that_is_not_utf8_fails_cleanly(self, workdir, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.cfg"
+        cfg_path.write_bytes(b"# caf\xe9\ndata=" + bytes(workdir / "data.tsv") + b"\n")
+        code, out, err = run_main(capsys, EVAL_ARGS + ["--config", cfg_path])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {cfg_path}: 'utf-8' codec can't decode byte 0xe9")
+        assert "Traceback" not in err
+
     def test_train_reads_out_from_config(self, workdir, tmp_path, capsys):
         model = tmp_path / "m.bin"
         cfg_path = tmp_path / "train.cfg"
@@ -301,6 +309,11 @@ class TestCommands:
         (["train", "--max-iterations", "-1", "--out", "m.bin"],
          "max_iterations must be in [0, 2**64)"),
         (["train", "--seed", str(2**64), "--out", "m.bin"], "--seed must be in [0, 2**64)"),
+        # The model file stores the n-gram range as u32 and the limit as u64.
+        (["train", "--ngram-max", str(2**32), "--out", "m.bin"],
+         f"--ngram-max must be below 2**32, got {2**32}"),
+        (["train", "--vocab-limit", str(2**64), "--out", "m.bin"],
+         f"--vocab-limit must be below 2**64, got {2**64}"),
     ])
     def test_too_few_folds_or_clusters_fail_up_front(self, workdir, capsys, monkeypatch,
                                                      argv, minimum):
@@ -542,6 +555,21 @@ class TestCommands:
                                          "--out", tmp_path / "preds.tsv"])
         assert code == 0, err
         assert b"\nx\x81\t1\t" in (tmp_path / "preds.tsv").read_bytes()
+
+    def test_id_with_a_cp1252_letter_comes_back_as_its_byte(self, tmp_path, capsys):
+        # 0xE9 is the Windows-1252 letter \xe9; its UTF-8 bytes would be C3 A9.
+        lines = make_corpus_tsv(20, seed=7).split(b"\n")
+        lines[1] = b"caf\xe9" + lines[1][lines[1].index(b"\t"):]
+        data, model = tmp_path / "latin.tsv", tmp_path / "m.bin"
+        data.write_bytes(b"\n".join(lines))
+        code, _, err = run_main(capsys, ["train", "--data", data, "--out", model])
+        assert code == 0, err
+        assert "caf\xe9" in load_model(model).svr.train_ids
+        code, _, err = run_main(capsys, ["predict", "--data", data, "--model", model,
+                                         "--out", tmp_path / "preds.tsv"])
+        assert code == 0, err
+        preds = (tmp_path / "preds.tsv").read_bytes()
+        assert b"\ncaf\xe9\t1\t" in preds and b"caf\xc3\xa9" not in preds
 
     @pytest.mark.parametrize("representation", ["hisk", "fused"])
     def test_predict_with_no_support_vectors_scores_the_bias(self, workdir, tmp_path, capsys,
