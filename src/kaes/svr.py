@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class SvrConfig:
             raise KaesError(f"nu must be in (0, 1], got {self.nu}")
         if not 0 < self.kkt_tolerance < math.inf:
             raise KaesError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)):
+            raise KaesError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if not 0 <= self.max_iterations < 2**64:  # a model file stores it as a u64
             raise KaesError(f"max_iterations must be in [0, 2**64), got {self.max_iterations}")
 
@@ -71,16 +75,20 @@ class SvrModel:
         return tuple(eid for eid, kept in zip(self.train_ids, self.support_mask) if kept)
 
 
-def _check_square_symmetric(kernel: KernelMatrix) -> np.ndarray:
+def _check_square_symmetric(kernel: KernelMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Return the training kernel's values and a C-contiguous copy of their
+    transpose, whose row i is column i of the kernel."""
     if kernel.row_ids != kernel.col_ids:
         raise KernelMismatchError("training kernel must be square with matching id lists")
     values = kernel.values
     if not np.isfinite(values).all():
         raise KaesError("training kernel contains non-finite values")
+    cols = np.ascontiguousarray(values.T)
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    if float(np.abs(values - values.T).max(initial=0.0)) > 1e-12 * scale:
+    asymmetry = values - cols
+    if float(np.abs(asymmetry, out=asymmetry).max(initial=0.0)) > 1e-12 * scale:
         raise KernelMismatchError("training kernel is not symmetric")
-    return values
+    return values, cols
 
 
 def _class_level(g: np.ndarray, beta: np.ndarray, bound: float) -> float:
@@ -119,9 +127,11 @@ def train_nu_svr(
     warning).  The solver itself is deterministic; ``seed`` is only stored
     in the model.
     """
-    values = _check_square_symmetric(kernel)
-    y = np.asarray(y, dtype=np.float64)
+    values, cols = _check_square_symmetric(kernel)
     r = values.shape[0]
+    if r == 0:
+        raise KaesError("training kernel is empty")
+    y = np.asarray(y, dtype=np.float64)
     if y.shape != (r,):
         raise KaesError(f"targets have shape {y.shape}, expected ({r},)")
     if not np.isfinite(y).all():
@@ -129,59 +139,74 @@ def train_nu_svr(
 
     bound = config.c / r
     budget = config.c * config.nu
-    # Greedy feasible start: both blocks carry budget/2, filled in id order.
-    # The blocks are identical, so u = K (a - a*) starts at exactly zero.
-    beta_a = np.clip(budget / 2.0 - np.arange(r) * bound, 0.0, bound)
-    beta_s = beta_a.copy()
+    # Row 0 holds a, row 1 holds a*.  Greedy feasible start: both blocks
+    # carry budget/2, filled in id order.  The blocks are identical, so
+    # u = K (a - a*) starts at exactly zero.
+    beta = np.empty((2, r))
+    beta[:] = np.clip(budget / 2.0 - np.arange(r) * bound, 0.0, bound)
     u = np.zeros(r)
+    # g[0] = u - y is the gradient of block a and g[1] = -g[0] that of a*.
+    # up (low) holds g, bit for bit, where a variable may still rise (fall)
+    # and +inf (-inf) elsewhere.  Only the two variables of an update can
+    # reach or leave a bound, so only their mask and sentinel entries change.
+    g = np.empty((2, r))
+    g_a, g_s = g
+    can_up = beta < bound
+    can_low = beta > 0.0
+    up = np.full((2, r), np.inf)
+    low = np.full((2, r), -np.inf)
+    # The update reads kernel columns as rows of cols: a strided column read
+    # misses cache on every row, and the kernel is only symmetric to within
+    # rounding, so its own rows will not do.
+    step = np.empty(r)
 
     tol = config.kkt_tolerance
     iterations = 0
     converged = False
     while iterations < config.max_iterations:
-        g_a = u - y
-
-        up_a = np.where(beta_a < bound, g_a, np.inf)
-        i_up_a = int(np.argmin(up_a))
-        low_a = np.where(beta_a > 0.0, g_a, -np.inf)
-        i_low_a = int(np.argmax(low_a))
-        viol_a = low_a[i_low_a] - up_a[i_up_a]
-
-        g_s = -g_a
-        up_s = np.where(beta_s < bound, g_s, np.inf)
-        i_up_s = int(np.argmin(up_s))
-        low_s = np.where(beta_s > 0.0, g_s, -np.inf)
-        i_low_s = int(np.argmax(low_s))
-        viol_s = low_s[i_low_s] - up_s[i_up_s]
+        np.subtract(u, y, out=g_a)
+        np.negative(g_a, out=g_s)
+        np.putmask(up, can_up, g)
+        np.putmask(low, can_low, g)
+        i_up_a, i_up_s = up.argmin(axis=1).tolist()
+        i_low_a, i_low_s = low.argmax(axis=1).tolist()
+        viol_a = low.item(0, i_low_a) - up.item(0, i_up_a)
+        viol_s = low.item(1, i_low_s) - up.item(1, i_up_s)
 
         if max(viol_a, viol_s) < tol:
             converged = True
             break
 
         if viol_a >= viol_s:
-            beta, g, i, j, sign = beta_a, g_a, i_up_a, i_low_a, 1.0
+            k, i, j, sign = 0, i_up_a, i_low_a, 1.0
         else:
-            beta, g, i, j, sign = beta_s, g_s, i_up_s, i_low_s, -1.0
+            k, i, j, sign = 1, i_up_s, i_low_s, -1.0
 
-        eta = values[i, i] + values[j, j] - 2.0 * values[i, j]
+        eta = values.item(i, i) + values.item(j, j) - 2.0 * values.item(i, j)
         if eta < _ETA_FLOOR:
             eta = _ETA_FLOOR
-        room_i = bound - beta[i]
-        room_j = beta[j]
-        delta = min((g[j] - g[i]) / eta, room_i, room_j)
-        if delta == room_i:
-            beta[i] = bound
-        else:
-            beta[i] += delta
-        if delta == room_j:
-            beta[j] = 0.0
-        else:
-            beta[j] -= delta
+        beta_i = beta.item(k, i)
+        beta_j = beta.item(k, j)
+        room_i = bound - beta_i
+        room_j = beta_j
+        delta = min((g.item(k, j) - g.item(k, i)) / eta, room_i, room_j)
+        beta_i = bound if delta == room_i else beta_i + delta
+        beta_j = 0.0 if delta == room_j else beta_j - delta
+        beta[k, i] = beta_i
+        beta[k, j] = beta_j
+        can_up[k, i] = beta_i < bound
+        can_low[k, i] = beta_i > 0.0
+        can_up[k, j] = beta_j < bound
+        can_low[k, j] = beta_j > 0.0
+        up[k, i] = up[k, j] = np.inf  # putmask refills the entries still free
+        low[k, i] = low[k, j] = -np.inf
 
-        u += (sign * delta) * (values[:, i] - values[:, j])
+        np.subtract(cols[i], cols[j], out=step)
+        step *= sign * delta
+        u += step
         iterations += 1
         if iterations % _REFRESH_INTERVAL == 0:
-            u = values @ (beta_a - beta_s)
+            u = values @ (beta[0] - beta[1])
 
     if not converged:
         logger.warning(
@@ -191,10 +216,10 @@ def train_nu_svr(
         )
 
     g_a = u - y
-    rho_a = _class_level(g_a, beta_a, bound)
-    rho_s = _class_level(-g_a, beta_s, bound)
+    rho_a = _class_level(g_a, beta[0], bound)
+    rho_s = _class_level(-g_a, beta[1], bound)
     return SvrModel(
-        coefficients=beta_a - beta_s,
+        coefficients=beta[0] - beta[1],
         bias=(rho_s - rho_a) / 2.0,
         epsilon_star=-(rho_a + rho_s) / 2.0,
         train_ids=kernel.row_ids,

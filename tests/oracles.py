@@ -5,8 +5,9 @@ package: substring counting by rescanning the strings, kappa by double
 loops over the formula, nearest centroids by a linear scan, k-means++
 seeding and histogram intersections by the elementwise formulas, the nu-SVR
 dual solved by projected gradient with an accelerated first-order method
-run to a tight fixed-point tolerance, and explicit feature rows whose inner
-products are the linear kernel.  The one exception is the word2vec loader:
+run to a tight fixed-point tolerance, the SMO loop of that dual as first
+written (the bit-for-bit reference of the solver), and explicit feature
+rows whose inner products are the linear kernel.  The one exception is the word2vec loader:
 it reads each record field by field through ``binio.Reader``, so that the
 batch split of ``load_word2vec_binary`` is checked against those reads.
 """
@@ -261,6 +262,104 @@ def solve_nu_svr_qp(
             if residual < tol * max(1.0, cap):
                 break
     return a, s, objective(a, s)
+
+
+def _class_level(g: np.ndarray, beta: np.ndarray, bound: float) -> float:
+    free = (beta > 0.0) & (beta < bound)
+    if free.any():
+        return float(g[free].mean())
+    at_upper = beta >= bound
+    at_lower = beta <= 0.0
+    lo = float(g[at_upper].max()) if at_upper.any() else -np.inf
+    hi = float(g[at_lower].min()) if at_lower.any() else np.inf
+    if np.isinf(lo) and np.isinf(hi):
+        return 0.0
+    if np.isinf(lo):
+        return hi
+    if np.isinf(hi):
+        return lo
+    return (lo + hi) / 2.0
+
+
+def smo_reference(
+    values: np.ndarray,
+    y: np.ndarray,
+    c: float,
+    nu: float,
+    kkt_tolerance: float,
+    max_iterations: int,
+    refresh_interval: int = 1 << 16,
+):
+    """The nu-SVR SMO loop as first written, one numpy expression per step.
+
+    Each block (a and a*) keeps its own arrays, the maximal violating pair
+    of each comes from ``np.where`` sentinels, and each update reads two
+    strided kernel columns.  ``kaes.svr.train_nu_svr`` must return the same
+    coefficients, bias, epsilon, iteration count and convergence flag bit
+    for bit.  ``values`` must be a valid training kernel (square, finite,
+    symmetric to 1e-12) with at least one row.
+
+    Returns (coefficients, bias, epsilon_star, iterations, converged).
+    """
+    r = values.shape[0]
+    bound = c / r
+    budget = c * nu
+    beta_a = np.clip(budget / 2.0 - np.arange(r) * bound, 0.0, bound)
+    beta_s = beta_a.copy()
+    u = np.zeros(r)
+
+    tol = kkt_tolerance
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        g_a = u - y
+
+        up_a = np.where(beta_a < bound, g_a, np.inf)
+        i_up_a = int(np.argmin(up_a))
+        low_a = np.where(beta_a > 0.0, g_a, -np.inf)
+        i_low_a = int(np.argmax(low_a))
+        viol_a = low_a[i_low_a] - up_a[i_up_a]
+
+        g_s = -g_a
+        up_s = np.where(beta_s < bound, g_s, np.inf)
+        i_up_s = int(np.argmin(up_s))
+        low_s = np.where(beta_s > 0.0, g_s, -np.inf)
+        i_low_s = int(np.argmax(low_s))
+        viol_s = low_s[i_low_s] - up_s[i_up_s]
+
+        if max(viol_a, viol_s) < tol:
+            converged = True
+            break
+
+        if viol_a >= viol_s:
+            beta, g, i, j, sign = beta_a, g_a, i_up_a, i_low_a, 1.0
+        else:
+            beta, g, i, j, sign = beta_s, g_s, i_up_s, i_low_s, -1.0
+
+        eta = values[i, i] + values[j, j] - 2.0 * values[i, j]
+        if eta < 1e-12:
+            eta = 1e-12
+        room_i = bound - beta[i]
+        room_j = beta[j]
+        delta = min((g[j] - g[i]) / eta, room_i, room_j)
+        if delta == room_i:
+            beta[i] = bound
+        else:
+            beta[i] += delta
+        if delta == room_j:
+            beta[j] = 0.0
+        else:
+            beta[j] -= delta
+
+        u += (sign * delta) * (values[:, i] - values[:, j])
+        iterations += 1
+        if iterations % refresh_interval == 0:
+            u = values @ (beta_a - beta_s)
+
+    g_a = u - y
+    rho_a = _class_level(g_a, beta_a, bound)
+    rho_s = _class_level(-g_a, beta_s, bound)
+    return beta_a - beta_s, (rho_s - rho_a) / 2.0, -(rho_a + rho_s) / 2.0, iterations, converged
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kaes.svr
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
 from kaes.harness import ScoringModel, load_model, save_model
 from kaes.string_kernel import KernelMatrix
@@ -16,7 +18,7 @@ from kaes.svr import (
     train_nu_svr,
 )
 
-from oracles import dual_objective, solve_nu_svr_qp
+from oracles import dual_objective, smo_reference, solve_nu_svr_qp
 
 
 def square_kernel(values, ids=None) -> KernelMatrix:
@@ -112,11 +114,29 @@ class TestTraining:
         assert not model.converged
         assert model.iterations == 3
 
+    def test_empty_kernel_rejected(self):
+        with pytest.raises(KaesError, match="empty"):
+            train_nu_svr(square_kernel(np.zeros((0, 0))), np.zeros(0))
+
     def test_bad_config(self):
         with pytest.raises(KaesError):
             SvrConfig(c=-1.0)
         with pytest.raises(KaesError):
             SvrConfig(nu=0.0)
+
+    @pytest.mark.parametrize("cap", [100.0, True, "100", None, -1, 2**64])
+    def test_bad_max_iterations(self, cap):
+        # A model file stores the cap as a u64, so a float or bool would
+        # train and then fail to save.
+        with pytest.raises(KaesError, match="max_iterations"):
+            SvrConfig(max_iterations=cap)
+
+    def test_numpy_integer_max_iterations_saves(self):
+        cfg = SvrConfig(max_iterations=np.int64(50))
+        model = train_nu_svr(square_kernel(np.eye(3) + 0.5), np.array([0.1, 0.5, 0.9]), cfg)
+        buf = io.BytesIO()
+        save_svr(model, buf)
+        assert load_svr(io.BytesIO(buf.getvalue())).config.max_iterations == 50
 
     def test_epsilon_tube_on_training_rows(self):
         rng = np.random.default_rng(6)
@@ -128,6 +148,81 @@ class TestTraining:
         not_at_bound = np.abs(model.coefficients) < bound
         residuals = np.abs(preds - y)[not_at_bound]
         assert np.all(residuals <= model.epsilon_star + cfg.kkt_tolerance + 1e-9)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_same_as_reference(values, y, cfg, refresh_interval=1 << 16):
+    model = train_nu_svr(square_kernel(values), y, cfg)
+    coefficients, bias, epsilon_star, iterations, converged = smo_reference(
+        values, y, cfg.c, cfg.nu, cfg.kkt_tolerance, cfg.max_iterations, refresh_interval)
+    assert bits(model.coefficients) == bits(coefficients)
+    assert bits(model.bias) == bits(bias)
+    assert bits(model.epsilon_star) == bits(epsilon_star)
+    assert (model.iterations, model.converged) == (iterations, converged)
+    return model
+
+
+@st.composite
+def smo_problems(draw):
+    """A PSD training kernel, targets and a solver config.
+
+    Integer features and score-like targets make ties among kernel entries
+    and gradients, so the first-index rule of the pair selection matters.
+    The kernel is exactly symmetric or off by up to half the asymmetry
+    (1e-12 of its largest entry) that training accepts.
+    """
+    r = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        x = rng.integers(-2, 3, size=(r, features)).astype(float)
+    else:
+        x = rng.normal(size=(r, features))
+    gram = x @ x.T
+    values = np.triu(gram) + np.triu(gram, 1).T
+    asymmetry = draw(st.sampled_from([0.0, 1e-14, 0.5e-12]))
+    values += np.triu(rng.uniform(-1.0, 1.0, (r, r)), 1) * asymmetry * max(1.0, np.abs(values).max())
+    targets = draw(st.sampled_from(["scores", "uniform", "constant"]))
+    if targets == "constant":
+        y = np.full(r, draw(st.floats(-10.0, 10.0)))
+    elif targets == "uniform":
+        y = rng.uniform(size=r)
+    else:
+        y = rng.integers(2, 13, size=r) / 12.0
+    cfg = SvrConfig(
+        c=10.0 ** draw(st.floats(-6.0, 9.0)),
+        nu=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        kkt_tolerance=10.0 ** draw(st.floats(-9.0, -1.0)),
+        max_iterations=draw(st.integers(0, 2000)),
+    )
+    return values, y, cfg
+
+
+class TestReferenceLoop:
+    """The solver repeats the arithmetic of the reference SMO loop exactly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(problem=smo_problems())
+    def test_bit_identical_to_reference(self, problem):
+        assert_same_as_reference(*problem)
+
+    @pytest.mark.parametrize("interval", [1, 7])
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_drift_refresh_bit_identical(self, monkeypatch, interval, seed):
+        # The refresh recomputes u = K (a - a*) every _REFRESH_INTERVAL
+        # updates; at its real 2**16 no fit in these tests reaches it.
+        rng = np.random.default_rng(seed)
+        kernel, y = random_problem(rng, 30)
+        cfg = SvrConfig(c=30.0, nu=0.5, kkt_tolerance=1e-7)
+        unrefreshed = smo_reference(kernel.values, y, cfg.c, cfg.nu, cfg.kkt_tolerance,
+                                    cfg.max_iterations)
+        monkeypatch.setattr(kaes.svr, "_REFRESH_INTERVAL", interval)
+        model = assert_same_as_reference(kernel.values, y, cfg, refresh_interval=interval)
+        assert model.iterations > 2 * interval
+        assert bits(model.coefficients) != bits(unrefreshed[0])  # the refresh changed the run
 
 
 class TestAgainstLibsvm:
