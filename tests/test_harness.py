@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import logging
 from dataclasses import replace
@@ -378,6 +379,48 @@ class TestAssignOnce:
         assert len(passed) == 1
         test_ids = [e.id for e in essays[:12]]
         assert np.array_equal(passed[0], rows_of_types(test_ids + list(model.svr.support_ids)))
+
+
+class TestNormalizedBlocks:
+    """sha256 of the normalized n-gram blocks, recorded when each raw block
+    still carried its self-similarities beside its values."""
+
+    ESSAYS = make_corpus_tsv(30, seed=12, prompts=(1, 2))
+
+    @pytest.mark.parametrize("ngram, digest", [
+        ((1, 15), "d9c9d38880dc0e44396d8b366c448d94620b63d2e8c2d2c8035bfada12239783"),
+        ((2, 3), "b7975e9e770feae7f26f82c4af820464ae1109cf8fc10cf89df960fef05ebadb"),
+    ])
+    def test_gram_cold_and_warm(self, tmp_path, ngram, digest):
+        essays = parse_asap_tsv(self.ESSAYS)
+        cfg = ExperimentConfig(mode="in-domain", data_path="", cache_dir=str(tmp_path),
+                               ngram_min=ngram[0], ngram_max=ngram[1])
+        cold = kaes.harness.normalized_hisk_gram(essays, cfg)
+        assert len(list(tmp_path.glob("hisk_*.km"))) == 1
+        warm = kaes.harness.normalized_hisk_gram(essays, cfg)
+        for gram in (cold, warm):
+            assert hashlib.sha256(np.ascontiguousarray(gram.values, "<f8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("ngram, digest", [
+        ((1, 15), "4fd83e4ea42fbf4b524658db56499e82503c779e0e4658e5a98c9560336569c7"),
+        ((2, 3), "2170950235e0e7694a2665008f9622c4535dfbb459c66140072cc15237369c0d"),
+    ])
+    def test_predict_block(self, monkeypatch, ngram, digest):
+        essays = parse_asap_tsv(self.ESSAYS)
+        cfg = ExperimentConfig(mode="in-domain", data_path="", representation="hisk",
+                               ngram_min=ngram[0], ngram_max=ngram[1], seed=3)
+        model = train_model(cfg, essays[:20])
+        blocks, kernel_block = [], kaes.harness.kernel_block
+
+        def record(row_ids, col_ids, hisk, *args):
+            blocks.append(hisk)
+            return kernel_block(row_ids, col_ids, hisk, *args)
+
+        monkeypatch.setattr(kaes.harness, "kernel_block", record)
+        predict_scores(model, essays[20:])
+        (block,) = blocks
+        assert block.shape == (len(essays) - 20, len(model.svr.support_ids))
+        assert hashlib.sha256(np.ascontiguousarray(block.values, "<f8")).hexdigest() == digest
 
 
 class TestVectorsLoad:
