@@ -53,6 +53,7 @@ from .string_kernel import (
     normalize_kernel,
     normalize_text,
     save_kernel_matrix,
+    self_similarities,
 )
 from .svr import (
     SvrConfig,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of numeric settings."""
+import numbers
 
 
 class KaesError(Exception):
@@ -36,3 +37,12 @@ class BinaryFormatError(KaesError):
 class KernelMismatchError(KaesError):
     """Kernel inputs do not fit: vectors and codebook of other dimensions,
     shapes or id lists that differ, no documents, or an invalid n-gram range."""
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise KaesError unless ``value`` is a real number, or an integer if
+    ``integer``; a bool is neither, and numpy numbers pass."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise KaesError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                        f"got {value!r}")

@@ -25,7 +25,7 @@ import logging
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
@@ -49,7 +49,7 @@ from .corpus import (
     unscale_score,
 )
 from .embeddings import DEFAULT_VOCAB_LIMIT, EmbeddingModel, load_word2vec_binary, tokenize
-from .errors import BinaryFormatError, KaesError
+from .errors import BinaryFormatError, KaesError, check_number
 from .fusion import sum_kernels
 from .metrics import average_qwk, qwk
 from .seeding import CODEBOOK, derive_rng
@@ -102,6 +102,12 @@ class ExperimentConfig:
         return 10 if self.mode == "in-domain" else 5
 
     def validate(self) -> None:
+        for setting in fields(self):  # an ``int | None`` setting may be None: unset
+            value = getattr(self, setting.name)
+            if setting.type == "int" or (setting.type == "int | None" and value is not None):
+                check_number(f"--{setting.name.replace('_', '-')}", value, integer=True)
+        for n in self.nt:
+            check_number("--nt", n, integer=True)
         if self.mode not in MODES:
             raise KaesError(f"unknown mode {self.mode!r}")
         if self.representation not in REPRESENTATIONS:
@@ -315,7 +321,7 @@ def _gram_cache_key(essays: Sequence[Essay], cfg: ExperimentConfig) -> str:
 
 
 def _cache_mismatch(
-    raw: KernelMatrix, essays: Sequence[Essay], cfg: ExperimentConfig
+    raw: KernelMatrix, essays: Sequence[Essay], self_sims: np.ndarray
 ) -> str | None:
     """Why a loaded cache file cannot be the raw n-gram Gram of ``essays``, or None."""
     ids = tuple(e.id for e in essays)
@@ -325,8 +331,7 @@ def _cache_mismatch(
         return "it holds NaN or infinite values"
     if not np.array_equal(raw.values, raw.values.T):
         return "it is not symmetric"
-    closed_form = self_similarities([e.text for e in essays], cfg.ngram_min, cfg.ngram_max)
-    if not np.array_equal(raw.diag_rows, closed_form):
+    if not np.array_equal(np.diagonal(raw.values), self_sims):
         return "its diagonal is not the documents' self-similarities"
     return None
 
@@ -338,6 +343,7 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
     of these documents, is a miss: it is logged, recomputed and rewritten.
     """
     ids = tuple(e.id for e in essays)
+    self_sims = self_similarities([e.text for e in essays], cfg.ngram_min, cfg.ngram_max)
     cache_path = None
     if cfg.cache_dir:
         Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
@@ -349,9 +355,9 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
             except BinaryFormatError as exc:
                 logger.warning("ignoring unreadable cache file %s: %s", cache_path, exc)
             else:
-                mismatch = _cache_mismatch(raw, essays, cfg)
+                mismatch = _cache_mismatch(raw, essays, self_sims)
                 if mismatch is None:
-                    return normalize_kernel(raw)
+                    return normalize_kernel(raw, self_sims, self_sims)
                 logger.warning("ignoring cache file %s: %s", cache_path, mismatch)
     logger.info(
         "computing %d-document n-gram Gram matrix (range [%d,%d])",
@@ -372,7 +378,7 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
             Path(tmp).unlink(missing_ok=True)
             raise
         logger.info("cached Gram matrix at %s", cache_path.name)
-    return normalize_kernel(raw)
+    return normalize_kernel(raw, self_sims, self_sims)
 
 
 @dataclass(frozen=True)
@@ -745,10 +751,12 @@ def predict_scores(
                 raise KaesError(f"{embeddings_path}: the support essays' tokens have other "
                                 "vectors than the model was trained with")
         if model.representation != "boswe":
-            hisk = normalize_kernel(kernel_matrix(
-                [e.text for e in essays], model.support_texts, row_ids=ids, col_ids=support_ids,
-                n_min=model.ngram_min, n_max=model.ngram_max,
-            ))
+            texts, n_min, n_max = [e.text for e in essays], model.ngram_min, model.ngram_max
+            hisk = normalize_kernel(
+                kernel_matrix(texts, model.support_texts, row_ids=ids, col_ids=support_ids,
+                              n_min=n_min, n_max=n_max),
+                self_similarities(texts, n_min, n_max),
+                self_similarities(model.support_texts, n_min, n_max))
         block = kernel_block(ids, support_ids, hisk, model.codebook, embedded, support_embedded)
     preds = predict(svr, block)
     return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))

@@ -53,17 +53,13 @@ def normalize_text(text: str) -> str:
 class KernelMatrix:
     """Dense similarity matrix with document ids.
 
-    A raw n-gram block also holds ``diag_rows``/``diag_cols``, the
-    self-similarities of its row and column documents, so that rectangular
-    blocks are normalized consistently with the square training matrix they
-    came from.  Other blocks hold None there.
+    It holds no self-similarities: :func:`normalize_kernel` takes those of
+    the row and column texts, from :func:`self_similarities`.
     """
 
     values: np.ndarray
     row_ids: tuple[str, ...]
     col_ids: tuple[str, ...]
-    diag_rows: np.ndarray | None = None
-    diag_cols: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -80,7 +76,7 @@ class KernelMatrix:
         return self.values.shape
 
     def take(self, row_ids: Sequence[str], col_ids: Sequence[str]) -> "KernelMatrix":
-        """Slice a sub-block by document ids, keeping its diagonals."""
+        """Slice a sub-block by document ids."""
         row_pos = {eid: i for i, eid in enumerate(self.row_ids)}
         col_pos = {eid: i for i, eid in enumerate(self.col_ids)}
         try:
@@ -88,13 +84,8 @@ class KernelMatrix:
             ci = np.array([col_pos[eid] for eid in col_ids], dtype=np.intp)
         except KeyError as exc:
             raise KernelMismatchError(f"unknown document id {exc.args[0]!r}") from None
-        return KernelMatrix(
-            values=self.values[np.ix_(ri, ci)],
-            row_ids=tuple(row_ids),
-            col_ids=tuple(col_ids),
-            diag_rows=None if self.diag_rows is None else self.diag_rows[ri],
-            diag_cols=None if self.diag_cols is None else self.diag_cols[ci],
-        )
+        return KernelMatrix(values=self.values[np.ix_(ri, ci)], row_ids=tuple(row_ids),
+                            col_ids=tuple(col_ids))
 
 
 def self_similarities(texts: Sequence[str], n_min: int, n_max: int) -> np.ndarray:
@@ -425,7 +416,6 @@ def kernel_matrix(
         raise KernelMismatchError("id list length does not match text list length")
 
     texts = [normalize_text(t) for t in (rows if square else [*rows, *cols])]
-    totals = _self_similarities([len(t) for t in texts], n_min, n_max)
     values = np.zeros((len(rows), len(cols_eff)), dtype=np.float64)
     if any(texts):
         char_rank, doc_of = _char_ranks(texts)
@@ -435,34 +425,33 @@ def kernel_matrix(
             _add_intersections(values, doc, count, pairs, weight, square, _GRAM_BLOCK_CELLS)
         _add_once_per_document(values, char_rank, doc_of, leaving, square, n_min, n_max)
     if square:
-        np.fill_diagonal(values, totals)
-    return KernelMatrix(
-        values=values,
-        row_ids=rids,
-        col_ids=cids,
-        diag_rows=totals[: len(rows)],
-        diag_cols=totals.copy() if square else totals[len(rows):],
-    )
+        np.fill_diagonal(values, _self_similarities([len(t) for t in texts], n_min, n_max))
+    return KernelMatrix(values=values, row_ids=rids, col_ids=cids)
 
 
-def normalize_kernel(kernel: KernelMatrix) -> KernelMatrix:
+def normalize_kernel(
+    kernel: KernelMatrix, row_self: np.ndarray, col_self: np.ndarray
+) -> KernelMatrix:
     """Scale a raw intersection kernel so every self-similarity becomes 1.
 
-    Entry (i, j) is divided by sqrt(diag_rows[i] * diag_cols[j]); a square
-    input therefore comes out with a unit diagonal.  Documents with zero
-    self-similarity (empty after canonicalization) cannot be normalized and
-    are reported by id.  The result holds no self-similarities, so it cannot
-    be normalized again.
+    ``row_self`` and ``col_self`` are the :func:`self_similarities` of the
+    row and the column texts.  Entry (i, j) is divided by
+    sqrt(row_self[i] * col_self[j]), so a square Gram comes out with a unit
+    diagonal.  Documents with zero self-similarity (empty after
+    canonicalization) cannot be normalized and are reported by id.
     """
-    if kernel.diag_rows is None or kernel.diag_cols is None:
-        raise KernelMismatchError("kernel lacks self-similarities; cannot normalize")
-    for ids, diag in ((kernel.row_ids, kernel.diag_rows), (kernel.col_ids, kernel.diag_cols)):
+    if (len(row_self), len(col_self)) != kernel.shape:
+        raise KernelMismatchError(
+            f"{len(row_self)} x {len(col_self)} self-similarities do not match "
+            f"kernel shape {kernel.shape}"
+        )
+    for ids, diag in ((kernel.row_ids, row_self), (kernel.col_ids, col_self)):
         bad = np.flatnonzero(diag <= 0)
         if bad.size:
             raise KernelMismatchError(
                 f"document {ids[bad[0]]!r} has zero self-similarity (empty text?)"
             )
-    scale = np.sqrt(np.outer(kernel.diag_rows, kernel.diag_cols))
+    scale = np.sqrt(np.outer(row_self, col_self))
     return KernelMatrix(values=kernel.values / scale, row_ids=kernel.row_ids,
                         col_ids=kernel.col_ids)
 
@@ -484,12 +473,7 @@ def save_kernel_matrix(kernel: KernelMatrix, path: str | Path | BinaryIO) -> Non
 
 
 def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
-    """Read a kernel matrix written by :func:`save_kernel_matrix`.
-
-    Square matrices recover their self-similarities from the main diagonal;
-    rectangular ones come back without diagonals (re-normalization of a
-    loaded rectangular block requires recomputing it).
-    """
+    """Read a kernel matrix written by :func:`save_kernel_matrix`."""
     with open_binary(path, "rb") as stream:
         reader = Reader(stream)
         reader.expect_magic(KERNEL_MAGIC)
@@ -497,16 +481,6 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
         if tag != _RAW_KIND:
             raise BinaryFormatError(f"unknown kind tag {tag}", offset=reader.offset - 1)
         values = np.frombuffer(reader.read(rows * cols * 8, "values"), dtype="<f8")
-        values = values.reshape(rows, cols).copy()
         ids = [reader.read_id() for _ in range(rows + cols)]
-        row_ids, col_ids = tuple(ids[:rows]), tuple(ids[rows:])
-        diag = None
-        if rows == cols and row_ids == col_ids:
-            diag = np.diagonal(values).copy()
-        return KernelMatrix(
-            values=values,
-            row_ids=row_ids,
-            col_ids=col_ids,
-            diag_rows=diag,
-            diag_cols=None if diag is None else diag.copy(),
-        )
+        return KernelMatrix(values=values.reshape(rows, cols).copy(), row_ids=tuple(ids[:rows]),
+                            col_ids=tuple(ids[rows:]))

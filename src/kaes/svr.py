@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KaesError, KernelMismatchError
+from .errors import KaesError, KernelMismatchError, check_number
 from .string_kernel import KernelMatrix
 
 logger = logging.getLogger(__name__)
@@ -40,15 +39,15 @@ class SvrConfig:
     max_iterations: int = 10_000_000
 
     def __post_init__(self):
+        for name in ("c", "nu", "kkt_tolerance"):
+            check_number(name, getattr(self, name))
+        check_number("max_iterations", self.max_iterations, integer=True)
         if not 0 < self.c < math.inf:
             raise KaesError(f"c must be positive and finite, got {self.c}")
         if not (0 < self.nu <= 1):
             raise KaesError(f"nu must be in (0, 1], got {self.nu}")
         if not 0 < self.kkt_tolerance < math.inf:
             raise KaesError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
-        if (isinstance(self.max_iterations, bool)
-                or not isinstance(self.max_iterations, numbers.Integral)):
-            raise KaesError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if not 0 <= self.max_iterations < 2**64:  # a model file stores it as a u64
             raise KaesError(f"max_iterations must be in [0, 2**64), got {self.max_iterations}")
 

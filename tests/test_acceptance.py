@@ -19,7 +19,7 @@ from kaes.embeddings import EmbeddingModel
 from kaes.fusion import sum_kernels
 from kaes.harness import ExperimentConfig, emit_report, run_cross_domain, run_in_domain
 from kaes.metrics import qwk
-from kaes.string_kernel import kernel_matrix, normalize_kernel
+from kaes.string_kernel import kernel_matrix, normalize_kernel, self_similarities
 from kaes.svr import SvrConfig, train_nu_svr
 
 from oracles import (
@@ -84,7 +84,8 @@ def test_criterion_3_psd_suites():
         n_docs = int(rng.integers(2, 13))
         texts = [random_string(rng, max_len=40) + "x" for _ in range(n_docs)]
         raw = kernel_matrix(texts, n_min=1, n_max=5)
-        normalized = normalize_kernel(raw)
+        own = self_similarities(texts, 1, 5)
+        normalized = normalize_kernel(raw, own, own)
         docs = [rng.integers(0, len(emb.vocab), size=rng.integers(1, 15)) for _ in range(n_docs)]
         boswe = boswe_kernel_matrix(docs, docs, codebook, emb.vectors,
                                     normalized.row_ids, normalized.col_ids)

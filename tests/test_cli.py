@@ -19,7 +19,12 @@ from kaes.embeddings import EmbeddingModel, load_word2vec_binary, tokenize
 from kaes.harness import (
     ExperimentConfig, load_essays, load_model, predict_scores, save_model, train_model,
 )
-from kaes.string_kernel import kernel_matrix, load_kernel_matrix, normalize_kernel
+from kaes.string_kernel import (
+    kernel_matrix,
+    load_kernel_matrix,
+    normalize_kernel,
+    self_similarities,
+)
 from kaes.svr import predict
 
 from synthesis import (
@@ -470,9 +475,11 @@ class TestCommands:
         assert (model.ngram_min, model.ngram_max) == (2, 3)
         essays = load_essays(data, 1)
         text = {e.id: e.text for e in essays}
-        block = normalize_kernel(kernel_matrix(
-            [e.text for e in essays], [text[eid] for eid in model.svr.support_ids],
-            row_ids=[e.id for e in essays], col_ids=model.svr.support_ids, n_min=2, n_max=3))
+        rows, cols = [e.text for e in essays], [text[eid] for eid in model.svr.support_ids]
+        block = normalize_kernel(
+            kernel_matrix(rows, cols, row_ids=[e.id for e in essays],
+                          col_ids=model.svr.support_ids, n_min=2, n_max=3),
+            self_similarities(rows, 2, 3), self_similarities(cols, 2, 3))
         lines = ["essay_id\tessay_set\tprediction"]
         lines += [f"{e.id}\t{e.prompt}\t{unscale_score(float(p), ASAP_SCORE_RANGES[1])}"
                   for e, p in zip(essays, predict(model.svr, block))]

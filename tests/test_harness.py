@@ -523,6 +523,22 @@ class TestConfigFile:
         with pytest.raises(KaesError, match="prompt"):
             cfg.validate()
 
+    @pytest.mark.parametrize("setting, value", [
+        ("k", "5"), ("k", True), ("repetitions", "2"), ("folds", 2.5), ("ngram_max", 3.5),
+        ("ngram_min", None), ("nt", (1.5,)), ("seed", True), ("kmeans_iters", 6.0),
+        ("prompt", True), ("vocab_limit", 10.0),
+    ])
+    def test_validate_names_a_setting_that_is_not_an_integer(self, setting, value):
+        cfg = ExperimentConfig(mode="in-domain", data_path="data.tsv", **{setting: value})
+        shown = value[0] if setting == "nt" else value
+        flag = setting.replace("_", "-")
+        with pytest.raises(KaesError, match=f"^--{flag} must be an integer, got {shown!r}$"):
+            cfg.validate()
+
+    def test_validate_takes_numpy_integers(self):
+        ExperimentConfig(mode="in-domain", data_path="data.tsv", prompt=np.int64(1),
+                         k=np.int32(4), seed=np.uint64(3), nt=(np.int8(2),)).validate()
+
     def test_load_essays_catches_bad_prompt(self, corpus_dir):
         # `kaes predict` and `ingest` select essays without an ExperimentConfig.
         with pytest.raises(KaesError, match="invalid prompt id 99"):

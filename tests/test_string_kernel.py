@@ -104,7 +104,7 @@ class TestExtract:
         assert interned_counts("", 1, 15) == {}
         k = kernel_matrix(["", "abc", " \t\n"], n_min=1, n_max=15)
         assert np.array_equal(k.values, [[0, 0, 0], [0, 6, 0], [0, 0, 0]])
-        assert np.array_equal(k.diag_rows, [0, 6, 0])
+        assert np.array_equal(self_similarities(["", "abc", " \t\n"], 1, 15), [0, 6, 0])
 
     def test_text_shorter_than_n_max(self):
         assert interned_counts("x", 1, 2) == {"x": 1}
@@ -115,7 +115,7 @@ class TestExtract:
         assert interned_counts("The  CAT\n sat", 1, 3) == interned_counts("the cat sat", 1, 3)
         # K(a, b) equals both self-similarities only if the counts are equal.
         k = kernel_matrix(["The  CAT\n sat", "the cat sat"], n_min=1, n_max=3)
-        assert np.all(k.values == k.diag_rows[0])
+        assert np.all(k.values == k.values[0, 0])
 
     def test_invalid_range(self):
         for n_min, n_max in ((2, 1), (0, 3)):
@@ -138,7 +138,7 @@ class TestExtract:
         k = kernel_matrix([text, text], n_min=1, n_max=n_max)
         expected = sum(len(s) - n + 1 for n in range(1, n_max + 1) if len(s) >= n)
         assert np.all(k.values == expected)
-        assert np.all(k.diag_rows == expected)
+        assert np.all(self_similarities([text], 1, n_max) == expected)
 
 
 class TestHiskPair:
@@ -181,7 +181,7 @@ class TestOracle:
         k = kernel_at_budgets(texts, n_min=n_min, n_max=n_max)
         expected = [[naive_hisk(x, y, n_min, n_max) for y in texts] for x in texts]
         assert np.array_equal(k.values, expected)
-        assert np.array_equal(k.diag_rows, np.diagonal(expected))
+        assert np.array_equal(self_similarities(texts, n_min, n_max), np.diagonal(expected))
 
     @given(
         st.lists(mixed_text, min_size=1, max_size=4),
@@ -196,8 +196,8 @@ class TestOracle:
         assert np.array_equal(k.values, expected)
         union = kernel_matrix(rows + cols, n_min=n_min, n_max=n_max)
         assert np.array_equal(k.values, union.values[: len(rows), len(rows):])
-        assert np.array_equal(k.diag_rows, union.diag_rows[: len(rows)])
-        assert np.array_equal(k.diag_cols, union.diag_rows[len(rows):])
+        assert np.array_equal(self_similarities(rows + cols, n_min, n_max),
+                              np.diagonal(union.values))
 
     def test_cols_given_as_the_rows_list_is_square(self):
         texts = ["ab c", "b ca"]
@@ -337,8 +337,8 @@ class TestKernelMatrix:
             huge = kernel_matrix(*args, n_min=n_min, n_max=10**12)
             exact = kernel_matrix(*args, n_min=n_min, n_max=longest)
             assert np.array_equal(huge.values, exact.values)
-            assert np.array_equal(huge.diag_rows, exact.diag_rows)
-            assert np.array_equal(huge.diag_cols, exact.diag_cols)
+        assert np.array_equal(self_similarities(rows + cols, n_min, 10**12),
+                              self_similarities(rows + cols, n_min, longest))
         assert np.array_equal(self_similarities(rows + cols, n_min, 10**12),
                               [sum(naive_ngram_counts(t, n_min, longest).values())
                                for t in rows + cols])
@@ -369,7 +369,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(6)
         texts = ["".join(rng.choice(list("abc "), size=25)) for _ in range(6)]
         k = kernel_matrix(texts, n_min=1, n_max=4)
-        cap = np.minimum.outer(k.diag_rows, k.diag_cols)
+        cap = np.minimum.outer(np.diagonal(k.values), np.diagonal(k.values))
         assert np.all(k.values <= cap)
 
     def test_rectangular_matches_pairs(self):
@@ -394,7 +394,6 @@ class TestKernelMatrix:
         sub = k.take(("z", "x"), ("y",))
         assert sub.values[0, 0] == k.values[2, 1]
         assert sub.values[1, 0] == k.values[0, 1]
-        assert sub.diag_rows[0] == 3
 
     def test_take_unknown_id(self):
         k = kernel_matrix(["ab"], row_ids=("x",), n_min=1, n_max=2)
@@ -402,29 +401,34 @@ class TestKernelMatrix:
             k.take(("nope",), ("x",))
 
 
+def normalized(texts, n_min, n_max, **ids) -> KernelMatrix:
+    """The normalized square n-gram Gram of ``texts``."""
+    own = self_similarities(texts, n_min, n_max)
+    return normalize_kernel(kernel_matrix(texts, n_min=n_min, n_max=n_max, **ids), own, own)
+
+
 class TestNormalize:
     def test_unit_diagonal(self):
-        texts = ["alpha beta", "gamma delta", "alpha delta"]
-        k = normalize_kernel(kernel_matrix(texts, n_min=1, n_max=4))
+        k = normalized(["alpha beta", "gamma delta", "alpha delta"], 1, 4)
         assert np.allclose(np.diagonal(k.values), 1.0)
 
     def test_disjoint_pair_zero(self):
-        k = normalize_kernel(kernel_matrix(["aaa", "bbb"], n_min=1, n_max=2))
-        assert k.values[0, 1] == 0.0
+        assert normalized(["aaa", "bbb"], 1, 2).values[0, 1] == 0.0
 
     def test_identical_pair_one(self):
-        k = normalize_kernel(kernel_matrix(["abc", "abc"], n_min=1, n_max=2))
-        assert k.values[0, 1] == pytest.approx(1.0)
+        assert normalized(["abc", "abc"], 1, 2).values[0, 1] == pytest.approx(1.0)
 
     def test_empty_document_error_names_id(self):
-        k = kernel_matrix(["ok", ""], row_ids=("good", "empty"), n_min=1, n_max=2)
         with pytest.raises(KernelMismatchError, match="empty"):
-            normalize_kernel(k)
+            normalized(["ok", ""], 1, 2, row_ids=("good", "empty"))
 
-    def test_wrong_kind_rejected(self):
-        normalized = normalize_kernel(kernel_matrix(["ab"], n_min=1, n_max=2))
-        with pytest.raises(KernelMismatchError):
-            normalize_kernel(normalized)
+    def test_self_similarities_must_match_the_shape(self):
+        rows, cols = ["ab", "bc"], ["abc"]
+        k = kernel_matrix(rows, cols, n_min=1, n_max=2)
+        for row_self, col_self in ((rows, rows), (cols, cols), (rows, rows + cols)):
+            with pytest.raises(KernelMismatchError, match="do not match kernel shape"):
+                normalize_kernel(k, self_similarities(row_self, 1, 2),
+                                 self_similarities(col_self, 1, 2))
 
 
 class TestKernelIO:
@@ -461,8 +465,23 @@ class TestKernelIO:
         path = tmp_path / "sq.km"
         save_kernel_matrix(k, path)
         loaded = load_kernel_matrix(path)
-        assert np.array_equal(loaded.diag_rows, np.diagonal(k.values))
-        normalize_kernel(loaded)  # diagonals present, so this works
+        assert np.array_equal(np.diagonal(loaded.values), self_similarities(["ab", "cd"], 1, 2))
+
+    @pytest.mark.parametrize("n_min, n_max", [(1, 15), (2, 3), (5, 10**12)])
+    def test_loaded_rectangle_normalizes_as_computed(self, tmp_path, n_min, n_max):
+        essays = parse_asap_tsv(make_corpus_tsv(30, seed=12, prompts=(1, 2)))
+        rows, cols = [e.text for e in essays[:40]], [e.text for e in essays[40:]]
+        row_self, col_self = (self_similarities(rows, n_min, n_max),
+                              self_similarities(cols, n_min, n_max))
+        raw = kernel_matrix(rows, cols, n_min=n_min, n_max=n_max)
+        path = tmp_path / "rect.km"
+        save_kernel_matrix(raw, path)
+        loaded = normalize_kernel(load_kernel_matrix(path), row_self, col_self)
+        computed = normalize_kernel(raw, row_self, col_self)
+        assert loaded.values.tobytes() == computed.values.tobytes()
+        # The rows x cols corner of the normalized square over both lists.
+        union = normalized(rows + cols, n_min, n_max).values[:40, 40:]
+        assert loaded.values.tobytes() == np.ascontiguousarray(union).tobytes()
 
     def test_bad_magic(self):
         with pytest.raises(BinaryFormatError, match="magic"):

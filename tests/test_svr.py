@@ -124,6 +124,19 @@ class TestTraining:
         with pytest.raises(KaesError):
             SvrConfig(nu=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("c", "5"), ("c", True), ("c", None), ("nu", None), ("nu", True), ("nu", "0.5"),
+        ("kkt_tolerance", "x"), ("kkt_tolerance", False),
+    ])
+    def test_setting_that_is_not_a_number(self, field, value):
+        with pytest.raises(KaesError, match=f"^{field} must be a number, got {value!r}$"):
+            SvrConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SvrConfig(c=np.float32(5), nu=np.float64(0.5), kkt_tolerance=np.float64(1e-3),
+                        max_iterations=np.uint32(9))
+        assert (cfg.c, cfg.nu, cfg.max_iterations) == (5.0, 0.5, 9)
+
     @pytest.mark.parametrize("cap", [100.0, True, "100", None, -1, 2**64])
     def test_bad_max_iterations(self, cap):
         # A model file stores the cap as a u64, so a float or bool would
