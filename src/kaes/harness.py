@@ -106,8 +106,12 @@ class ExperimentConfig:
             value = getattr(self, setting.name)
             if setting.type == "int" or (setting.type == "int | None" and value is not None):
                 check_number(f"--{setting.name.replace('_', '-')}", value, integer=True)
+        if not isinstance(self.nt, (tuple, list)):
+            raise KaesError(f"--nt must be a list of sub-sample sizes, got {self.nt!r}")
         for n in self.nt:
             check_number("--nt", n, integer=True)
+        if not isinstance(self.svr, SvrConfig):
+            raise KaesError(f"svr must be an SvrConfig, got {self.svr!r}")
         if self.mode not in MODES:
             raise KaesError(f"unknown mode {self.mode!r}")
         if self.representation not in REPRESENTATIONS:

@@ -36,12 +36,15 @@ _EXACT_F32 = 1 << 24
 # A shared n-gram held at most once by each of at most this many documents
 # leaves the refinement and the 0/1 product; its pairs of occurrences are
 # extended character by character instead.  Median kernel_matrix seconds on
-# perfbench/synth.py essays (one BLAS thread, 2-vCPU guest), by limit:
-#   60 essays:  0.167 (0), 0.149 (2), 0.130 (4), 0.138 (8), 0.142 (16, 32);
-#   360 essays: 2.10 (0), 1.82 (2), 1.63 (4), 1.36 (8), 1.33 (16), 1.62 (32).
-# 4, 8 and 16 are alike at 60 essays; 8 and 16 lead at 360, and 8 makes
-# fewer pairs of occurrences.
+# perfbench/synth.py essays (one BLAS thread, 2-vCPU guest, limits timed in
+# alternating rounds in one process), by limit:
+#   60 essays:  0.074 (4), 0.078 (8), 0.084 (16); 4 beat 8 in 14 of 21 rounds;
+#   360 essays: 1.20 (4), 1.09 (8), 1.18 (16); 8 beat 4 and 16 in 9 and 8 of 9.
+# Limits 0, 2 and 32 trailed at both sizes in an earlier sweep.
 _ONCE_GROUP_DOCS = 8
+# The refinement packs each (key, position) into one int64 below this power
+# of two; a level whose keys would pass it is ranked densely first.
+_PACK_BITS = 63
 
 
 def normalize_text(text: str) -> str:
@@ -112,14 +115,6 @@ def _default_ids(n: int, prefix: str) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for keys in 0 .. bound - 1.
-
-    Keys that fit 16 bits are sorted as such, which numpy does by radix sort.
-    """
-    return np.argsort(key.astype(np.uint16) if bound <= 1 << 16 else key, kind="stable")
-
-
 def _char_ranks(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The code points of all texts as ranks, each text followed by an end mark.
 
@@ -163,22 +158,37 @@ def _shared_ngram_counts(
 
     N-grams get their ids by rank refinement over the code points of all
     texts at once: the (n+1)-gram at a position is ranked by the pair (id of
-    its n-gram prefix, next character).  Each text is followed by an end
+    its n-gram prefix, next character).  Each length takes one ``np.sort`` of
+    int64 values that hold the pair's key above the position; a length whose
+    keys could pass ``2**_PACK_BITS`` once packed replaces them by their dense
+    ranks first, which keeps the order.  Each text is followed by an end
     mark, which ranks above every character, and an n-gram ending in it is
     never kept.  An n-gram that is not kept has no kept extension, unless it
     left; either way its positions leave the refinement.
     """
     n_chars = int(char_rank[-1]) + 1  # the characters and the end mark
-    # Positions stay sorted by (prefix id, position), so a stable sort on the
-    # next key also orders each n-gram's occurrences by document.
+    # Each level sorts the values (key << shift) | start.  They are distinct,
+    # so the sort orders positions by (key, position), which also orders each
+    # n-gram's occurrences by document.
+    shift = char_rank.size.bit_length()
+    mask = (1 << shift) - 1
     start = np.arange(char_rank.size)
     key = np.zeros(char_rank.size, dtype=np.int64)  # prefix id * n_chars, nondecreasing
     prefix_size = np.array([char_rank.size])  # occurrences per prefix; the empty one is everywhere
     for n in range(1, n_max + 1):
         bound = int(key[-1]) + n_chars
         key += char_rank[n - 1:][start]
-        order = _stable_order(key, bound)
-        key, start = key[order], start[order]
+        distinct = None
+        if bound << shift > 1 << _PACK_BITS:
+            # Dense ranks keep the order and stay below char_rank.size.
+            distinct, key = np.unique(key, return_inverse=True)
+        key <<= shift
+        key |= start
+        key.sort()
+        start = key & mask
+        key >>= shift
+        if distinct is not None:
+            key = distinct[key]
         doc = doc_of[start]
         new = np.empty(key.size, dtype=bool)
         new[0] = True
@@ -314,7 +324,10 @@ def _by_weight(
     grams = np.flatnonzero((pairs > 0) & (weight > 0))
     if grams.size == 0:
         return
-    grams = grams[_stable_order(weight[grams], int(weight.max()) + 1)]
+    # Weights that fit 16 bits are sorted as such, which numpy does by radix sort.
+    by = weight[grams]
+    grams = grams[np.argsort(by.astype(np.uint16) if weight.max() < 1 << 16 else by,
+                             kind="stable")]
     first = (np.cumsum(pairs) - pairs)[grams]
     pairs = pairs[grams]
     at = np.repeat(first - (np.cumsum(pairs) - pairs), pairs) + np.arange(pairs.sum())

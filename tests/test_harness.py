@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import logging
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -533,6 +534,18 @@ class TestConfigFile:
         shown = value[0] if setting == "nt" else value
         flag = setting.replace("_", "-")
         with pytest.raises(KaesError, match=f"^--{flag} must be an integer, got {shown!r}$"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("nt", 5, "--nt must be a list of sub-sample sizes, got 5"),
+        ("nt", None, "--nt must be a list of sub-sample sizes, got None"),
+        ("nt", "5", "--nt must be a list of sub-sample sizes, got '5'"),
+        ("svr", None, "svr must be an SvrConfig, got None"),
+        ("svr", "x", "svr must be an SvrConfig, got 'x'"),
+    ])
+    def test_validate_rejects_a_setting_of_the_wrong_kind(self, setting, value, message):
+        cfg = ExperimentConfig(mode="in-domain", data_path="x", **{setting: value})
+        with pytest.raises(KaesError, match=f"^{re.escape(message)}$"):
             cfg.validate()
 
     def test_validate_takes_numpy_integers(self):

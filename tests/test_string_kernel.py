@@ -242,21 +242,25 @@ class TestMergedColumns:
             assert weights == [[1], [2, 2, 2], [1], [2]]
             assert kernel_matrix(["abcd", "abcd"], n_min=1, n_max=4).values[0, 1] == 10
 
-    def test_large_alphabet_sorts_keys_wider_than_16_bits(self):
+    def test_large_alphabet_is_ranked_densely_past_the_packing_bound(self):
+        # 8 texts of 300 characters take 12 position bits.  At the default
+        # budget every level packs its keys as they are; with 16 bits left for
+        # keys, the levels whose keys pass 2**16 are ranked densely first; with
+        # none left, every level is.
         rng = np.random.default_rng(3)
         alphabet = [chr(0x100 + i) for i in range(1000)]
         texts = ["".join(rng.choice(alphabet, 300)) for _ in range(8)]
-        bounds = []
-        real = string_kernel._stable_order
-
-        def stable_order(key, bound):
-            bounds.append(bound)
-            return real(key, bound)
-
-        with mock.patch.object(string_kernel, "_stable_order", stable_order):
-            k = kernel_at_budgets(texts, n_min=1, n_max=4)
-        assert max(bounds) > 1 << 16
-        assert np.array_equal(k.values, [[naive_hisk(x, y, 1, 4) for y in texts] for x in texts])
+        expected = np.array([[naive_hisk(x, y, 1, 4) for y in texts] for x in texts])
+        ranked = []
+        for pack_bits in (string_kernel._PACK_BITS, 28, 0):
+            with mock.patch.object(string_kernel, "_PACK_BITS", pack_bits), \
+                    mock.patch.object(np, "unique", wraps=np.unique) as unique:
+                square = kernel_at_budgets(texts, n_min=1, n_max=4)
+                rect = kernel_at_budgets(texts[:3], texts[3:], n_min=1, n_max=4)
+            ranked.append(unique.call_count)
+            assert np.array_equal(square.values, expected)
+            assert np.array_equal(rect.values, expected[:3, 3:])
+        assert 0 == ranked[0] < ranked[1] < ranked[2]
 
 
 class TestOncePerDocument:
