@@ -38,6 +38,7 @@ def corpus_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("corpus")
     (tmp / "prompt1.tsv").write_bytes(make_corpus_tsv(120, seed=5))
     (tmp / "pair.tsv").write_bytes(make_corpus_tsv(60, seed=5, prompts=(1, 2)))
+    (tmp / "pair30.tsv").write_bytes(make_corpus_tsv(30, seed=5, prompts=(1, 2)))
     (tmp / "tiny.tsv").write_bytes(make_corpus_tsv(10, seed=2))
     (tmp / "emb.bin").write_bytes(make_embeddings_bytes())
     (tmp / "decoys.bin").write_bytes(make_embeddings_bytes(decoys=200))
@@ -205,6 +206,13 @@ class TestInDomain:
         (cell,) = run_in_domain(in_domain_cfg(corpus_dir, representation="hisk")).cells
         assert cell.failed == "prepare: MemoryError"
 
+    def test_a_fold_plan_that_fails_fails_in_preparation(self, tmp_path):
+        data = tmp_path / "forty.tsv"
+        data.write_bytes(make_corpus_tsv(40, seed=5))
+        cfg = ExperimentConfig(mode="in-domain", data_path=str(data), folds=41, seed=7)
+        (cell,) = run_in_domain(cfg).cells
+        assert (cell.n_runs, cell.failed) == (0, "prepare: cannot split 40 essays into 41 folds")
+
     def test_all_prompts_when_unset(self, corpus_dir):
         cfg = in_domain_cfg(corpus_dir, data_path=str(corpus_dir / "pair.tsv"),
                             prompt=None, representation="hisk")
@@ -280,6 +288,27 @@ class TestCrossDomain:
         table = run_cross_domain(cfg)
         (cell,) = table.cells
         assert cell.failed is None
+
+    def test_a_subsample_larger_than_the_pool_fails_only_its_row(self, corpus_dir):
+        cfg = cross_domain_cfg(corpus_dir, data_path=str(corpus_dir / "pair30.tsv"), nt=(0, 40))
+        scored, failed = run_cross_domain(cfg).cells
+        assert (scored.n_t, scored.n_runs, scored.failed) == (0, 5, None)
+        assert (failed.n_t, failed.n_runs) == (40, 0)
+        # Each target fold holds 6 of the 30 essays, so 24 are left to draw from.
+        assert failed.failed == "; ".join(
+            f"rep{rep}: sub-sample size 40 exceeds the 24 essays outside the eval fold"
+            for rep in range(5))
+
+    def test_a_target_too_small_to_split_fails_each_split(self, corpus_dir, tmp_path):
+        # The source prompt's 30 essays and the first 3 of the target's.
+        lines = (corpus_dir / "pair30.tsv").read_text().splitlines()[:1 + 30 + 3]
+        data = tmp_path / "small_target.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        cells = run_cross_domain(cross_domain_cfg(corpus_dir, data_path=str(data))).cells
+        assert [(c.n_t, c.n_runs) for c in cells] == [(0, 0), (10, 0)]
+        for cell in cells:
+            assert cell.failed == "; ".join(
+                f"rep{rep}: cannot split 3 essays into 5 folds" for rep in range(5))
 
     def test_requires_both_prompts(self, corpus_dir):
         cfg = cross_domain_cfg(corpus_dir, data_path=str(corpus_dir / "prompt1.tsv"))
@@ -422,6 +451,46 @@ class TestNormalizedBlocks:
         (block,) = blocks
         assert block.shape == (len(essays) - 20, len(model.svr.support_ids))
         assert hashlib.sha256(np.ascontiguousarray(block.values, "<f8")).hexdigest() == digest
+
+
+def protocol_digest(table: ResultTable) -> str:
+    """sha256 of a table's text and csv reports, then of each cell's
+    full-precision kappas (f8 LE) and failure note."""
+    digest = hashlib.sha256(emit_report(table, "text") + emit_report(table, "csv"))
+    for cell in table.cells:
+        digest.update(np.array(cell.values, "<f8").tobytes() + repr(cell.failed).encode())
+    return digest.hexdigest()
+
+
+class TestProtocolDigests:
+    """sha256 of each protocol's reports and cells (see protocol_digest), the
+    same on a cold and on a warm Gram cache.  CI also runs these with two
+    BLAS threads: a report must not depend on BLAS threading."""
+
+    @pytest.mark.parametrize("mode, representation, digest", [
+        ("in-domain", "hisk",
+         "1d04edde2ea5c5e03ba8a2caa6fe769273d8cd2122dbd2ea26c316e4500ceee1"),
+        ("in-domain", "boswe",
+         "42984daace14cf90b6c070b8183eb2315f7a3f038022d2f3afc2b941ee169312"),
+        ("in-domain", "fused",
+         "c5adb26dbfa4c9328d35d2ae4bab65d04126478472b8bea8b46e09cd9393b75e"),
+        ("cross-domain", "hisk",
+         "ccba07b67fc0d8a580b3166742dc5b32275daaf1d6d57480e7a8bbf983281b20"),
+        ("cross-domain", "boswe",
+         "e515b311b02fb732fea24700264655e0b6f03d3755bed650a16ce91946fb5355"),
+        ("cross-domain", "fused",
+         "1621b2240826327a4423b2bc13165bfce10a859afcd114283efa1b0bf62e337e"),
+    ])
+    def test_cold_and_warm(self, corpus_dir, tmp_path, mode, representation, digest):
+        cfg = ExperimentConfig(mode=mode, representation=representation,
+                               data_path=str(corpus_dir / "pair30.tsv"),
+                               embeddings_path=str(corpus_dir / "emb.bin"),
+                               cache_dir=str(tmp_path), k=8, repetitions=2, seed=7)
+        if mode == "cross-domain":
+            cfg.source, cfg.target, cfg.nt = 1, 2, (0, 5)
+        run = run_in_domain if mode == "in-domain" else run_cross_domain
+        assert [protocol_digest(run(cfg)) for _ in ("cold", "warm")] == [digest] * 2
+        assert any(tmp_path.glob("hisk_*.km")) == (representation != "boswe")
 
 
 class TestVectorsLoad:
