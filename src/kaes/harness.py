@@ -108,8 +108,10 @@ class ExperimentConfig:
                 check_number(f"--{setting.name.replace('_', '-')}", value, integer=True)
         if not isinstance(self.nt, (tuple, list)):
             raise KaesError(f"--nt must be a list of sub-sample sizes, got {self.nt!r}")
-        for n in self.nt:
+        for i, n in enumerate(self.nt):
             check_number("--nt", n, integer=True)
+            if n in self.nt[:i]:  # one report row per size
+                raise KaesError(f"--nt lists sub-sample size {n} more than once")
         if not isinstance(self.svr, SvrConfig):
             raise KaesError(f"svr must be an SvrConfig, got {self.svr!r}")
         if self.mode not in MODES:
@@ -432,6 +434,14 @@ def _embedded_essays(
     return tuple(_Embedded(table, r) for r in rows)
 
 
+def _embedded(cfg: ExperimentConfig, essays: Sequence[Essay]) -> _Embedded | None:
+    """The essays' embedded tokens for ``cfg.representation``; None for hisk."""
+    if cfg.representation == "hisk":
+        return None
+    return _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
+                            [(e.id, e.text) for e in essays])[0]
+
+
 def _type_rows(embedded: _Embedded, ids: Sequence[str]) -> np.ndarray:
     """The table rows of the essays' embedded token types, in sorted token order."""
     return np.unique(np.concatenate([np.empty(0, dtype=np.intp),
@@ -490,24 +500,6 @@ def kernel_block(
     return sum_kernels(*blocks) if len(blocks) == 2 else blocks[0]
 
 
-def _score_cell(
-    cfg: ExperimentConfig,
-    k_train: KernelMatrix,
-    k_eval: KernelMatrix,
-    unit_by_id: dict[str, float],
-    raw_by_id: dict[str, int],
-    eval_range,
-) -> float:
-    y_train = np.array([unit_by_id[eid] for eid in k_train.row_ids])
-    model = train_nu_svr(k_train, y_train, cfg.svr, seed=cfg.seed)
-    preds = predict(model, k_eval)
-    pred_scores = [unscale_score(p, eval_range) for p in preds]
-    gold_scores = [raw_by_id[eid] for eid in k_eval.row_ids]
-    report = qwk(pred_scores, gold_scores, eval_range)
-    logger.debug("cell report: %s", report.to_text())
-    return report.kappa
-
-
 # ---------------------------------------------------------------------------
 # Protocols
 
@@ -518,10 +510,7 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     if cfg.mode != "in-domain":
         raise KaesError(f"run_in_domain called with mode {cfg.mode!r}")
     essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
-    embedded = None
-    if cfg.representation != "hisk":
-        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
-                                       [(e.id, e.text) for e in essays])
+    embedded = _embedded(cfg, essays)
     reps = cfg.resolved_repetitions()
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
@@ -532,9 +521,9 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
 
         def splits(subset=subset):
             plan = make_folds(subset, fold_count=cfg.folds, repetitions=reps, seed=cfg.seed)
-            return [[(rep, (rep, fold), f"rep{rep}/fold{fold}",
-                      functools.partial(plan.split_ids, rep, fold))
-                     for rep in range(reps) for fold in range(cfg.folds)]]
+            return [(0, rep, (rep, fold), f"rep{rep}/fold{fold}",
+                     functools.partial(plan.split_ids, rep, fold))
+                    for rep in range(reps) for fold in range(cfg.folds)]
 
         table.cells += _protocol_cells(cfg, str(prompt), (None,), subset, splits,
                                        ASAP_SCORE_RANGES[prompt], embedded)
@@ -556,10 +545,7 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
             f"(got {len(source_essays)} and {len(target_essays)} essays)"
         )
     pair_essays = source_essays + target_essays
-    embedded = None
-    if cfg.representation != "hisk":
-        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
-                                       [(e.id, e.text) for e in pair_essays])
+    embedded = _embedded(cfg, pair_essays)
     reps = cfg.resolved_repetitions()
     source_ids = tuple(e.id for e in source_essays)
 
@@ -570,9 +556,8 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
         return source_ids + extra_ids, eval_ids
 
     def splits():
-        return [[(rep, (rep, nt_index), f"rep{rep}", functools.partial(split, n_t, rep))
-                 for rep in range(reps)]
-                for nt_index, n_t in enumerate(cfg.nt)]
+        return [(cell, rep, (rep, cell), f"rep{rep}", functools.partial(split, n_t, rep))
+                for cell, n_t in enumerate(cfg.nt) for rep in range(reps)]
 
     table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
     table.cells += _protocol_cells(cfg, f"{cfg.source}->{cfg.target}", cfg.nt, pair_essays,
@@ -591,15 +576,16 @@ def _protocol_cells(
 ) -> list[ResultCell]:
     """One result cell per entry of ``n_ts``, all over one document set.
 
-    ``splits()`` returns, per cell, its splits as ``(rep, tags, where, ids)``:
-    ``tags`` seed the split's codebook, ``where`` names it in failure notes
-    and ``ids()`` gives its (train, eval) ids.  The Gram matrix is prepared
+    ``splits()`` returns the splits of every cell as one list of
+    ``(cell, rep, tags, where, ids)``: ``cell`` indexes ``n_ts``, ``tags``
+    seed the split's codebook, ``where`` names it in failure notes and
+    ``ids()`` gives its (train, eval) ids.  The Gram matrix is prepared
     once; if that or ``splits()`` fails, every cell fails with the reason.
-    A failing split only costs its own kappa.
+    A failing split, its ids included, only costs its own kappa.
     """
     what = f"pair {key}" if cfg.mode == "cross-domain" else f"prompt {key}"
     try:
-        cell_splits = splits()
+        split_list = splits()
         hisk_gram = None
         if cfg.representation in ("hisk", "fused"):
             hisk_gram = normalized_hisk_gram(essays, cfg)
@@ -609,35 +595,35 @@ def _protocol_cells(
         return [ResultCell(key=key, n_t=n_t, representation=cfg.representation,
                            mean=None, std=None, failed=f"prepare: {reason}") for n_t in n_ts]
 
-    unit_by_id = {e.id: e.unit_score for e in essays}
-    raw_by_id = {e.id: e.raw_score for e in essays}
-    cells = []
-    for n_t, group in zip(n_ts, cell_splits):
-        by_rep: dict[int, list[float]] = {}
-        failures: list[str] = []
-        for rep, tags, where, ids in group:
-            try:
-                train_ids, eval_ids = ids()
-                logger.debug("%s n_t=%s %s: train=%d eval=%d",
-                             what, n_t, where, len(train_ids), len(eval_ids))
-                codebook = None
-                if embedded is not None:
-                    seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
-                    codebook = _fold_codebook(embedded, train_ids, cfg, seed)
-                # One (train + eval) x train block; its rows split into the two.
-                block = kernel_block(train_ids + eval_ids, train_ids, hisk_gram, codebook,
-                                     embedded, embedded)
-                kappa = _score_cell(cfg, block.take(train_ids, train_ids),
-                                    block.take(eval_ids, train_ids), unit_by_id, raw_by_id,
-                                    score_range)
-            except Exception as exc:  # noqa: BLE001
-                reason = str(exc) or type(exc).__name__
-                failures.append(f"{where}: {reason}")
-                logger.error("%s n_t=%s %s failed: %s", what, n_t, where, reason)
-                continue
-            by_rep.setdefault(rep, []).append(kappa)
-        cells.append(_result_cell(cfg, key, n_t, by_rep, failures))
-    return cells
+    by_id = {e.id: e for e in essays}
+    outcomes = [({}, []) for _ in n_ts]  # per cell: kappas by repetition, failure notes
+    for cell, rep, tags, where, ids in split_list:
+        by_rep, failures = outcomes[cell]
+        try:
+            train_ids, eval_ids = ids()
+            logger.debug("%s n_t=%s %s: train=%d eval=%d",
+                         what, n_ts[cell], where, len(train_ids), len(eval_ids))
+            codebook = None
+            if embedded is not None:
+                seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
+                codebook = _fold_codebook(embedded, train_ids, cfg, seed)
+            # One (train + eval) x train block; its rows split into the two.
+            block = kernel_block(train_ids + eval_ids, train_ids, hisk_gram, codebook,
+                                 embedded, embedded)
+            model = train_nu_svr(block.take(train_ids, train_ids),
+                                 np.array([by_id[eid].unit_score for eid in train_ids]),
+                                 cfg.svr, seed=cfg.seed)
+            preds = predict(model, block.take(eval_ids, train_ids))
+            report = qwk([unscale_score(p, score_range) for p in preds],
+                         [by_id[eid].raw_score for eid in eval_ids], score_range)
+            logger.debug("split report: %s", report.to_text())
+        except Exception as exc:  # noqa: BLE001
+            reason = str(exc) or type(exc).__name__
+            failures.append(f"{where}: {reason}")
+            logger.error("%s n_t=%s %s failed: %s", what, n_ts[cell], where, reason)
+            continue
+        by_rep.setdefault(rep, []).append(report.kappa)
+    return [_result_cell(cfg, key, n_t, *outcome) for n_t, outcome in zip(n_ts, outcomes)]
 
 
 def _result_cell(
@@ -708,10 +694,9 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     cfg.validate()
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
-    embedded = codebook = hisk = digest = None
-    if cfg.representation != "hisk":
-        (embedded,) = _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
-                                       [(e.id, e.text) for e in essays])
+    embedded = _embedded(cfg, essays)
+    codebook = hisk = digest = None
+    if embedded is not None:
         codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
     if cfg.representation != "boswe":
         hisk = normalized_hisk_gram(essays, cfg)

@@ -609,6 +609,7 @@ class TestConfigFile:
         ("nt", 5, "--nt must be a list of sub-sample sizes, got 5"),
         ("nt", None, "--nt must be a list of sub-sample sizes, got None"),
         ("nt", "5", "--nt must be a list of sub-sample sizes, got '5'"),
+        ("nt", (5, 5, 0), "--nt lists sub-sample size 5 more than once"),
         ("svr", None, "svr must be an SvrConfig, got None"),
         ("svr", "x", "svr must be an SvrConfig, got 'x'"),
     ])
