@@ -13,7 +13,10 @@ import contextlib
 import functools
 import math
 import operator
+import os
 import re
+import secrets
+import stat
 import struct
 from itertools import accumulate, compress, repeat
 from pathlib import Path
@@ -24,12 +27,31 @@ from .errors import BinaryFormatError
 
 @contextlib.contextmanager
 def open_binary(target: str | Path | BinaryIO, mode: str) -> Iterator[BinaryIO]:
-    """A path is opened in ``mode`` and closed on exit; a stream is used as is."""
-    if isinstance(target, (str, Path)):
+    """A path is opened in ``mode`` and closed on exit; a stream is used as is.
+
+    A regular file, or a new one, written in ``"wb"`` gets its bytes through a
+    temporary file beside it, renamed over it once complete, so a failed write
+    keeps the old file; any other path (a FIFO, ``/dev/stdout``) is written in place.
+    """
+    if not isinstance(target, (str, Path)):
+        yield target
+    elif mode != "wb" or not _replaceable(target):
         with open(target, mode) as stream:
             yield stream
     else:
-        yield target
+        tmp = f"{target}.{secrets.token_hex(4)}.tmp"
+        try:
+            with open(tmp, "xb") as stream:
+                yield stream
+            os.replace(tmp, target)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+
+
+def _replaceable(path: str | Path) -> bool:
+    """Whether ``path`` is nothing, or a regular file and not a link to one."""
+    return not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
 
 
 def write_id(stream: BinaryIO, doc_id: str) -> None:
@@ -80,16 +102,6 @@ class Reader:
                 out += memoryview(data)[: self._pos]
         self.offset += n
         return out
-
-    def skip(self, n: int, what: str) -> None:
-        """Consume the next ``n`` bytes as :meth:`read` does, copying them only
-        when they span chunks."""
-        end = self._pos + n
-        if end <= len(self._buf):
-            self._pos = end
-            self.offset += n
-        else:
-            self.read(n, what)
 
     def unpack(self, fmt: str, what: str) -> tuple:
         """The fields of the ``struct`` format ``fmt``."""
@@ -148,68 +160,39 @@ class Reader:
         self.offset += len(out) + 1
         return out
 
-    def skip_newlines(self) -> None:
-        """Consume the newline bytes at the current position, if any."""
-        while True:
-            if self._pos >= len(self._buf):
-                self._buf, self._pos = self._stream.read(self._chunk), 0
-                if not self._buf:
-                    return
-            if self._buf[self._pos] != 0x0A:
-                return
-            self._pos += 1
-            self.offset += 1
-
     def read_records(
         self, size: int, limit: int, wanted: Callable[[bytes], bool] | None
     ) -> tuple[int, list[tuple[bytes, bytes]]]:
-        """Consume the word2vec records that lie wholly in the buffer, at most ``limit``.
+        """Consume the next word2vec records: at least one, at most ``limit``.
 
-        A record is newlines, a field that ends at a space, the space, and
-        ``size`` more bytes.  Returns how many records were consumed, with the
-        field and the ``size`` bytes of each one whose field ``wanted`` accepts
-        (of every one when ``wanted`` is None).  It consumes none, and never
-        reads the stream, when the next record is not wholly in the buffer:
-        that one is read by :meth:`skip_newlines`, :meth:`read_until` and
-        :meth:`read` or :meth:`skip`, which fetch more and raise the errors of
-        a cut record.
-
-        One ``findall`` of ``([^ ]*) (?s:.){size}`` splits the records, and
-        it splits them exactly as those steps do:
-
-        - At a record that is wholly in the buffer, the pattern matches on its
-          first try: the greedy ``[^ ]*`` runs to the first space, where
-          ``read_until(b" ")`` stops too, and ``size`` bytes follow that
-          space.  Before the field it takes the newlines that
-          :meth:`skip_newlines` consumes, and stripping them leaves the field.
-        - At a record that is not, no match starts: ``[^ ]*`` cannot pass a
-          space, so every way of matching needs the same first space, and
-          fewer than ``size`` bytes follow it (or there is none).  No match
-          starts at a later position either, as every later space has fewer
-          bytes after it.
-        - Each match is longer than ``size`` bytes, and the next search starts
-          where a match ended, trying that position first.
-
-        So the matches are the complete records from the current position,
-        back to back, up to the first record that is cut.
+        A record is a token up to its first space, less any leading newlines,
+        the space and ``size`` more bytes.  Returns how many were consumed,
+        with the token and bytes of each that ``wanted`` (if given) accepts.
+        One ``findall`` splits the buffer's whole records, back to back up to
+        the first cut one: its greedy ``[^ ]*`` stops at the first space, as
+        :meth:`read_until` does, and a match needs ``size`` bytes after it.
+        If none is whole, :meth:`read_until` and :meth:`read` read the next
+        record, fetching more and raising the errors of a cut record.
         """
         start = self._pos
         # No record fits; this also keeps the pattern's count below the chunk size.
-        if len(self._buf) - start <= size:
-            return 0, []
-        heads = _record_pattern(size).findall(self._buf, start)
+        heads = (_record_pattern(size).findall(self._buf, start)
+                 if len(self._buf) - start > size else [])
         del heads[limit:]
         if not heads:
-            return 0, []
-        fields = list(map(bytes.lstrip, heads, repeat(b"\n")))
-        # ends[i + 1] is where record i ends: after its newlines, field, space and size bytes.
+            token = self.read_until(b" ", "token").lstrip(b"\n")
+            what = f"vector of {token.decode('utf-8', errors='surrogateescape')!r}"
+            vector = self.read(size, what)
+            return 1, [(token, vector)] if wanted is None or wanted(token) else []
+        tokens = list(map(bytes.lstrip, heads, repeat(b"\n")))
+        # ends[i + 1] is where record i ends: after its newlines, token, space and size bytes.
         ends = list(accumulate(map(operator.add, map(len, heads), repeat(size + 1)),
                                initial=start))
         picked = range(len(heads))
         if wanted is not None:
-            picked = compress(picked, map(wanted, fields))
+            picked = compress(picked, map(wanted, tokens))
         buf = self._buf
-        found = [(fields[i], buf[ends[i + 1] - size : ends[i + 1]]) for i in picked]
+        found = [(tokens[i], buf[ends[i + 1] - size : ends[i + 1]]) for i in picked]
         self._pos = ends[-1]
         self.offset += ends[-1] - start
         return len(heads), found

@@ -173,9 +173,7 @@ def _kmeans_pp_init(
         total = closest.sum()
         if not counted and not 0 < total < np.inf:
             counted = True
-            n_distinct = np.unique(points, axis=0).shape[0]
-            if n_distinct < k:
-                raise KaesError(f"need at least k={k} distinct vectors, got {n_distinct}")
+            _require_distinct(points, k)
         if total <= 0:
             # All remaining points coincide with chosen centers; any pick works.
             idx = int(rng.integers(n))
@@ -188,6 +186,12 @@ def _kmeans_pp_init(
         todo = np.flatnonzero(~(low > closest))
         closest[todo] = np.minimum(closest[todo], ((points[todo] - center) ** 2).sum(axis=1))
     return centers, closest
+
+
+def _require_distinct(points: np.ndarray, k: int) -> None:
+    n_distinct = np.unique(points, axis=0).shape[0]
+    if n_distinct < k:
+        raise KaesError(f"need at least k={k} distinct vectors, got {n_distinct}")
 
 
 def fit_codebook(
@@ -210,6 +214,8 @@ def fit_codebook(
         raise KaesError("vectors must be a nonempty 2-d array")
     if not np.isfinite(points).all():
         raise KaesError("vectors hold NaN or infinite values")
+    if k > len(points):  # fails before k centers are allocated
+        _require_distinct(points, k)
 
     rng = derive_rng(seed, KMEANS)
     centers, _ = _kmeans_pp_init(points, k, rng)

@@ -19,6 +19,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
+from .binio import open_binary
 from .corpus import _ENCODING, ASAP_SCORE_RANGES
 from .errors import KaesError
 from .harness import (
@@ -126,12 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict[str, Any]:
-    """The settings of a UTF-8 key=value file; '#' starts a comment, blank lines are skipped."""
+    """The settings of a UTF-8 key=value file; '#' starts a comment, blank lines are skipped,
+    and a key may be set once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise KaesError(f"{path}: {exc}") from None
     out: dict[str, Any] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -144,6 +147,9 @@ def _read_config(path: str) -> dict[str, Any]:
         setting = _SETTINGS.get(key)
         if setting is None:
             raise KaesError(f"{at}: {key!r} is not a setting")
+        if key in set_on:
+            raise KaesError(f"{at}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             out[key] = setting.type(raw)
         except ValueError:
@@ -210,7 +216,7 @@ def cmd_kernel(settings: dict[str, Any]) -> int:
     essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
     for prompt in sorted({e.prompt for e in essays}):
         subset = [e for e in essays if e.prompt == prompt]
-        normalized_hisk_gram(subset, cfg)
+        normalized_hisk_gram(subset, cfg, must_cache=True)
         print(f"kernel: prompt {prompt}: {len(subset)}x{len(subset)} cached under {cfg.cache_dir}")
     return 0
 
@@ -240,11 +246,8 @@ def cmd_predict(settings: dict[str, Any]) -> int:
     lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
     # Encoded as parse_asap_tsv decodes, so each id is written back as its own bytes.
     output = ("\n".join(lines) + "\n").encode(_ENCODING, errors="surrogateescape")
-    out = settings.get("out")
-    if out:
-        Path(out).write_bytes(output)
-    else:
-        sys.stdout.buffer.write(output)
+    with open_binary(settings.get("out") or sys.stdout.buffer, "wb") as stream:
+        stream.write(output)
     return 0
 
 
@@ -256,9 +259,9 @@ def cmd_eval(settings: dict[str, Any], mode: str) -> int:
     cfg = _experiment_config(settings, mode)
     table = run_in_domain(cfg) if mode == "in-domain" else run_cross_domain(cfg)
     _write_report(settings, table)
-    out = settings.get("out")
-    if out:
-        Path(out).write_bytes(emit_report(table, "csv"))
+    if settings.get("out"):
+        with open_binary(settings["out"], "wb") as stream:
+            stream.write(emit_report(table, "csv"))
     return 0
 
 

@@ -65,10 +65,6 @@ def load_word2vec_binary(
     still fails, but their tokens are not decoded and their vectors not
     converted.  Every kept token has the vector a full load gives it; only
     row numbers differ.
-
-    The records that lie wholly in the reader's buffer are split in one pass
-    by :meth:`Reader.read_records`; any other one, such as the one that
-    straddles two chunks or a cut one, is read field by field.
     """
     wanted = None if keep is None else _token_bytes(keep).__contains__
     with open_binary(source, "rb") as stream:
@@ -90,15 +86,6 @@ def load_word2vec_binary(
         scanned = 0
         while scanned < n_scan:
             count, found = reader.read_records(4 * dim, n_scan - scanned, wanted)
-            if not count:  # the next record is not wholly in the buffer
-                count = 1
-                reader.skip_newlines()
-                raw = reader.read_until(b" ", "token")
-                what = f"vector of {raw.decode('utf-8', errors='surrogateescape')!r}"
-                if wanted is None or wanted(raw):
-                    found = [(raw, reader.read(4 * dim, what))]
-                else:
-                    reader.skip(4 * dim, what)
             scanned += count
             for raw, vector in found:
                 token = raw.decode("utf-8", errors="surrogateescape")

@@ -22,9 +22,7 @@ import functools
 import hashlib
 import io
 import logging
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
@@ -342,23 +340,26 @@ def _cache_mismatch(
     return None
 
 
-def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> KernelMatrix:
+def normalized_hisk_gram(
+    essays: Sequence[Essay], cfg: ExperimentConfig, must_cache: bool = False
+) -> KernelMatrix:
     """Full normalized n-gram Gram over a document set, disk-cached when possible.
 
     A cache file that cannot be read, or that cannot be the raw Gram matrix
     of these documents, is a miss: it is logged, recomputed and rewritten.
+    A cache that cannot be written is logged and the computed Gram is used,
+    unless ``must_cache``: then the OSError is raised.
     """
     ids = tuple(e.id for e in essays)
     self_sims = self_similarities([e.text for e in essays], cfg.ngram_min, cfg.ngram_max)
     cache_path = None
     if cfg.cache_dir:
-        Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
         cache_path = Path(cfg.cache_dir) / f"hisk_{_gram_cache_key(essays, cfg)}.km"
         if cache_path.exists():
             logger.info("loading cached Gram matrix %s", cache_path.name)
             try:
                 raw = load_kernel_matrix(cache_path)
-            except BinaryFormatError as exc:
+            except (BinaryFormatError, OSError) as exc:
                 logger.warning("ignoring unreadable cache file %s: %s", cache_path, exc)
             else:
                 mismatch = _cache_mismatch(raw, essays, self_sims)
@@ -373,17 +374,15 @@ def normalized_hisk_gram(essays: Sequence[Essay], cfg: ExperimentConfig) -> Kern
         [e.text for e in essays], row_ids=ids, n_min=cfg.ngram_min, n_max=cfg.ngram_max
     )
     if cache_path is not None:
-        # Write beside the target and swap it in, so that no reader (nor a run
-        # killed mid-write) ever sees a partial file under the final name.
-        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, prefix=cache_path.name, suffix=".tmp")
-        os.close(fd)
         try:
-            save_kernel_matrix(raw, tmp)
-            os.replace(tmp, cache_path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        logger.info("cached Gram matrix at %s", cache_path.name)
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            save_kernel_matrix(raw, cache_path)
+        except OSError as exc:
+            if must_cache:
+                raise
+            logger.warning("cannot write cache file %s: %s", cache_path, exc)
+        else:
+            logger.info("cached Gram matrix at %s", cache_path.name)
     return normalize_kernel(raw, self_sims, self_sims)
 
 

@@ -7,18 +7,16 @@ seeding and histogram intersections by the elementwise formulas, the nu-SVR
 dual solved by projected gradient with an accelerated first-order method
 run to a tight fixed-point tolerance, the SMO loop of that dual as first
 written (the bit-for-bit reference of the solver), and explicit feature
-rows whose inner products are the linear kernel.  The one exception is the word2vec loader:
-it reads each record field by field through ``binio.Reader``, so that the
-batch split of ``load_word2vec_binary`` is checked against those reads.
+rows whose inner products are the linear kernel, and a word2vec loader that
+finds each record's fields in the whole byte string.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Collection
+from typing import Collection
 
 import numpy as np
 
-from kaes.binio import Reader
 from kaes.embeddings import _MAX_DIM, DEFAULT_VOCAB_LIMIT, EmbeddingModel
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
 from kaes.string_kernel import KernelMatrix, normalize_text
@@ -390,14 +388,17 @@ def concat_features(x1: FeatureMatrix, x2: FeatureMatrix) -> FeatureMatrix:
 
 
 def load_word2vec_reference(
-    stream: BinaryIO,
+    data: bytes,
     vocab_limit: int | None = DEFAULT_VOCAB_LIMIT,
     keep: Collection[str] | None = None,
 ) -> EmbeddingModel:
-    """``load_word2vec_binary`` one record at a time: skip the newlines, read
-    the token up to its space, then read or skip the vector."""
-    reader = Reader(stream)
-    header = reader.read_until(b"\n", "header")
+    """``load_word2vec_binary`` of the file ``data``, one record at a time: the
+    token runs to the next space, less its leading newlines, and the vector is
+    the ``4 * dim`` bytes after that space."""
+    end = data.find(b"\n")
+    if end == -1:
+        raise BinaryFormatError("stream ended while reading header", offset=0)
+    header = data[:end]
     try:
         count_s, dim_s = header.split()
         vocab_size, dim = int(count_s), int(dim_s)
@@ -411,14 +412,19 @@ def load_word2vec_reference(
     n_scan = vocab_size if vocab_limit is None else min(vocab_limit, vocab_size)
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    pos = end + 1
     for _ in range(n_scan):
-        reader.skip_newlines()
-        raw_token = reader.read_until(b" ", "token")
-        token = raw_token.decode("utf-8", errors="surrogateescape")
-        if token in vocab or (keep is not None and token not in keep):
-            reader.skip(4 * dim, f"vector of {token!r}")
-            continue
-        vocab[token] = len(rows)
-        rows.append(np.frombuffer(reader.read(4 * dim, f"vector of {token!r}"), dtype="<f4"))
+        space = data.find(b" ", pos)
+        if space == -1:
+            raise BinaryFormatError("stream ended while reading token", offset=pos)
+        token = data[pos:space].lstrip(b"\n").decode("utf-8", errors="surrogateescape")
+        pos = space + 1 + 4 * dim
+        vector = data[space + 1 : pos]
+        if len(vector) < 4 * dim:
+            raise BinaryFormatError(f"truncated vector of {token!r}: expected {4 * dim} bytes, "
+                                    f"only {len(vector)} available", offset=space + 1)
+        if token not in vocab and (keep is None or token in keep):
+            vocab[token] = len(rows)
+            rows.append(np.frombuffer(vector, dtype="<f4"))
     vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
     return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)

@@ -2,15 +2,19 @@
 of their loaders: a malformed file may only raise BinaryFormatError."""
 from __future__ import annotations
 
+import errno
 import functools
 import io
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import kaes.harness
 from kaes.binio import Reader, write_id
 from kaes.boswe import Codebook
 from kaes.embeddings import EmbeddingModel, load_word2vec_binary
@@ -101,27 +105,53 @@ class _RecordingStream(io.BytesIO):
         return super().read(size)
 
 
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_model(FUSED_MODEL, path)
+        ids_written = 0
+
+        def write_id_until_the_disk_fills(stream, doc_id):
+            nonlocal ids_written
+            ids_written += 1
+            if ids_written == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_id(stream, doc_id)
+
+        monkeypatch.setattr(kaes.harness, "write_id", write_id_until_the_disk_fills)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_model(HISK_MODEL, path)
+        assert path.read_bytes() == FORMATS["fused-model"][3]
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        save_model(FUSED_MODEL, fifo)
+        reader.join(timeout=10)
+        assert received == [FORMATS["fused-model"][3]]
+        assert list(tmp_path.iterdir()) == [fifo]
+
+
 class TestReader:
     def test_reads_across_chunk_boundaries(self):
         data = b"ab\n\n\ncd efgh-skipped-" + _ids("hé") + struct.pack("<Id", 9, 0.5)
         reader = Reader(io.BytesIO(data), chunk=3)
         assert reader.read_until(b"\n", "header") == b"ab"
-        reader.skip_newlines()
-        assert reader.offset == 5
-        assert reader.read_until(b" ", "token") == b"cd"
+        assert reader.read_until(b" ", "token") == b"\n\ncd"
         assert reader.read(4, "vector") == b"efgh"
-        reader.skip(1, "gap")
-        reader.skip(8, "gap")
+        assert reader.read(9, "gap") == b"-skipped-"
         assert reader.offset == 21
         assert reader.read_id() == "hé"
         assert reader.unpack("<Id", "pair") == (9, 0.5)
         assert reader.offset == len(data)
-        reader.skip_newlines()
         with pytest.raises(BinaryFormatError, match="expected 1 bytes, only 0") as info:
             reader.read(1, "tail")
-        assert info.value.offset == len(data)
-        with pytest.raises(BinaryFormatError, match="expected 2 bytes, only 0") as info:
-            reader.skip(2, "tail")
         assert info.value.offset == len(data)
 
     @pytest.mark.parametrize("doc_id, raw", [

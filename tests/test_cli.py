@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import os
@@ -112,6 +113,29 @@ class TestCommands:
         assert code == 0
         (path,) = cache.glob("hisk_*.km")
         assert load_kernel_matrix(path).shape == (60, 60)
+
+    def test_kernel_fails_when_the_cache_cannot_be_written(self, workdir, tmp_path, capsys):
+        # A cache entry that is a directory can be neither read nor replaced.
+        cache = tmp_path / "cache"
+        argv = ["kernel", "--data", workdir / "data.tsv", "--prompt", "1", "--cache-dir", cache]
+        assert run_main(capsys, argv)[0] == 0
+        (entry,) = cache.iterdir()
+        entry.unlink()
+        entry.mkdir()
+        code, out, err = run_main(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{entry}'\n"
+        assert list(cache.iterdir()) == [entry]
+
+    @pytest.mark.parametrize("k", ["5000000000", "100000000000000000000"])
+    def test_codebook_larger_than_the_vectors_fails_cleanly(self, workdir, tmp_path, capsys, k):
+        code, out, err = run_main(capsys, [
+            "train", "--data", workdir / "data.tsv", "--prompt", "1", "--representation",
+            "boswe", "--embeddings", workdir / "emb.bin", "--k", k, "--out", tmp_path / "m.bin",
+        ])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: need at least k={k} distinct vectors, got ")
+        assert not (tmp_path / "m.bin").exists()
 
     def test_kernel_warms_gram_for_shared_fused_config(self, workdir, tmp_path, capsys,
                                                        monkeypatch):

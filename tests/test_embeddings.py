@@ -52,6 +52,16 @@ class TestLoader:
         with pytest.raises(BinaryFormatError, match="expected 12 bytes"):
             load_word2vec_binary(io.BytesIO(data))
 
+    @pytest.mark.parametrize("chunk_reads", [False, True])
+    def test_token_cut_after_blank_lines_reports_its_first_newline(self, chunk_reads):
+        # The record's newlines belong to its token, so the cut shows where they start.
+        records = fixture_bytes(trailing_newline=False)[4:]
+        data = b"3 3\n" + records + b"\n\nbir"
+        stream = _ShortReads(data, seed=3) if chunk_reads else io.BytesIO(data)
+        with pytest.raises(BinaryFormatError, match="stream ended while reading token") as info:
+            load_word2vec_binary(stream)
+        assert info.value.offset == 4 + len(records)
+
     def test_bad_header(self):
         with pytest.raises(BinaryFormatError, match="header"):
             load_word2vec_binary(io.BytesIO(b"not a header\njunk"))
@@ -225,8 +235,8 @@ class TestReferenceLoader:
         content, keep = file
         for end in range(len(content) + 1):
             cut = content[:end]
-            want = _load_outcome(load_word2vec_reference, io.BytesIO(cut),
-                                 vocab_limit=vocab_limit, keep=keep)
+            want = _load_outcome(load_word2vec_reference, cut, vocab_limit=vocab_limit,
+                                 keep=keep)
             for stream in (io.BytesIO(cut), _ShortReads(cut, seed)):
                 got = _load_outcome(load_word2vec_binary, stream,
                                     vocab_limit=vocab_limit, keep=keep)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import logging
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import kaes.harness
+import kaes.string_kernel
 from kaes.boswe import Codebook
 from kaes.cli import _read_config
 from kaes.corpus import parse_asap_tsv
@@ -26,6 +29,7 @@ from kaes.harness import (
     predict_scores,
     run_cross_domain,
     run_in_domain,
+    save_model,
     table_from_csv,
     train_model,
 )
@@ -175,6 +179,39 @@ class TestInDomain:
         assert cached.name in caplog.text
         assert list(cache.iterdir()) == [cached]
         assert cached.read_bytes() == good
+
+    @pytest.mark.parametrize("failure", ["directory", "no-space"])
+    @pytest.mark.parametrize("run", ["eval", "train"])
+    def test_unusable_cache_costs_only_time(self, corpus_dir, tmp_path, monkeypatch, caplog,
+                                            failure, run):
+        def output(cfg):
+            if run == "eval":
+                return emit_report(run_in_domain(cfg), "text")
+            buf = io.BytesIO()
+            save_model(train_model(cfg, load_essays(cfg.data_path, cfg.prompt)), buf)
+            return buf.getvalue()
+
+        cfg = in_domain_cfg(corpus_dir, data_path=str(corpus_dir / "tiny.tsv"),
+                            representation="hisk")
+        want = output(cfg)
+        cache = tmp_path / "cache"
+        cfg = replace(cfg, cache_dir=str(cache))
+        if failure == "directory":
+            output(cfg)
+            (entry,) = cache.iterdir()
+            entry.unlink()
+            entry.mkdir()
+            left = [entry]
+        else:
+            def no_space(stream, doc_id):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            monkeypatch.setattr(kaes.string_kernel, "write_id", no_space)
+            left = []
+        with caplog.at_level(logging.WARNING, logger="kaes.harness"):
+            assert output(cfg) == want
+        assert f"cannot write cache file {cache / 'hisk_'}" in caplog.text
+        assert list(cache.iterdir()) == left  # no temporary file is left
 
     def test_isolation_audit(self, corpus_dir, monkeypatch):
         cells, codebooks = record_cells(monkeypatch)
@@ -580,6 +617,13 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nrepresentation=fused\nk = 16\n\nseed=3\n")
         assert _read_config(path) == {"representation": "fused", "k": 16, "seed": 3}
+
+    def test_key_set_twice(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("k=8\nseed=1\nk=16\n")
+        with pytest.raises(KaesError, match=f"^{re.escape(str(path))}: line 3: k is already "
+                                            "set on line 1$"):
+            _read_config(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
