@@ -32,6 +32,7 @@ def open_binary(target: str | Path | BinaryIO, mode: str) -> Iterator[BinaryIO]:
     A regular file, or a new one, written in ``"wb"`` gets its bytes through a
     temporary file beside it, renamed over it once complete, so a failed write
     keeps the old file; any other path (a FIFO, ``/dev/stdout``) is written in place.
+    An OSError on the temporary file names ``target`` instead.
     """
     if not isinstance(target, (str, Path)):
         yield target
@@ -44,8 +45,10 @@ def open_binary(target: str | Path | BinaryIO, mode: str) -> Iterator[BinaryIO]:
             with open(tmp, "xb") as stream:
                 yield stream
             os.replace(tmp, target)
-        except BaseException:
+        except BaseException as exc:
             Path(tmp).unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename == tmp:
+                raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
             raise
 
 

@@ -119,7 +119,6 @@ class Codebook:
     """
 
     centroids: np.ndarray  # (k, dim) float32
-    seed: int
     _centroids64: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -232,7 +231,7 @@ def fit_codebook(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return Codebook(centroids=centers.astype(np.float32), seed=seed)
+    return Codebook(centroids=centers.astype(np.float32))
 
 
 def boswe_kernel_matrix(

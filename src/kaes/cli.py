@@ -63,7 +63,7 @@ _SETTINGS = {
     "k": _Setting("codebook size", int),
     "kmeans_iters": _Setting("k-means iterations", int),
     "vocab_limit": _Setting("word2vec records to scan; 0 scans all", int),
-    "seed": _Setting("random seed of folds, sub-samples, k-means and the solver", int),
+    "seed": _Setting("random seed of folds, sub-samples and k-means", int),
     "c": _Setting("regularization budget", float),
     "nu": _Setting("nu parameter in (0, 1]", float),
     "kkt_tolerance": _Setting("solver stopping tolerance", float),
@@ -127,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict[str, Any]:
-    """The settings of a UTF-8 key=value file; '#' starts a comment, blank lines are skipped,
-    and a key may be set once."""
+    """The settings of a UTF-8 key=value file, byte-order mark or not; a line whose first
+    non-blank character is '#' and a blank line are skipped, and a key may be set once."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise KaesError(f"{path}: {exc}") from None
     out: dict[str, Any] = {}

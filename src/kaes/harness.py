@@ -154,7 +154,7 @@ class ExperimentConfig:
             raise KaesError(f"--vocab-limit must be at least 0, got {self.vocab_limit}")
         if self.vocab_limit is not None and self.vocab_limit >= 2**64:  # a u64 in the model file
             raise KaesError(f"--vocab-limit must be below 2**64, got {self.vocab_limit}")
-        if not 0 <= self.seed < 2**64:  # numpy seeds and the model file need a u64
+        if not 0 <= self.seed < 2**64:  # a u64, as documented
             raise KaesError(f"--seed must be in [0, 2**64), got {self.seed}")
 
     def summary(self) -> str:
@@ -194,7 +194,6 @@ class ResultCell:
 @dataclass
 class ResultTable:
     mode: str
-    representation: str
     meta: str = ""
     cells: list[ResultCell] = field(default_factory=list)
 
@@ -265,7 +264,6 @@ def table_from_csv(data: bytes) -> ResultTable:
     if next(reader, [])[:3] != ["key", "n_t", "representation"]:
         raise KaesError("not a result-table csv (missing header row)")
     cells = []
-    representation = ""
     for row in reader:
         try:
             key, nt, representation, mean, std, runs, failed = row
@@ -283,7 +281,7 @@ def table_from_csv(data: bytes) -> ResultTable:
         except ValueError as exc:
             raise KaesError(f"result table line {reader.line_num}: {exc}") from None
     mode = "cross-domain" if any(c.n_t is not None for c in cells) else "in-domain"
-    return ResultTable(mode=mode, representation=representation, cells=cells)
+    return ResultTable(mode=mode, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,7 @@ def run_in_domain(cfg: ExperimentConfig) -> ResultTable:
     embedded = _embedded(cfg, essays)
     reps = cfg.resolved_repetitions()
 
-    table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
+    table = ResultTable(mode=cfg.mode, meta=cfg.summary())
     for prompt in sorted({e.prompt for e in essays}):
         subset = [e for e in essays if e.prompt == prompt]
         logger.info("prompt %d: %d essays, %d repetitions x %d folds",
@@ -558,7 +556,7 @@ def run_cross_domain(cfg: ExperimentConfig) -> ResultTable:
         return [(cell, rep, (rep, cell), f"rep{rep}", functools.partial(split, n_t, rep))
                 for cell, n_t in enumerate(cfg.nt) for rep in range(reps)]
 
-    table = ResultTable(mode=cfg.mode, representation=cfg.representation, meta=cfg.summary())
+    table = ResultTable(mode=cfg.mode, meta=cfg.summary())
     table.cells += _protocol_cells(cfg, f"{cfg.source}->{cfg.target}", cfg.nt, pair_essays,
                                    splits, ASAP_SCORE_RANGES[cfg.target], embedded)
     return table
@@ -611,7 +609,7 @@ def _protocol_cells(
                                  embedded, embedded)
             model = train_nu_svr(block.take(train_ids, train_ids),
                                  np.array([by_id[eid].unit_score for eid in train_ids]),
-                                 cfg.svr, seed=cfg.seed)
+                                 cfg.svr)
             preds = predict(model, block.take(eval_ids, train_ids))
             report = qwk([unscale_score(p, score_range) for p in preds],
                          [by_id[eid].raw_score for eid in eval_ids], score_range)
@@ -658,7 +656,7 @@ def _result_cell(
 # ---------------------------------------------------------------------------
 # One model: `kaes train` and `kaes predict`
 
-MODEL_MAGIC = b"KAESMD02"
+MODEL_MAGIC = b"KAESMD03"
 
 
 @dataclass
@@ -700,8 +698,7 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     if cfg.representation != "boswe":
         hisk = normalized_hisk_gram(essays, cfg)
     y = np.array([e.unit_score for e in essays])
-    svr = train_nu_svr(kernel_block(ids, ids, hisk, codebook, embedded, embedded), y, cfg.svr,
-                       seed=cfg.seed)
+    svr = train_nu_svr(kernel_block(ids, ids, hisk, codebook, embedded, embedded), y, cfg.svr)
     if embedded is not None:
         digest = _vectors_digest(embedded, svr.support_ids)
     return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max,
@@ -723,30 +720,26 @@ def predict_scores(
     """
     if model.codebook is not None and not embeddings_path:
         raise KaesError(f"representation {model.representation!r} requires --embeddings")
-    svr, support_ids = model.svr, model.svr.support_ids
+    support_ids = model.svr.support_ids
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
-
-    # With no support vectors the block has no columns: each score is the bias.
-    block = KernelMatrix(np.zeros((len(ids), 0)), row_ids=ids, col_ids=())
-    if support_ids:
-        support_embedded = embedded = hisk = None
-        if model.codebook is not None:
-            support_embedded, embedded = _embedded_essays(
-                embeddings_path, model.vocab_limit, zip(support_ids, model.support_texts),
-                [(e.id, e.text) for e in essays])
-            if _vectors_digest(support_embedded, support_ids) != model.vectors_digest:
-                raise KaesError(f"{embeddings_path}: the support essays' tokens have other "
-                                "vectors than the model was trained with")
-        if model.representation != "boswe":
-            texts, n_min, n_max = [e.text for e in essays], model.ngram_min, model.ngram_max
-            hisk = normalize_kernel(
-                kernel_matrix(texts, model.support_texts, row_ids=ids, col_ids=support_ids,
-                              n_min=n_min, n_max=n_max),
-                self_similarities(texts, n_min, n_max),
-                self_similarities(model.support_texts, n_min, n_max))
-        block = kernel_block(ids, support_ids, hisk, model.codebook, embedded, support_embedded)
-    preds = predict(svr, block)
+    support_embedded = embedded = hisk = None
+    if model.codebook is not None:
+        support_embedded, embedded = _embedded_essays(
+            embeddings_path, model.vocab_limit, zip(support_ids, model.support_texts),
+            [(e.id, e.text) for e in essays])
+        if _vectors_digest(support_embedded, support_ids) != model.vectors_digest:
+            raise KaesError(f"{embeddings_path}: the support essays' tokens have other "
+                            "vectors than the model was trained with")
+    if model.representation != "boswe":
+        texts, n_min, n_max = [e.text for e in essays], model.ngram_min, model.ngram_max
+        hisk = normalize_kernel(
+            kernel_matrix(texts, model.support_texts, row_ids=ids, col_ids=support_ids,
+                          n_min=n_min, n_max=n_max),
+            self_similarities(texts, n_min, n_max),
+            self_similarities(model.support_texts, n_min, n_max))
+    block = kernel_block(ids, support_ids, hisk, model.codebook, embedded, support_embedded)
+    preds = predict(model.svr, block)
     return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
             for e, p in zip(essays, preds)]
 
@@ -763,13 +756,13 @@ def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
             write_id(stream, doc_id)
             stream.write(struct.pack("<d", float(coef)))
         stream.write(struct.pack("<dd", svr.bias, svr.epsilon_star))
-        stream.write(struct.pack("<dddQBQQ", config.c, config.nu, config.kkt_tolerance,
-                                 config.max_iterations, svr.converged, svr.seed, svr.iterations))
+        stream.write(struct.pack("<dddQBQ", config.c, config.nu, config.kkt_tolerance,
+                                 config.max_iterations, svr.converged, svr.iterations))
         for text in model.support_texts:
             write_id(stream, text)
         if codebook is not None:
             stream.write(model.vectors_digest)
-            stream.write(struct.pack("<IIQ", codebook.k, codebook.dim, codebook.seed))
+            stream.write(struct.pack("<II", codebook.k, codebook.dim))
             stream.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
 
 
@@ -787,7 +780,7 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
         rows = [(reader.read_id(), reader.read_finite("coefficient")) for _ in range(count)]
         bias, epsilon_star = reader.read_finite("bias"), reader.read_finite("epsilon")
         echo_at = reader.offset
-        c, nu, tol, max_iter, conv, seed, iterations = reader.unpack("<dddQBQQ", "config echo")
+        c, nu, tol, max_iter, conv, iterations = reader.unpack("<dddQBQ", "config echo")
         try:
             config = SvrConfig(c=c, nu=nu, kkt_tolerance=tol, max_iterations=max_iter)
         except KaesError as exc:
@@ -795,13 +788,13 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
         svr = SvrModel(coefficients=np.array([coef for _, coef in rows], dtype=np.float64),
                        bias=bias, epsilon_star=epsilon_star,
                        train_ids=tuple(eid for eid, _ in rows), config=config,
-                       seed=seed, converged=bool(conv), iterations=iterations)
+                       converged=bool(conv), iterations=iterations)
         support_texts = tuple(reader.read_id("support text") for _ in svr.support_ids)
         codebook = digest = None
         if REPRESENTATIONS[code] != "hisk":
             digest = bytes(reader.read(32, "vectors digest"))
             at = reader.offset
-            k, dim, codebook_seed = reader.unpack("<IIQ", "codebook header")
+            k, dim = reader.unpack("<II", "codebook header")
             if k == 0 or dim == 0:
                 raise BinaryFormatError(f"empty codebook: k={k}, dim={dim}", offset=at)
             at = reader.offset
@@ -810,7 +803,7 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
             if bad.size:
                 raise BinaryFormatError(f"centroid value is not finite: {centroids[bad[0]]}",
                                         offset=at + 4 * int(bad[0]))
-            codebook = Codebook(centroids.reshape(k, dim).copy(), codebook_seed)
+            codebook = Codebook(centroids.reshape(k, dim).copy())
         reader.expect_end()
     return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max, vocab_limit or None,
                         codebook, support_texts, digest)

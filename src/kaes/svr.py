@@ -61,7 +61,6 @@ class SvrModel:
     epsilon_star: float
     train_ids: tuple[str, ...]
     config: SvrConfig
-    seed: int
     converged: bool
     iterations: int
 
@@ -116,15 +115,13 @@ def train_nu_svr(
     kernel: KernelMatrix,
     y: np.ndarray,
     config: SvrConfig = SvrConfig(),
-    seed: int = 0,
 ) -> SvrModel:
     """Solve the nu-SVR dual over a precomputed kernel.
 
     Stops when the larger of the two per-block KKT violations drops below
     ``config.kkt_tolerance``, or after ``config.max_iterations`` pair
     updates (the model is then returned with ``converged=False`` and a
-    warning).  The solver itself is deterministic; ``seed`` is only stored
-    in the model.
+    warning).  The solver is deterministic.
     """
     values, cols = _check_square_symmetric(kernel)
     r = values.shape[0]
@@ -223,7 +220,6 @@ def train_nu_svr(
         epsilon_star=-(rho_a + rho_s) / 2.0,
         train_ids=kernel.row_ids,
         config=config,
-        seed=seed,
         converged=converged,
         iterations=iterations,
     )

@@ -26,10 +26,10 @@ from synthesis import save_word2vec_binary
 
 KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a", "bé"),
                       col_ids=("x", "y", "z"))
-CODEBOOK = Codebook(centroids=np.array([[1, 2, 3], [4, -5, 6.5]]), seed=7)
+CODEBOOK = Codebook(centroids=np.array([[1, 2, 3], [4, -5, 6.5]]))
 SVR = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
-               train_ids=("a", "bé"), config=SvrConfig(c=10.0, nu=0.5), seed=3,
-               converged=True, iterations=12)
+               train_ids=("a", "bé"), config=SvrConfig(c=10.0, nu=0.5), converged=True,
+               iterations=12)
 # Both rows are support rows; the second text holds a byte that Windows-1252
 # leaves undefined, which corpus parsing makes a lone surrogate.
 SUPPORT_TEXTS = ("one text", "t\udc81wo")
@@ -50,7 +50,7 @@ def _ids(*ids: str) -> bytes:
 SVR_RECORD = (struct.pack("<I", 2)
               + _ids("a") + struct.pack("<d", 0.5) + _ids("bé") + struct.pack("<d", -0.25)
               + struct.pack("<dd", 0.125, 0.01)
-              + struct.pack("<dddQBQQ", 10.0, 0.5, 1e-3, 10_000_000, 1, 3, 12))
+              + struct.pack("<dddQBQ", 10.0, 0.5, 1e-3, 10_000_000, 1, 12))
 # The support texts: one per nonzero coefficient, in row order, each as an id.
 TEXTS_RECORD = b"\x08\0\0\0one text" + b"\x06\0\0\0t\xed\xb2\x81wo"
 
@@ -60,11 +60,11 @@ FORMATS = {
                b"KAESKM01" + struct.pack("<IIB", 2, 3, 0)
                + np.array(KERNEL.values, dtype="<f8").tobytes() + _ids("a", "bé", "x", "y", "z")),
     "model": (HISK_MODEL, save_model, load_model,
-              b"KAESMD02" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD
+              b"KAESMD03" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD
               + TEXTS_RECORD),
     "fused-model": (FUSED_MODEL, save_model, load_model,
-                    b"KAESMD02" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
-                    + TEXTS_RECORD + DIGEST + struct.pack("<IIQ", 2, 3, 7)
+                    b"KAESMD03" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
+                    + TEXTS_RECORD + DIGEST + struct.pack("<II", 2, 3)
                     + np.array([[1, 2, 3], [4, -5, 6.5]], dtype="<f4").tobytes()),
     "word2vec": (VECTORS, save_word2vec_binary, load_word2vec_binary,
                  b"2 3\ncat " + np.array([1, 2, 3], dtype="<f4").tobytes()
@@ -123,6 +123,13 @@ class TestAtomicWrite:
             save_model(HISK_MODEL, path)
         assert path.read_bytes() == FORMATS["fused-model"][3]
         assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
+
+    def test_error_names_the_target_not_the_temporary_file(self, tmp_path):
+        path = tmp_path / "missing" / "model.bin"
+        with pytest.raises(FileNotFoundError) as info:
+            save_model(HISK_MODEL, path)
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_is_written_in_place(self, tmp_path):
@@ -231,9 +238,13 @@ class TestModelFile:
 
     def test_model_and_codebook_pair_of_earlier_versions_is_rejected(self):
         # The model file that earlier versions wrote beside a `.codebook` file,
-        # and the one-file model that held no support texts and no vectors digest.
+        # the one-file model that held no support texts and no vectors digest,
+        # and the one that stored --seed before the iterations of its config echo.
+        seeded_record = SVR_RECORD[:-8] + struct.pack("<QQ", 3, 12)
         for data in (b"KAESSV01" + SVR_RECORD,
-                     b"KAESMD01" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD):
+                     b"KAESMD01" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD,
+                     b"KAESMD02" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + seeded_record
+                     + TEXTS_RECORD):
             with pytest.raises(BinaryFormatError, match="bad magic") as info:
                 load_model(io.BytesIO(data))
             assert info.value.offset == 0

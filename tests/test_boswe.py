@@ -226,6 +226,7 @@ class TestSeeding:
         points = rng.integers(0, levels, size=(n, dim)).astype(np.float64)
         _check_seeding_against_reference(points, k, seed)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf on purpose
     @settings(deadline=None)
     @given(**_shapes, bad=st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_row_holding_nan_or_inf(self, seed, dim, k, n, bad):
@@ -251,7 +252,7 @@ def _check_against_linear_scan(points: np.ndarray, centroids: np.ndarray) -> Non
 
 class TestAssign:
     def _codebook(self, centroids) -> Codebook:
-        return Codebook(centroids=np.asarray(centroids, dtype=np.float32), seed=0)
+        return Codebook(centroids=np.asarray(centroids, dtype=np.float32))
 
     def test_exact_centroid_match(self):
         rng = np.random.default_rng(1)
@@ -374,7 +375,7 @@ class TestHistograms:
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
     def _fresh(self) -> Codebook:
-        return Codebook(centroids=self.codebook.centroids, seed=self.codebook.seed)
+        return Codebook(centroids=self.codebook.centroids)
 
     def test_other_vectors_give_other_histograms(self):
         # The same tokens, with each vector moved to the other cluster.
@@ -455,7 +456,7 @@ def _random_documents(rng, k: int, docs: int, max_tokens: int):
     arguments, and the documents' histograms as dicts."""
     model = EmbeddingModel(dim=3, vocab={f"w{i}": i for i in range(4 * k)},
                            vectors=rng.normal(size=(4 * k, 3)).astype(np.float32))
-    codebook = Codebook(centroids=rng.normal(size=(k, 3)), seed=0)
+    codebook = Codebook(centroids=rng.normal(size=(k, 3)))
     rows = [rng.integers(0, 4 * k, size=int(rng.integers(0, max_tokens + 1)))
             for _ in range(docs)]
     labels = [nearest_centroid_linear(model.vectors[r], codebook.centroids) for r in rows]
@@ -499,8 +500,7 @@ class TestCodebookIO:
     @staticmethod
     def saved(codebook: Codebook) -> bytes:
         svr = SvrModel(coefficients=np.array([0.5]), bias=0.0, epsilon_star=0.0,
-                       train_ids=("a",), config=SvrConfig(), seed=0, converged=True,
-                       iterations=1)
+                       train_ids=("a",), config=SvrConfig(), converged=True, iterations=1)
         buf = io.BytesIO()
         save_model(ScoringModel(svr, "boswe", 1, 15, None, codebook, ("a",), bytes(32)), buf)
         return buf.getvalue()
@@ -515,17 +515,16 @@ class TestCodebookIO:
             loaded.centroids.view(np.uint32), codebook.centroids.view(np.uint32)
         )
         assert loaded.k == 5
-        assert loaded.seed == 17
         assert loaded.centroids.tobytes() == codebook.centroids.tobytes()
 
     def test_k_is_the_centroid_count(self):
         # A codebook's size cannot disagree with its centroids, so every
         # codebook saves to a model file that loads.
-        codebook = Codebook(centroids=np.arange(12.0).reshape(3, 4), seed=2)
+        codebook = Codebook(centroids=np.arange(12.0).reshape(3, 4))
         assert (codebook.k, codebook.dim) == (3, 4)
         assert load_model(io.BytesIO(self.saved(codebook))).codebook.k == 3
         with pytest.raises(TypeError):
-            Codebook(k=2, centroids=np.zeros((3, 4)), seed=2)
+            Codebook(k=2, centroids=np.zeros((3, 4)))
 
     def test_bad_magic(self):
         with pytest.raises(BinaryFormatError, match="magic"):
@@ -539,8 +538,8 @@ class TestCodebookIO:
 
     @pytest.mark.parametrize("k, dim", [(0, 3), (2, 0)])
     def test_no_centroids_rejected(self, k, dim):
-        data = self.saved(Codebook(centroids=np.zeros((1, 1)), seed=1))
-        at = len(data) - 16 - 4  # the codebook header, then one f32 centroid
+        data = self.saved(Codebook(centroids=np.zeros((1, 1))))
+        at = len(data) - 8 - 4  # the codebook header, then one f32 centroid
         with pytest.raises(BinaryFormatError, match="empty codebook") as info:
-            load_model(io.BytesIO(data[:at] + struct.pack("<IIQ", k, dim, 1)))
+            load_model(io.BytesIO(data[:at] + struct.pack("<II", k, dim)))
         assert info.value.offset == at

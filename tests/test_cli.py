@@ -230,7 +230,7 @@ class TestCommands:
             # flipped: the codebook declares about 2**31 centroids that the
             # file does not hold.
             data = model_path.read_bytes()
-            k_at = len(data) - (16 + model.codebook.k * model.codebook.dim * 4)
+            k_at = len(data) - (8 + model.codebook.k * model.codebook.dim * 4)
             model_path.write_bytes(data[:k_at + 3] + bytes([data[k_at + 3] ^ 0x80])
                                    + data[k_at + 4:])
             code, _, err = run_main(capsys, argv)
@@ -602,7 +602,7 @@ class TestCommands:
         preds = (tmp_path / "preds.tsv").read_bytes()
         assert b"\ncaf\xe9\t1\t" in preds and b"caf\xc3\xa9" not in preds
 
-    @pytest.mark.parametrize("representation", ["hisk", "fused"])
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
     def test_predict_with_no_support_vectors_scores_the_bias(self, workdir, tmp_path, capsys,
                                                             representation):
         # Every prompt-1 essay scores 2, so the model fits a constant: no support vectors.
@@ -624,6 +624,12 @@ class TestCommands:
         expected += [f"{e.id}\t{e.prompt}\t{unscale_score(bias, ASAP_SCORE_RANGES[e.prompt])}"
                      for e in load_essays(data)]
         assert out == "\n".join(expected) + "\n"
+        if representation != "hisk":  # the vectors file is read even with no support essays
+            missing = tmp_path / "missing.bin"
+            code, out, err = run_main(capsys, ["predict", "--data", data, "--embeddings",
+                                               missing, "--model", model_path])
+            assert code == 1 and out == ""
+            assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
     @pytest.mark.parametrize("representation", ["boswe", "fused"])
     def test_predict_without_embeddings_fails_cleanly(self, workdir, tmp_path, capsys,
@@ -665,6 +671,17 @@ class TestCommands:
         code, out, err = run_main(capsys, argv)
         assert code == 1 and out == ""
         assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    @pytest.mark.parametrize("command, name", [("train", "m.bin"), ("eval-indomain", "t.csv")])
+    def test_output_in_a_missing_directory_names_the_output(self, workdir, tmp_path, capsys,
+                                                            command, name):
+        out_path = tmp_path / "nodir" / name
+        extra = ["--repetitions", "1"] if command == "eval-indomain" else []
+        code, _, err = run_main(capsys, [command, "--data", workdir / "data.tsv", "--prompt",
+                                         "1", *extra, "--out", out_path])
+        assert code == 1
+        assert err.endswith(f"error: [Errno 2] No such file or directory: '{out_path}'\n")
+        assert ".tmp" not in err
 
     def test_report_rejects_table_that_is_not_utf8(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

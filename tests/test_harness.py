@@ -570,7 +570,7 @@ class TestVectorsLoad:
 
 class TestReports:
     def test_empty_table_header_only(self):
-        table = ResultTable(mode="in-domain", representation="hisk")
+        table = ResultTable(mode="in-domain")
         text = emit_report(table, "text").decode()
         assert text.splitlines()[0].startswith("key")
         assert len(text.splitlines()) == 1
@@ -580,7 +580,7 @@ class TestReports:
     def test_three_decimal_rounding(self):
         cell = ResultCell(key="1", n_t=None, representation="hisk", mean=0.78499,
                           std=0.0, n_runs=1)
-        table = ResultTable(mode="in-domain", representation="hisk", cells=[cell])
+        table = ResultTable(mode="in-domain", cells=[cell])
         assert b" 0.785 " in emit_report(table, "text")
 
     def test_csv_round_trips_through_generic_reader(self):
@@ -590,7 +590,7 @@ class TestReports:
             ResultCell(key="1->2", n_t=10, representation="fused", mean=0.6, std=0.02,
                        n_runs=5),
         ]
-        table = ResultTable(mode="cross-domain", representation="fused", cells=cells)
+        table = ResultTable(mode="cross-domain", cells=cells)
         raw = emit_report(table, "csv").decode()
         rows = list(csv.reader(io.StringIO(raw)))
         assert rows[0][0] == "key"
@@ -602,13 +602,12 @@ class TestReports:
 
     def test_unknown_format(self):
         with pytest.raises(KaesError):
-            emit_report(ResultTable(mode="in-domain", representation="hisk"), "yaml")
+            emit_report(ResultTable(mode="in-domain"), "yaml")
 
     def test_failed_cell_visible(self):
         cell = ResultCell(key="3", n_t=None, representation="hisk", mean=None, std=None,
                           failed="prepare: boom")
-        out = emit_report(ResultTable(mode="in-domain", representation="hisk",
-                                      cells=[cell]), "text").decode()
+        out = emit_report(ResultTable(mode="in-domain", cells=[cell]), "text").decode()
         assert "boom" in out
 
 
@@ -617,6 +616,18 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nrepresentation=fused\nk = 16\n\nseed=3\n")
         assert _read_config(path) == {"representation": "fused", "k": 16, "seed": 3}
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfdata=x.tsv\nprompt=1\n")
+        assert _read_config(path) == {"data": "x.tsv", "prompt": 1}
+
+    def test_comment_only_where_a_line_starts_with_hash(self, tmp_path):
+        path = tmp_path / "inline.cfg"
+        path.write_text("  # indented comment\nprompt=1  # first\n")
+        with pytest.raises(KaesError, match=f"^{re.escape(str(path))}: line 2: "
+                                            "prompt=1  # first is not a valid int$"):
+            _read_config(path)
 
     def test_key_set_twice(self, tmp_path):
         path = tmp_path / "twice.cfg"

@@ -383,11 +383,15 @@ class TestKernelMatrix:
             for j in range(3):
                 assert k.values[i, j] == naive_hisk(rows[i], cols[j], 1, 3)
 
-    def test_empty_list_error(self):
-        with pytest.raises(KernelMismatchError):
-            kernel_matrix([])
-        with pytest.raises(KernelMismatchError):
-            kernel_matrix(["a"], [])
+    @pytest.mark.parametrize("rows, cols", [([], None), ([], []), (["ab"], []), ([], ["ab"])],
+                             ids=["0x0-square", "0x0", "1x0", "0x1"])
+    def test_empty_side_gives_a_zero_block(self, rows, cols):
+        k = kernel_matrix(rows, cols, n_min=1, n_max=3)
+        shape = (len(rows), len(rows if cols is None else cols))
+        assert k.values.shape == shape and not k.values.any()
+        normalized = normalize_kernel(k, self_similarities(rows, 1, 3),
+                                      self_similarities(rows if cols is None else cols, 1, 3))
+        assert normalized.shape == shape
 
     def test_id_count_mismatch(self):
         with pytest.raises(KernelMismatchError, match="id list"):

@@ -331,7 +331,7 @@ class TestModelIO:
         rng = np.random.default_rng(13)
         kernel, y = random_problem(rng, 15)
         cfg = SvrConfig(c=12.5, nu=0.2, kkt_tolerance=1e-5, max_iterations=123456)
-        model = train_nu_svr(kernel, y, cfg, seed=99)
+        model = train_nu_svr(kernel, y, cfg)
         buf = io.BytesIO()
         save_svr(model, buf)
         loaded = load_svr(io.BytesIO(buf.getvalue()))
@@ -340,7 +340,6 @@ class TestModelIO:
         assert loaded.epsilon_star == model.epsilon_star
         assert loaded.train_ids == model.train_ids
         assert loaded.config == cfg
-        assert loaded.seed == 99
         assert loaded.converged == model.converged
         assert loaded.iterations == model.iterations
 
@@ -366,7 +365,7 @@ class TestModelIO:
         data = buf.getvalue()
         # The config echo, then the support texts (the support ids, see save_svr).
         texts = sum(4 + len(eid.encode()) for eid in model.support_ids)
-        echo_at = len(data) - texts - (8 * 3 + 8 + 1 + 16)
+        echo_at = len(data) - texts - (8 * 3 + 8 + 1 + 8)
         for field, value in ((1, 0.0), (0, -1.0)):  # nu, then c
             at = echo_at + 8 * field
             damaged = data[:at] + struct.pack("<d", value) + data[at + 8:]
