@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import logging
 import sys
 from collections import Counter
@@ -224,30 +225,31 @@ def cmd_kernel(settings: dict[str, Any]) -> int:
 def cmd_train(settings: dict[str, Any]) -> int:
     cfg = _experiment_config(settings)
     out = _require(settings, "out")
-    model = train_model(cfg, load_essays(cfg.data_path, cfg.prompt))
-    save_model(model, out)
+    with open_binary(out, "wb") as stream:
+        essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
+        model = train_model(cfg, essays)
+        save_model(model, stream)
     svr = model.svr
     print(
-        f"model: {len(svr.support_ids)}/{len(svr.train_ids)} support vectors, "
+        f"model: {len(svr.train_ids)}/{len(essays)} support vectors, "
         f"epsilon={svr.epsilon_star:.6f}, converged={svr.converged} -> {out}"
     )
     return 0
 
 
 def cmd_predict(settings: dict[str, Any]) -> int:
-    model = load_model(_require(settings, "model"))
-    given = settings.get("representation", model.representation)
-    if given != model.representation:
-        raise KaesError(f"--representation {given} does not match the model, "
-                        f"which was trained as {model.representation}")
-    essays = load_essays(_require(settings, "data"), settings.get("prompt"))
-    scores = predict_scores(model, essays, settings.get("embeddings"))
-    lines = ["essay_id\tessay_set\tprediction"]
-    lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
-    # Encoded as parse_asap_tsv decodes, so each id is written back as its own bytes.
-    output = ("\n".join(lines) + "\n").encode(_ENCODING, errors="surrogateescape")
     with open_binary(settings.get("out") or sys.stdout.buffer, "wb") as stream:
-        stream.write(output)
+        model = load_model(_require(settings, "model"))
+        given = settings.get("representation", model.representation)
+        if given != model.representation:
+            raise KaesError(f"--representation {given} does not match the model, "
+                            f"which was trained as {model.representation}")
+        essays = load_essays(_require(settings, "data"), settings.get("prompt"))
+        scores = predict_scores(model, essays, settings.get("embeddings"))
+        lines = ["essay_id\tessay_set\tprediction"]
+        lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
+        # Encoded as parse_asap_tsv decodes, so each id is written back as its own bytes.
+        stream.write(("\n".join(lines) + "\n").encode(_ENCODING, errors="surrogateescape"))
     return 0
 
 
@@ -257,11 +259,11 @@ def _write_report(settings: dict[str, Any], table) -> None:
 
 def cmd_eval(settings: dict[str, Any], mode: str) -> int:
     cfg = _experiment_config(settings, mode)
-    table = run_in_domain(cfg) if mode == "in-domain" else run_cross_domain(cfg)
-    _write_report(settings, table)
-    if settings.get("out"):
-        with open_binary(settings["out"], "wb") as stream:
-            stream.write(emit_report(table, "csv"))
+    # Without --out the csv table goes to a buffer that is dropped.
+    with open_binary(settings.get("out") or io.BytesIO(), "wb") as stream:
+        table = run_in_domain(cfg) if mode == "in-domain" else run_cross_domain(cfg)
+        _write_report(settings, table)
+        stream.write(emit_report(table, "csv"))
     return 0
 
 

@@ -23,7 +23,7 @@ import hashlib
 import io
 import logging
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
@@ -47,7 +47,7 @@ from .corpus import (
     unscale_score,
 )
 from .embeddings import DEFAULT_VOCAB_LIMIT, EmbeddingModel, load_word2vec_binary, tokenize
-from .errors import BinaryFormatError, KaesError, check_number
+from .errors import BinaryFormatError, KaesError, KernelMismatchError, check_number
 from .fusion import sum_kernels
 from .metrics import average_qwk, qwk
 from .seeding import CODEBOOK, derive_rng
@@ -656,19 +656,19 @@ def _result_cell(
 # ---------------------------------------------------------------------------
 # One model: `kaes train` and `kaes predict`
 
-MODEL_MAGIC = b"KAESMD03"
+MODEL_MAGIC = b"KAESMD04"
 
 
 @dataclass
 class ScoringModel:
     """A trained scorer and the kernel it was trained on.
 
-    ``codebook`` and ``vectors_digest`` (see :func:`_vectors_digest`) are
-    None exactly for hisk.  The n-gram range is read only by
-    representations with an n-gram kernel, and ``vocab_limit`` (None scans
-    every vector) only by those with a codebook.  ``support_texts`` are the
-    texts of the support essays, in ``svr.support_ids`` order: the columns
-    of every kernel block the model scores with.
+    ``svr`` holds the support essays only, and ``support_texts`` are their
+    texts, one per row in ``svr.train_ids`` order: the columns of every
+    kernel block the model scores with.  ``codebook`` and ``vectors_digest``
+    (see :func:`_vectors_digest`) are None exactly for hisk.  The n-gram
+    range is read only by representations with an n-gram kernel, and
+    ``vocab_limit`` (None scans every vector) only by those with a codebook.
     """
 
     svr: SvrModel
@@ -679,6 +679,11 @@ class ScoringModel:
     codebook: Codebook | None
     support_texts: tuple[str, ...]
     vectors_digest: bytes | None
+
+    def __post_init__(self):
+        if len(self.support_texts) != len(self.svr.train_ids):
+            raise KernelMismatchError(f"{len(self.support_texts)} support texts for "
+                                      f"{len(self.svr.train_ids)} SVR rows")
 
 
 def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
@@ -698,12 +703,14 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     if cfg.representation != "boswe":
         hisk = normalized_hisk_gram(essays, cfg)
     y = np.array([e.unit_score for e in essays])
-    svr = train_nu_svr(kernel_block(ids, ids, hisk, codebook, embedded, embedded), y, cfg.svr)
+    fit = train_nu_svr(kernel_block(ids, ids, hisk, codebook, embedded, embedded), y, cfg.svr)
+    kept = fit.support_mask
+    svr = replace(fit, coefficients=fit.coefficients[kept], train_ids=fit.support_ids)
+    texts = tuple(e.text for e, support in zip(essays, kept) if support)
     if embedded is not None:
-        digest = _vectors_digest(embedded, svr.support_ids)
-    return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max,
-                        cfg.vocab_limit, codebook,
-                        tuple(e.text for e, kept in zip(essays, svr.support_mask) if kept), digest)
+        digest = _vectors_digest(embedded, svr.train_ids)
+    return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max, cfg.vocab_limit,
+                        codebook, texts, digest)
 
 
 def predict_scores(
@@ -720,7 +727,7 @@ def predict_scores(
     """
     if model.codebook is not None and not embeddings_path:
         raise KaesError(f"representation {model.representation!r} requires --embeddings")
-    support_ids = model.svr.support_ids
+    support_ids = model.svr.train_ids
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
     support_embedded = embedded = hisk = None
@@ -746,20 +753,18 @@ def predict_scores(
 
 def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
     """Write ``model`` as one file; the layout is in the README (Binary formats)."""
-    svr, config, codebook = model.svr, model.svr.config, model.codebook
+    svr, codebook = model.svr, model.codebook
     with open_binary(path, "wb") as stream:
         stream.write(MODEL_MAGIC)
         stream.write(struct.pack("<BIIQ", REPRESENTATIONS.index(model.representation),
                                  model.ngram_min, model.ngram_max, model.vocab_limit or 0))
         stream.write(struct.pack("<I", len(svr.train_ids)))
-        for doc_id, coef in zip(svr.train_ids, svr.coefficients):
+        for doc_id, coef, text in zip(svr.train_ids, svr.coefficients, model.support_texts):
             write_id(stream, doc_id)
             stream.write(struct.pack("<d", float(coef)))
-        stream.write(struct.pack("<dd", svr.bias, svr.epsilon_star))
-        stream.write(struct.pack("<dddQBQ", config.c, config.nu, config.kkt_tolerance,
-                                 config.max_iterations, svr.converged, svr.iterations))
-        for text in model.support_texts:
             write_id(stream, text)
+        stream.write(struct.pack("<ddBQ", svr.bias, svr.epsilon_star, svr.converged,
+                                 svr.iterations))
         if codebook is not None:
             stream.write(model.vectors_digest)
             stream.write(struct.pack("<II", codebook.k, codebook.dim))
@@ -777,19 +782,15 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
                                     f"n-gram range [{ngram_min}, {ngram_max}]",
                                     offset=len(MODEL_MAGIC))
         (count,) = reader.unpack("<I", "row count")
-        rows = [(reader.read_id(), reader.read_finite("coefficient")) for _ in range(count)]
+        rows = [(reader.read_id(), reader.read_finite("coefficient"),
+                 reader.read_id("support text")) for _ in range(count)]
         bias, epsilon_star = reader.read_finite("bias"), reader.read_finite("epsilon")
-        echo_at = reader.offset
-        c, nu, tol, max_iter, conv, iterations = reader.unpack("<dddQBQ", "config echo")
-        try:
-            config = SvrConfig(c=c, nu=nu, kkt_tolerance=tol, max_iterations=max_iter)
-        except KaesError as exc:
-            raise BinaryFormatError(f"invalid config echo: {exc}", offset=echo_at) from exc
-        svr = SvrModel(coefficients=np.array([coef for _, coef in rows], dtype=np.float64),
+        converged, iterations = reader.unpack("<BQ", "solver state")
+        svr = SvrModel(coefficients=np.array([row[1] for row in rows], dtype=np.float64),
                        bias=bias, epsilon_star=epsilon_star,
-                       train_ids=tuple(eid for eid, _ in rows), config=config,
-                       converged=bool(conv), iterations=iterations)
-        support_texts = tuple(reader.read_id("support text") for _ in svr.support_ids)
+                       train_ids=tuple(row[0] for row in rows),
+                       converged=bool(converged), iterations=iterations)
+        support_texts = tuple(row[2] for row in rows)
         codebook = digest = None
         if REPRESENTATIONS[code] != "hisk":
             digest = bytes(reader.read(32, "vectors digest"))

@@ -91,6 +91,14 @@ class KernelMatrix:
                             col_ids=tuple(col_ids))
 
 
+def first_divergent(a: Sequence[str], b: Sequence[str]) -> str:
+    """Where two differing id lists first disagree: both ids, or ``<missing>`` past the shorter."""
+    for x, y in zip(a, b):
+        if x != y:
+            return f"{x!r} vs {y!r}"
+    return f"{a[len(b)]!r} vs <missing>" if len(a) > len(b) else f"<missing> vs {b[len(a)]!r}"
+
+
 def self_similarities(texts: Sequence[str], n_min: int, n_max: int) -> np.ndarray:
     """Each text's kernel value with itself: ``sum_n max(len - n + 1, 0)``.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KaesError, KernelMismatchError, check_number
-from .string_kernel import KernelMatrix
+from .string_kernel import KernelMatrix, first_divergent
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ class SvrConfig:
             raise KaesError(f"nu must be in (0, 1], got {self.nu}")
         if not 0 < self.kkt_tolerance < math.inf:
             raise KaesError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
-        if not 0 <= self.max_iterations < 2**64:  # a model file stores it as a u64
+        if not 0 <= self.max_iterations < 2**64:  # a u64, as documented
             raise KaesError(f"max_iterations must be in [0, 2**64), got {self.max_iterations}")
 
 
@@ -60,7 +60,6 @@ class SvrModel:
     bias: float
     epsilon_star: float
     train_ids: tuple[str, ...]
-    config: SvrConfig
     converged: bool
     iterations: int
 
@@ -219,7 +218,6 @@ def train_nu_svr(
         bias=(rho_s - rho_a) / 2.0,
         epsilon_star=-(rho_a + rho_s) / 2.0,
         train_ids=kernel.row_ids,
-        config=config,
         converged=converged,
         iterations=iterations,
     )
@@ -228,20 +226,11 @@ def train_nu_svr(
 def predict(model: SvrModel, kernel: KernelMatrix) -> np.ndarray:
     """Predict unit-scale scores for the rows of a test-by-train kernel block.
 
-    Column ids must match the model's training rows (or exactly its support
-    rows); any misalignment is an error, not a silent reorder.
+    Column ids must be the model's training rows, in order: all rows of a
+    fit, or the support rows of a model that keeps only those.  Any other
+    columns are an error, not a silent reorder.
     """
-    if kernel.col_ids == model.train_ids:
-        coef = model.coefficients
-    elif kernel.col_ids == model.support_ids:
-        coef = model.coefficients[model.support_mask]
-    else:
-        expected = model.train_ids
-        got = kernel.col_ids
-        detail = "column count differs" if len(expected) != len(got) else next(
-            (f"{a!r} vs {b!r}" for a, b in zip(got, expected) if a != b), "unknown"
-        )
-        raise KernelMismatchError(
-            f"kernel columns are not aligned with the model's training rows ({detail})"
-        )
-    return kernel.values @ coef + model.bias
+    if kernel.col_ids != model.train_ids:
+        raise KernelMismatchError("kernel columns are not aligned with the model's training "
+                                  f"rows ({first_divergent(kernel.col_ids, model.train_ids)})")
+    return kernel.values @ model.coefficients + model.bias

@@ -18,20 +18,19 @@ import kaes.harness
 from kaes.binio import Reader, write_id
 from kaes.boswe import Codebook
 from kaes.embeddings import EmbeddingModel, load_word2vec_binary
-from kaes.errors import BinaryFormatError
+from kaes.errors import BinaryFormatError, KernelMismatchError
 from kaes.harness import MODEL_MAGIC, ScoringModel, load_model, save_model
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
-from kaes.svr import SvrConfig, SvrModel
+from kaes.svr import SvrModel
 from synthesis import save_word2vec_binary
 
 KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a", "bé"),
                       col_ids=("x", "y", "z"))
 CODEBOOK = Codebook(centroids=np.array([[1, 2, 3], [4, -5, 6.5]]))
 SVR = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
-               train_ids=("a", "bé"), config=SvrConfig(c=10.0, nu=0.5), converged=True,
-               iterations=12)
-# Both rows are support rows; the second text holds a byte that Windows-1252
-# leaves undefined, which corpus parsing makes a lone surrogate.
+               train_ids=("a", "bé"), converged=True, iterations=12)
+# One text per support row; the second holds a byte that Windows-1252 leaves
+# undefined, which corpus parsing makes a lone surrogate.
 SUPPORT_TEXTS = ("one text", "t\udc81wo")
 DIGEST = bytes(range(32))
 HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, 500_000, None, SUPPORT_TEXTS, None)
@@ -45,14 +44,12 @@ def _ids(*ids: str) -> bytes:
     return b"".join(struct.pack("<I", len(r)) + r for r in raw)
 
 
-# The SVR record of a model file: rows, each id and coefficient, bias and
-# epsilon, then the config echo.
+# The SVR record of a model file: rows, each id, coefficient and support text
+# (written as an id), then bias, epsilon, converged and iterations.
 SVR_RECORD = (struct.pack("<I", 2)
-              + _ids("a") + struct.pack("<d", 0.5) + _ids("bé") + struct.pack("<d", -0.25)
-              + struct.pack("<dd", 0.125, 0.01)
-              + struct.pack("<dddQBQ", 10.0, 0.5, 1e-3, 10_000_000, 1, 12))
-# The support texts: one per nonzero coefficient, in row order, each as an id.
-TEXTS_RECORD = b"\x08\0\0\0one text" + b"\x06\0\0\0t\xed\xb2\x81wo"
+              + _ids("a") + struct.pack("<d", 0.5) + b"\x08\0\0\0one text"
+              + _ids("bé") + struct.pack("<d", -0.25) + b"\x06\0\0\0t\xed\xb2\x81wo"
+              + struct.pack("<ddBQ", 0.125, 0.01, 1, 12))
 
 # name: (object, save, load, its bytes spelled out field by field)
 FORMATS = {
@@ -60,11 +57,10 @@ FORMATS = {
                b"KAESKM01" + struct.pack("<IIB", 2, 3, 0)
                + np.array(KERNEL.values, dtype="<f8").tobytes() + _ids("a", "bé", "x", "y", "z")),
     "model": (HISK_MODEL, save_model, load_model,
-              b"KAESMD03" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD
-              + TEXTS_RECORD),
+              b"KAESMD04" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD),
     "fused-model": (FUSED_MODEL, save_model, load_model,
-                    b"KAESMD03" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
-                    + TEXTS_RECORD + DIGEST + struct.pack("<II", 2, 3)
+                    b"KAESMD04" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
+                    + DIGEST + struct.pack("<II", 2, 3)
                     + np.array([[1, 2, 3], [4, -5, 6.5]], dtype="<f4").tobytes()),
     "word2vec": (VECTORS, save_word2vec_binary, load_word2vec_binary,
                  b"2 3\ncat " + np.array([1, 2, 3], dtype="<f4").tobytes()
@@ -228,7 +224,9 @@ class TestModelFile:
                     loaded.vocab_limit) == (model.representation, model.ngram_min,
                                             model.ngram_max, model.vocab_limit)
             assert np.array_equal(loaded.svr.coefficients, SVR.coefficients)
-            assert loaded.svr.train_ids == SVR.train_ids and loaded.svr.config == SVR.config
+            assert (loaded.svr.bias, loaded.svr.epsilon_star, loaded.svr.train_ids,
+                    loaded.svr.converged, loaded.svr.iterations) == (
+                        SVR.bias, SVR.epsilon_star, SVR.train_ids, SVR.converged, SVR.iterations)
             assert loaded.support_texts == SUPPORT_TEXTS
             assert loaded.vectors_digest == model.vectors_digest
             if model.codebook is None:
@@ -239,15 +237,28 @@ class TestModelFile:
     def test_model_and_codebook_pair_of_earlier_versions_is_rejected(self):
         # The model file that earlier versions wrote beside a `.codebook` file,
         # the one-file model that held no support texts and no vectors digest,
-        # and the one that stored --seed before the iterations of its config echo.
-        seeded_record = SVR_RECORD[:-8] + struct.pack("<QQ", 3, 12)
-        for data in (b"KAESSV01" + SVR_RECORD,
-                     b"KAESMD01" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD,
-                     b"KAESMD02" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + seeded_record
-                     + TEXTS_RECORD):
+        # the one that stored --seed before the iterations of its config echo,
+        # and the one that kept every training row, a config echo and a second
+        # pass of support texts.
+        settings = struct.pack("<BIIQ", 0, 1, 15, 500_000)
+        rows = (struct.pack("<I", 2) + _ids("a") + struct.pack("<d", 0.5) + _ids("bé")
+                + struct.pack("<d", -0.25) + struct.pack("<dd", 0.125, 0.01))
+        echo = struct.pack("<dddQB", 10.0, 0.5, 1e-3, 10_000_000, 1)
+        texts = _ids(*SUPPORT_TEXTS)
+        for data in (b"KAESSV01" + rows + echo + struct.pack("<Q", 12),
+                     b"KAESMD01" + settings + rows + echo + struct.pack("<Q", 12),
+                     b"KAESMD02" + settings + rows + echo + struct.pack("<QQ", 3, 12) + texts,
+                     b"KAESMD03" + settings + rows + echo + struct.pack("<Q", 12) + texts):
             with pytest.raises(BinaryFormatError, match="bad magic") as info:
                 load_model(io.BytesIO(data))
             assert info.value.offset == 0
+
+    @pytest.mark.parametrize("texts", [SUPPORT_TEXTS[:1], SUPPORT_TEXTS + ("three",)],
+                             ids=["one-too-few", "one-too-many"])
+    def test_support_texts_not_one_per_row_are_rejected(self, texts):
+        # save_model would write them misaligned with the row ids.
+        with pytest.raises(KernelMismatchError, match=f"^{len(texts)} support texts for 2 SVR"):
+            ScoringModel(SVR, "hisk", 1, 15, None, None, texts, None)
 
     @pytest.mark.parametrize("settings, reason", [
         (struct.pack("<BIIQ", 3, 1, 15, 0), "representation 3"),
@@ -256,16 +267,16 @@ class TestModelFile:
     ])
     def test_invalid_kernel_settings(self, settings, reason):
         with pytest.raises(BinaryFormatError, match=reason) as info:
-            load_model(io.BytesIO(MODEL_MAGIC + settings + SVR_RECORD + TEXTS_RECORD))
+            load_model(io.BytesIO(MODEL_MAGIC + settings + SVR_RECORD))
         assert info.value.offset == 8
 
     # A number of the fused-model layout that must be finite: its offset (from
     # the end for centroids), format, value there and name in the error.
     @pytest.mark.parametrize("at, fmt, value, what", [
         (34, "<d", 0.5, "coefficient"),
-        (49, "<d", -0.25, "coefficient"),
-        (57, "<d", 0.125, "bias"),
-        (65, "<d", 0.01, "epsilon"),
+        (61, "<d", -0.25, "coefficient"),
+        (79, "<d", 0.125, "bias"),
+        (87, "<d", 0.01, "epsilon"),
         (-24, "<f", 1.0, "centroid value"),
         (-4, "<f", 6.5, "centroid value"),
     ])
@@ -285,4 +296,4 @@ class TestModelFile:
         for data in (FORMATS["model"][3] + b"\0", layout[:8] + b"\0" + layout[9:]):
             with pytest.raises(BinaryFormatError, match="trailing bytes") as info:
                 load_model(io.BytesIO(data))
-            assert info.value.offset == 25 + len(SVR_RECORD) + len(TEXTS_RECORD)
+            assert info.value.offset == 25 + len(SVR_RECORD)

@@ -20,7 +20,7 @@ from kaes.embeddings import EmbeddingModel
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
 from kaes.harness import ScoringModel, load_model, save_model
 from kaes.seeding import KMEANS, derive_rng
-from kaes.svr import SvrConfig, SvrModel
+from kaes.svr import SvrModel
 from oracles import (
     codebook_distortion,
     histogram_dicts,
@@ -500,7 +500,7 @@ class TestCodebookIO:
     @staticmethod
     def saved(codebook: Codebook) -> bytes:
         svr = SvrModel(coefficients=np.array([0.5]), bias=0.0, epsilon_star=0.0,
-                       train_ids=("a",), config=SvrConfig(), converged=True, iterations=1)
+                       train_ids=("a",), converged=True, iterations=1)
         buf = io.BytesIO()
         save_model(ScoringModel(svr, "boswe", 1, 15, None, codebook, ("a",), bytes(32)), buf)
         return buf.getvalue()

@@ -672,16 +672,34 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
-    @pytest.mark.parametrize("command, name", [("train", "m.bin"), ("eval-indomain", "t.csv")])
+    @pytest.mark.parametrize("command, name", [
+        ("train", "m.bin"), ("predict", "p.tsv"), ("eval-indomain", "t.csv"),
+        ("eval-crossdomain", "t.csv"),
+    ])
     def test_output_in_a_missing_directory_names_the_output(self, workdir, tmp_path, capsys,
-                                                            command, name):
+                                                            monkeypatch, command, name):
+        data, model = workdir / "data.tsv", tmp_path / "m.bin"
+        extra = {"train": ["--prompt", "1"], "predict": ["--model", model],
+                 "eval-indomain": ["--prompt", "1", "--repetitions", "1"],
+                 "eval-crossdomain": ["--source", "1", "--target", "2", "--repetitions", "1"],
+                 }[command]
+        if command == "predict":
+            code, _, err = run_main(capsys, ["train", "--data", data, "--prompt", "1",
+                                             "--out", model])
+            assert code == 0, err
+        if command == "eval-crossdomain":
+            data = workdir / "pair.tsv"
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("computed an n-gram Gram matrix")
+
+        # The output is opened before any work, so a bad path fails first.
+        monkeypatch.setattr(kaes.harness, "kernel_matrix", no_gram)
         out_path = tmp_path / "nodir" / name
-        extra = ["--repetitions", "1"] if command == "eval-indomain" else []
-        code, _, err = run_main(capsys, [command, "--data", workdir / "data.tsv", "--prompt",
-                                         "1", *extra, "--out", out_path])
-        assert code == 1
-        assert err.endswith(f"error: [Errno 2] No such file or directory: '{out_path}'\n")
-        assert ".tmp" not in err
+        code, out, err = run_main(capsys, [command, "--data", data, *extra, "--out", out_path])
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_report_rejects_table_that_is_not_utf8(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

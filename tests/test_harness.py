@@ -26,6 +26,7 @@ from kaes.harness import (
     ResultTable,
     emit_report,
     load_essays,
+    load_model,
     predict_scores,
     run_cross_domain,
     run_in_domain,
@@ -446,6 +447,27 @@ class TestAssignOnce:
         assert len(passed) == 1
         test_ids = [e.id for e in essays[:12]]
         assert np.array_equal(passed[0], rows_of_types(test_ids + list(model.svr.support_ids)))
+
+
+class TestScoringModel:
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_loaded_model_predicts_the_same_bytes(self, corpus_dir, monkeypatch,
+                                                  representation):
+        cfg = in_domain_cfg(corpus_dir, representation=representation)
+        essays = load_essays(cfg.data_path, cfg.prompt)
+        model = train_model(cfg, essays[:40])
+        # The model keeps the support essays only, one text per row.
+        assert np.all(model.svr.coefficients != 0.0)
+        assert len(model.support_texts) == len(model.svr.train_ids) > 0
+        buf = io.BytesIO()
+        save_model(model, buf)
+        loaded = load_model(io.BytesIO(buf.getvalue()))
+        raw, predict = [], kaes.harness.predict
+        monkeypatch.setattr(kaes.harness, "predict",
+                            lambda svr, block: raw.append(predict(svr, block)) or raw[-1])
+        scores = [predict_scores(m, essays[40:], cfg.embeddings_path) for m in (model, loaded)]
+        assert scores[0] == scores[1]
+        assert raw[0].tobytes() == raw[1].tobytes()
 
 
 class TestNormalizedBlocks:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import io
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kaes.svr
+from kaes.corpus import parse_asap_tsv
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
-from kaes.harness import ScoringModel, load_model, save_model
+from kaes.harness import ExperimentConfig, ScoringModel, load_model, save_model, train_model
 from kaes.string_kernel import KernelMatrix
 from kaes.svr import (
     SvrConfig,
@@ -19,6 +19,7 @@ from kaes.svr import (
 )
 
 from oracles import dual_objective, smo_reference, solve_nu_svr_qp
+from synthesis import make_corpus_tsv
 
 
 def square_kernel(values, ids=None) -> KernelMatrix:
@@ -139,8 +140,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("cap", [100.0, True, "100", None, -1, 2**64])
     def test_bad_max_iterations(self, cap):
-        # A model file stores the cap as a u64, so a float or bool would
-        # train and then fail to save.
+        # The cap is documented as an integer in [0, 2**64): a float, bool,
+        # string, None or out-of-range integer is rejected.
         with pytest.raises(KaesError, match="max_iterations"):
             SvrConfig(max_iterations=cap)
 
@@ -149,7 +150,7 @@ class TestTraining:
         model = train_nu_svr(square_kernel(np.eye(3) + 0.5), np.array([0.1, 0.5, 0.9]), cfg)
         buf = io.BytesIO()
         save_svr(model, buf)
-        assert load_svr(io.BytesIO(buf.getvalue())).config.max_iterations == 50
+        assert load_svr(io.BytesIO(buf.getvalue())).iterations == model.iterations
 
     def test_epsilon_tube_on_training_rows(self):
         rng = np.random.default_rng(6)
@@ -306,20 +307,34 @@ class TestPredict:
         with pytest.raises(KernelMismatchError, match="not aligned"):
             predict(model, bad)
 
-    def test_support_column_layout_accepted(self):
+    def test_support_only_block_against_a_full_fit_rejected(self):
         rng = np.random.default_rng(12)
         kernel, y, model = self._fit(rng)
         support = model.support_ids
         assert 0 < len(support) < len(model.train_ids)
-        block = kernel.take(kernel.row_ids[:4], support)
-        full_block = kernel.take(kernel.row_ids[:4], model.train_ids)
-        np.testing.assert_allclose(predict(model, block), predict(model, full_block))
+        dropped = next(eid for eid in model.train_ids if eid not in support)
+        with pytest.raises(KernelMismatchError, match=f"{dropped!r}"):
+            predict(model, kernel.take(kernel.row_ids[:4], support))
+
+    @pytest.mark.parametrize("cols, detail", [
+        (("d0", "d1", "x", "d3"), "'x' vs 'd2'"),
+        (("d0", "d1", "d2"), "<missing> vs 'd3'"),
+        (("d0", "d1", "d2", "d3", "d4"), "'d4' vs <missing>"),
+    ])
+    def test_misalignment_names_the_first_differing_id(self, cols, detail):
+        kernel, y = random_problem(np.random.default_rng(14), 4)
+        model = train_nu_svr(kernel, y)
+        block = KernelMatrix(values=np.zeros((1, len(cols))), row_ids=("t",), col_ids=cols)
+        with pytest.raises(KernelMismatchError, match=f"training rows \\({detail}\\)$"):
+            predict(model, block)
 
 
 def save_svr(model, buf) -> None:
-    """Write ``model`` as the SVR record of a hisk model file; the support
-    ids stand in for the support texts."""
-    save_model(ScoringModel(model, "hisk", 1, 15, None, None, model.support_ids, None), buf)
+    """Write the support rows of ``model`` as the SVR record of a hisk model
+    file; the support ids stand in for the support texts."""
+    kept = model.support_mask
+    support = replace(model, coefficients=model.coefficients[kept], train_ids=model.support_ids)
+    save_model(ScoringModel(support, "hisk", 1, 15, None, None, support.train_ids, None), buf)
 
 
 def load_svr(buf):
@@ -328,28 +343,27 @@ def load_svr(buf):
 
 class TestModelIO:
     def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        kernel, y = random_problem(rng, 15)
-        cfg = SvrConfig(c=12.5, nu=0.2, kkt_tolerance=1e-5, max_iterations=123456)
-        model = train_nu_svr(kernel, y, cfg)
+        essays = parse_asap_tsv(make_corpus_tsv(15, seed=13))
+        cfg = ExperimentConfig(mode="in-domain", data_path="unread.tsv", ngram_min=2,
+                               ngram_max=4, svr=SvrConfig(c=12.5, nu=0.2, kkt_tolerance=1e-5,
+                                                          max_iterations=123456))
+        model = train_model(cfg, essays)
+        assert 0 < len(model.svr.train_ids) < len(essays)
         buf = io.BytesIO()
-        save_svr(model, buf)
-        loaded = load_svr(io.BytesIO(buf.getvalue()))
-        assert np.array_equal(loaded.coefficients, model.coefficients)
-        assert loaded.bias == model.bias
-        assert loaded.epsilon_star == model.epsilon_star
-        assert loaded.train_ids == model.train_ids
-        assert loaded.config == cfg
-        assert loaded.converged == model.converged
-        assert loaded.iterations == model.iterations
+        save_model(model, buf)
+        loaded = load_model(io.BytesIO(buf.getvalue()))
+        saved, back = vars(model.svr).copy(), vars(loaded.svr).copy()
+        assert back.pop("coefficients").tobytes() == saved.pop("coefficients").tobytes()
+        assert back == saved
+        assert {**vars(loaded), "svr": None} == {**vars(model), "svr": None}
 
     def test_malformed_files_raise_binary_format_error_with_offset(self):
-        kernel = square_kernel(np.eye(3) + 0.5, ids=("a", "bb", "c"))
+        kernel = square_kernel(np.eye(3) + 0.5, ids=("a", "b", "cc"))
         model = train_nu_svr(kernel, np.array([0.1, 0.5, 0.9]))
         buf = io.BytesIO()
         save_svr(model, buf)
         data = buf.getvalue()
-        id_at = data.index(b"\x02\x00\x00\x00bb") + 4
+        id_at = data.index(b"\x02\x00\x00\x00cc") + 4  # the id, before its text
         cases = [(data[:n], n) for n in range(len(data))]
         cases.append((data[:id_at] + b"\xff\xfe" + data[id_at + 2:], id_at))
         for case, at in cases:
@@ -357,18 +371,3 @@ class TestModelIO:
                 load_svr(io.BytesIO(case))
             assert info.value.offset is not None and 0 <= info.value.offset <= at
         assert info.value.offset == id_at
-
-    def test_out_of_range_config_echo_is_a_format_error_at_its_offset(self):
-        model = train_nu_svr(square_kernel(np.eye(3) + 0.5), np.array([0.1, 0.5, 0.9]))
-        buf = io.BytesIO()
-        save_svr(model, buf)
-        data = buf.getvalue()
-        # The config echo, then the support texts (the support ids, see save_svr).
-        texts = sum(4 + len(eid.encode()) for eid in model.support_ids)
-        echo_at = len(data) - texts - (8 * 3 + 8 + 1 + 8)
-        for field, value in ((1, 0.0), (0, -1.0)):  # nu, then c
-            at = echo_at + 8 * field
-            damaged = data[:at] + struct.pack("<d", value) + data[at + 8:]
-            with pytest.raises(BinaryFormatError, match="config echo") as info:
-                load_svr(io.BytesIO(damaged))
-            assert info.value.offset == echo_at
