@@ -7,18 +7,23 @@ seeding and histogram intersections by the elementwise formulas, the nu-SVR
 dual solved by projected gradient with an accelerated first-order method
 run to a tight fixed-point tolerance, the SMO loop of that dual as first
 written (the bit-for-bit reference of the solver), and explicit feature
-rows whose inner products are the linear kernel, and a word2vec loader that
-finds each record's fields in the whole byte string.
+rows whose inner products are the linear kernel, a word2vec loader that
+finds each record's fields in the whole byte string, and the in-domain
+protocol rebuilt from these pieces.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
-from kaes.embeddings import _MAX_DIM, DEFAULT_VOCAB_LIMIT, EmbeddingModel
+from kaes.boswe import Codebook, fit_codebook
+from kaes.corpus import ASAP_SCORE_RANGES, Essay, make_folds
+from kaes.embeddings import _MAX_DIM, DEFAULT_VOCAB_LIMIT, EmbeddingModel, tokenize
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
+from kaes.seeding import CODEBOOK, derive_rng
 from kaes.string_kernel import KernelMatrix, normalize_text
 
 
@@ -428,3 +433,116 @@ def load_word2vec_reference(
             rows.append(np.frombuffer(vector, dtype="<f4"))
     vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
     return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)
+
+
+@dataclass(frozen=True)
+class ReferenceSplit:
+    """One split as :func:`reference_split` computes it.
+
+    ``points``, ``seed`` and ``codebook`` are None for hisk; ``fit`` is what
+    :func:`smo_reference` returns for ``train_block`` and ``y``.
+    """
+
+    train_ids: tuple[str, ...]
+    eval_ids: tuple[str, ...]
+    points: np.ndarray | None
+    seed: int | None
+    codebook: Codebook | None
+    train_block: np.ndarray
+    eval_block: np.ndarray
+    y: np.ndarray
+    fit: tuple
+
+
+def reference_split(
+    cfg, by_id: dict[str, Essay], vectors: EmbeddingModel, seed: int | None,
+    train_ids: Sequence[str], eval_ids: Sequence[str], memo: dict | None = None,
+) -> ReferenceSplit:
+    """Fit one split of ``cfg.representation`` from the references above.
+
+    The codebook's points are the vectors of the training essays'
+    in-vocabulary token types in sorted token order.  It is fitted with the
+    package's ``fit_codebook``: its Lloyd step sums each cluster with
+    ``np.add.reduceat``, which neither a row loop nor a masked sum matches
+    bit for bit.  Each essay's labels are those of its in-vocabulary tokens
+    by :func:`nearest_centroid_linear`, its histogram is
+    :func:`histogram_dicts`' and the block :func:`hik_reference`'s.  The
+    n-gram block is :func:`naive_hisk` over the square root of the two
+    self-similarities; ``memo`` keeps the pair values across splits.  Fused
+    adds the two.  ``cfg`` supplies the settings (an ``ExperimentConfig``).
+    """
+    train_ids, eval_ids = tuple(train_ids), tuple(eval_ids)
+    rows = train_ids + eval_ids
+    memo = {} if memo is None else memo
+
+    def hisk(x: str, y: str) -> int:
+        if (x, y) not in memo:
+            memo[x, y] = memo[y, x] = naive_hisk(x, y, cfg.ngram_min, cfg.ngram_max)
+        return memo[x, y]
+
+    blocks = []
+    if cfg.representation != "boswe":
+        text = {eid: by_id[eid].text for eid in rows}
+        blocks.append(np.array(
+            [[hisk(text[a], text[b]) / math.sqrt(hisk(text[a], text[a]) * hisk(text[b], text[b]))
+              for b in train_ids] for a in rows], dtype=np.float64))
+    points = codebook = None
+    if cfg.representation != "hisk":
+        tokens = {eid: [t for t in tokenize(by_id[eid].text) if t in vectors.vocab] for eid in rows}
+        types = sorted({t for eid in train_ids for t in tokens[eid]})
+        points = vectors.vectors[[vectors.vocab[t] for t in types]]
+        codebook = fit_codebook(points, k=cfg.k, seed=seed, max_iters=cfg.kmeans_iters)
+        labels = [nearest_centroid_linear(
+            vectors.vectors[[vectors.vocab[t] for t in tokens[eid]]].reshape(-1, vectors.dim),
+            codebook.centroids) for eid in rows]
+        histograms = histogram_dicts(labels)
+        blocks.append(hik_reference(histograms, histograms[:len(train_ids)]))
+    block = blocks[0] if len(blocks) == 1 else blocks[0] + blocks[1]
+    train_block, eval_block = block[:len(train_ids)], block[len(train_ids):]
+    y = np.array([by_id[eid].unit_score for eid in train_ids])
+    svr = cfg.svr
+    fit = smo_reference(train_block, y, svr.c, svr.nu, svr.kkt_tolerance, svr.max_iterations)
+    return ReferenceSplit(train_ids, eval_ids, points, None if points is None else seed,
+                          codebook, train_block, eval_block, y, fit)
+
+
+def reference_kappa(split: ReferenceSplit, by_id: dict[str, Essay], prompt: int) -> float:
+    """QWK of a split's eval essays: each scored by its kernel row, one
+    product at a time, unscaled half-up and clamped to the prompt's range."""
+    score_range = ASAP_SCORE_RANGES[prompt]
+    coefficients, bias = split.fit[0], split.fit[1]
+    predictions = []
+    for row in split.eval_block:
+        unit = bias
+        for value, coefficient in zip(row, coefficients):
+            unit += value * coefficient
+        raw = math.floor(unit * (score_range.max - score_range.min) + score_range.min + 0.5)
+        predictions.append(min(max(raw, score_range.min), score_range.max))
+    gold = [by_id[eid].raw_score for eid in split.eval_ids]
+    return qwk_direct(predictions, gold, score_range.min, score_range.max)
+
+
+def reference_in_domain(
+    cfg, essays: Sequence[Essay], vectors: EmbeddingModel
+) -> list[tuple[ReferenceSplit, float]]:
+    """Every split of the in-domain protocol, with its kappa, in report order.
+
+    Blank essays (nothing left once normalized) are dropped.  Per prompt,
+    ascending, the splits come from ``make_folds`` over its essays,
+    repetition by repetition and fold by fold; each split's codebook seed
+    is drawn from ``derive_rng(cfg.seed, CODEBOOK, rep, fold)``.
+    ``cfg.repetitions`` must be set.
+    """
+    essays = [e for e in essays if normalize_text(e.text)]
+    by_id = {e.id: e for e in essays}
+    reps, memo, out = cfg.repetitions, {}, []
+    for prompt in sorted({e.prompt for e in essays}):
+        plan = make_folds([e for e in essays if e.prompt == prompt], fold_count=cfg.folds,
+                          repetitions=reps, seed=cfg.seed)
+        for rep in range(reps):
+            for fold in range(cfg.folds):
+                seed = int(derive_rng(cfg.seed, CODEBOOK, rep, fold).integers(0, 2**31 - 1))
+                split = reference_split(cfg, by_id, vectors, seed, *plan.split_ids(rep, fold),
+                                        memo=memo)
+                out.append((split, reference_kappa(split, by_id, prompt)))
+    return out

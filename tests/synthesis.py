@@ -32,8 +32,13 @@ FILLER_WORDS = [
 KEYWORD = "omega"
 
 
-def make_corpus_tsv(n_essays: int, seed: int, prompts: tuple[int, ...] = (1,)) -> bytes:
-    """Essays whose raw score is min-clipped keyword count mapped into range."""
+def make_corpus_tsv(
+    n_essays: int, seed: int, prompts: tuple[int, ...] = (1,), filler: tuple[int, int] = (25, 50)
+) -> bytes:
+    """Essays whose raw score is min-clipped keyword count mapped into range.
+
+    Each essay holds ``filler[0]`` to ``filler[1] - 1`` filler words.
+    """
     rng = np.random.default_rng(seed)
     lines = ["essay_id\tessay_set\tessay\tdomain1_score"]
     essay_id = 1
@@ -42,7 +47,7 @@ def make_corpus_tsv(n_essays: int, seed: int, prompts: tuple[int, ...] = (1,)) -
         span = min(10, score_range.width)
         for _ in range(n_essays):
             count = int(rng.integers(0, span + 1))
-            n_filler = int(rng.integers(25, 50))
+            n_filler = int(rng.integers(*filler))
             words = list(rng.choice(FILLER_WORDS, size=n_filler)) + [KEYWORD] * count
             rng.shuffle(words)
             raw = min(score_range.min + count, score_range.max)

@@ -35,6 +35,7 @@ from kaes.harness import (
     train_model,
 )
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
+from oracles import load_word2vec_reference, reference_in_domain, reference_split
 from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
 
 
@@ -550,6 +551,110 @@ class TestProtocolDigests:
         run = run_in_domain if mode == "in-domain" else run_cross_domain
         assert [protocol_digest(run(cfg)) for _ in ("cold", "warm")] == [digest] * 2
         assert any(tmp_path.glob("hisk_*.km")) == (representation != "boswe")
+
+
+class TestReferenceProtocol:
+    """The in-domain protocol and ``train_model`` against the brute-force
+    re-derivation in ``oracles.reference_in_domain``: codebook points and
+    seeds, kernel blocks and fits bit for bit, kappas to 1e-12."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        """Short essays (the n-gram oracle rescans strings) and one blank one."""
+        tmp = tmp_path_factory.mktemp("reference")
+        lines = make_corpus_tsv(14, seed=4, prompts=(3,), filler=(3, 7)).decode().splitlines()
+        (tmp / "data.tsv").write_text("\n".join(lines[:6] + ["99\t3\t  \t2"] + lines[6:]) + "\n")
+        (tmp / "emb.bin").write_bytes(make_embeddings_bytes(decoys=5))
+        return tmp, load_word2vec_reference((tmp / "emb.bin").read_bytes())
+
+    @staticmethod
+    def cfg(tmp, representation) -> ExperimentConfig:
+        return ExperimentConfig(mode="in-domain", representation=representation,
+                                data_path=str(tmp / "data.tsv"),
+                                embeddings_path=str(tmp / "emb.bin"),
+                                ngram_min=1, ngram_max=4, k=4, repetitions=2, seed=9)
+
+    @staticmethod
+    def record(monkeypatch) -> dict[str, list]:
+        """The fast path's codebook inputs, fits and prediction blocks, in call order."""
+        calls = {"codebooks": [], "fits": [], "predicts": []}
+        fit_codebook, train_nu_svr = kaes.harness.fit_codebook, kaes.harness.train_nu_svr
+        predict = kaes.harness.predict
+
+        def codebook(vectors, k, seed, max_iters):
+            calls["codebooks"].append((np.array(vectors), seed))
+            return fit_codebook(vectors, k=k, seed=seed, max_iters=max_iters)
+
+        def fit(kernel, y, config):
+            calls["fits"].append((kernel, np.array(y), train_nu_svr(kernel, y, config)))
+            return calls["fits"][-1][-1]
+
+        def scores(model, kernel):
+            calls["predicts"].append(kernel)
+            return predict(model, kernel)
+
+        monkeypatch.setattr(kaes.harness, "fit_codebook", codebook)
+        monkeypatch.setattr(kaes.harness, "train_nu_svr", fit)
+        monkeypatch.setattr(kaes.harness, "predict", scores)
+        return calls
+
+    @staticmethod
+    def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+        return a.shape == b.shape and np.ascontiguousarray(a, "<f8").tobytes() == (
+            np.ascontiguousarray(b, "<f8").tobytes())
+
+    def check_fit(self, recorded, split):
+        kernel, y, model = recorded
+        assert kernel.row_ids == kernel.col_ids == split.train_ids
+        assert self.same_bits(kernel.values, split.train_block)
+        assert self.same_bits(y, split.y)
+        coefficients, bias, epsilon_star, iterations, converged = split.fit
+        assert self.same_bits(model.coefficients, coefficients)
+        assert (model.bias, model.epsilon_star, model.iterations, model.converged) == (
+            bias, epsilon_star, iterations, converged)
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_in_domain_splits(self, setup, monkeypatch, representation):
+        tmp, vectors = setup
+        cfg = self.cfg(tmp, representation)
+        calls = self.record(monkeypatch)
+        (cell,) = run_in_domain(cfg).cells
+        reference = reference_in_domain(cfg, load_essays(cfg.data_path), vectors)
+        assert cell.failed is None and len(reference) == cell.n_runs == 10
+        assert [len(calls[name]) for name in ("fits", "predicts")] == [10, 10]
+        assert len(calls["codebooks"]) == (0 if representation == "hisk" else 10)
+        for s, (split, kappa) in enumerate(reference):
+            assert "99" not in split.train_ids + split.eval_ids
+            if split.codebook is not None:
+                points, seed = calls["codebooks"][s]
+                assert self.same_bits(points, split.points) and seed == split.seed
+            self.check_fit(calls["fits"][s], split)
+            block = calls["predicts"][s]
+            assert (block.row_ids, block.col_ids) == (split.eval_ids, split.train_ids)
+            assert self.same_bits(block.values, split.eval_block)
+            assert cell.values[s] == pytest.approx(kappa, abs=1e-12)
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_train_model(self, setup, monkeypatch, representation):
+        tmp, vectors = setup
+        cfg = self.cfg(tmp, representation)
+        essays = load_essays(cfg.data_path)
+        calls = self.record(monkeypatch)
+        model = train_model(cfg, essays)
+        by_id = {e.id: e for e in essays if e.id != "99"}
+        split = reference_split(cfg, by_id, vectors, cfg.seed, tuple(by_id), ())
+        (fit,) = calls["fits"]
+        self.check_fit(fit, split)
+        kept = split.fit[0] != 0.0
+        assert model.svr.train_ids == tuple(np.array(split.train_ids)[kept])
+        assert self.same_bits(model.svr.coefficients, split.fit[0][kept])
+        assert model.svr.bias == split.fit[1]
+        assert model.support_texts == tuple(by_id[eid].text for eid in model.svr.train_ids)
+        if split.codebook is None:
+            assert model.codebook is None
+        else:
+            assert self.same_bits(calls["codebooks"][0][0], split.points)
+            assert np.array_equal(model.codebook.centroids, split.codebook.centroids)
 
 
 class TestVectorsLoad:
