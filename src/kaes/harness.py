@@ -250,7 +250,7 @@ def emit_report(table: ResultTable, format: str = "text") -> bytes:
     if table.mode == "in-domain" and len(cells) > 1:
         lines.append(
             f"{'overall':<12} {'-':>5} {_fmt(table.overall(), 3):>7} {'-':>8} "
-            f"{len(cells):>5}".rstrip()
+            f"{sum(c.mean is not None for c in cells):>5}".rstrip()
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -457,21 +457,6 @@ def _vectors_digest(embedded: _Embedded, ids: Sequence[str]) -> bytes:
     return digest.digest()
 
 
-def _fold_codebook(
-    embedded: _Embedded, train_ids: Sequence[str], cfg: ExperimentConfig, seed: int
-) -> Codebook:
-    """Fit a codebook on the embedded token types found in the training docs.
-
-    The points are the types' vectors in sorted token order.
-    """
-    rows = _type_rows(embedded, train_ids)
-    if not rows.size:
-        raise KaesError("no embedded tokens in the training documents")
-    return fit_codebook(
-        embedded.model.vectors[rows], k=cfg.k, seed=seed, max_iters=cfg.kmeans_iters
-    )
-
-
 def kernel_block(
     row_ids: tuple[str, ...],
     col_ids: tuple[str, ...],
@@ -495,6 +480,30 @@ def kernel_block(
             [row_tokens.rows[eid] for eid in row_ids], [col_tokens.rows[eid] for eid in col_ids],
             codebook, row_tokens.model.vectors, row_ids, col_ids))
     return sum_kernels(*blocks) if len(blocks) == 2 else blocks[0]
+
+
+def _fit_split(
+    cfg: ExperimentConfig, by_id: dict[str, Essay], hisk: KernelMatrix | None,
+    embedded: _Embedded | None, seed: int, train_ids: tuple[str, ...], eval_ids: tuple[str, ...],
+) -> tuple[Codebook | None, SvrModel, np.ndarray]:
+    """Fit one split: its codebook, its nu-SVR and its eval essays' predictions.
+
+    When ``embedded`` is given, the codebook is fitted with ``seed`` on the
+    vectors of the training essays' embedded token types, in sorted token
+    order.  One (train + eval) x train kernel block serves the fit (its train
+    rows) and the predictions (its eval rows).
+    """
+    codebook = None
+    if embedded is not None:
+        rows = _type_rows(embedded, train_ids)
+        if not rows.size:
+            raise KaesError("no embedded tokens in the training documents")
+        codebook = fit_codebook(embedded.model.vectors[rows], k=cfg.k, seed=seed,
+                                max_iters=cfg.kmeans_iters)
+    block = kernel_block(train_ids + eval_ids, train_ids, hisk, codebook, embedded, embedded)
+    svr = train_nu_svr(block.take(train_ids, train_ids),
+                       np.array([by_id[eid].unit_score for eid in train_ids]), cfg.svr)
+    return codebook, svr, predict(svr, block.take(eval_ids, train_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +609,8 @@ def _protocol_cells(
             train_ids, eval_ids = ids()
             logger.debug("%s n_t=%s %s: train=%d eval=%d",
                          what, n_ts[cell], where, len(train_ids), len(eval_ids))
-            codebook = None
-            if embedded is not None:
-                seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
-                codebook = _fold_codebook(embedded, train_ids, cfg, seed)
-            # One (train + eval) x train block; its rows split into the two.
-            block = kernel_block(train_ids + eval_ids, train_ids, hisk_gram, codebook,
-                                 embedded, embedded)
-            model = train_nu_svr(block.take(train_ids, train_ids),
-                                 np.array([by_id[eid].unit_score for eid in train_ids]),
-                                 cfg.svr)
-            preds = predict(model, block.take(eval_ids, train_ids))
+            seed = int(derive_rng(cfg.seed, CODEBOOK, *tags).integers(0, 2**31 - 1))
+            _, _, preds = _fit_split(cfg, by_id, hisk_gram, embedded, seed, train_ids, eval_ids)
             report = qwk([unscale_score(p, score_range) for p in preds],
                          [by_id[eid].raw_score for eid in eval_ids], score_range)
             logger.debug("split report: %s", report.to_text())
@@ -689,26 +689,23 @@ class ScoringModel:
 def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     """A nu-SVR scorer over the ``cfg.representation`` kernel of ``essays``.
 
-    Blank essays are dropped with a warning, as the protocols drop them.
-    The vectors are read and the codebook fitted before the n-gram Gram, so
-    that a bad vectors file fails before the costly step.
+    Blank essays are dropped with a warning, as the protocols drop them;
+    two essays with one id are an error.  The model is one split with every
+    essay in training and none to score.  The vectors are read before the
+    n-gram Gram, so that a bad vectors file fails before the costly step;
+    the codebook is fitted after it.
     """
     cfg.validate()
     essays = without_blank(essays)
-    ids = tuple(e.id for e in essays)
+    by_id = {e.id: e for e in essays}
+    if len(by_id) != len(essays):  # a model row is keyed by its essay's id
+        raise KaesError("duplicate essay ids in the training essays")
     embedded = _embedded(cfg, essays)
-    codebook = hisk = digest = None
-    if embedded is not None:
-        codebook = _fold_codebook(embedded, ids, cfg, cfg.seed)
-    if cfg.representation != "boswe":
-        hisk = normalized_hisk_gram(essays, cfg)
-    y = np.array([e.unit_score for e in essays])
-    fit = train_nu_svr(kernel_block(ids, ids, hisk, codebook, embedded, embedded), y, cfg.svr)
-    kept = fit.support_mask
-    svr = replace(fit, coefficients=fit.coefficients[kept], train_ids=fit.support_ids)
-    texts = tuple(e.text for e, support in zip(essays, kept) if support)
-    if embedded is not None:
-        digest = _vectors_digest(embedded, svr.train_ids)
+    hisk = normalized_hisk_gram(essays, cfg) if cfg.representation != "boswe" else None
+    codebook, fit, _ = _fit_split(cfg, by_id, hisk, embedded, cfg.seed, tuple(by_id), ())
+    svr = replace(fit, coefficients=fit.coefficients[fit.support_mask], train_ids=fit.support_ids)
+    texts = tuple(by_id[eid].text for eid in svr.train_ids)
+    digest = None if embedded is None else _vectors_digest(embedded, svr.train_ids)
     return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max, cfg.vocab_limit,
                         codebook, texts, digest)
 

@@ -8,8 +8,9 @@ dual solved by projected gradient with an accelerated first-order method
 run to a tight fixed-point tolerance, the SMO loop of that dual as first
 written (the bit-for-bit reference of the solver), and explicit feature
 rows whose inner products are the linear kernel, a word2vec loader that
-finds each record's fields in the whole byte string, and the in-domain
-protocol rebuilt from these pieces.
+finds each record's fields in the whole byte string.  The in-domain
+protocol and ``train_model`` are rebuilt from these pieces; only the fold
+plan, the seed streams, the tokenizer and k-means come from the package.
 """
 from __future__ import annotations
 
@@ -439,14 +440,14 @@ def load_word2vec_reference(
 class ReferenceSplit:
     """One split as :func:`reference_split` computes it.
 
-    ``points``, ``seed`` and ``codebook`` are None for hisk; ``fit`` is what
+    ``points`` and ``codebook`` are None for hisk; ``fit`` is what
     :func:`smo_reference` returns for ``train_block`` and ``y``.
     """
 
     train_ids: tuple[str, ...]
     eval_ids: tuple[str, ...]
     points: np.ndarray | None
-    seed: int | None
+    seed: int
     codebook: Codebook | None
     train_block: np.ndarray
     eval_block: np.ndarray
@@ -455,7 +456,7 @@ class ReferenceSplit:
 
 
 def reference_split(
-    cfg, by_id: dict[str, Essay], vectors: EmbeddingModel, seed: int | None,
+    cfg, by_id: dict[str, Essay], vectors: EmbeddingModel, seed: int,
     train_ids: Sequence[str], eval_ids: Sequence[str], memo: dict | None = None,
 ) -> ReferenceSplit:
     """Fit one split of ``cfg.representation`` from the references above.
@@ -502,8 +503,8 @@ def reference_split(
     y = np.array([by_id[eid].unit_score for eid in train_ids])
     svr = cfg.svr
     fit = smo_reference(train_block, y, svr.c, svr.nu, svr.kkt_tolerance, svr.max_iterations)
-    return ReferenceSplit(train_ids, eval_ids, points, None if points is None else seed,
-                          codebook, train_block, eval_block, y, fit)
+    return ReferenceSplit(train_ids, eval_ids, points, seed, codebook, train_block, eval_block,
+                          y, fit)
 
 
 def reference_kappa(split: ReferenceSplit, by_id: dict[str, Essay], prompt: int) -> float:
@@ -520,6 +521,13 @@ def reference_kappa(split: ReferenceSplit, by_id: dict[str, Essay], prompt: int)
         predictions.append(min(max(raw, score_range.min), score_range.max))
     gold = [by_id[eid].raw_score for eid in split.eval_ids]
     return qwk_direct(predictions, gold, score_range.min, score_range.max)
+
+
+def reference_train(cfg, essays: Sequence[Essay], vectors: EmbeddingModel) -> ReferenceSplit:
+    """``train_model``'s one split: every essay but the blank ones in
+    training, none to score, the codebook fitted with ``cfg.seed``."""
+    by_id = {e.id: e for e in essays if normalize_text(e.text)}
+    return reference_split(cfg, by_id, vectors, cfg.seed, tuple(by_id), ())
 
 
 def reference_in_domain(

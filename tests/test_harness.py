@@ -35,7 +35,7 @@ from kaes.harness import (
     train_model,
 )
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
-from oracles import load_word2vec_reference, reference_in_domain, reference_split
+from oracles import load_word2vec_reference, reference_in_domain, reference_train
 from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
 
 
@@ -80,23 +80,16 @@ def cross_domain_cfg(corpus_dir, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
-def record_cells(monkeypatch) -> tuple[list, list]:
-    """Record each cell's (train ids, eval ids) and the ids each codebook is fitted on."""
-    cells, codebooks = [], []
-    kernel_block, fold_codebook = kaes.harness.kernel_block, kaes.harness._fold_codebook
+def record_cells(monkeypatch) -> list:
+    """Record each split's (train ids, eval ids) as passed to ``_fit_split``."""
+    cells, fit_split = [], kaes.harness._fit_split
 
-    def blocks(row_ids, col_ids, *args):
-        # A cell asks for one (train + eval) x train block.
-        cells.append((col_ids, row_ids[len(col_ids):]))
-        return kernel_block(row_ids, col_ids, *args)
+    def record(cfg, by_id, hisk, embedded, seed, train_ids, eval_ids):
+        cells.append((train_ids, eval_ids))
+        return fit_split(cfg, by_id, hisk, embedded, seed, train_ids, eval_ids)
 
-    def codebook(embedded, train_ids, *args):
-        codebooks.append(tuple(train_ids))
-        return fold_codebook(embedded, train_ids, *args)
-
-    monkeypatch.setattr(kaes.harness, "kernel_block", blocks)
-    monkeypatch.setattr(kaes.harness, "_fold_codebook", codebook)
-    return cells, codebooks
+    monkeypatch.setattr(kaes.harness, "_fit_split", record)
+    return cells
 
 
 class TestInDomain:
@@ -216,17 +209,27 @@ class TestInDomain:
         assert list(cache.iterdir()) == left  # no temporary file is left
 
     def test_isolation_audit(self, corpus_dir, monkeypatch):
-        cells, codebooks = record_cells(monkeypatch)
-        table = run_in_domain(in_domain_cfg(corpus_dir))
+        cells, points, fit_codebook = record_cells(monkeypatch), [], kaes.harness.fit_codebook
+
+        def fit(vectors, **settings):
+            points.append(vectors)
+            return fit_codebook(vectors, **settings)
+
+        monkeypatch.setattr(kaes.harness, "fit_codebook", fit)
+        cfg = in_domain_cfg(corpus_dir)
+        table = run_in_domain(cfg)
         assert table.cells[0].failed is None
-        assert len(cells) == len(codebooks) == 5
-        all_ids = {e.id for e in parse_asap_tsv((corpus_dir / "prompt1.tsv").read_bytes())}
+        assert len(cells) == len(points) == 5
+        essays = parse_asap_tsv((corpus_dir / "prompt1.tsv").read_bytes())
+        all_ids, text = {e.id for e in essays}, {e.id: e.text for e in essays}
+        vectors = load_word2vec_binary(cfg.embeddings_path)
         assert set().union(*(evaluation for _, evaluation in cells)) == all_ids
-        for (train, evaluation), fitted in zip(cells, codebooks):
+        for (train, evaluation), fitted in zip(cells, points):
             assert set(train).isdisjoint(evaluation)
             assert set(train) | set(evaluation) == all_ids
-            # Each fold's codebook sees its training essays and no other.
-            assert fitted == train
+            # Each fold's codebook sees its training essays' types and no other.
+            types = sorted({t for eid in train for t in tokenize(text[eid]) if t in vectors.vocab})
+            assert np.array_equal(fitted, vectors.vectors[[vectors.vocab[t] for t in types]])
 
     def test_failed_cells_recorded_not_raised(self, corpus_dir):
         # k larger than the number of embedded token types: every fold fails,
@@ -304,7 +307,7 @@ class TestCrossDomain:
         assert cell.n_runs == 5
 
     def test_training_size_is_source_plus_nt(self, corpus_dir, monkeypatch):
-        cells, _ = record_cells(monkeypatch)
+        cells = record_cells(monkeypatch)
         cfg = cross_domain_cfg(corpus_dir)
         table = run_cross_domain(cfg)
         assert [c.n_t for c in table.cells] == [0, 10]
@@ -426,7 +429,7 @@ class TestAssignOnce:
 
         monkeypatch.setattr(kaes.harness, "fit_codebook", fit)
         monkeypatch.setattr(Codebook, "assign_batch", assign)
-        cells, _ = record_cells(monkeypatch)
+        cells = record_cells(monkeypatch)
         table = run_in_domain(cfg)
         assert table.cells[0].failed is None
         text = {e.id: e.text for e in parse_asap_tsv(Path(cfg.data_path).read_bytes())}
@@ -469,6 +472,14 @@ class TestScoringModel:
         scores = [predict_scores(m, essays[40:], cfg.embeddings_path) for m in (model, loaded)]
         assert scores[0] == scores[1]
         assert raw[0].tobytes() == raw[1].tobytes()
+
+
+    def test_duplicate_ids_are_rejected(self, corpus_dir):
+        cfg = in_domain_cfg(corpus_dir, representation="hisk")
+        essays = load_essays(cfg.data_path, cfg.prompt)[:12]
+        essays[3] = replace(essays[3], id=essays[2].id)
+        with pytest.raises(KaesError, match="^duplicate essay ids in the training essays$"):
+            train_model(cfg, essays)
 
 
 class TestNormalizedBlocks:
@@ -559,7 +570,7 @@ class TestReferenceProtocol:
     seeds, kernel blocks and fits bit for bit, kappas to 1e-12."""
 
     @pytest.fixture(scope="class")
-    def setup(self, tmp_path_factory):
+    def corpus(self, tmp_path_factory):
         """Short essays (the n-gram oracle rescans strings) and one blank one."""
         tmp = tmp_path_factory.mktemp("reference")
         lines = make_corpus_tsv(14, seed=4, prompts=(3,), filler=(3, 7)).decode().splitlines()
@@ -614,8 +625,8 @@ class TestReferenceProtocol:
             bias, epsilon_star, iterations, converged)
 
     @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
-    def test_in_domain_splits(self, setup, monkeypatch, representation):
-        tmp, vectors = setup
+    def test_in_domain_splits(self, corpus, monkeypatch, representation):
+        tmp, vectors = corpus
         cfg = self.cfg(tmp, representation)
         calls = self.record(monkeypatch)
         (cell,) = run_in_domain(cfg).cells
@@ -635,21 +646,22 @@ class TestReferenceProtocol:
             assert cell.values[s] == pytest.approx(kappa, abs=1e-12)
 
     @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
-    def test_train_model(self, setup, monkeypatch, representation):
-        tmp, vectors = setup
+    def test_train_model(self, corpus, monkeypatch, representation):
+        tmp, vectors = corpus
         cfg = self.cfg(tmp, representation)
         essays = load_essays(cfg.data_path)
         calls = self.record(monkeypatch)
         model = train_model(cfg, essays)
-        by_id = {e.id: e for e in essays if e.id != "99"}
-        split = reference_split(cfg, by_id, vectors, cfg.seed, tuple(by_id), ())
+        split = reference_train(cfg, essays, vectors)
+        assert "99" not in split.train_ids and len(split.train_ids) == len(essays) - 1
         (fit,) = calls["fits"]
         self.check_fit(fit, split)
         kept = split.fit[0] != 0.0
-        assert model.svr.train_ids == tuple(np.array(split.train_ids)[kept])
+        assert model.svr.train_ids == tuple(e for e, k in zip(split.train_ids, kept) if k)
         assert self.same_bits(model.svr.coefficients, split.fit[0][kept])
         assert model.svr.bias == split.fit[1]
-        assert model.support_texts == tuple(by_id[eid].text for eid in model.svr.train_ids)
+        text = {e.id: e.text for e in essays}
+        assert model.support_texts == tuple(text[eid] for eid in model.svr.train_ids)
         if split.codebook is None:
             assert model.codebook is None
         else:
@@ -730,6 +742,19 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(KaesError):
             emit_report(ResultTable(mode="in-domain"), "yaml")
+
+    @pytest.mark.parametrize("scored, row", [
+        (True, "overall          -   0.800        -     1"),
+        (False, "overall          -       -        -     0"),
+    ], ids=["one-scored", "none-scored"])
+    def test_overall_row_counts_the_prompts_it_averages(self, scored, row):
+        cells = [ResultCell(key="1", n_t=None, representation="hisk", mean=0.8 if scored else None,
+                            std=0.0 if scored else None, n_runs=5 if scored else 0,
+                            failed=None if scored else "rep0/fold0: boom"),
+                 ResultCell(key="2", n_t=None, representation="hisk", mean=None, std=None,
+                            failed="prepare: cannot split 3 essays into 5 folds")]
+        text = emit_report(ResultTable(mode="in-domain", cells=cells), "text").decode()
+        assert text.splitlines()[-1] == row
 
     def test_failed_cell_visible(self):
         cell = ResultCell(key="3", n_t=None, representation="hisk", mean=None, std=None,
