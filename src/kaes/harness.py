@@ -501,8 +501,9 @@ def _fit_split(
         codebook = fit_codebook(embedded.model.vectors[rows], k=cfg.k, seed=seed,
                                 max_iters=cfg.kmeans_iters)
     block = kernel_block(train_ids + eval_ids, train_ids, hisk, codebook, embedded, embedded)
-    svr = train_nu_svr(block.take(train_ids, train_ids),
-                       np.array([by_id[eid].unit_score for eid in train_ids]), cfg.svr)
+    train_block = block.take(train_ids, train_ids) if eval_ids else block  # train: skip a copy
+    svr = train_nu_svr(train_block, np.array([by_id[eid].unit_score for eid in train_ids]),
+                       cfg.svr)
     return codebook, svr, predict(svr, block.take(eval_ids, train_ids))
 
 

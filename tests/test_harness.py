@@ -209,27 +209,36 @@ class TestInDomain:
         assert list(cache.iterdir()) == left  # no temporary file is left
 
     def test_isolation_audit(self, corpus_dir, monkeypatch):
-        cells, points, fit_codebook = record_cells(monkeypatch), [], kaes.harness.fit_codebook
+        cells, codebooks, points = record_cells(monkeypatch), [], []
+        type_rows, fit_codebook = kaes.harness._type_rows, kaes.harness.fit_codebook
+
+        def rows(embedded, ids):
+            codebooks.append(tuple(ids))
+            return type_rows(embedded, ids)
 
         def fit(vectors, **settings):
             points.append(vectors)
             return fit_codebook(vectors, **settings)
 
+        monkeypatch.setattr(kaes.harness, "_type_rows", rows)
         monkeypatch.setattr(kaes.harness, "fit_codebook", fit)
         cfg = in_domain_cfg(corpus_dir)
         table = run_in_domain(cfg)
         assert table.cells[0].failed is None
-        assert len(cells) == len(points) == 5
+        assert len(cells) == len(codebooks) == len(points) == 5
         essays = parse_asap_tsv((corpus_dir / "prompt1.tsv").read_bytes())
         all_ids, text = {e.id for e in essays}, {e.id: e.text for e in essays}
         vectors = load_word2vec_binary(cfg.embeddings_path)
         assert set().union(*(evaluation for _, evaluation in cells)) == all_ids
-        for (train, evaluation), fitted in zip(cells, points):
+        for (train, evaluation), fitted, fitted_points in zip(cells, codebooks, points):
             assert set(train).isdisjoint(evaluation)
             assert set(train) | set(evaluation) == all_ids
-            # Each fold's codebook sees its training essays' types and no other.
+            # Each fold's codebook sees its training essays and no other,
+            # as the vectors of their embedded types in sorted token order.
+            assert fitted == train
             types = sorted({t for eid in train for t in tokenize(text[eid]) if t in vectors.vocab})
-            assert np.array_equal(fitted, vectors.vectors[[vectors.vocab[t] for t in types]])
+            assert np.array_equal(fitted_points,
+                                  vectors.vectors[[vectors.vocab[t] for t in types]])
 
     def test_failed_cells_recorded_not_raised(self, corpus_dir):
         # k larger than the number of embedded token types: every fold fails,
