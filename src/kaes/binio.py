@@ -18,9 +18,9 @@ import re
 import secrets
 import stat
 import struct
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import BinaryFormatError
 
@@ -164,13 +164,14 @@ class Reader:
         return out
 
     def read_records(
-        self, size: int, limit: int, wanted: Callable[[bytes], bool] | None
+        self, size: int, limit: int, pick: Callable[[list[bytes]], Iterable[int]] | None
     ) -> tuple[int, list[tuple[bytes, bytes]]]:
         """Consume the next word2vec records: at least one, at most ``limit``.
 
         A record is a token up to its first space, less any leading newlines,
         the space and ``size`` more bytes.  Returns how many were consumed,
-        with the token and bytes of each that ``wanted`` (if given) accepts.
+        with the token and bytes of each that ``pick`` (if given) selects:
+        ``pick(tokens)`` gives the ascending indices of the tokens to keep.
         One ``findall`` splits the buffer's whole records, back to back up to
         the first cut one: its greedy ``[^ ]*`` stops at the first space, as
         :meth:`read_until` does, and a match needs ``size`` bytes after it.
@@ -186,14 +187,12 @@ class Reader:
             token = self.read_until(b" ", "token").lstrip(b"\n")
             what = f"vector of {token.decode('utf-8', errors='surrogateescape')!r}"
             vector = self.read(size, what)
-            return 1, [(token, vector)] if wanted is None or wanted(token) else []
+            return 1, [(token, vector)] if pick is None or list(pick([token])) else []
         tokens = list(map(bytes.lstrip, heads, repeat(b"\n")))
         # ends[i + 1] is where record i ends: after its newlines, token, space and size bytes.
         ends = list(accumulate(map(operator.add, map(len, heads), repeat(size + 1)),
                                initial=start))
-        picked = range(len(heads))
-        if wanted is not None:
-            picked = compress(picked, map(wanted, tokens))
+        picked = range(len(heads)) if pick is None else pick(tokens)
         buf = self._buf
         found = [(tokens[i], buf[ends[i + 1] - size : ends[i + 1]]) for i in picked]
         self._pos = ends[-1]

@@ -79,8 +79,8 @@ def _assign_blocked(
     order.  Distances are screened with the GEMM form
     ``||x||^2 - 2 x.c + ||c||^2`` and only ambiguous rows pay for the
     elementwise formula, so labels do not depend on the block size or on how
-    the BLAS orders its sums.  Each block holds at most ``budget`` float64
-    distances.
+    the BLAS orders its sums.  Each block of rows is taken as float64 on its
+    own, and it and its distances hold at most ``budget`` float64 values.
 
     The elementwise argmin lies within :func:`_screen_margin` of the
     smallest GEMM value (taken with the largest centroid norm), so a row with
@@ -93,9 +93,9 @@ def _assign_blocked(
     out = np.empty(n, dtype=np.int64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_norm_max = float(np.sqrt(c_sq.max()))
-    block = max(1, budget // max(1, k))
+    block = max(1, budget // (k + dim))
     for start in range(0, n, block):
-        chunk = points[start : start + block]
+        chunk = np.asarray(points[start : start + block], dtype=np.float64)
         x_sq = np.einsum("ij,ij->i", chunk, chunk)
         d = chunk @ centroids.T
         d *= -2.0
@@ -114,8 +114,8 @@ def _assign_blocked(
 class Codebook:
     """Cluster centroids; :meth:`assign_batch` maps vectors to them exactly.
 
-    Centroids are stored as float32 (the on-disk precision); all distance
-    arithmetic runs on one shared float64 copy.
+    Centroids are stored as float32 (the precision of word vectors); all
+    distance arithmetic runs on one shared float64 copy.
     """
 
     centroids: np.ndarray  # (k, dim) float32
@@ -134,8 +134,12 @@ class Codebook:
         return self.centroids.shape[1]
 
     def assign_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Nearest-centroid id of every row; exact, ties to the lowest id."""
-        vectors = np.asarray(vectors, dtype=np.float64)
+        """Nearest-centroid id of every row; exact, ties to the lowest id.
+
+        Rows are taken as float64 a block at a time, so a large float32
+        table costs no float64 copy of itself.
+        """
+        vectors = np.asarray(vectors)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise KernelMismatchError(
                 f"vectors have shape {vectors.shape}, expected (n, {self.dim})"
@@ -237,32 +241,33 @@ def fit_codebook(
 def boswe_kernel_matrix(
     rows: Sequence[np.ndarray],
     cols: Sequence[np.ndarray],
-    codebook: Codebook,
-    vectors: np.ndarray,
+    k: int,
     row_ids: Sequence[str],
     col_ids: Sequence[str],
 ) -> KernelMatrix:
     """Intersection-kernel block between the histograms of two document lists.
 
-    Each document is given as the rows of ``vectors`` of its embedded
-    tokens.  Entry (a, b) is ``sum_j min(h_a[j], h_b[j])`` over the
-    documents' L1-normalized ``codebook`` histograms, added in ascending
-    cluster id from 0.0 over the clusters where both documents have mass:
-    clusters are visited in ascending id, and each adds its minima to the
-    block of rows and columns that have mass in it.  So the values do not
-    depend on the block shape, and a block equals the matching entries of
-    the square matrix over its documents; an empty list gives an empty block.
+    Each document is given as the super-word labels of its embedded tokens:
+    their cluster ids among ``k``.  Entry (a, b) is
+    ``sum_j min(h_a[j], h_b[j])`` over the documents' L1-normalized
+    histograms, added in ascending cluster id from 0.0 over the clusters
+    where both documents have mass: clusters are visited in ascending id, and
+    each adds its minima to the block of rows and columns that have mass in
+    it.  So the values do not depend on the block shape, and a block equals
+    the matching entries of the square matrix over its documents; an empty
+    list gives an empty block.  A label outside ``[0, k)`` is an error.
     """
-    # The histograms of rows and columns together, so each distinct row is
-    # assigned once.  A document with no rows has an all-zero histogram.
+    # The histograms of rows and columns together; a document with no
+    # labels has an all-zero histogram.
     docs, n = [*rows, *cols], len(rows)
     lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
-    distinct, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.intp), *docs]),
-                                  return_inverse=True)
-    labels = codebook.assign_batch(vectors[distinct])[inverse]
+    labels = np.concatenate([np.empty(0, dtype=np.int64), *docs]).astype(np.int64, copy=False)
+    if labels.size and not 0 <= labels.min() <= labels.max() < k:
+        raise KernelMismatchError(f"super-word labels must lie in [0, {k}), "
+                                  f"got {labels.min()} to {labels.max()}")
     doc = np.repeat(np.arange(len(docs)), lengths)
-    counts = np.bincount(doc * codebook.k + labels, minlength=len(docs) * codebook.k)
-    weights = counts.reshape(len(docs), codebook.k) / np.maximum(lengths, 1)[:, None]
+    counts = np.bincount(doc * k + labels, minlength=len(docs) * k)
+    weights = counts.reshape(len(docs), k) / np.maximum(lengths, 1)[:, None]
     values = np.zeros((n, len(cols)), dtype=np.float64)
     for h in np.ascontiguousarray(weights.T):  # one cluster's weights, in ascending id
         r, c = np.flatnonzero(h[:n]), np.flatnonzero(h[n:])

@@ -89,12 +89,12 @@ _SVR = ("c", "nu", "kkt_tolerance", "max_iterations")
 _MODEL = ("representation", *_NGRAMS, *_CODEBOOK, *_SVR, "cache_dir")
 _PROTOCOL = ("repetitions", "folds", "format", "out")
 
-# Command: (help, the settings it takes).  `predict` reads its kernel and its
-# support essays from the model; --representation is checked against it.
-# --train-data, --k, --kmeans-iters and --seed are taken but neither read nor
-# checked, because the benchmark's `fused-score` workload
-# (perfbench/workloads.py) still passes them to `predict`; they go once it
-# stops.
+# Command: (help, the settings it takes).  `predict` reads its kernel, its
+# support essays and its super-words from the model; --representation is
+# checked against it.  --embeddings, --train-data, --k, --kmeans-iters and
+# --seed are taken but neither read nor checked, because the benchmark's
+# `fused-score` workload (perfbench/workloads.py) still passes them to
+# `predict`; they go once it stops.
 _COMMANDS = {
     "ingest": ("validate and summarize a data file", ("data", "prompt")),
     "kernel": ("cache each prompt's n-gram Gram matrix in --cache-dir",
@@ -245,7 +245,7 @@ def cmd_predict(settings: dict[str, Any]) -> int:
             raise KaesError(f"--representation {given} does not match the model, "
                             f"which was trained as {model.representation}")
         essays = load_essays(_require(settings, "data"), settings.get("prompt"))
-        scores = predict_scores(model, essays, settings.get("embeddings"))
+        scores = predict_scores(model, essays)
         lines = ["essay_id\tessay_set\tprediction"]
         lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
         # Encoded as parse_asap_tsv decodes, so each id is written back as its own bytes.

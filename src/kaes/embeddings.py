@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import BinaryIO, Collection
 
@@ -26,6 +27,18 @@ _MAX_DIM = sys.maxsize // 4
 # Lowercase word characters, with "@person1"-style anonymization markers
 # kept as single tokens.
 _TOKEN_RE = re.compile(r"@[a-z]+\d+|[a-z0-9]+")
+# The first bytes of the tokens _TOKEN_RE matches.
+_TOKEN_START = frozenset(bytes([c]) for c in b"@0123456789abcdefghijklmnopqrstuvwxyz")
+
+
+class _Tokenizable:
+    def __repr__(self) -> str:
+        return "TOKENIZABLE"
+
+
+# The ``keep`` of :func:`load_word2vec_binary` that selects every record
+# whose token :func:`tokenize` can produce: the tokens any text can look up.
+TOKENIZABLE = _Tokenizable()
 
 
 @dataclass
@@ -52,7 +65,7 @@ def tokenize(text: str) -> list[str]:
 def load_word2vec_binary(
     source: str | Path | BinaryIO,
     vocab_limit: int | None = DEFAULT_VOCAB_LIMIT,
-    keep: Collection[str] | None = None,
+    keep: Collection[str] | _Tokenizable | None = None,
 ) -> EmbeddingModel:
     """Load a word2vec binary model, scanning its first ``vocab_limit`` records.
 
@@ -64,9 +77,17 @@ def load_word2vec_binary(
     still scanned, so they count towards ``vocab_limit`` and a truncated one
     still fails, but their tokens are not decoded and their vectors not
     converted.  Every kept token has the vector a full load gives it; only
-    row numbers differ.
+    row numbers differ.  ``keep=TOKENIZABLE`` keeps the records whose token
+    :func:`tokenize` can produce whole.
     """
-    wanted = None if keep is None else _token_bytes(keep).__contains__
+    pick = None
+    if keep is TOKENIZABLE:
+        pick = _tokenizable
+    elif keep is not None:
+        wanted = _token_bytes(keep).__contains__
+
+        def pick(tokens: list[bytes]):
+            return compress(range(len(tokens)), map(wanted, tokens))
     with open_binary(source, "rb") as stream:
         reader = Reader(stream)
         header = reader.read_until(b"\n", "header")
@@ -85,7 +106,7 @@ def load_word2vec_binary(
         table = bytearray()
         scanned = 0
         while scanned < n_scan:
-            count, found = reader.read_records(4 * dim, n_scan - scanned, wanted)
+            count, found = reader.read_records(4 * dim, n_scan - scanned, pick)
             scanned += count
             for raw, vector in found:
                 token = raw.decode("utf-8", errors="surrogateescape")
@@ -94,6 +115,15 @@ def load_word2vec_binary(
                     table += vector
     vectors = np.frombuffer(table, dtype="<f4").reshape(len(vocab), dim)
     return EmbeddingModel(dim=dim, vocab=vocab, vectors=vectors)
+
+
+def _tokenizable(tokens: list[bytes]) -> list[int]:
+    """The indices of the record tokens that :func:`tokenize` can produce whole:
+    those that ``_TOKEN_RE`` matches whole once decoded.  A token whose first
+    byte cannot start a match is passed over undecoded."""
+    fullmatch = _TOKEN_RE.fullmatch
+    return [i for i, token in enumerate(tokens) if token[:1] in _TOKEN_START
+            and fullmatch(token.decode("utf-8", errors="surrogateescape"))]
 
 
 def _token_bytes(tokens: Collection[str]) -> set[bytes]:

@@ -22,10 +22,12 @@ import functools
 import hashlib
 import io
 import logging
+import operator
 import struct
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -46,7 +48,13 @@ from .corpus import (
     parse_asap_tsv,
     unscale_score,
 )
-from .embeddings import DEFAULT_VOCAB_LIMIT, EmbeddingModel, load_word2vec_binary, tokenize
+from .embeddings import (
+    DEFAULT_VOCAB_LIMIT,
+    TOKENIZABLE,
+    EmbeddingModel,
+    load_word2vec_binary,
+    tokenize,
+)
 from .errors import BinaryFormatError, KaesError, KernelMismatchError, check_number
 from .fusion import sum_kernels
 from .metrics import average_qwk, qwk
@@ -388,30 +396,35 @@ def normalized_hisk_gram(
 class _Embedded:
     """A run's essays as rows of one table of word vectors.
 
-    ``model`` holds the essays' in-vocabulary token types, its rows in
-    sorted token order, so a sorted set of rows is a sorted set of types.
-    ``rows[eid]`` is essay ``eid``'s tokens as rows of it, in text order,
-    with out-of-vocabulary tokens dropped.
+    ``model`` holds the table, its rows in sorted token order, so a sorted
+    set of rows is a sorted set of types.  ``rows[eid]`` is essay ``eid``'s
+    tokens as rows of it, in text order, with out-of-vocabulary tokens
+    dropped.
     """
 
     model: EmbeddingModel
     rows: dict[str, np.ndarray]
 
 
-def _embedded_essays(
-    path: str, vocab_limit: int | None, *essay_lists: Iterable[tuple[str, str]]
-) -> tuple[_Embedded, ...]:
-    """Each list of (id, text) pairs as rows of one table of the word vectors they use.
+def _embedded(
+    cfg: ExperimentConfig, essays: Sequence[Essay], every_token: bool = False
+) -> _Embedded | None:
+    """The essays' embedded tokens for ``cfg.representation``; None for hisk.
 
-    The vectors file ``path`` is read once, keeping only the essays' token
-    types, so every lookup gets the vector a full load would give.  Rows are
-    keyed by id per list, as two lists may hold the same ids.  A NaN or
-    infinite vector is an error that names its token.
+    The vectors file is read once.  It keeps the essays' token types or,
+    with ``every_token``, every token that :func:`tokenize` can produce
+    (``TOKENIZABLE``); either way each lookup gets the vector a full load
+    would give.  A NaN or infinite vector in the table is an error that
+    names its token.
     """
-    tokens = [{eid: tokenize(text) for eid, text in essays} for essays in essay_lists]
-    keep = {t for by_id in tokens for words in by_id.values() for t in words}
-    logger.info("loading embeddings of %d token types from %s", len(keep), path)
-    model = load_word2vec_binary(path, vocab_limit=vocab_limit, keep=keep)
+    if cfg.representation == "hisk":
+        return None
+    path = cfg.embeddings_path
+    tokens = {e.id: tokenize(e.text) for e in essays}
+    keep = TOKENIZABLE if every_token else {t for words in tokens.values() for t in words}
+    logger.info("loading embeddings of %s from %s",
+                "every token" if every_token else f"{len(keep)} token types", path)
+    model = load_word2vec_binary(path, vocab_limit=cfg.vocab_limit, keep=keep)
     index = {t: i for i, t in enumerate(sorted(model.vocab))}
     table = EmbeddingModel(dim=model.dim, vocab=index, vectors=model.vectors[
         np.array([model.vocab[t] for t in index], dtype=np.intp)])
@@ -420,23 +433,14 @@ def _embedded_essays(
         bad = [t for t, i in index.items() if not finite[i]]
         raise KaesError(f"{path}: NaN or infinite vectors of {len(bad)} tokens: "
                         + ", ".join(repr(t) for t in bad[:5]))
-    rows = [{eid: np.array([index[t] for t in words if t in index], dtype=np.intp)
-             for eid, words in by_id.items()} for by_id in tokens]
-    sizes = [(len(r[eid]), len(words))
-             for r, by_id in zip(rows, tokens) for eid, words in by_id.items() if words]
+    rows = {eid: np.array([index[t] for t in words if t in index], dtype=np.intp)
+            for eid, words in tokens.items()}
+    sizes = [(len(rows[eid]), len(words)) for eid, words in tokens.items() if words]
     if sizes:
         kept, total = np.array(sizes).T
         oov = 1.0 - kept / total
         logger.debug("histograms: mean OOV rate %.3f, per-document %s", oov.mean(), oov)
-    return tuple(_Embedded(table, r) for r in rows)
-
-
-def _embedded(cfg: ExperimentConfig, essays: Sequence[Essay]) -> _Embedded | None:
-    """The essays' embedded tokens for ``cfg.representation``; None for hisk."""
-    if cfg.representation == "hisk":
-        return None
-    return _embedded_essays(cfg.embeddings_path, cfg.vocab_limit,
-                            [(e.id, e.text) for e in essays])[0]
+    return _Embedded(table, rows)
 
 
 def _type_rows(embedded: _Embedded, ids: Sequence[str]) -> np.ndarray:
@@ -445,40 +449,38 @@ def _type_rows(embedded: _Embedded, ids: Sequence[str]) -> np.ndarray:
                                      *(embedded.rows[eid] for eid in ids)]))
 
 
-def _vectors_digest(embedded: _Embedded, ids: Sequence[str]) -> bytes:
-    """The sha256 of the dimension, then of the word2vec records (token, space,
-    f32 LE vector) of the essays' embedded token types in sorted token order."""
-    model = embedded.model
-    tokens = list(model.vocab)  # the table's rows are in sorted token order
-    digest = hashlib.sha256(b"%d\n" % model.dim)
-    for row in _type_rows(embedded, ids):
-        digest.update(tokens[row].encode("utf-8", errors="surrogateescape") + b" ")
-        digest.update(model.vectors[row].astype("<f4").tobytes())
-    return digest.digest()
+def _essay_labels(
+    embedded: _Embedded, codebook: Codebook, ids: Sequence[str]
+) -> list[np.ndarray]:
+    """Each essay's embedded tokens as super-word labels, in ``ids`` order;
+    each distinct row of the essays is assigned once."""
+    docs = [embedded.rows[eid] for eid in ids]
+    distinct, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.intp), *docs]),
+                                  return_inverse=True)
+    labels = codebook.assign_batch(embedded.model.vectors[distinct])[inverse]
+    return np.split(labels, np.cumsum([len(doc) for doc in docs[:-1]], dtype=np.intp))
 
 
 def kernel_block(
     row_ids: tuple[str, ...],
     col_ids: tuple[str, ...],
     hisk: KernelMatrix | None,
-    codebook: Codebook | None,
-    row_tokens: _Embedded | None,
-    col_tokens: _Embedded | None,
+    k: int,
+    row_labels: Sequence[np.ndarray] | None,
+    col_labels: Sequence[np.ndarray] | None,
 ) -> KernelMatrix:
     """The rows x cols kernel block of a representation.
 
     ``hisk`` is a normalized n-gram block holding these rows and columns,
-    None for boswe; ``codebook`` is None for hisk.  ``row_tokens`` and
-    ``col_tokens`` hold the row and the column essays' embedded tokens, as
-    rows of one table.  Fused is the sum of the n-gram and histogram blocks.
+    None for boswe.  ``row_labels`` and ``col_labels`` are the row and the
+    column essays' super-word labels among ``k`` clusters, in id order; None
+    for hisk.  Fused is the sum of the n-gram and histogram blocks.
     """
     blocks = []
     if hisk is not None:
         blocks.append(hisk.take(row_ids, col_ids))
-    if codebook is not None:
-        blocks.append(boswe_kernel_matrix(
-            [row_tokens.rows[eid] for eid in row_ids], [col_tokens.rows[eid] for eid in col_ids],
-            codebook, row_tokens.model.vectors, row_ids, col_ids))
+    if row_labels is not None:
+        blocks.append(boswe_kernel_matrix(row_labels, col_labels, k, row_ids, col_ids))
     return sum_kernels(*blocks) if len(blocks) == 2 else blocks[0]
 
 
@@ -490,17 +492,19 @@ def _fit_split(
 
     When ``embedded`` is given, the codebook is fitted with ``seed`` on the
     vectors of the training essays' embedded token types, in sorted token
-    order.  One (train + eval) x train kernel block serves the fit (its train
-    rows) and the predictions (its eval rows).
+    order, and labels the split's essays.  One (train + eval) x train kernel
+    block serves the fit (its train rows) and the predictions (its eval rows).
     """
-    codebook = None
+    codebook = labels = None
     if embedded is not None:
         rows = _type_rows(embedded, train_ids)
         if not rows.size:
             raise KaesError("no embedded tokens in the training documents")
         codebook = fit_codebook(embedded.model.vectors[rows], k=cfg.k, seed=seed,
                                 max_iters=cfg.kmeans_iters)
-    block = kernel_block(train_ids + eval_ids, train_ids, hisk, codebook, embedded, embedded)
+        labels = _essay_labels(embedded, codebook, train_ids + eval_ids)
+    block = kernel_block(train_ids + eval_ids, train_ids, hisk, cfg.k, labels,
+                         None if labels is None else labels[:len(train_ids)])
     train_block = block.take(train_ids, train_ids) if eval_ids else block  # train: skip a copy
     svr = train_nu_svr(train_block, np.array([by_id[eid].unit_score for eid in train_ids]),
                        cfg.svr)
@@ -657,7 +661,25 @@ def _result_cell(
 # ---------------------------------------------------------------------------
 # One model: `kaes train` and `kaes predict`
 
-MODEL_MAGIC = b"KAESMD04"
+MODEL_MAGIC = b"KAESMD05"
+
+
+@dataclass
+class SuperWords:
+    """Each token's super-word: the id of its codebook cluster among ``k``.
+
+    ``labels`` holds every token a scored essay could bring: each record of
+    the vectors file, under its vocabulary limit, whose token
+    :func:`tokenize` can produce.  A token it lacks is out of vocabulary.
+    """
+
+    k: int
+    labels: dict[str, int]
+
+    def of(self, text: str) -> np.ndarray:
+        """The labels of the in-vocabulary tokens of ``text``, in text order."""
+        labels = self.labels
+        return np.array([labels[t] for t in tokenize(text) if t in labels], dtype=np.intp)
 
 
 @dataclass
@@ -666,10 +688,10 @@ class ScoringModel:
 
     ``svr`` holds the support essays only, and ``support_texts`` are their
     texts, one per row in ``svr.train_ids`` order: the columns of every
-    kernel block the model scores with.  ``codebook`` and ``vectors_digest``
-    (see :func:`_vectors_digest`) are None exactly for hisk.  The n-gram
-    range is read only by representations with an n-gram kernel, and
-    ``vocab_limit`` (None scans every vector) only by those with a codebook.
+    kernel block the model scores with.  ``super_words`` is None exactly for
+    hisk.  The n-gram range is read only by representations with an n-gram
+    kernel; ``vocab_limit`` (None: every vector) records how many records of
+    the vectors file the super-words come from.
     """
 
     svr: SvrModel
@@ -677,14 +699,17 @@ class ScoringModel:
     ngram_min: int
     ngram_max: int
     vocab_limit: int | None
-    codebook: Codebook | None
     support_texts: tuple[str, ...]
-    vectors_digest: bytes | None
+    super_words: SuperWords | None
 
     def __post_init__(self):
         if len(self.support_texts) != len(self.svr.train_ids):
             raise KernelMismatchError(f"{len(self.support_texts)} support texts for "
                                       f"{len(self.svr.train_ids)} SVR rows")
+        if (self.super_words is None) != (self.representation == "hisk"):
+            raise KernelMismatchError(f"a {self.representation} model "
+                                      f"{'has no' if self.super_words is None else 'has'} "
+                                      "super-words")
 
 
 def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
@@ -693,49 +718,49 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     Blank essays are dropped with a warning, as the protocols drop them;
     two essays with one id are an error.  The model is one split with every
     essay in training and none to score.  The vectors are read before the
-    n-gram Gram, so that a bad vectors file fails before the costly step;
-    the codebook is fitted after it.
+    n-gram Gram, so that a bad vectors file fails before the costly step,
+    and every token that :func:`tokenize` can produce is kept.  The codebook
+    is fitted after the Gram, and then labels each of those tokens.
     """
     cfg.validate()
     essays = without_blank(essays)
     by_id = {e.id: e for e in essays}
     if len(by_id) != len(essays):  # a model row is keyed by its essay's id
         raise KaesError("duplicate essay ids in the training essays")
-    embedded = _embedded(cfg, essays)
+    embedded = _embedded(cfg, essays, every_token=True)
     hisk = normalized_hisk_gram(essays, cfg) if cfg.representation != "boswe" else None
     codebook, fit, _ = _fit_split(cfg, by_id, hisk, embedded, cfg.seed, tuple(by_id), ())
     svr = replace(fit, coefficients=fit.coefficients[fit.support_mask], train_ids=fit.support_ids)
     texts = tuple(by_id[eid].text for eid in svr.train_ids)
-    digest = None if embedded is None else _vectors_digest(embedded, svr.train_ids)
+    super_words = None
+    if codebook is not None:
+        table = embedded.model
+        super_words = SuperWords(codebook.k, dict(zip(
+            table.vocab, codebook.assign_batch(table.vectors).tolist())))
     return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max, cfg.vocab_limit,
-                        codebook, texts, digest)
+                        texts, super_words)
 
 
-def predict_scores(
-    model: ScoringModel, essays: Sequence[Essay], embeddings_path: str | None = None
-) -> list[tuple[Essay, int]]:
+def predict_scores(model: ScoringModel, essays: Sequence[Essay]) -> list[tuple[Essay, int]]:
     """Each essay of ``essays`` with its score under ``model``, on its prompt's scale.
 
     The kernel is the model's own test x support block, over the support
-    texts it holds.  ``embeddings_path`` is the vectors file that boswe and
-    fused models need; one that gives the support essays' token types other
-    vectors than the model was trained with is an error.  Blank essays are
-    dropped with a warning.  A model with no support vectors scores every
-    essay at its bias.
+    texts and the super-words it holds; no vectors file is read.  Blank
+    essays are dropped with a warning, and two essays with one id are an
+    error.  A model with no support vectors scores every essay at its bias.
     """
-    if model.codebook is not None and not embeddings_path:
-        raise KaesError(f"representation {model.representation!r} requires --embeddings")
-    support_ids = model.svr.train_ids
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
-    support_embedded = embedded = hisk = None
-    if model.codebook is not None:
-        support_embedded, embedded = _embedded_essays(
-            embeddings_path, model.vocab_limit, zip(support_ids, model.support_texts),
-            [(e.id, e.text) for e in essays])
-        if _vectors_digest(support_embedded, support_ids) != model.vectors_digest:
-            raise KaesError(f"{embeddings_path}: the support essays' tokens have other "
-                            "vectors than the model was trained with")
+    repeated = [eid for eid, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise KaesError(f"duplicate essay id {repeated[0]!r} in the essays to score")
+    support_ids, super_words = model.svr.train_ids, model.super_words
+    hisk = rows = cols = None
+    k = 0
+    if super_words is not None:
+        k = super_words.k
+        rows = [super_words.of(e.text) for e in essays]
+        cols = [super_words.of(text) for text in model.support_texts]
     if model.representation != "boswe":
         texts, n_min, n_max = [e.text for e in essays], model.ngram_min, model.ngram_max
         hisk = normalize_kernel(
@@ -743,7 +768,7 @@ def predict_scores(
                           n_min=n_min, n_max=n_max),
             self_similarities(texts, n_min, n_max),
             self_similarities(model.support_texts, n_min, n_max))
-    block = kernel_block(ids, support_ids, hisk, model.codebook, embedded, support_embedded)
+    block = kernel_block(ids, support_ids, hisk, k, rows, cols)
     preds = predict(model.svr, block)
     return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
             for e, p in zip(essays, preds)]
@@ -751,7 +776,7 @@ def predict_scores(
 
 def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
     """Write ``model`` as one file; the layout is in the README (Binary formats)."""
-    svr, codebook = model.svr, model.codebook
+    svr, super_words = model.svr, model.super_words
     with open_binary(path, "wb") as stream:
         stream.write(MODEL_MAGIC)
         stream.write(struct.pack("<BIIQ", REPRESENTATIONS.index(model.representation),
@@ -763,10 +788,14 @@ def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
             write_id(stream, text)
         stream.write(struct.pack("<ddBQ", svr.bias, svr.epsilon_star, svr.converged,
                                  svr.iterations))
-        if codebook is not None:
-            stream.write(model.vectors_digest)
-            stream.write(struct.pack("<II", codebook.k, codebook.dim))
-            stream.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
+        if super_words is not None:
+            tokens = sorted(super_words.labels)
+            blob = "".join(t + "\n" for t in tokens).encode("utf-8")
+            if blob.count(b"\n") != len(tokens):  # the newlines end the tokens
+                raise KernelMismatchError("a super-word token holds a newline")
+            stream.write(struct.pack("<IIQ", super_words.k, len(tokens), len(blob)))
+            stream.write(blob)
+            stream.write(np.array([super_words.labels[t] for t in tokens], dtype="<u4").tobytes())
 
 
 def load_model(path: str | Path | BinaryIO) -> ScoringModel:
@@ -788,21 +817,41 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
                        bias=bias, epsilon_star=epsilon_star,
                        train_ids=tuple(row[0] for row in rows),
                        converged=bool(converged), iterations=iterations)
-        support_texts = tuple(row[2] for row in rows)
-        codebook = digest = None
+        super_words = None
         if REPRESENTATIONS[code] != "hisk":
-            digest = bytes(reader.read(32, "vectors digest"))
-            at = reader.offset
-            k, dim = reader.unpack("<II", "codebook header")
-            if k == 0 or dim == 0:
-                raise BinaryFormatError(f"empty codebook: k={k}, dim={dim}", offset=at)
-            at = reader.offset
-            centroids = np.frombuffer(reader.read(k * dim * 4, "centroids"), dtype="<f4")
-            bad = np.flatnonzero(~np.isfinite(centroids))
-            if bad.size:
-                raise BinaryFormatError(f"centroid value is not finite: {centroids[bad[0]]}",
-                                        offset=at + 4 * int(bad[0]))
-            codebook = Codebook(centroids.reshape(k, dim).copy())
+            super_words = _read_super_words(reader)
         reader.expect_end()
     return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max, vocab_limit or None,
-                        codebook, support_texts, digest)
+                        tuple(row[2] for row in rows), super_words)
+
+
+def _read_super_words(reader: Reader) -> SuperWords:
+    """The super-word record: k, the token count, the tokens' byte length,
+    the tokens (each UTF-8 and ended by a newline, strictly ascending), then
+    one u32 label below k per token."""
+    at = reader.offset
+    k, count, size = reader.unpack("<IIQ", "super-word header")
+    if k == 0:
+        raise BinaryFormatError("super-words of an empty codebook: k=0", offset=at)
+    at = reader.offset
+    blob = reader.read(size, "super-word tokens")
+    try:
+        tokens = blob.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise BinaryFormatError(f"super-word tokens are not UTF-8: {exc}",
+                                offset=at + exc.start) from exc
+    if tokens.pop() != "" or len(tokens) != count:
+        raise BinaryFormatError(f"super-word tokens are not {count} newline-ended tokens",
+                                offset=at)
+    if not all(map(operator.lt, tokens, tokens[1:])):
+        i = next(i for i in range(1, count) if not tokens[i - 1] < tokens[i])
+        raise BinaryFormatError(f"super-word token {tokens[i]!r} does not follow "
+                                f"{tokens[i - 1]!r} in ascending order",
+                                offset=at + len("".join(t + "\n" for t in tokens[:i]).encode()))
+    at = reader.offset
+    labels = np.frombuffer(reader.read(4 * count, "super-word labels"), dtype="<u4")
+    bad = np.flatnonzero(labels >= k)
+    if bad.size:
+        raise BinaryFormatError(f"super-word label {labels[bad[0]]} of {tokens[bad[0]]!r} "
+                                f"is not below k={k}", offset=at + 4 * int(bad[0]))
+    return SuperWords(k, dict(zip(tokens, labels.tolist())))

@@ -9,8 +9,9 @@ run to a tight fixed-point tolerance, the SMO loop of that dual as first
 written (the bit-for-bit reference of the solver), and explicit feature
 rows whose inner products are the linear kernel, a word2vec loader that
 finds each record's fields in the whole byte string.  The in-domain
-protocol and ``train_model`` are rebuilt from these pieces; only the fold
-plan, the seed streams, the tokenizer and k-means come from the package.
+protocol, ``train_model`` and ``predict_scores`` are rebuilt from these
+pieces; only the fold plan, the seed streams, the tokenizer and k-means come
+from the package.
 """
 from __future__ import annotations
 
@@ -507,18 +508,22 @@ def reference_split(
                           y, fit)
 
 
-def reference_kappa(split: ReferenceSplit, by_id: dict[str, Essay], prompt: int) -> float:
-    """QWK of a split's eval essays: each scored by its kernel row, one
-    product at a time, unscaled half-up and clamped to the prompt's range."""
+def reference_score(split: ReferenceSplit, row: Sequence[float], prompt: int) -> int:
+    """The score of one essay from its kernel row against the split's training
+    essays: one product at a time, unscaled half-up and clamped to the
+    prompt's range."""
     score_range = ASAP_SCORE_RANGES[prompt]
-    coefficients, bias = split.fit[0], split.fit[1]
-    predictions = []
-    for row in split.eval_block:
-        unit = bias
-        for value, coefficient in zip(row, coefficients):
-            unit += value * coefficient
-        raw = math.floor(unit * (score_range.max - score_range.min) + score_range.min + 0.5)
-        predictions.append(min(max(raw, score_range.min), score_range.max))
+    unit = split.fit[1]
+    for value, coefficient in zip(row, split.fit[0]):
+        unit += value * coefficient
+    raw = math.floor(unit * (score_range.max - score_range.min) + score_range.min + 0.5)
+    return min(max(raw, score_range.min), score_range.max)
+
+
+def reference_kappa(split: ReferenceSplit, by_id: dict[str, Essay], prompt: int) -> float:
+    """QWK of a split's eval essays, each scored by :func:`reference_score`."""
+    score_range = ASAP_SCORE_RANGES[prompt]
+    predictions = [reference_score(split, row, prompt) for row in split.eval_block]
     gold = [by_id[eid].raw_score for eid in split.eval_ids]
     return qwk_direct(predictions, gold, score_range.min, score_range.max)
 
@@ -528,6 +533,43 @@ def reference_train(cfg, essays: Sequence[Essay], vectors: EmbeddingModel) -> Re
     training, none to score, the codebook fitted with ``cfg.seed``."""
     by_id = {e.id: e for e in essays if normalize_text(e.text)}
     return reference_split(cfg, by_id, vectors, cfg.seed, tuple(by_id), ())
+
+
+def reference_predict(
+    cfg, split: ReferenceSplit, by_id: dict[str, Essay], essays: Sequence[Essay],
+    vectors: EmbeddingModel,
+) -> list[int]:
+    """The scores of held-out ``essays`` (blank ones dropped) under
+    :func:`reference_train`'s ``split``, whose training essays ``by_id`` holds.
+
+    Each essay's row against the training essays is :func:`naive_hisk` over
+    the square root of the two self-similarities, or :func:`hik_reference`
+    over :func:`histogram_dicts` of its tokens' labels by
+    :func:`nearest_centroid_linear` (tokens without a vector left out), or
+    their sum for fused; :func:`reference_score` scores it.
+    """
+    essays = [e for e in essays if normalize_text(e.text)]
+    train = [by_id[eid].text for eid in split.train_ids]
+    blocks = []
+    if cfg.representation != "boswe":
+        def self_sim(text: str) -> int:
+            return naive_hisk(text, text, cfg.ngram_min, cfg.ngram_max)
+
+        train_self = [self_sim(text) for text in train]
+        blocks.append(np.array(
+            [[naive_hisk(e.text, text, cfg.ngram_min, cfg.ngram_max)
+              / math.sqrt(self_sim(e.text) * own) for text, own in zip(train, train_self)]
+             for e in essays], dtype=np.float64))
+    if cfg.representation != "hisk":
+        def histograms(texts: Sequence[str]) -> list[dict[int, float]]:
+            return histogram_dicts([nearest_centroid_linear(
+                vectors.vectors[[vectors.vocab[t] for t in tokenize(text)
+                                 if t in vectors.vocab]].reshape(-1, vectors.dim),
+                split.codebook.centroids) for text in texts])
+
+        blocks.append(hik_reference(histograms([e.text for e in essays]), histograms(train)))
+    block = blocks[0] if len(blocks) == 1 else blocks[0] + blocks[1]
+    return [reference_score(split, row, e.prompt) for e, row in zip(essays, block)]
 
 
 def reference_in_domain(

@@ -86,9 +86,11 @@ def test_criterion_3_psd_suites():
         raw = kernel_matrix(texts, n_min=1, n_max=5)
         own = self_similarities(texts, 1, 5)
         normalized = normalize_kernel(raw, own, own)
-        docs = [rng.integers(0, len(emb.vocab), size=rng.integers(1, 15)) for _ in range(n_docs)]
-        boswe = boswe_kernel_matrix(docs, docs, codebook, emb.vectors,
-                                    normalized.row_ids, normalized.col_ids)
+        docs = [codebook.assign_batch(emb.vectors[rng.integers(0, len(emb.vocab),
+                                                                size=rng.integers(1, 15))])
+                for _ in range(n_docs)]
+        boswe = boswe_kernel_matrix(docs, docs, codebook.k, normalized.row_ids,
+                                    normalized.col_ids)
         fused = sum_kernels(normalized, boswe)
         for kind, matrix in (("hisk-raw", raw), ("hisk-normalized", normalized),
                              ("boswe", boswe), ("fused", fused)):

@@ -7,6 +7,7 @@ import functools
 import io
 import math
 import os
+import re
 import struct
 import threading
 
@@ -16,25 +17,24 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import kaes.harness
 from kaes.binio import Reader, write_id
-from kaes.boswe import Codebook
-from kaes.embeddings import EmbeddingModel, load_word2vec_binary
+from kaes.embeddings import TOKENIZABLE, EmbeddingModel, load_word2vec_binary
 from kaes.errors import BinaryFormatError, KernelMismatchError
-from kaes.harness import MODEL_MAGIC, ScoringModel, load_model, save_model
+from kaes.harness import MODEL_MAGIC, ScoringModel, SuperWords, load_model, save_model
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
 from kaes.svr import SvrModel
 from synthesis import save_word2vec_binary
 
 KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a", "bé"),
                       col_ids=("x", "y", "z"))
-CODEBOOK = Codebook(centroids=np.array([[1, 2, 3], [4, -5, 6.5]]))
+# A marker with an Arabic-Indic digit, as tokenize makes of "@CAPS\u0661".
+SUPER_WORDS = SuperWords(3, {"@caps\u0661": 0, "cat": 2, "dog": 2})
 SVR = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
                train_ids=("a", "bé"), converged=True, iterations=12)
 # One text per support row; the second holds a byte that Windows-1252 leaves
 # undefined, which corpus parsing makes a lone surrogate.
 SUPPORT_TEXTS = ("one text", "t\udc81wo")
-DIGEST = bytes(range(32))
-HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, 500_000, None, SUPPORT_TEXTS, None)
-FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, None, CODEBOOK, SUPPORT_TEXTS, DIGEST)
+HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, 500_000, SUPPORT_TEXTS, None)
+FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, None, SUPPORT_TEXTS, SUPER_WORDS)
 VECTORS = EmbeddingModel(dim=3, vocab={"cat": 0, "dog": 1},
                          vectors=np.array([[1, 2, 3], [-1, 0.5, 0.25]], dtype=np.float32))
 
@@ -50,6 +50,11 @@ SVR_RECORD = (struct.pack("<I", 2)
               + _ids("a") + struct.pack("<d", 0.5) + b"\x08\0\0\0one text"
               + _ids("bé") + struct.pack("<d", -0.25) + b"\x06\0\0\0t\xed\xb2\x81wo"
               + struct.pack("<ddBQ", 0.125, 0.01, 1, 12))
+# The super-word record of a boswe or fused model: k, the token count and the
+# tokens' byte length, the tokens each ended by a newline, then the labels.
+TOKEN_BLOB = b"@caps\xd9\xa1\ncat\ndog\n"
+SUPER_WORD_RECORD = (struct.pack("<IIQ", 3, 3, len(TOKEN_BLOB)) + TOKEN_BLOB
+                     + struct.pack("<III", 0, 2, 2))
 
 # name: (object, save, load, its bytes spelled out field by field)
 FORMATS = {
@@ -57,11 +62,10 @@ FORMATS = {
                b"KAESKM01" + struct.pack("<IIB", 2, 3, 0)
                + np.array(KERNEL.values, dtype="<f8").tobytes() + _ids("a", "bé", "x", "y", "z")),
     "model": (HISK_MODEL, save_model, load_model,
-              b"KAESMD04" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD),
+              b"KAESMD05" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD),
     "fused-model": (FUSED_MODEL, save_model, load_model,
-                    b"KAESMD04" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
-                    + DIGEST + struct.pack("<II", 2, 3)
-                    + np.array([[1, 2, 3], [4, -5, 6.5]], dtype="<f4").tobytes()),
+                    b"KAESMD05" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
+                    + SUPER_WORD_RECORD),
     "word2vec": (VECTORS, save_word2vec_binary, load_word2vec_binary,
                  b"2 3\ncat " + np.array([1, 2, 3], dtype="<f4").tobytes()
                  + b"\ndog " + np.array([-1, 0.5, 0.25], dtype="<f4").tobytes() + b"\n"),
@@ -70,6 +74,10 @@ FORMATS = {
 FORMATS["word2vec-keep"] = (VECTORS, save_word2vec_binary,
                             functools.partial(load_word2vec_binary, keep={"dog"}),
                             FORMATS["word2vec"][3])
+# And keeping the tokens that tokenize can produce, here both.
+FORMATS["word2vec-tokenizable"] = (VECTORS, save_word2vec_binary,
+                                   functools.partial(load_word2vec_binary, keep=TOKENIZABLE),
+                                   FORMATS["word2vec"][3])
 # The top bit of the little-endian u32 row count: at byte 8 of a kernel file,
 # at byte 25 of a model file (after the magic and its kernel settings).
 TOP_BIT_OF_COUNT = {"kernel": 95, "model": 231, "fused-model": 231}
@@ -228,18 +236,17 @@ class TestModelFile:
                     loaded.svr.converged, loaded.svr.iterations) == (
                         SVR.bias, SVR.epsilon_star, SVR.train_ids, SVR.converged, SVR.iterations)
             assert loaded.support_texts == SUPPORT_TEXTS
-            assert loaded.vectors_digest == model.vectors_digest
-            if model.codebook is None:
-                assert loaded.codebook is None
-            else:
-                assert loaded.codebook.centroids.tobytes() == CODEBOOK.centroids.tobytes()
+            assert loaded.super_words == model.super_words
+            if loaded.super_words is not None:
+                assert list(loaded.super_words.labels) == sorted(SUPER_WORDS.labels)
 
     def test_model_and_codebook_pair_of_earlier_versions_is_rejected(self):
         # The model file that earlier versions wrote beside a `.codebook` file,
         # the one-file model that held no support texts and no vectors digest,
         # the one that stored --seed before the iterations of its config echo,
-        # and the one that kept every training row, a config echo and a second
-        # pass of support texts.
+        # the one that kept every training row, a config echo and a second
+        # pass of support texts, and the one that held a vectors digest and
+        # the codebook's centroids instead of each token's super-word.
         settings = struct.pack("<BIIQ", 0, 1, 15, 500_000)
         rows = (struct.pack("<I", 2) + _ids("a") + struct.pack("<d", 0.5) + _ids("bé")
                 + struct.pack("<d", -0.25) + struct.pack("<dd", 0.125, 0.01))
@@ -248,7 +255,10 @@ class TestModelFile:
         for data in (b"KAESSV01" + rows + echo + struct.pack("<Q", 12),
                      b"KAESMD01" + settings + rows + echo + struct.pack("<Q", 12),
                      b"KAESMD02" + settings + rows + echo + struct.pack("<QQ", 3, 12) + texts,
-                     b"KAESMD03" + settings + rows + echo + struct.pack("<Q", 12) + texts):
+                     b"KAESMD03" + settings + rows + echo + struct.pack("<Q", 12) + texts,
+                     b"KAESMD04" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
+                     + bytes(range(32)) + struct.pack("<II", 2, 3)
+                     + np.array([[1, 2, 3], [4, -5, 6.5]], dtype="<f4").tobytes()):
             with pytest.raises(BinaryFormatError, match="bad magic") as info:
                 load_model(io.BytesIO(data))
             assert info.value.offset == 0
@@ -258,7 +268,15 @@ class TestModelFile:
     def test_support_texts_not_one_per_row_are_rejected(self, texts):
         # save_model would write them misaligned with the row ids.
         with pytest.raises(KernelMismatchError, match=f"^{len(texts)} support texts for 2 SVR"):
-            ScoringModel(SVR, "hisk", 1, 15, None, None, texts, None)
+            ScoringModel(SVR, "hisk", 1, 15, None, texts, None)
+
+    @pytest.mark.parametrize("representation, super_words", [
+        ("hisk", SUPER_WORDS), ("boswe", None), ("fused", None),
+    ])
+    def test_super_words_exactly_for_a_codebook(self, representation, super_words):
+        # save_model would write a file that load_model rejects.
+        with pytest.raises(KernelMismatchError, match=f"^a {representation} model has"):
+            ScoringModel(SVR, representation, 1, 15, None, SUPPORT_TEXTS, super_words)
 
     @pytest.mark.parametrize("settings, reason", [
         (struct.pack("<BIIQ", 3, 1, 15, 0), "representation 3"),
@@ -270,20 +288,18 @@ class TestModelFile:
             load_model(io.BytesIO(MODEL_MAGIC + settings + SVR_RECORD))
         assert info.value.offset == 8
 
-    # A number of the fused-model layout that must be finite: its offset (from
-    # the end for centroids), format, value there and name in the error.
+    # A number of the fused-model layout that must be finite: its offset,
+    # format, value there and name in the error.
     @pytest.mark.parametrize("at, fmt, value, what", [
         (34, "<d", 0.5, "coefficient"),
         (61, "<d", -0.25, "coefficient"),
         (79, "<d", 0.125, "bias"),
         (87, "<d", 0.01, "epsilon"),
-        (-24, "<f", 1.0, "centroid value"),
-        (-4, "<f", 6.5, "centroid value"),
     ])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_number_is_rejected(self, at, fmt, value, what, bad):
         layout = FORMATS["fused-model"][3]
-        at, size = at % len(layout), struct.calcsize(fmt)
+        size = struct.calcsize(fmt)
         assert struct.unpack(fmt, layout[at:at + size]) == (value,)
         data = layout[:at] + struct.pack(fmt, bad) + layout[at + size:]
         with pytest.raises(BinaryFormatError, match=f"{what} is not finite") as info:
@@ -297,3 +313,60 @@ class TestModelFile:
             with pytest.raises(BinaryFormatError, match="trailing bytes") as info:
                 load_model(io.BytesIO(data))
             assert info.value.offset == 25 + len(SVR_RECORD)
+
+
+# Where the super-word record starts in the fused-model layout, and its parts.
+RECORD_AT = len(FORMATS["fused-model"][3]) - len(SUPER_WORD_RECORD)
+BLOB_AT = RECORD_AT + 16
+LABELS_AT = BLOB_AT + len(TOKEN_BLOB)
+
+
+def _super_word_record(k: int, count: int, blob: bytes, labels: tuple[int, ...]) -> bytes:
+    return struct.pack("<IIQ", k, count, len(blob)) + blob + struct.pack(f"<{len(labels)}I",
+                                                                         *labels)
+
+
+class TestSuperWordRecord:
+    """Each malformed super-word table is a BinaryFormatError at its offset."""
+
+    @pytest.mark.parametrize("record, at, message", [
+        (_super_word_record(0, 3, TOKEN_BLOB, (0, 0, 0)), RECORD_AT,
+         "super-words of an empty codebook: k=0"),
+        (_super_word_record(3, 3, b"cat\n@caps\xd9\xa1\ndog\n", (0, 2, 2)), BLOB_AT + 4,
+         "super-word token '@caps\u0661' does not follow 'cat' in ascending order"),
+        (_super_word_record(3, 3, b"@caps\xd9\xa1\ncat\ncat\n", (0, 2, 2)), BLOB_AT + 12,
+         "super-word token 'cat' does not follow 'cat' in ascending order"),
+        (_super_word_record(3, 3, TOKEN_BLOB, (0, 3, 2)), LABELS_AT + 4,
+         "super-word label 3 of 'cat' is not below k=3"),
+        (_super_word_record(3, 3, TOKEN_BLOB, (0, 2, 2**32 - 1)), LABELS_AT + 8,
+         f"super-word label {2**32 - 1} of 'dog' is not below k=3"),
+        (_super_word_record(3, 3, b"@caps\xd9\ncat\ndog\n", (0, 2, 2)), BLOB_AT + 5,
+         "super-word tokens are not UTF-8"),
+        (_super_word_record(3, 4, TOKEN_BLOB, (0, 2, 2, 1)), BLOB_AT,
+         "super-word tokens are not 4 newline-ended tokens"),
+        (_super_word_record(3, 3, TOKEN_BLOB[:-1], (0, 2, 2)), BLOB_AT,
+         "super-word tokens are not 3 newline-ended tokens"),
+        # The blob declares one byte more than the file holds before its end.
+        (struct.pack("<IIQ", 3, 3, len(TOKEN_BLOB) + 13) + TOKEN_BLOB + bytes(12), BLOB_AT,
+         "truncated super-word tokens"),
+        (SUPER_WORD_RECORD[:-1], LABELS_AT, "truncated super-word labels"),
+    ], ids=["k-zero", "unsorted", "repeated", "label-k", "label-max", "not-utf8",
+            "too-few-tokens", "unended-token", "cut-blob", "cut-labels"])
+    def test_malformed_table(self, record, at, message):
+        data = FORMATS["fused-model"][3][:RECORD_AT] + record
+        with pytest.raises(BinaryFormatError, match=re.escape(message)) as info:
+            load_model(io.BytesIO(data))
+        assert info.value.offset == at
+
+    def test_token_with_a_newline_is_not_written(self, tmp_path):
+        path = tmp_path / "model.bin"
+        words = SuperWords(3, {"cat": 0, "in\nner": 1})
+        with pytest.raises(KernelMismatchError, match="super-word token holds a newline"):
+            save_model(ScoringModel(SVR, "boswe", 1, 15, None, SUPPORT_TEXTS, words), path)
+        assert not list(tmp_path.iterdir())
+
+    def test_old_magic_is_rejected(self):
+        data = b"KAESMD04" + FORMATS["fused-model"][3][8:]
+        with pytest.raises(BinaryFormatError, match="bad magic b'KAESMD04'") as info:
+            load_model(io.BytesIO(data))
+        assert info.value.offset == 0

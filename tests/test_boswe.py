@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import struct
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from kaes.boswe import (
 )
 from kaes.embeddings import EmbeddingModel
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
-from kaes.harness import ScoringModel, load_model, save_model
+from kaes.harness import ScoringModel, SuperWords, load_model, save_model
 from kaes.seeding import KMEANS, derive_rng
 from kaes.svr import SvrModel
 from oracles import (
@@ -41,11 +40,16 @@ def rows_of(model: EmbeddingModel, tokens) -> np.ndarray:
     return np.array([model.vocab[t] for t in tokens if t in model.vocab], dtype=np.intp)
 
 
+def labels_of(codebook: Codebook, model: EmbeddingModel, tokens) -> np.ndarray:
+    """A document's in-vocabulary tokens as super-word labels."""
+    return codebook.assign_batch(model.vectors[rows_of(model, tokens)])
+
+
 def gram(codebook: Codebook, model: EmbeddingModel, rows, cols) -> np.ndarray:
     """The block between two lists of token lists."""
-    rows, cols = [rows_of(model, d) for d in rows], [rows_of(model, d) for d in cols]
-    return boswe_kernel_matrix(rows, cols, codebook, model.vectors,
-                               [f"r{i}" for i in range(len(rows))],
+    rows = [labels_of(codebook, model, d) for d in rows]
+    cols = [labels_of(codebook, model, d) for d in cols]
+    return boswe_kernel_matrix(rows, cols, codebook.k, [f"r{i}" for i in range(len(rows))],
                                [f"c{i}" for i in range(len(cols))]).values
 
 
@@ -312,6 +316,16 @@ class TestAssign:
         with pytest.raises(KernelMismatchError):
             codebook.assign_batch(np.zeros((1, 4)))
 
+    def test_float32_table_labels_as_its_float64_copy(self):
+        # assign_batch takes float32 rows as float64 one block at a time.
+        rng = np.random.default_rng(23)
+        codebook = self._codebook(rng.normal(size=(6, 5)))
+        table = rng.normal(size=(300, 5)).astype(np.float32)
+        expected = nearest_centroid_linear(table.astype(np.float64), codebook.centroids)
+        assert np.array_equal(codebook.assign_batch(table), expected)
+        assert np.array_equal(_assign_blocked(table, codebook.centroids.astype(np.float64),
+                                              budget=23), expected)
+
     def test_blocked_assignment_independent_of_block_size(self):
         rng = np.random.default_rng(19)
         centroids = rng.normal(size=(30, 7))
@@ -452,19 +466,15 @@ class TestHik:
 
 
 def _random_documents(rng, k: int, docs: int, max_tokens: int):
-    """Random documents as embedding rows (some empty), the block's other
-    arguments, and the documents' histograms as dicts."""
-    model = EmbeddingModel(dim=3, vocab={f"w{i}": i for i in range(4 * k)},
-                           vectors=rng.normal(size=(4 * k, 3)).astype(np.float32))
-    codebook = Codebook(centroids=rng.normal(size=(k, 3)))
-    rows = [rng.integers(0, 4 * k, size=int(rng.integers(0, max_tokens + 1)))
-            for _ in range(docs)]
-    labels = [nearest_centroid_linear(model.vectors[r], codebook.centroids) for r in rows]
-    return rows, (codebook, model.vectors), histogram_dicts(labels)
+    """Random documents as super-word labels among ``k`` (some empty), and
+    their histograms as dicts."""
+    labels = [rng.integers(0, k, size=int(rng.integers(0, max_tokens + 1)))
+              for _ in range(docs)]
+    return labels, histogram_dicts(labels)
 
 
-def _block(rows, cols, tables) -> np.ndarray:
-    return boswe_kernel_matrix(rows, cols, *tables, [f"r{i}" for i in range(len(rows))],
+def _block(rows, cols, k: int) -> np.ndarray:
+    return boswe_kernel_matrix(rows, cols, k, [f"r{i}" for i in range(len(rows))],
                                [f"c{i}" for i in range(len(cols))]).values
 
 
@@ -475,71 +485,67 @@ class TestGramOracle:
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), docs=st.integers(1, 12),
            max_tokens=st.integers(0, 60))
     def test_square(self, seed, k, docs, max_tokens):
-        rows, tables, dicts = _random_documents(np.random.default_rng(seed), k, docs, max_tokens)
-        assert np.array_equal(_block(rows, rows, tables), hik_reference(dicts))
+        rows, dicts = _random_documents(np.random.default_rng(seed), k, docs, max_tokens)
+        assert np.array_equal(_block(rows, rows, k), hik_reference(dicts))
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), docs=st.integers(2, 14),
            max_tokens=st.integers(0, 60), split=st.integers(1, 13))
     def test_rectangular(self, seed, k, docs, max_tokens, split):
         split = min(split, docs - 1)
-        rows, tables, dicts = _random_documents(np.random.default_rng(seed), k, docs, max_tokens)
-        gram = _block(rows[:split], rows[split:], tables)
-        square = _block(rows, rows, tables)
+        rows, dicts = _random_documents(np.random.default_rng(seed), k, docs, max_tokens)
+        gram = _block(rows[:split], rows[split:], k)
+        square = _block(rows, rows, k)
         assert np.array_equal(gram, hik_reference(dicts[:split], dicts[split:]))
         assert np.array_equal(gram, square[:split, split:])
         # Rows that contain the columns, as a protocol cell's (train + eval) x train block.
-        block = _block(rows, rows[:split], tables)
+        block = _block(rows, rows[:split], k)
         assert np.array_equal(block, hik_reference(dicts, dicts[:split]))
         assert np.array_equal(block, square[:, :split])
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_codebook_is_rejected(self, label):
+        with pytest.raises(KernelMismatchError, match=r"labels must lie in \[0, 3\)"):
+            _block([np.array([0, label])], [np.array([1])], 3)
+
 
 class TestCodebookIO:
-    """The codebook record of a boswe or fused model file."""
+    """A codebook as a boswe or fused model file carries it: each token's
+    super-word, the id of its cluster."""
 
     @staticmethod
-    def saved(codebook: Codebook) -> bytes:
+    def saved(super_words: SuperWords) -> bytes:
         svr = SvrModel(coefficients=np.array([0.5]), bias=0.0, epsilon_star=0.0,
                        train_ids=("a",), converged=True, iterations=1)
         buf = io.BytesIO()
-        save_model(ScoringModel(svr, "boswe", 1, 15, None, codebook, ("a",), bytes(32)), buf)
+        save_model(ScoringModel(svr, "boswe", 1, 15, None, ("a",), super_words), buf)
         return buf.getvalue()
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(21)
-        codebook = fit_codebook(rng.normal(size=(40, 6)), k=5, seed=17)
+        vectors = rng.normal(size=(40, 6))
+        codebook = fit_codebook(vectors, k=5, seed=17)
+        tokens = [f"w{i}" for i in rng.permutation(40)]
+        super_words = SuperWords(5, dict(zip(tokens, codebook.assign_batch(vectors).tolist())))
         path = tmp_path / "model.bin"
-        path.write_bytes(self.saved(codebook))
-        loaded = load_model(path).codebook
-        assert np.array_equal(
-            loaded.centroids.view(np.uint32), codebook.centroids.view(np.uint32)
-        )
-        assert loaded.k == 5
-        assert loaded.centroids.tobytes() == codebook.centroids.tobytes()
+        path.write_bytes(self.saved(super_words))
+        loaded = load_model(path).super_words
+        assert loaded == super_words
+        assert list(loaded.labels) == sorted(tokens)
+        assert self.saved(loaded) == path.read_bytes()
 
     def test_k_is_the_centroid_count(self):
         # A codebook's size cannot disagree with its centroids, so every
-        # codebook saves to a model file that loads.
+        # codebook's labels save to a model file that loads.
         codebook = Codebook(centroids=np.arange(12.0).reshape(3, 4))
         assert (codebook.k, codebook.dim) == (3, 4)
-        assert load_model(io.BytesIO(self.saved(codebook))).codebook.k == 3
+        labels = codebook.assign_batch(np.array([[0.0] * 4, [8.0] * 4])).tolist()
+        assert labels == [0, 2]
+        loaded = load_model(io.BytesIO(self.saved(SuperWords(codebook.k, {"a": 0, "b": 2}))))
+        assert loaded.super_words.k == 3
         with pytest.raises(TypeError):
             Codebook(k=2, centroids=np.zeros((3, 4)))
 
     def test_bad_magic(self):
         with pytest.raises(BinaryFormatError, match="magic"):
             load_model(io.BytesIO(b"WRONG!!!" + b"\x00" * 16))
-
-    def test_truncated_centroids(self):
-        rng = np.random.default_rng(22)
-        codebook = fit_codebook(rng.normal(size=(20, 3)), k=2, seed=1)
-        with pytest.raises(BinaryFormatError, match="truncated"):
-            load_model(io.BytesIO(self.saved(codebook)[:-5]))
-
-    @pytest.mark.parametrize("k, dim", [(0, 3), (2, 0)])
-    def test_no_centroids_rejected(self, k, dim):
-        data = self.saved(Codebook(centroids=np.zeros((1, 1))))
-        at = len(data) - 8 - 4  # the codebook header, then one f32 centroid
-        with pytest.raises(BinaryFormatError, match="empty codebook") as info:
-            load_model(io.BytesIO(data[:at] + struct.pack("<II", k, dim)))
-        assert info.value.offset == at

@@ -157,7 +157,7 @@ class TestCommands:
         code, _, err = run_main(capsys, ["train", "--config", shared,
                                          "--out", tmp_path / "m.bin"])
         assert code == 0, err
-        assert load_model(tmp_path / "m.bin").codebook is not None
+        assert load_model(tmp_path / "m.bin").super_words is not None
 
     @pytest.mark.parametrize("argv, code, message", [
         (["codebook", "--k", "8", "--out", "cb.bin"], 2, "invalid choice: 'codebook'"),
@@ -205,7 +205,7 @@ class TestCommands:
         model = load_model(model_path)
         assert len(model.svr.train_ids) == 60
         assert model.representation == representation
-        assert (model.codebook is None) == (representation == "hisk")
+        assert (model.super_words is None) == (representation == "hisk")
 
         pred_path = tmp_path / f"preds-{representation}.tsv"
         argv = [
@@ -226,20 +226,22 @@ class TestCommands:
         assert np.corrcoef(pred, actual)[0, 1] > 0.9
 
         if representation == "fused":
-            # The top bit of k (the u32 LE that starts the codebook record)
-            # flipped: the codebook declares about 2**31 centroids that the
-            # file does not hold.
+            # The top bit of the token count (the u32 LE after k, which starts
+            # the super-word record) flipped: the record declares about 2**31
+            # tokens that its token bytes do not hold.
             data = model_path.read_bytes()
-            k_at = len(data) - (8 + model.codebook.k * model.codebook.dim * 4)
-            model_path.write_bytes(data[:k_at + 3] + bytes([data[k_at + 3] ^ 0x80])
-                                   + data[k_at + 4:])
+            tokens = model.super_words.labels
+            k_at = len(data) - (16 + sum(len(t.encode()) + 1 for t in tokens) + 4 * len(tokens))
+            model_path.write_bytes(data[:k_at + 7] + bytes([data[k_at + 7] ^ 0x80])
+                                   + data[k_at + 8:])
             code, _, err = run_main(capsys, argv)
             assert code == 1
-            assert "error: at byte " in err
-            model_path.write_bytes(data[:k_at])  # no codebook record at all
+            assert (f"error: at byte {k_at + 16}: super-word tokens are not "
+                    f"{len(tokens) + 2**31} newline-ended tokens") in err
+            model_path.write_bytes(data[:k_at])  # no super-word record at all
             code, _, err = run_main(capsys, argv)
             assert code == 1
-            assert f"error: at byte {k_at}: truncated codebook header" in err
+            assert f"error: at byte {k_at}: truncated super-word header" in err
 
     def test_config_file_with_flag_override(self, workdir, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -419,25 +421,23 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_non_finite_vector_fails_cleanly(self, workdir, tmp_path, capsys, command):
+        # The NaN is in the vector of a training essay's token, or of a token
+        # that only an essay given to `predict` uses.  `predict` reads no
+        # vectors: `train` labels every token a scored essay could bring.
         data = tmp_path / "data.tsv"
         data.write_bytes(make_corpus_tsv(30, seed=7))
-        vectors = load_word2vec_binary(workdir / "emb.bin")
-        vectors.vectors[vectors.vocab["omega"], 3] = np.nan
+        vectors = load_word2vec_binary(io.BytesIO(make_embeddings_bytes(decoys=1)))
+        token = "omega" if command == "train" else "decoy0"
+        vectors.vectors[vectors.vocab[token], 3] = np.nan
         nan_vectors = tmp_path / "nan.bin"
         save_word2vec_binary(vectors, nan_vectors)
-        flags = ["--data", data, "--representation", "boswe", "--k", "8"]
-        model = tmp_path / "model.bin"
-        if command == "predict":
-            code, _, err = run_main(capsys, ["train", *flags, "--embeddings", workdir / "emb.bin",
-                                             "--out", model])
-            assert code == 0, err
-            argv = ["predict", *flags, "--embeddings", nan_vectors, "--model", model]
-        else:
-            argv = ["train", *flags, "--embeddings", nan_vectors, "--out", model]
-        code, out, err = run_main(capsys, argv)
+        code, out, err = run_main(capsys, ["train", "--data", data, "--representation", "boswe",
+                                           "--k", "8", "--embeddings", nan_vectors,
+                                           "--out", tmp_path / "model.bin"])
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and "'omega'" in err and "NaN or infinite" in err
-        assert "Traceback" not in err
+        assert err == (f"error: {nan_vectors}: NaN or infinite vectors of 1 tokens: "
+                       f"{token!r}\n")
+        assert not (tmp_path / "model.bin").exists()
 
     def test_retrained_hisk_model_drops_stale_codebook(self, workdir, tmp_path, capsys):
         common = ["--data", workdir / "data.tsv", "--prompt", "1", "--embeddings",
@@ -448,7 +448,7 @@ class TestCommands:
                                              representation, "--out", model])
             assert code == 0, err
         assert list(tmp_path.iterdir()) == [model]
-        assert load_model(model).codebook is None
+        assert load_model(model).super_words is None
         code, out, err = run_main(capsys, ["predict", *common, "--representation", "boswe",
                                            "--model", model])
         assert code == 1 and out == ""
@@ -514,46 +514,44 @@ class TestCommands:
         train, test, model = tmp_path / "train.tsv", tmp_path / "test.tsv", tmp_path / "m.bin"
         train.write_bytes(make_corpus_tsv(60, seed=11))
         test.write_bytes(make_corpus_tsv(30, seed=12))  # the same ids, other texts
+        vectors = tmp_path / "emb.bin"
+        vectors.write_bytes((workdir / "emb.bin").read_bytes())
         flags = ["--prompt", "1", "--representation", representation, "--k", "8", "--seed", "1"]
         if representation != "hisk":
-            flags += ["--embeddings", workdir / "emb.bin"]
+            flags += ["--embeddings", vectors]
         code, _, err = run_main(capsys, ["train", "--data", train, *flags, "--out", model])
         assert code == 0, err
         train.unlink()
-        # --train-data is taken and not read.
+        vectors.unlink()
+        # --train-data and --embeddings are taken and not read.
         code, out, err = run_main(capsys, ["predict", "--data", test, "--train-data", train,
                                            *flags, "--model", model])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == PREDICTION_DIGESTS[representation]
 
     @pytest.mark.parametrize("representation", ["boswe", "fused"])
-    def test_predict_checks_the_support_essays_vectors(self, workdir, tmp_path, capsys,
-                                                       representation):
-        vectors, changed, model = tmp_path / "v.bin", tmp_path / "changed.bin", tmp_path / "m.bin"
+    def test_predict_reads_no_vectors_file(self, workdir, tmp_path, capsys, monkeypatch,
+                                           representation):
+        vectors, model = tmp_path / "emb.bin", tmp_path / "m.bin"
         vectors.write_bytes(make_embeddings_bytes(decoys=3))
         common = ["--data", workdir / "data.tsv", "--prompt", "1", "--representation",
                   representation, "--k", "8", "--seed", "1"]
         code, _, err = run_main(capsys, ["train", *common, "--embeddings", vectors,
                                          "--out", model])
         assert code == 0, err
-        assert any("omega" in text for text in load_model(model).support_texts)
         code, expected, err = run_main(capsys, ["predict", *common, "--embeddings", vectors,
                                                 "--model", model])
         assert code == 0, err
-        table = load_word2vec_binary(vectors, vocab_limit=None)
-        # "omega" is a support essay's token; no essay uses "decoy1".
-        for token, same in (("omega", False), ("decoy1", True)):
-            one_changed = table.vectors.copy()
-            one_changed[table.vocab[token], 0] += 1.0
-            save_word2vec_binary(EmbeddingModel(table.dim, table.vocab, one_changed), changed)
-            code, out, err = run_main(capsys, ["predict", *common, "--embeddings", changed,
-                                               "--model", model])
-            if same:
-                assert (code, out) == (0, expected), err
-            else:
-                assert code == 1 and out == ""
-                assert err == (f"error: {changed}: the support essays' tokens have other "
-                               "vectors than the model was trained with\n")
+        vectors.unlink()
+
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("loaded a vectors file")
+
+        monkeypatch.setattr(kaes.harness, "load_word2vec_binary", no_vectors)
+        # --embeddings is taken and not read: a missing file, or none at all.
+        for flag in (["--embeddings", vectors], []):
+            code, out, err = run_main(capsys, ["predict", *common, *flag, "--model", model])
+            assert (code, out) == (0, expected), err
 
     def test_id_and_text_with_an_undefined_cp1252_byte(self, workdir, tmp_path, capsys, caplog):
         # Parsing decodes byte 0x81, which Windows-1252 leaves undefined, to a lone surrogate.
@@ -624,24 +622,6 @@ class TestCommands:
         expected += [f"{e.id}\t{e.prompt}\t{unscale_score(bias, ASAP_SCORE_RANGES[e.prompt])}"
                      for e in load_essays(data)]
         assert out == "\n".join(expected) + "\n"
-        if representation != "hisk":  # the vectors file is read even with no support essays
-            missing = tmp_path / "missing.bin"
-            code, out, err = run_main(capsys, ["predict", "--data", data, "--embeddings",
-                                               missing, "--model", model_path])
-            assert code == 1 and out == ""
-            assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-
-    @pytest.mark.parametrize("representation", ["boswe", "fused"])
-    def test_predict_without_embeddings_fails_cleanly(self, workdir, tmp_path, capsys,
-                                                      representation):
-        data, model = workdir / "data.tsv", tmp_path / "m.bin"
-        code, _, err = run_main(capsys, ["train", "--data", data, "--prompt", "1",
-                                         "--representation", representation, "--embeddings",
-                                         workdir / "emb.bin", "--k", "8", "--out", model])
-        assert code == 0, err
-        code, out, err = run_main(capsys, ["predict", "--data", data, "--model", model])
-        assert code == 1 and out == ""
-        assert err == f"error: representation {representation!r} requires --embeddings\n"
 
     def test_train_reads_vectors_before_the_gram(self, workdir, tmp_path, capsys, monkeypatch):
         def no_gram(*args, **kwargs):
@@ -722,17 +702,6 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err == f"error: result table line 3: {reason}\n"
 
-    def test_predict_loads_vectors_once(self, workdir, tmp_path, capsys, monkeypatch):
-        common = ["--data", workdir / "data.tsv", "--prompt", "1", "--representation", "fused",
-                  "--embeddings", workdir / "emb.bin", "--k", "8", "--seed", "1"]
-        model = tmp_path / "model.bin"
-        code, _, err = run_main(capsys, ["train", *common, "--out", model])
-        assert code == 0, err
-        loaded = record_vector_loads(monkeypatch)
-        code, _, err = run_main(capsys, ["predict", *common, "--model", model])
-        assert code == 0, err
-        assert len(loaded) == 1
-
     @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
     def test_library_matches_commands(self, workdir, tmp_path, capsys, representation):
         data = workdir / "data.tsv"
@@ -755,8 +724,8 @@ class TestCommands:
         model_bytes = io.BytesIO()
         save_model(model, model_bytes)
         assert model_bytes.getvalue() == model_path.read_bytes()
-        assert (model.codebook is None) == (representation == "hisk")
-        scores = predict_scores(model, essays, cfg.embeddings_path)
+        assert (model.super_words is None) == (representation == "hisk")
+        scores = predict_scores(model, essays)
         lines = ["essay_id\tessay_set\tprediction"]
         lines += [f"{e.id}\t{e.prompt}\t{score}" for e, score in scores]
         assert ("\n".join(lines) + "\n").encode() == preds.read_bytes()
@@ -824,8 +793,8 @@ class TestCommands:
         assert caplog.text.count("loading cached Gram matrix hisk_") == 2
         assert warm == cold
 
-    def test_commands_load_only_their_essays_vectors(self, workdir, tmp_path, capsys,
-                                                     monkeypatch):
+    def test_commands_load_only_the_vectors_they_need(self, workdir, tmp_path, capsys,
+                                                      monkeypatch):
         lines = (workdir / "data.tsv").read_text().splitlines()
         # One test essay uses a word of the vectors file that no training essay uses.
         fields = lines[31].split("\t")
@@ -834,8 +803,14 @@ class TestCommands:
         train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
         train.write_text("\n".join(lines[:31]) + "\n")
         test.write_text("\n".join(lines[:1] + lines[31:]) + "\n")
+        # The vectors file also holds tokens that tokenize cannot produce.
+        table = load_word2vec_binary(io.BytesIO(make_embeddings_bytes(decoys=200)))
+        odd = ["Omega", "omega_2", "@omega", "\u2460"]
+        rng = np.random.default_rng(3)
         vectors = tmp_path / "decoys.bin"
-        vectors.write_bytes(make_embeddings_bytes(decoys=200))
+        save_word2vec_binary(EmbeddingModel(
+            table.dim, {**table.vocab, **{t: len(table) + i for i, t in enumerate(odd)}},
+            np.vstack([table.vectors, rng.normal(size=(len(odd), table.dim))])), vectors)
         common = ["--prompt", "1", "--representation", "fused", "--embeddings", vectors,
                   "--k", "8", "--seed", "1"]
 
@@ -853,19 +828,19 @@ class TestCommands:
                     assert code == 0, err
             return [(out / name).read_bytes() for name in ("model.bin", "preds.tsv")], loaded
 
-        kept, (train_model, predict_model) = outputs(full=False)
-        full, (full_model, _) = outputs(full=True)
-        assert kept == full
-
-        def embedded_tokens(path, ids=None):
-            return {t for e in parse_asap_tsv(path.read_bytes()) if ids is None or e.id in ids
-                    for t in tokenize(e.text) if t in full_model.vocab}
-
-        support = set(load_model(tmp_path / "kept" / "model.bin").svr.support_ids)
-        assert set(train_model.vocab) == embedded_tokens(train)
-        assert set(predict_model.vocab) == embedded_tokens(train, support) | embedded_tokens(test)
-        assert "decoy7" in predict_model.vocab
-        assert len(train_model) < len(full_model)
+        # `train` loads once and `predict` not at all.
+        (kept_model, kept_preds), (train_table,) = outputs(full=False)
+        (full_model, full_preds), (full_table,) = outputs(full=True)
+        assert kept_preds == full_preds
+        # `train` keeps every token that an essay could bring, "decoy7" among them,
+        # and labels each as a full load does.
+        assert set(train_table.vocab) == {t for t in full_table.vocab if tokenize(t) == [t]}
+        assert set(full_table.vocab) - set(train_table.vocab) == set(odd)
+        assert "decoy7" in train_table.vocab
+        kept_words = load_model(io.BytesIO(kept_model)).super_words.labels
+        full_words = load_model(io.BytesIO(full_model)).super_words.labels
+        assert set(kept_words) == set(train_table.vocab)
+        assert kept_words == {t: full_words[t] for t in kept_words}
 
 
 def child_env() -> dict[str, str]:

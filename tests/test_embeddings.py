@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kaes.embeddings import (
+    _TOKEN_RE,
+    TOKENIZABLE,
     EmbeddingModel,
     load_word2vec_binary,
     tokenize,
@@ -241,6 +243,75 @@ class TestReferenceLoader:
                 got = _load_outcome(load_word2vec_binary, stream,
                                     vocab_limit=vocab_limit, keep=keep)
                 assert got == want, (end, type(stream).__name__)
+
+
+# Record tokens for the train-time selection: some that tokenize produces (a
+# marker with an Arabic-Indic digit among them) and some it cannot: upper
+# case, "_", an inner newline, a lone "@", a marker without a digit, bytes
+# that are not UTF-8 and the empty token.
+SELECTION_TOKENS = ["cat", "a1", "42", "@caps1", "@caps\u0661", "Cat", "snake_case",
+                    "in\nner", "@", "@caps", "x\udc81", "caf\u00e9", ""]
+
+
+def _records_file(records: list[tuple[int, str]], dim: int, seed: int) -> bytes:
+    """A word2vec file with one record per (leading newlines, token)."""
+    vectors = np.random.default_rng(seed).normal(size=(len(records), dim)).astype("<f4")
+    parts = [f"{len(records)} {dim}\n".encode()]
+    for (newlines, token), vec in zip(records, vectors):
+        parts += [b"\n" * newlines, token.encode("utf-8", errors="surrogateescape"), b" ",
+                  vec.tobytes()]
+    return b"".join(parts)
+
+
+def _tokenizable_reference(data: bytes, vocab_limit):
+    """The reference loader's full load, less the tokens _TOKEN_RE does not match whole."""
+    try:
+        full = load_word2vec_reference(data, vocab_limit=vocab_limit)
+    except BinaryFormatError as exc:
+        return exc.offset, str(exc)
+    tokens = [t for t in full.vocab if _TOKEN_RE.fullmatch(t)]
+    vectors = full.vectors[[full.vocab[t] for t in tokens]].reshape(-1, full.dim)
+    return full.dim, [(t, i) for i, t in enumerate(tokens)], vectors.dtype, vectors.tobytes()
+
+
+class TestTokenizable:
+    """``keep=TOKENIZABLE``, the selection that ``kaes train`` labels."""
+
+    def test_kept_tokens(self):
+        records = [(2, "cat"), (0, "Cat"), (1, "snake_case"), (0, "in\nner"),
+                   (0, "@caps\u0661"), (1, "cat"), (0, "@caps1"), (0, "a1")]
+        data = _records_file(records, 3, seed=0)
+        model = load_word2vec_binary(io.BytesIO(data), keep=TOKENIZABLE)
+        assert list(model.vocab) == ["cat", "@caps\u0661", "@caps1", "a1"]
+        full = load_word2vec_binary(io.BytesIO(data))
+        for token in model.vocab:  # the first of two "cat" records wins
+            assert vector_of(model, token).tobytes() == vector_of(full, token).tobytes()
+        # tokenize produces each kept token, from any case.
+        assert tokenize("CAT @CAPS\u0661 @Caps1 A1") == list(model.vocab)
+
+    def test_vocab_limit_counts_scanned_records(self):
+        data = _records_file([(0, "Cat"), (0, "dog"), (0, "cat")], 2, seed=1)
+        model = load_word2vec_binary(io.BytesIO(data), vocab_limit=2, keep=TOKENIZABLE)
+        assert list(model.vocab) == ["dog"]
+
+    @settings(max_examples=120, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(SELECTION_TOKENS)),
+                            min_size=1, max_size=10),
+           vocab_limit=st.one_of(st.none(), st.integers(0, 12)), dim=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_every_truncation_selects_as_the_reference(self, records, vocab_limit, dim, seed):
+        data = _records_file(records, dim, seed)
+        for end in range(len(data) + 1):
+            cut = data[:end]
+            want = _tokenizable_reference(cut, vocab_limit)
+            for stream in (io.BytesIO(cut), _ShortReads(cut, seed)):
+                got = _load_outcome(load_word2vec_binary, stream, vocab_limit=vocab_limit,
+                                    keep=TOKENIZABLE)
+                assert got == want, (end, type(stream).__name__)
+            if isinstance(want[0], int) and isinstance(want[1], str):
+                # A cut record fails as a full load fails: same byte, same message.
+                assert _load_outcome(load_word2vec_binary, io.BytesIO(cut),
+                                     vocab_limit=vocab_limit) == want
 
 
 class TestTokenize:

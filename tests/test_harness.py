@@ -35,7 +35,13 @@ from kaes.harness import (
     train_model,
 )
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
-from oracles import load_word2vec_reference, reference_in_domain, reference_train
+from oracles import (
+    load_word2vec_reference,
+    nearest_centroid_linear,
+    reference_in_domain,
+    reference_predict,
+    reference_train,
+)
 from synthesis import make_corpus_tsv, make_embeddings_bytes, record_vector_loads
 
 
@@ -452,14 +458,12 @@ class TestAssignOnce:
         assert len(passed) == len(cells) == 5
         for rows, (train, evaluation) in zip(passed, cells):
             assert np.array_equal(rows, rows_of_types(train + evaluation))
-        # Prediction assigns the test and support essays' rows in one call.
+        # Prediction looks the model's labels up and assigns nothing.
         essays = load_essays(cfg.data_path)
         model = train_model(cfg, essays)
         passed.clear()
-        predict_scores(model, essays[:12], cfg.embeddings_path)
-        assert len(passed) == 1
-        test_ids = [e.id for e in essays[:12]]
-        assert np.array_equal(passed[0], rows_of_types(test_ids + list(model.svr.support_ids)))
+        predict_scores(model, essays[:12])
+        assert passed == []
 
 
 class TestScoringModel:
@@ -478,7 +482,7 @@ class TestScoringModel:
         raw, predict = [], kaes.harness.predict
         monkeypatch.setattr(kaes.harness, "predict",
                             lambda svr, block: raw.append(predict(svr, block)) or raw[-1])
-        scores = [predict_scores(m, essays[40:], cfg.embeddings_path) for m in (model, loaded)]
+        scores = [predict_scores(m, essays[40:]) for m in (model, loaded)]
         assert scores[0] == scores[1]
         assert raw[0].tobytes() == raw[1].tobytes()
 
@@ -489,6 +493,18 @@ class TestScoringModel:
         essays[3] = replace(essays[3], id=essays[2].id)
         with pytest.raises(KaesError, match="^duplicate essay ids in the training essays$"):
             train_model(cfg, essays)
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe"])
+    def test_duplicate_ids_to_score_are_rejected(self, corpus_dir, representation):
+        cfg = in_domain_cfg(corpus_dir, representation=representation)
+        essays = load_essays(cfg.data_path, cfg.prompt)
+        model = train_model(cfg, essays[:30])
+        held_out = essays[30:34]
+        assert len({score for _, score in predict_scores(model, held_out)}) > 1
+        held_out[1] = replace(held_out[1], id=held_out[0].id)
+        with pytest.raises(KaesError, match=f"^duplicate essay id {held_out[0].id!r} in the "
+                                            "essays to score$"):
+            predict_scores(model, held_out)
 
 
 class TestNormalizedBlocks:
@@ -574,9 +590,10 @@ class TestProtocolDigests:
 
 
 class TestReferenceProtocol:
-    """The in-domain protocol and ``train_model`` against the brute-force
-    re-derivation in ``oracles.reference_in_domain``: codebook points and
-    seeds, kernel blocks and fits bit for bit, kappas to 1e-12."""
+    """The in-domain protocol, ``train_model`` and ``predict_scores`` against
+    the brute-force re-derivations in ``oracles``: codebook points and seeds,
+    kernel blocks and fits bit for bit, kappas to 1e-12, and the scores of
+    held-out essays."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -672,10 +689,27 @@ class TestReferenceProtocol:
         text = {e.id: e.text for e in essays}
         assert model.support_texts == tuple(text[eid] for eid in model.svr.train_ids)
         if split.codebook is None:
-            assert model.codebook is None
+            assert model.super_words is None
         else:
             assert self.same_bits(calls["codebooks"][0][0], split.points)
-            assert np.array_equal(model.codebook.centroids, split.codebook.centroids)
+            # Every token of the file that tokenize can produce, with its nearest centroid.
+            tokens = sorted(t for t in vectors.vocab if tokenize(t) == [t])
+            labels = nearest_centroid_linear(vectors.vectors[[vectors.vocab[t] for t in tokens]],
+                                             split.codebook.centroids)
+            assert model.super_words.k == cfg.k
+            assert model.super_words.labels == dict(zip(tokens, labels.tolist()))
+        # Held-out essays: one uses a word that no training essay has, one a
+        # word the vectors file lacks, and one is blank.
+        lines = make_corpus_tsv(6, seed=8, prompts=(3,), filler=(3, 7)).decode().splitlines()
+        for i, word in ((1, "decoy2"), (2, "zebra")):
+            fields = lines[i].split("\t")
+            fields[2] += f" {word}"
+            lines[i] = "\t".join(fields)
+        held_out = parse_asap_tsv("\n".join(lines + ["9\t3\t \t1"]).encode())
+        by_id = {e.id: e for e in essays}
+        scores = [score for _, score in predict_scores(model, held_out)]
+        assert scores == reference_predict(cfg, split, by_id, held_out, vectors)
+        assert len(scores) == 6 and len(set(scores)) > 1
 
 
 class TestVectorsLoad:
