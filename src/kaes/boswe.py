@@ -123,6 +123,8 @@ class Codebook:
 
     def __post_init__(self):
         self.centroids = np.ascontiguousarray(self.centroids, dtype=np.float32)
+        if self.centroids.ndim != 2 or 0 in self.centroids.shape:
+            raise KaesError(f"empty codebook: centroids of shape {self.centroids.shape}")
         self._centroids64 = self.centroids.astype(np.float64)
 
     @property
@@ -217,6 +219,8 @@ def fit_codebook(
         raise KaesError("vectors must be a nonempty 2-d array")
     if not np.isfinite(points).all():
         raise KaesError("vectors hold NaN or infinite values")
+    if k < 1:
+        raise KaesError(f"empty codebook: k={k}")
     if k > len(points):  # fails before k centers are allocated
         _require_distinct(points, k)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -549,3 +551,19 @@ class TestCodebookIO:
     def test_bad_magic(self):
         with pytest.raises(BinaryFormatError, match="magic"):
             load_model(io.BytesIO(b"WRONG!!!" + b"\x00" * 16))
+
+    @pytest.mark.parametrize("k, dim", [(0, 3), (2, 0)])
+    def test_no_centroids_rejected(self, k, dim):
+        # A codebook without centroids labels no token: it is not made, and
+        # a model file whose super-words claim one (k=0) does not load.
+        with pytest.raises(KaesError, match=re.escape(f"empty codebook: centroids of shape "
+                                                      f"({k}, {dim})")):
+            Codebook(centroids=np.zeros((k, dim)))
+        with pytest.raises(KaesError, match="empty codebook: k=0"):
+            fit_codebook(np.ones((4, 3)), k=0)
+        data = self.saved(SuperWords(1, {"a": 0}))
+        at = len(data) - 16 - 2 - 4  # the super-word header, the token "a\n", one label
+        assert data[at:at + 16] == struct.pack("<IIQ", 1, 1, 2)
+        with pytest.raises(BinaryFormatError, match="empty codebook") as info:
+            load_model(io.BytesIO(data[:at] + struct.pack("<IIQ", 0, 1, 2) + data[at + 16:]))
+        assert info.value.offset == at

@@ -553,6 +553,20 @@ class TestCommands:
             code, out, err = run_main(capsys, ["predict", *common, *flag, "--model", model])
             assert (code, out) == (0, expected), err
 
+    def test_predict_loads_vectors_once(self, workdir, tmp_path, capsys, monkeypatch):
+        # From train to predict the vectors file is loaded once: train reads it,
+        # and predict scores with the super-words the model carries.
+        common = ["--data", workdir / "data.tsv", "--prompt", "1", "--representation", "fused",
+                  "--embeddings", workdir / "emb.bin", "--k", "8", "--seed", "1"]
+        model = tmp_path / "model.bin"
+        loaded = record_vector_loads(monkeypatch)
+        code, _, err = run_main(capsys, ["train", *common, "--out", model])
+        assert code == 0, err
+        assert len(loaded) == 1
+        code, _, err = run_main(capsys, ["predict", *common, "--model", model])
+        assert code == 0, err
+        assert len(loaded) == 1
+
     def test_id_and_text_with_an_undefined_cp1252_byte(self, workdir, tmp_path, capsys, caplog):
         # Parsing decodes byte 0x81, which Windows-1252 leaves undefined, to a lone surrogate.
         lines = make_corpus_tsv(30, seed=7).split(b"\n")
