@@ -227,6 +227,10 @@ def cmd_train(settings: dict[str, Any]) -> int:
     out = _require(settings, "out")
     with open_binary(out, "wb") as stream:
         essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
+        prompts = sorted({e.prompt for e in essays})
+        if len(prompts) > 1:
+            raise KaesError(f"the essays hold prompts {', '.join(map(str, prompts))}; "
+                            f"a model scores one: choose it with --prompt")
         model = train_model(cfg, essays)
         save_model(model, stream)
     svr = model.svr

@@ -14,6 +14,9 @@ from kaes.boswe import (
     Codebook,
     _assign_blocked,
     _kmeans_pp_init,
+    _screen_margin,
+    _screen_margin32,
+    _screen_nearest,
     boswe_kernel_matrix,
     fit_codebook,
 )
@@ -81,6 +84,38 @@ _shapes = dict(
     k=st.integers(1, 30),
     n=st.integers(1, 60),
 )
+
+
+# float32 hazards: magnitudes that overflow float32 (1e39), whose squares
+# do (1e19, 1e38), whose squares fall below its normal range (1e-22), that
+# do themselves (1e-38, 1e-42), and that float32 rounds to zero (1e-46).
+_float32_scales = st.lists(
+    st.sampled_from([1e-46, 1e-42, 1e-38, 1e-22, 1.0, 1e19, 1e38, 3e38, 1e39]),
+    min_size=1, max_size=3)
+
+
+def _at_scales(rng, shape, scales) -> np.ndarray:
+    """Normal values, each column at one of ``scales``."""
+    return rng.normal(size=shape) * rng.choice(scales, size=shape[1])
+
+
+def _rounded_apart(rng, n: int, dim: int, ulps: float) -> np.ndarray:
+    """float64 rows within ``ulps`` float32 spacings of repeated float32 rows,
+    so that rows distinct in float64 often share one float32 copy."""
+    base = rng.normal(size=(n, dim)).astype(np.float32)[rng.integers(0, n, size=n)]
+    return base + rng.uniform(-ulps, ulps, size=(n, dim)) * np.spacing(base)
+
+
+def _near_bisectors(rng, centroids: np.ndarray, n: int, gap: float) -> np.ndarray:
+    """n points on the bisector of two random centroids a and b, moved
+    towards b by ``gap`` (b - a): their squared distances to a and b differ
+    by 2 gap ||b - a||^2."""
+    a, b = centroids[rng.integers(0, len(centroids), size=(2, n))]
+    w = b - a
+    z = rng.normal(size=w.shape) * 0.1
+    w_sq = np.maximum(np.einsum("ij,ij->i", w, w), 1e-300)
+    z -= (np.einsum("ij,ij->i", z, w) / w_sq)[:, None] * w
+    return (a + b) / 2 + z + gap * w
 
 
 class TestKMeans:
@@ -249,6 +284,29 @@ class TestSeeding:
         points = rows[rng.integers(0, distinct, size=3 * k)]
         _check_seeding_against_reference(points, k, seed)
 
+    @settings(deadline=None)
+    @given(**_shapes, scales=_float32_scales)
+    def test_components_at_float32_limits(self, seed, dim, k, n, scales):
+        # The float32 screen proves nothing past float32's range: those rows
+        # fall back.  Below its normal range its absolute error term covers them.
+        rng = np.random.default_rng(seed)
+        _check_seeding_against_reference(_at_scales(rng, (n, dim), scales), k, seed)
+
+    @settings(deadline=None)
+    @given(**_shapes, ulps=st.sampled_from([0.25, 0.5, 2.0]))
+    def test_float64_points_that_float32_rounds(self, seed, dim, k, n, ulps):
+        rng = np.random.default_rng(seed)
+        _check_seeding_against_reference(_rounded_apart(rng, n, dim, ulps), k, seed)
+
+    @settings(deadline=None)
+    @given(**_shapes, gap=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5]))
+    def test_near_ties_within_float32_rounding(self, seed, dim, k, n, gap):
+        # Gaps of 1e-9 to 1e-7 tie in float32 but not in float64.
+        rng = np.random.default_rng(seed)
+        anchors = rng.normal(size=(max(2, n // 4), dim))
+        points = np.vstack([anchors, _near_bisectors(rng, anchors, n, gap)])
+        _check_seeding_against_reference(points, k, seed)
+
 
 def _check_against_linear_scan(points: np.ndarray, centroids: np.ndarray) -> None:
     expected = nearest_centroid_linear(points, centroids)
@@ -319,7 +377,7 @@ class TestAssign:
             codebook.assign_batch(np.zeros((1, 4)))
 
     def test_float32_table_labels_as_its_float64_copy(self):
-        # assign_batch takes float32 rows as float64 one block at a time.
+        # assign_batch screens float32 rows as they are, one block at a time.
         rng = np.random.default_rng(23)
         codebook = self._codebook(rng.normal(size=(6, 5)))
         table = rng.normal(size=(300, 5)).astype(np.float32)
@@ -345,6 +403,91 @@ class TestAssign:
         centroids = rng.integers(0, levels, size=(k, dim)).astype(np.float64)
         points = rng.integers(0, levels, size=(n, dim)).astype(np.float64)
         _check_against_linear_scan(points, centroids)
+
+    @settings(deadline=None)
+    @given(**_shapes, scales=_float32_scales)
+    def test_components_at_float32_limits_match_linear_scan(self, seed, dim, k, n, scales):
+        # Half the points lie within 0.1% of a centroid, where a wrong screen
+        # would settle on a wrong neighbour.
+        rng = np.random.default_rng(seed)
+        both = _at_scales(rng, (n + k, dim), scales)
+        points, centroids = both[:n], both[n:]
+        near = centroids[rng.integers(0, k, size=n // 2)]
+        points[: n // 2] = near * (1 + 1e-3 * rng.normal(size=near.shape))
+        _check_against_linear_scan(points, centroids)
+
+    @settings(deadline=None)
+    @given(**_shapes, ulps=st.sampled_from([0.25, 0.5, 2.0]))
+    def test_float64_points_that_float32_rounds_match_linear_scan(self, seed, dim, k, n, ulps):
+        rng = np.random.default_rng(seed)
+        both = _rounded_apart(rng, n + k, dim, ulps)
+        _check_against_linear_scan(both[:n], both[n:])
+
+    @settings(deadline=None)
+    @given(**_shapes, gap=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5]))
+    def test_near_ties_within_float32_rounding_match_linear_scan(self, seed, dim, k, n, gap):
+        rng = np.random.default_rng(seed)
+        centroids = rng.normal(size=(k, dim))
+        _check_against_linear_scan(_near_bisectors(rng, centroids, n, gap), centroids)
+
+    def test_float32_near_tie_is_settled_by_the_float64_screen(self):
+        rng = np.random.default_rng(5)
+        centroids = rng.normal(size=(2, 8))
+        x = (centroids[0] + centroids[1]) / 2 + 1e-8 * (centroids[1] - centroids[0])
+        rows = x[None, :]
+        _, open32 = _screen_nearest(rows.astype(np.float32), centroids.astype(np.float32),
+                                    _screen_margin32)
+        labels, open64 = _screen_nearest(rows, centroids, _screen_margin)
+        assert list(open32) == [0] and list(open64) == []
+        assert list(labels) == [1] == list(nearest_centroid_linear(rows, centroids))
+
+    def test_float32_overflow_leaves_the_row_open(self):
+        # Every square is finite in float32, but 2 x.c of centroid 1 is not:
+        # its screen value is -inf, the smallest, though centroid 0 is x.
+        rows, centroids = np.array([[1.3e19]]), np.array([[1.3e19], [1.313e19]])
+        with np.errstate(over="ignore"):
+            _, open32 = _screen_nearest(rows.astype(np.float32), centroids.astype(np.float32),
+                                        _screen_margin32)
+        assert list(open32) == [0]
+        assert list(_assign_blocked(rows, centroids)) == [0]
+
+    def test_outlying_centroid_widens_only_its_own_margin(self):
+        # Margins taken with the largest centroid norm would leave every row
+        # open here; per-centroid margins settle them all in float32.
+        rng = np.random.default_rng(13)
+        centroids = rng.normal(size=(8, 300))
+        centroids[3] *= 1e4
+        rows = centroids[rng.integers(0, 8, size=200)] + 0.1 * rng.normal(size=(200, 300))
+        labels, open32 = _screen_nearest(rows.astype(np.float32), centroids.astype(np.float32),
+                                         _screen_margin32)
+        assert open32.size == 0
+        assert list(labels) == list(nearest_centroid_linear(rows, centroids))
+
+    def test_float32_screen_leaves_every_row_open_from_dim_2_to_the_14(self):
+        # The float32 margin is proven for dimensions below 2^14 only.
+        rng = np.random.default_rng(17)
+        centroids = rng.normal(size=(3, 2 ** 14))
+        rows = centroids[[0, 2, 1, 0]] + 0.01 * rng.normal(size=(4, 2 ** 14))
+        for dim, expected in [(2 ** 14, [0, 1, 2, 3]), (2 ** 14 - 1, [])]:
+            _, open32 = _screen_nearest(rows[:, :dim].astype(np.float32),
+                                        centroids[:, :dim].astype(np.float32), _screen_margin32)
+            assert list(open32) == expected
+        assert list(_assign_blocked(rows, centroids)) == [0, 2, 1, 0]
+
+    def test_squares_below_float32_normal_range_match_linear_scan(self):
+        # Squares of about 1e-44 keep two or three digits in float32.
+        rng = np.random.default_rng(9)
+        centroids = rng.uniform(0.5e-22, 3e-22, size=(64, 2))
+        points = centroids[rng.integers(0, 64, size=500)] * (1 + 1e-3 * rng.normal(size=(500, 2)))
+        _check_against_linear_scan(points, centroids)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    def test_non_finite_centroid_rejected(self, bad):
+        # 1e39 is finite in float64 but overflows float32 when stored.
+        centroids = np.zeros((4, 3))
+        centroids[[2, 3], 1] = bad
+        with pytest.raises(KaesError, match=r"^codebook centroid 2 is not finite in float32$"):
+            Codebook(centroids=centroids)
 
 
 class TestHistograms:

@@ -293,6 +293,21 @@ class TestCommands:
         assert code == 1
         assert err == "error: missing required option --out\n"
 
+    def test_train_on_two_prompts_asks_for_one(self, workdir, tmp_path, monkeypatch, capsys):
+        model = tmp_path / "m.bin"
+        model.write_bytes(b"old")
+        train = ["train", "--data", workdir / "pair.tsv", "--out", model]
+        with monkeypatch.context() as patch:
+            patch.setattr(kaes.cli, "train_model", None)  # nothing is trained
+            code, out, err = run_main(capsys, train)
+        assert code == 1 and out == ""
+        assert err == "error: the essays hold prompts 1, 2; a model scores one: choose it " \
+                      "with --prompt\n"
+        assert model.read_bytes() == b"old"
+        code, out, err = run_main(capsys, [*train, "--prompt", "2"])
+        assert code == 0, err
+        assert out.startswith("model: 40/40 support vectors")
+
     @pytest.mark.parametrize("line", ["ngram-max=3", "kmeans_iter=5"])
     def test_unknown_config_key_fails(self, workdir, tmp_path, capsys, line):
         cfg_path = tmp_path / "typo.cfg"
