@@ -2,27 +2,38 @@
 (embeddings, kernel cache, model).
 
 Every loader reads through :class:`Reader`.  It raises
-:class:`BinaryFormatError` with the byte offset of any problem, and it never
-asks its stream for more than one chunk beyond the bytes already received,
-so a header that declares a huge size costs at most about the file's size
-before the read fails.
+:class:`BinaryFormatError` with the byte offset of any problem.  A regular
+file, given by path or as a file object, is mapped read-only and read in
+place, and its pages behind the cursor go back to the system as reads pass
+them; any other stream (a pipe, a ``BytesIO``, a ``GzipFile``) is read in
+1 MiB chunks, never more than one beyond the bytes already received.
+Either way a header that declares a huge size costs at most about the file's
+size before the read fails.  A mapped file that another process truncates
+during the read ends the process with SIGBUS; a file already cut when it is
+opened fails with a :class:`BinaryFormatError`.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import math
-import operator
+import mmap
 import os
 import re
 import secrets
 import stat
 import struct
-from itertools import accumulate, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import BinaryFormatError
+
+# None where mmap has no madvise (Windows): pages then stay until the unmap.
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+# None where there are no transparent huge pages.
+_MADV_NOHUGEPAGE = getattr(mmap, "MADV_NOHUGEPAGE", None)
 
 
 @contextlib.contextmanager
@@ -70,18 +81,70 @@ def _record_pattern(size: int) -> re.Pattern[bytes]:
     return re.compile(rb"([^ ]*) (?s:.){%d}" % size)
 
 
+def _map_rest(stream: BinaryIO) -> tuple[mmap.mmap, int] | None:
+    """A read-only mapping of the regular file behind ``stream`` from its
+    position on, and the index of that position in the mapping; the stream is
+    left at the mapping's end.  None for any other stream, an empty rest, or a
+    file system that cannot map files.  Only a file object, buffered or not,
+    reads its file's own bytes: a ``GzipFile`` also has a ``fileno()``."""
+    raw = getattr(stream, "raw", stream)
+    if not isinstance(raw, io.FileIO):
+        return None
+    fd = raw.fileno()
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    pos = stream.tell()
+    if pos >= info.st_size:  # mmap maps no empty range; a /proc file reports size 0
+        return None
+    base = pos - pos % mmap.ALLOCATIONGRANULARITY
+    try:
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ, offset=base)
+    except (OSError, ValueError):  # ValueError: the file shrank below base after the fstat
+        return None
+    if _MADV_NOHUGEPAGE is not None:
+        # Huge pages would map megabytes of the file ahead of the cursor.
+        with contextlib.suppress(OSError):  # a kernel built without them
+            mapping.madvise(_MADV_NOHUGEPAGE)
+    stream.seek(base + len(mapping))
+    return mapping, pos - base
+
+
 class Reader:
     """Buffered reader of a binary stream that tracks the absolute byte offset.
 
-    ``what`` names the field being read in error messages.
+    The buffer is a read-only mapping of the rest of the file when the stream
+    is a regular file (see :func:`_map_rest`), else the last chunk read.  The
+    mapped pages behind the cursor go back to the system as reads pass them,
+    so a read holds about one chunk of the file besides the bytes it returns;
+    :meth:`close`, or leaving a ``with`` block, unmaps the file.  ``what``
+    names the field being read in error messages.
     """
 
     def __init__(self, stream: BinaryIO, chunk: int = 1 << 20):
         self._stream = stream
         self._chunk = chunk
-        self._buf = b""
+        self._buf: bytes | mmap.mmap = b""
         self._pos = 0
         self.offset = 0
+        self._map = None
+        # Pages of the mapping before this index are released to the system.
+        self._released = 0
+        mapped = _map_rest(stream)
+        if mapped is not None:
+            self._map, self._pos = mapped
+            self._buf = self._map
+
+    def __enter__(self) -> "Reader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Unmap the file, if it was mapped; the reader reads nothing after."""
+        if self._map is not None:
+            self._map.close()
 
     def read(self, n: int, what: str) -> bytes:
         """Exactly the next ``n`` bytes (``bytes``, or a ``bytearray`` when they
@@ -90,6 +153,7 @@ class Reader:
         if end <= len(self._buf):
             out = self._buf[self._pos : end]
             self._pos = end
+            self._release()
         else:
             # Appended chunk by chunk, so n bytes cost O(n) time and memory;
             # the last chunk stays buffered for the reads that follow.
@@ -172,16 +236,18 @@ class Reader:
         the space and ``size`` more bytes.  Returns how many were consumed,
         with the token and bytes of each that ``pick`` (if given) selects:
         ``pick(tokens)`` gives the ascending indices of the tokens to keep.
-        One ``findall`` splits the buffer's whole records, back to back up to
-        the first cut one: its greedy ``[^ ]*`` stops at the first space, as
-        :meth:`read_until` does, and a match needs ``size`` bytes after it.
-        If none is whole, :meth:`read_until` and :meth:`read` read the next
-        record, fetching more and raising the errors of a cut record.
+        One ``findall`` splits the whole records of the buffer's next window,
+        at most one chunk long, back to back up to the first cut one: its
+        greedy ``[^ ]*`` stops at the first space, as :meth:`read_until` does,
+        and a match needs ``size`` bytes after it.  If none is whole,
+        :meth:`read_until` and :meth:`read` read the next record, fetching
+        more and raising the errors of a cut record.
         """
         start = self._pos
+        stop = min(len(self._buf), start + self._chunk)
         # No record fits; this also keeps the pattern's count below the chunk size.
-        heads = (_record_pattern(size).findall(self._buf, start)
-                 if len(self._buf) - start > size else [])
+        heads = (_record_pattern(size).findall(self._buf, start, stop)
+                 if stop - start > size else [])
         del heads[limit:]
         if not heads:
             token = self.read_until(b" ", "token").lstrip(b"\n")
@@ -189,12 +255,28 @@ class Reader:
             vector = self.read(size, what)
             return 1, [(token, vector)] if pick is None or list(pick([token])) else []
         tokens = list(map(bytes.lstrip, heads, repeat(b"\n")))
-        # ends[i + 1] is where record i ends: after its newlines, token, space and size bytes.
-        ends = list(accumulate(map(operator.add, map(len, heads), repeat(size + 1)),
-                               initial=start))
         picked = range(len(heads)) if pick is None else pick(tokens)
+        step = size + 1
         buf = self._buf
-        found = [(tokens[i], buf[ends[i + 1] - size : ends[i + 1]]) for i in picked]
-        self._pos = ends[-1]
-        self.offset += ends[-1] - start
+        found = []
+        end, prev = start, 0
+        for i in picked:
+            # Record i ends after the newlines and tokens of records prev..i,
+            # and their spaces and vectors: only picked records need an end,
+            # and the heads between them are measured at once.
+            gap = len(heads[i]) if i == prev else len(b"".join(heads[prev : i + 1]))
+            end += gap + (i + 1 - prev) * step
+            found.append((tokens[i], buf[end - size : end]))
+            prev = i + 1
+        self._pos = end + len(b"".join(heads[prev:])) + (len(heads) - prev) * step
+        self.offset += self._pos - start
+        self._release()
         return len(heads), found
+
+    def _release(self) -> None:
+        """Give the system back the mapped pages wholly before the cursor."""
+        if self._buf is self._map and _MADV_DONTNEED is not None:
+            page = self._pos - self._pos % mmap.PAGESIZE
+            if page > self._released:
+                self._map.madvise(_MADV_DONTNEED, self._released, page - self._released)
+                self._released = page

@@ -261,6 +261,8 @@ def _kmeans_pp_init(
     A draw with positive mass always picks a row distinct from every chosen
     center, so an input with fewer than k distinct rows runs out of positive
     finite mass before its k-th draw; only then are distinct rows counted.
+    Finite points whose squared distances to the first center sum past
+    float64's range are a KaesError.
     """
     n, dim = points.shape
     centers = np.empty((k, dim), dtype=np.float64)
@@ -271,24 +273,39 @@ def _kmeans_pp_init(
     base = sq32 - _screen_margin32(sq32, dim)
     first = int(rng.integers(n))
     centers[0] = points[first]
-    closest = ((points - centers[0]) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):  # a total that overflows is an error below
+        closest = ((points - centers[0]) ** 2).sum(axis=1)
+        total = closest.sum()
     counted = False
     for j in range(1, k):
-        total = closest.sum()
         if not counted and not 0 < total < np.inf:
             counted = True
             _require_distinct(points, k)
+            if total == np.inf and np.isfinite(points).all():
+                raise KaesError("the squared distances of the vectors to the first k-means++ "
+                                "center overflow float64: their sum is inf")
         if total <= 0:
             # All remaining points coincide with chosen centers; any pick works.
             idx = int(rng.integers(n))
+        elif total < np.inf:
+            # rng.choice(n, p=closest / total) without its checks of p: the same
+            # cumulative sum and uniform draw, so the same index.
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), "right"))
         else:
+            # NaN or inf, from points that are not finite: rng.choice rejects p.
             idx = int(rng.choice(n, p=closest / total))
         centers[j] = points[idx]
+        # An overflow leaves its rows open, and an open row's distance that
+        # overflows is inf, so the row keeps its current one.
         with np.errstate(over="ignore", invalid="ignore"):
             low = base + p32 @ (-2 * p32[idx])
             low += base[idx]
             todo = np.flatnonzero(~(low > closest))
-        closest[todo] = np.minimum(closest[todo], ((points[todo] - centers[j]) ** 2).sum(axis=1))
+            closest[todo] = np.minimum(closest[todo],
+                                       ((points[todo] - centers[j]) ** 2).sum(axis=1))
+        total = closest.sum()
     return centers, closest
 
 

@@ -11,6 +11,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Collection
 
@@ -29,6 +30,7 @@ _MAX_DIM = sys.maxsize // 4
 _TOKEN_RE = re.compile(r"@[a-z]+\d+|[a-z0-9]+")
 # The first bytes of the tokens _TOKEN_RE matches.
 _TOKEN_START = frozenset(bytes([c]) for c in b"@0123456789abcdefghijklmnopqrstuvwxyz")
+_first_byte = itemgetter(slice(1))
 
 
 class _Tokenizable:
@@ -88,8 +90,7 @@ def load_word2vec_binary(
 
         def pick(tokens: list[bytes]):
             return compress(range(len(tokens)), map(wanted, tokens))
-    with open_binary(source, "rb") as stream:
-        reader = Reader(stream)
+    with open_binary(source, "rb") as stream, Reader(stream) as reader:
         header = reader.read_until(b"\n", "header")
         try:
             count_s, dim_s = header.split()
@@ -122,8 +123,9 @@ def _tokenizable(tokens: list[bytes]) -> list[int]:
     those that ``_TOKEN_RE`` matches whole once decoded.  A token whose first
     byte cannot start a match is passed over undecoded."""
     fullmatch = _TOKEN_RE.fullmatch
-    return [i for i, token in enumerate(tokens) if token[:1] in _TOKEN_START
-            and fullmatch(token.decode("utf-8", errors="surrogateescape"))]
+    starts = compress(range(len(tokens)),
+                      map(_TOKEN_START.__contains__, map(_first_byte, tokens)))
+    return [i for i in starts if fullmatch(tokens[i].decode("utf-8", errors="surrogateescape"))]
 
 
 def _token_bytes(tokens: Collection[str]) -> set[bytes]:

@@ -160,6 +160,8 @@ class ExperimentConfig:
             raise KaesError(f"--nt sizes must be at least 0, got {min(self.nt)}")
         if self.vocab_limit is not None and self.vocab_limit < 0:
             raise KaesError(f"--vocab-limit must be at least 0, got {self.vocab_limit}")
+        if self.vocab_limit == 0:  # the command line maps its 0 to None
+            raise KaesError("vocab_limit=0 would scan no record; None scans every record")
         if self.vocab_limit is not None and self.vocab_limit >= 2**64:  # a u64 in the model file
             raise KaesError(f"--vocab-limit must be below 2**64, got {self.vocab_limit}")
         if not 0 <= self.seed < 2**64:  # a u64, as documented
@@ -800,8 +802,7 @@ def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
 
 def load_model(path: str | Path | BinaryIO) -> ScoringModel:
     """Read a model written by :func:`save_model`; a malformed file is a BinaryFormatError."""
-    with open_binary(path, "rb") as stream:
-        reader = Reader(stream)
+    with open_binary(path, "rb") as stream, Reader(stream) as reader:
         reader.expect_magic(MODEL_MAGIC)
         code, ngram_min, ngram_max, vocab_limit = reader.unpack("<BIIQ", "kernel settings")
         if code >= len(REPRESENTATIONS) or not 1 <= ngram_min <= ngram_max:

@@ -494,8 +494,7 @@ def save_kernel_matrix(kernel: KernelMatrix, path: str | Path | BinaryIO) -> Non
 
 def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
     """Read a kernel matrix written by :func:`save_kernel_matrix`."""
-    with open_binary(path, "rb") as stream:
-        reader = Reader(stream)
+    with open_binary(path, "rb") as stream, Reader(stream) as reader:
         reader.expect_magic(KERNEL_MAGIC)
         rows, cols, tag = reader.unpack("<IIB", "header")
         if tag != _RAW_KIND:

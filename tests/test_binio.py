@@ -10,6 +10,7 @@ import os
 import re
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,52 @@ class TestReader:
         with pytest.raises(BinaryFormatError, match="token") as info:
             reader.read_until(b" ", "token")
         assert info.value.offset == 4
+
+    @pytest.mark.parametrize("chunk", [1, 9, 16, 40, 1 << 20])
+    def test_mapped_file_splits_records_as_its_stream(self, tmp_path, chunk):
+        # Windows of a mapped file end inside records as chunks of a stream do;
+        # the records and the error at the cut are the same.
+        records = [b"a", b"\n\nbc", b"", b"\nd\ne", b"\n" + b"f" * 30, b"\ng"]
+        vectors = [bytes([i]) * 4 + b" \n\n " for i in range(len(records))]
+        data = b"".join(t + b" " + v for t, v in zip(records, vectors)) + b"\nh i"
+        path = tmp_path / "records.bin"
+        path.write_bytes(data)
+
+        def scan(stream):
+            out = []
+            with Reader(stream, chunk=chunk) as reader:
+                try:
+                    while True:
+                        _, found = reader.read_records(8, 3, None)
+                        out += [(token, bytes(vector)) for token, vector in found]
+                except BinaryFormatError as exc:
+                    return out, exc.offset, str(exc)
+
+        with open(path, "rb") as stream:
+            got = scan(stream)
+        assert got == scan(io.BytesIO(data))
+        assert got[0] == [(t.lstrip(b"\n"), v) for t, v in zip(records, vectors)]
+        assert got[1:] == (len(data) - 1, f"at byte {len(data) - 1}: truncated vector of 'h': "
+                                          "expected 8 bytes, only 1 available")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    @pytest.mark.parametrize("scan", ["records", "read"])
+    def test_reads_release_the_mapped_pages_behind_them(self, tmp_path, scan):
+        # A vectors scan, and one large field such as a Gram cache's values.
+        size = 4096
+        path = tmp_path / "records.bin"
+        path.write_bytes((b"t " + bytes(size)) * 2048)  # 8 MiB: eight 1 MiB windows
+        with open(path, "rb") as stream, Reader(stream) as reader:
+            if scan == "records":
+                for _ in range(7):
+                    reader.read_records(size, 1 << 20, None)
+            else:
+                reader.read(7 << 20, "values")
+            smaps = Path("/proc/self/smaps").read_text().splitlines()
+        at = next(i for i, line in enumerate(smaps) if line.endswith(str(path)))
+        rss_kib = next(int(line.split()[1]) for line in smaps[at:] if line.startswith("Rss:"))
+        assert reader.offset > 7 * ((1 << 20) - 4098)  # seven windows of whole records
+        assert rss_kib < 3 << 10  # not the 7 MiB read
 
     @pytest.mark.parametrize("name", sorted(FORMATS))
     def test_huge_declared_size_asks_the_stream_for_one_chunk_at_most(self, name):

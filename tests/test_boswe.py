@@ -132,6 +132,13 @@ class TestKMeans:
         with pytest.raises(KaesError, match="NaN or infinite"):
             fit_codebook(points, k=4, seed=0)
 
+    def test_distances_that_overflow_are_rejected(self):
+        # Finite points whose squared distances sum past float64's range: no
+        # draw, and no RuntimeWarning (tier-1 makes one an error).
+        points = np.random.default_rng(0).normal(size=(200, 300)) * 1e153
+        with pytest.raises(KaesError, match="overflow float64: their sum is inf"):
+            fit_codebook(points, k=5, seed=0)
+
     def test_two_blob_means(self):
         blob_a = np.array([[0.0, 0.0], [0.5, 0.0]])
         blob_b = np.array([[10.0, 10.0], [10.5, 10.0]])

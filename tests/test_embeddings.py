@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import gzip
 import io
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,14 +239,74 @@ class TestReferenceLoader:
              vocab_limit=None, seed=0)
     def test_every_truncation_loads_as_record_by_record(self, file, vocab_limit, seed):
         content, keep = file
-        for end in range(len(content) + 1):
-            cut = content[:end]
-            want = _load_outcome(load_word2vec_reference, cut, vocab_limit=vocab_limit,
-                                 keep=keep)
-            for stream in (io.BytesIO(cut), _ShortReads(cut, seed)):
-                got = _load_outcome(load_word2vec_binary, stream,
-                                    vocab_limit=vocab_limit, keep=keep)
-                assert got == want, (end, type(stream).__name__)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "vectors.bin")
+            for end in range(len(content) + 1):
+                cut = content[:end]
+                want = _load_outcome(load_word2vec_reference, cut, vocab_limit=vocab_limit,
+                                     keep=keep)
+                path.write_bytes(cut)
+                for source in (io.BytesIO(cut), _ShortReads(cut, seed), path):
+                    got = _load_outcome(load_word2vec_binary, source,
+                                        vocab_limit=vocab_limit, keep=keep)
+                    assert got == want, (end, type(source).__name__)
+
+
+class TestMappedFile:
+    """A file given by path, or as an open regular file, is read through a
+    read-only mapping; these check what that path adds to the stream's."""
+
+    @pytest.mark.parametrize("data", [b"", b"2 3", b"2 3\n", b"2 3\n\n"])
+    def test_empty_and_header_only_files_fail_as_streams(self, tmp_path, data):
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(data)
+        want = _load_outcome(load_word2vec_binary, io.BytesIO(data))
+        assert isinstance(want[0], int) and isinstance(want[1], str)  # an error
+        assert _load_outcome(load_word2vec_binary, path) == want
+
+    @pytest.mark.parametrize("skip", [1, 4096, 5000])
+    @pytest.mark.parametrize("cut", [0, 5])
+    def test_open_file_loads_from_its_position(self, tmp_path, skip, cut):
+        # The mapping starts at a multiple of the allocation granularity at or
+        # before the position; offsets still count from the position.
+        data = _vectors_file(["cat", "dog", "é", "cat"], 3, True, seed=2)
+        data = data[: len(data) - cut]
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(b"\xff" * skip + data)
+        with open(path, "rb") as stream:
+            stream.seek(skip)
+            got = _load_outcome(load_word2vec_binary, stream)
+        assert got == _load_outcome(load_word2vec_binary, io.BytesIO(data))
+
+    def test_compressed_file_is_read_as_a_stream(self, tmp_path):
+        # A GzipFile has the fileno() of its compressed file: it must not be mapped.
+        data = _vectors_file(["cat", "dog", "é"], 3, True, seed=4)
+        path = tmp_path / "vectors.bin.gz"
+        path.write_bytes(gzip.compress(data))
+        with gzip.open(path, "rb") as stream:
+            got = _load_outcome(load_word2vec_binary, stream)
+        assert got == _load_outcome(load_word2vec_binary, io.BytesIO(data))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self")
+    def test_table_is_a_copy_and_nothing_stays_open(self, tmp_path):
+        path = tmp_path / "vectors.bin"
+        data = _vectors_file(["cat", "dog", "é"], 4, True, seed=3)
+        path.write_bytes(data)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        model = load_word2vec_binary(path)
+        loaded = model.vectors.tobytes()
+        with open(path, "r+b") as stream:  # the same file, every byte after the header changed
+            stream.seek(data.index(b"\n") + 1)
+            stream.write(bytes(b ^ 0xFF for b in data[data.index(b"\n") + 1 :]))
+        assert model.vectors.tobytes() == loaded
+        path.write_bytes(data[:-3])
+        # The traceback holds the loader's frame, and so its reader: the load
+        # unmapped the file all the same.
+        with pytest.raises(BinaryFormatError, match="truncated") as info:
+            load_word2vec_binary(path)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert str(path) not in Path("/proc/self/maps").read_text()
+        assert "vector of 'é'" in str(info.value)
 
 
 # Record tokens for the train-time selection: some that tokenize produces (a
@@ -301,17 +365,20 @@ class TestTokenizable:
            seed=st.integers(0, 2**16))
     def test_every_truncation_selects_as_the_reference(self, records, vocab_limit, dim, seed):
         data = _records_file(records, dim, seed)
-        for end in range(len(data) + 1):
-            cut = data[:end]
-            want = _tokenizable_reference(cut, vocab_limit)
-            for stream in (io.BytesIO(cut), _ShortReads(cut, seed)):
-                got = _load_outcome(load_word2vec_binary, stream, vocab_limit=vocab_limit,
-                                    keep=TOKENIZABLE)
-                assert got == want, (end, type(stream).__name__)
-            if isinstance(want[0], int) and isinstance(want[1], str):
-                # A cut record fails as a full load fails: same byte, same message.
-                assert _load_outcome(load_word2vec_binary, io.BytesIO(cut),
-                                     vocab_limit=vocab_limit) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "vectors.bin")
+            for end in range(len(data) + 1):
+                cut = data[:end]
+                want = _tokenizable_reference(cut, vocab_limit)
+                path.write_bytes(cut)
+                for source in (io.BytesIO(cut), _ShortReads(cut, seed), path):
+                    got = _load_outcome(load_word2vec_binary, source, vocab_limit=vocab_limit,
+                                        keep=TOKENIZABLE)
+                    assert got == want, (end, type(source).__name__)
+                if isinstance(want[0], int) and isinstance(want[1], str):
+                    # A cut record fails as a full load fails: same byte, same message.
+                    assert _load_outcome(load_word2vec_binary, io.BytesIO(cut),
+                                         vocab_limit=vocab_limit) == want
 
 
 class TestTokenize:

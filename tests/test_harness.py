@@ -868,6 +868,14 @@ class TestConfigFile:
         with pytest.raises(KaesError, match=f"^{re.escape(message)}$"):
             cfg.validate()
 
+    def test_validate_rejects_a_vocab_limit_of_0(self):
+        # The command line's "--vocab-limit 0" reaches the config as None.
+        cfg = ExperimentConfig(mode="in-domain", representation="boswe", data_path="x",
+                               embeddings_path="vectors.bin", vocab_limit=0)
+        with pytest.raises(KaesError, match="^vocab_limit=0 would scan no record; "
+                                            "None scans every record$"):
+            cfg.validate()
+
     def test_validate_takes_numpy_integers(self):
         ExperimentConfig(mode="in-domain", data_path="data.tsv", prompt=np.int64(1),
                          k=np.int32(4), seed=np.uint64(3), nt=(np.int8(2),)).validate()
