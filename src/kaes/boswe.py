@@ -247,12 +247,12 @@ def _kmeans_pp_init(
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeds, and each point's squared distance to its nearest seed.
 
-    ``points`` are float32 or float64.  Each new center is drawn with
+    ``points`` are finite, float32 or float64.  Each new center is drawn with
     probability proportional to the points' elementwise squared distances
     (in float64) to their nearest earlier center.  Those distances are
     screened with one float32 matrix-vector product per center: a row whose
     lower bound ``g - m(x) - m(c)`` (:func:`_screen_margin32`) exceeds its
-    current distance keeps it, and every other row (NaN and inf included)
+    current distance keeps it, and every other row (a NaN bound included)
     takes the minimum with its elementwise distance.  So distances, draws
     and centers equal those of the elementwise loop bit for bit.  The
     float64 screen is not tried here: on one center, it costs a row about
@@ -261,8 +261,8 @@ def _kmeans_pp_init(
     A draw with positive mass always picks a row distinct from every chosen
     center, so an input with fewer than k distinct rows runs out of positive
     finite mass before its k-th draw; only then are distinct rows counted.
-    Finite points whose squared distances to the first center sum past
-    float64's range are a KaesError.
+    Squared distances to the first center that sum past float64's range are
+    a KaesError.
     """
     n, dim = points.shape
     centers = np.empty((k, dim), dtype=np.float64)
@@ -281,21 +281,18 @@ def _kmeans_pp_init(
         if not counted and not 0 < total < np.inf:
             counted = True
             _require_distinct(points, k)
-            if total == np.inf and np.isfinite(points).all():
+            if total == np.inf:
                 raise KaesError("the squared distances of the vectors to the first k-means++ "
                                 "center overflow float64: their sum is inf")
         if total <= 0:
             # All remaining points coincide with chosen centers; any pick works.
             idx = int(rng.integers(n))
-        elif total < np.inf:
+        else:
             # rng.choice(n, p=closest / total) without its checks of p: the same
             # cumulative sum and uniform draw, so the same index.
             cdf = np.cumsum(closest / total)
             cdf /= cdf[-1]
             idx = int(cdf.searchsorted(rng.random(), "right"))
-        else:
-            # NaN or inf, from points that are not finite: rng.choice rejects p.
-            idx = int(rng.choice(n, p=closest / total))
         centers[j] = points[idx]
         # An overflow leaves its rows open, and an open row's distance that
         # overflows is inf, so the row keeps its current one.

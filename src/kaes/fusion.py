@@ -12,8 +12,6 @@ from .string_kernel import KernelMatrix, first_divergent
 
 def sum_kernels(k1: KernelMatrix, k2: KernelMatrix) -> KernelMatrix:
     """Elementwise sum of two aligned kernel matrices."""
-    if k1.shape != k2.shape:
-        raise KernelMismatchError(f"kernel shapes differ: {k1.shape} vs {k2.shape}")
     if k1.row_ids != k2.row_ids:
         raise KernelMismatchError(
             f"row ids diverge at {first_divergent(k1.row_ids, k2.row_ids)}"

@@ -162,8 +162,6 @@ class ExperimentConfig:
             raise KaesError(f"--vocab-limit must be at least 0, got {self.vocab_limit}")
         if self.vocab_limit == 0:  # the command line maps its 0 to None
             raise KaesError("vocab_limit=0 would scan no record; None scans every record")
-        if self.vocab_limit is not None and self.vocab_limit >= 2**64:  # a u64 in the model file
-            raise KaesError(f"--vocab-limit must be below 2**64, got {self.vocab_limit}")
         if not 0 <= self.seed < 2**64:  # a u64, as documented
             raise KaesError(f"--seed must be in [0, 2**64), got {self.seed}")
 
@@ -663,7 +661,7 @@ def _result_cell(
 # ---------------------------------------------------------------------------
 # One model: `kaes train` and `kaes predict`
 
-MODEL_MAGIC = b"KAESMD05"
+MODEL_MAGIC = b"KAESMD06"
 
 
 @dataclass
@@ -692,15 +690,13 @@ class ScoringModel:
     texts, one per row in ``svr.train_ids`` order: the columns of every
     kernel block the model scores with.  ``super_words`` is None exactly for
     hisk.  The n-gram range is read only by representations with an n-gram
-    kernel; ``vocab_limit`` (None: every vector) records how many records of
-    the vectors file the super-words come from.
+    kernel.
     """
 
     svr: SvrModel
     representation: str
     ngram_min: int
     ngram_max: int
-    vocab_limit: int | None
     support_texts: tuple[str, ...]
     super_words: SuperWords | None
 
@@ -739,8 +735,7 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
         table = embedded.model
         super_words = SuperWords(codebook.k, dict(zip(
             table.vocab, codebook.assign_batch(table.vectors).tolist())))
-    return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max, cfg.vocab_limit,
-                        texts, super_words)
+    return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max, texts, super_words)
 
 
 def predict_scores(model: ScoringModel, essays: Sequence[Essay]) -> list[tuple[Essay, int]]:
@@ -781,8 +776,8 @@ def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
     svr, super_words = model.svr, model.super_words
     with open_binary(path, "wb") as stream:
         stream.write(MODEL_MAGIC)
-        stream.write(struct.pack("<BIIQ", REPRESENTATIONS.index(model.representation),
-                                 model.ngram_min, model.ngram_max, model.vocab_limit or 0))
+        stream.write(struct.pack("<BII", REPRESENTATIONS.index(model.representation),
+                                 model.ngram_min, model.ngram_max))
         stream.write(struct.pack("<I", len(svr.train_ids)))
         for doc_id, coef, text in zip(svr.train_ids, svr.coefficients, model.support_texts):
             write_id(stream, doc_id)
@@ -804,7 +799,7 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
     """Read a model written by :func:`save_model`; a malformed file is a BinaryFormatError."""
     with open_binary(path, "rb") as stream, Reader(stream) as reader:
         reader.expect_magic(MODEL_MAGIC)
-        code, ngram_min, ngram_max, vocab_limit = reader.unpack("<BIIQ", "kernel settings")
+        code, ngram_min, ngram_max = reader.unpack("<BII", "kernel settings")
         if code >= len(REPRESENTATIONS) or not 1 <= ngram_min <= ngram_max:
             raise BinaryFormatError(f"invalid kernel settings: representation {code}, "
                                     f"n-gram range [{ngram_min}, {ngram_max}]",
@@ -822,7 +817,7 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
         if REPRESENTATIONS[code] != "hisk":
             super_words = _read_super_words(reader)
         reader.expect_end()
-    return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max, vocab_limit or None,
+    return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max,
                         tuple(row[2] for row in rows), super_words)
 
 

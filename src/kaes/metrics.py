@@ -55,8 +55,6 @@ def qwk(
                 f"{name} score {int(arr[bad][0])} outside range {score_range}"
             )
     n_levels = score_range.n_levels
-    if n_levels < 2:
-        raise ScoreValidationError(f"range {score_range} has fewer than 2 levels")
 
     n = pred.size
     confusion = np.zeros((n_levels, n_levels), dtype=np.int64)

@@ -409,9 +409,9 @@ def kernel_matrix(
 
     Entry (i, j) is the sum, over every n-gram of length n_min .. n_max of
     the canonicalized texts (see :func:`normalize_text`), of the smaller of
-    its counts in text i and in text j.  With ``cols=None`` (or the
-    identical list) this is the square Gram matrix of ``rows``, whose
-    diagonal is :func:`self_similarities`.  An empty list on either side
+    its counts in text i and in text j.  With ``cols=None`` this is the
+    square Gram matrix of ``rows``, whose diagonal is
+    :func:`self_similarities`.  An empty list on either side
     gives an empty block.
 
     Every value is exact.  A block's products are 0/1 columns times integer
@@ -426,7 +426,7 @@ def kernel_matrix(
     """
     if n_min < 1 or n_max < n_min:
         raise KernelMismatchError(f"invalid n-gram range [{n_min}, {n_max}]")
-    square = cols is None or cols is rows
+    square = cols is None
     cols_eff = rows if square else cols
     rids = tuple(row_ids) if row_ids is not None else _default_ids(len(rows), "doc")
     cids = rids if square and col_ids is None else (

@@ -30,12 +30,12 @@ KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a",
 # A marker with an Arabic-Indic digit, as tokenize makes of "@CAPS\u0661".
 SUPER_WORDS = SuperWords(3, {"@caps\u0661": 0, "cat": 2, "dog": 2})
 SVR = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
-               train_ids=("a", "bé"), converged=True, iterations=12)
+               train_ids=("essay-001", "bé"), converged=True, iterations=12)
 # One text per support row; the second holds a byte that Windows-1252 leaves
 # undefined, which corpus parsing makes a lone surrogate.
 SUPPORT_TEXTS = ("one text", "t\udc81wo")
-HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, 500_000, SUPPORT_TEXTS, None)
-FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, None, SUPPORT_TEXTS, SUPER_WORDS)
+HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, SUPPORT_TEXTS, None)
+FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, SUPPORT_TEXTS, SUPER_WORDS)
 VECTORS = EmbeddingModel(dim=3, vocab={"cat": 0, "dog": 1},
                          vectors=np.array([[1, 2, 3], [-1, 0.5, 0.25]], dtype=np.float32))
 
@@ -48,7 +48,7 @@ def _ids(*ids: str) -> bytes:
 # The SVR record of a model file: rows, each id, coefficient and support text
 # (written as an id), then bias, epsilon, converged and iterations.
 SVR_RECORD = (struct.pack("<I", 2)
-              + _ids("a") + struct.pack("<d", 0.5) + b"\x08\0\0\0one text"
+              + _ids("essay-001") + struct.pack("<d", 0.5) + b"\x08\0\0\0one text"
               + _ids("bé") + struct.pack("<d", -0.25) + b"\x06\0\0\0t\xed\xb2\x81wo"
               + struct.pack("<ddBQ", 0.125, 0.01, 1, 12))
 # The super-word record of a boswe or fused model: k, the token count and the
@@ -63,9 +63,9 @@ FORMATS = {
                b"KAESKM01" + struct.pack("<IIB", 2, 3, 0)
                + np.array(KERNEL.values, dtype="<f8").tobytes() + _ids("a", "bé", "x", "y", "z")),
     "model": (HISK_MODEL, save_model, load_model,
-              b"KAESMD05" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD),
+              b"KAESMD06" + struct.pack("<BII", 0, 1, 15) + SVR_RECORD),
     "fused-model": (FUSED_MODEL, save_model, load_model,
-                    b"KAESMD05" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
+                    b"KAESMD06" + struct.pack("<BII", 2, 2, 5) + SVR_RECORD
                     + SUPER_WORD_RECORD),
     "word2vec": (VECTORS, save_word2vec_binary, load_word2vec_binary,
                  b"2 3\ncat " + np.array([1, 2, 3], dtype="<f4").tobytes()
@@ -80,8 +80,8 @@ FORMATS["word2vec-tokenizable"] = (VECTORS, save_word2vec_binary,
                                    functools.partial(load_word2vec_binary, keep=TOKENIZABLE),
                                    FORMATS["word2vec"][3])
 # The top bit of the little-endian u32 row count: at byte 8 of a kernel file,
-# at byte 25 of a model file (after the magic and its kernel settings).
-TOP_BIT_OF_COUNT = {"kernel": 95, "model": 231, "fused-model": 231}
+# at byte 17 of a model file (after the magic and its kernel settings).
+TOP_BIT_OF_COUNT = {"kernel": 95, "model": 167, "fused-model": 167}
 
 
 def _flip(data: bytes, bit: int) -> bytes:
@@ -275,9 +275,8 @@ class TestModelFile:
             buf = io.BytesIO()
             save_model(model, buf)
             loaded = load_model(io.BytesIO(buf.getvalue()))
-            assert (loaded.representation, loaded.ngram_min, loaded.ngram_max,
-                    loaded.vocab_limit) == (model.representation, model.ngram_min,
-                                            model.ngram_max, model.vocab_limit)
+            assert (loaded.representation, loaded.ngram_min, loaded.ngram_max) == (
+                model.representation, model.ngram_min, model.ngram_max)
             assert np.array_equal(loaded.svr.coefficients, SVR.coefficients)
             assert (loaded.svr.bias, loaded.svr.epsilon_star, loaded.svr.train_ids,
                     loaded.svr.converged, loaded.svr.iterations) == (
@@ -292,8 +291,9 @@ class TestModelFile:
         # the one-file model that held no support texts and no vectors digest,
         # the one that stored --seed before the iterations of its config echo,
         # the one that kept every training row, a config echo and a second
-        # pass of support texts, and the one that held a vectors digest and
-        # the codebook's centroids instead of each token's super-word.
+        # pass of support texts, the one that held a vectors digest and the
+        # codebook's centroids instead of each token's super-word, and the
+        # one that stored the vocabulary limit.
         settings = struct.pack("<BIIQ", 0, 1, 15, 500_000)
         rows = (struct.pack("<I", 2) + _ids("a") + struct.pack("<d", 0.5) + _ids("bé")
                 + struct.pack("<d", -0.25) + struct.pack("<dd", 0.125, 0.01))
@@ -305,7 +305,8 @@ class TestModelFile:
                      b"KAESMD03" + settings + rows + echo + struct.pack("<Q", 12) + texts,
                      b"KAESMD04" + struct.pack("<BIIQ", 2, 2, 5, 0) + SVR_RECORD
                      + bytes(range(32)) + struct.pack("<II", 2, 3)
-                     + np.array([[1, 2, 3], [4, -5, 6.5]], dtype="<f4").tobytes()):
+                     + np.array([[1, 2, 3], [4, -5, 6.5]], dtype="<f4").tobytes(),
+                     b"KAESMD05" + struct.pack("<BIIQ", 0, 1, 15, 500_000) + SVR_RECORD):
             with pytest.raises(BinaryFormatError, match="bad magic") as info:
                 load_model(io.BytesIO(data))
             assert info.value.offset == 0
@@ -315,7 +316,7 @@ class TestModelFile:
     def test_support_texts_not_one_per_row_are_rejected(self, texts):
         # save_model would write them misaligned with the row ids.
         with pytest.raises(KernelMismatchError, match=f"^{len(texts)} support texts for 2 SVR"):
-            ScoringModel(SVR, "hisk", 1, 15, None, texts, None)
+            ScoringModel(SVR, "hisk", 1, 15, texts, None)
 
     @pytest.mark.parametrize("representation, super_words", [
         ("hisk", SUPER_WORDS), ("boswe", None), ("fused", None),
@@ -323,12 +324,12 @@ class TestModelFile:
     def test_super_words_exactly_for_a_codebook(self, representation, super_words):
         # save_model would write a file that load_model rejects.
         with pytest.raises(KernelMismatchError, match=f"^a {representation} model has"):
-            ScoringModel(SVR, representation, 1, 15, None, SUPPORT_TEXTS, super_words)
+            ScoringModel(SVR, representation, 1, 15, SUPPORT_TEXTS, super_words)
 
     @pytest.mark.parametrize("settings, reason", [
-        (struct.pack("<BIIQ", 3, 1, 15, 0), "representation 3"),
-        (struct.pack("<BIIQ", 0, 0, 15, 0), r"n-gram range \[0, 15\]"),
-        (struct.pack("<BIIQ", 2, 4, 3, 0), r"n-gram range \[4, 3\]"),
+        (struct.pack("<BII", 3, 1, 15), "representation 3"),
+        (struct.pack("<BII", 0, 0, 15), r"n-gram range \[0, 15\]"),
+        (struct.pack("<BII", 2, 4, 3), r"n-gram range \[4, 3\]"),
     ])
     def test_invalid_kernel_settings(self, settings, reason):
         with pytest.raises(BinaryFormatError, match=reason) as info:
@@ -359,7 +360,7 @@ class TestModelFile:
         for data in (FORMATS["model"][3] + b"\0", layout[:8] + b"\0" + layout[9:]):
             with pytest.raises(BinaryFormatError, match="trailing bytes") as info:
                 load_model(io.BytesIO(data))
-            assert info.value.offset == 25 + len(SVR_RECORD)
+            assert info.value.offset == 17 + len(SVR_RECORD)
 
 
 # Where the super-word record starts in the fused-model layout, and its parts.
@@ -409,11 +410,11 @@ class TestSuperWordRecord:
         path = tmp_path / "model.bin"
         words = SuperWords(3, {"cat": 0, "in\nner": 1})
         with pytest.raises(KernelMismatchError, match="super-word token holds a newline"):
-            save_model(ScoringModel(SVR, "boswe", 1, 15, None, SUPPORT_TEXTS, words), path)
+            save_model(ScoringModel(SVR, "boswe", 1, 15, SUPPORT_TEXTS, words), path)
         assert not list(tmp_path.iterdir())
 
     def test_old_magic_is_rejected(self):
-        data = b"KAESMD04" + FORMATS["fused-model"][3][8:]
-        with pytest.raises(BinaryFormatError, match="bad magic b'KAESMD04'") as info:
+        data = b"KAESMD05" + FORMATS["fused-model"][3][8:]
+        with pytest.raises(BinaryFormatError, match="bad magic b'KAESMD05'") as info:
             load_model(io.BytesIO(data))
         assert info.value.offset == 0

@@ -274,15 +274,6 @@ class TestSeeding:
         points = rng.integers(0, levels, size=(n, dim)).astype(np.float64)
         _check_seeding_against_reference(points, k, seed)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf on purpose
-    @settings(deadline=None)
-    @given(**_shapes, bad=st.sampled_from([np.nan, np.inf, -np.inf]))
-    def test_row_holding_nan_or_inf(self, seed, dim, k, n, bad):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(n, dim))
-        points[rng.integers(n), rng.integers(dim)] = bad
-        _check_seeding_against_reference(points, k, seed)
-
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12), distinct=st.integers(1, 11))
     def test_too_few_distinct_rows(self, seed, k, distinct):
@@ -670,7 +661,7 @@ class TestCodebookIO:
         svr = SvrModel(coefficients=np.array([0.5]), bias=0.0, epsilon_star=0.0,
                        train_ids=("a",), converged=True, iterations=1)
         buf = io.BytesIO()
-        save_model(ScoringModel(svr, "boswe", 1, 15, None, ("a",), super_words), buf)
+        save_model(ScoringModel(svr, "boswe", 1, 15, ("a",), super_words), buf)
         return buf.getvalue()
 
     def test_round_trip_bit_exact(self, tmp_path):

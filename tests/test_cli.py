@@ -355,11 +355,9 @@ class TestCommands:
         (["train", "--max-iterations", "-1", "--out", "m.bin"],
          "max_iterations must be in [0, 2**64)"),
         (["train", "--seed", str(2**64), "--out", "m.bin"], "--seed must be in [0, 2**64)"),
-        # The model file stores the n-gram range as u32 and the limit as u64.
+        # The model file stores the n-gram range as u32.
         (["train", "--ngram-max", str(2**32), "--out", "m.bin"],
          f"--ngram-max must be below 2**32, got {2**32}"),
-        (["train", "--vocab-limit", str(2**64), "--out", "m.bin"],
-         f"--vocab-limit must be below 2**64, got {2**64}"),
     ])
     def test_too_few_folds_or_clusters_fail_up_front(self, workdir, capsys, monkeypatch,
                                                      argv, minimum):

@@ -199,10 +199,11 @@ class TestOracle:
         assert np.array_equal(self_similarities(rows + cols, n_min, n_max),
                               np.diagonal(union.values))
 
-    def test_cols_given_as_the_rows_list_is_square(self):
+    def test_cols_given_as_the_rows_list_give_the_square_values(self):
+        # A rectangle, whatever its lists; only cols=None makes a square.
         texts = ["ab c", "b ca"]
         k = kernel_matrix(texts, texts, n_min=1, n_max=3)
-        assert k.row_ids == k.col_ids == ("doc0", "doc1")
+        assert (k.row_ids, k.col_ids) == (("doc0", "doc1"), ("col0", "col1"))
         assert np.array_equal(k.values, kernel_matrix(texts, n_min=1, n_max=3).values)
 
 
