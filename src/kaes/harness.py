@@ -206,8 +206,10 @@ class ResultTable:
     cells: list[ResultCell] = field(default_factory=list)
 
     def overall(self) -> float | None:
-        """Unweighted mean over per-key means (in-domain all-prompt runs)."""
-        means = [c.mean for c in self.cells if c.mean is not None]
+        """Unweighted mean over per-key means (in-domain all-prompt runs), each
+        rounded to 3 decimals as the report prints it, so a table rebuilt from
+        its csv gives the same value."""
+        means = [float(f"{c.mean:.3f}") for c in self.cells if c.mean is not None]
         if not means:
             return None
         return average_qwk(means)

@@ -799,6 +799,16 @@ class TestReports:
         text = emit_report(ResultTable(mode="in-domain", cells=cells), "text").decode()
         assert text.splitlines()[-1] == row
 
+    def test_overall_averages_the_printed_means(self):
+        # 0.0016 and 0.0013 print as 0.002 and 0.001: their mean 0.00145
+        # would print 0.001, but the csv round trip averages 0.0015.
+        cells = [ResultCell(key=key, n_t=None, representation="hisk", mean=mean, std=0.0,
+                            n_runs=1) for key, mean in (("1", 0.0016), ("2", 0.0013))]
+        text = emit_report(ResultTable(mode="in-domain", meta="m", cells=cells), "text")
+        rebuilt = table_from_csv(emit_report(ResultTable(mode="in-domain", cells=cells), "csv"))
+        assert text.decode().splitlines()[-1] == "overall          -   0.002        -     2"
+        assert emit_report(rebuilt, "text") == text.split(b"\n", 1)[1]
+
     def test_failed_cell_visible(self):
         cell = ResultCell(key="3", n_t=None, representation="hisk", mean=None, std=None,
                           failed="prepare: boom")
