@@ -170,6 +170,27 @@ class Reader:
         self.offset += n
         return out
 
+    def read_bytearray(self, n: int, what: str) -> bytearray:
+        """Exactly the next ``n`` bytes as the only copy of them, writable.
+
+        A mapped file's bytes are copied a chunk at a time, and the pages
+        behind each chunk are released before the next, so a large field
+        such as a Gram cache's values is held once, not also in a slice.
+        """
+        if self._buf is not self._map or self._pos + n > len(self._buf):
+            out = self.read(n, what)  # a bytearray unless it lies in one chunk
+            return out if isinstance(out, bytearray) else bytearray(out)
+        out, done = bytearray(n), 0
+        with memoryview(self._map) as source:  # released before close() unmaps
+            while done < n:
+                step = min(self._chunk, n - done)
+                out[done : done + step] = source[self._pos : self._pos + step]
+                done += step
+                self._pos += step
+                self._release()
+        self.offset += n
+        return out
+
     def unpack(self, fmt: str, what: str) -> tuple:
         """The fields of the ``struct`` format ``fmt``."""
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))

@@ -499,7 +499,7 @@ def load_kernel_matrix(path: str | Path | BinaryIO) -> KernelMatrix:
         rows, cols, tag = reader.unpack("<IIB", "header")
         if tag != _RAW_KIND:
             raise BinaryFormatError(f"unknown kind tag {tag}", offset=reader.offset - 1)
-        values = np.frombuffer(reader.read(rows * cols * 8, "values"), dtype="<f8")
+        values = np.frombuffer(reader.read_bytearray(rows * cols * 8, "values"), dtype="<f8")
         ids = [reader.read_id() for _ in range(rows + cols)]
-        return KernelMatrix(values=values.reshape(rows, cols).copy(), row_ids=tuple(ids[:rows]),
+        return KernelMatrix(values=values.reshape(rows, cols), row_ids=tuple(ids[:rows]),
                             col_ids=tuple(ids[rows:]))

@@ -10,6 +10,7 @@ import os
 import re
 import struct
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,7 @@ class TestReader:
                                           "expected 8 bytes, only 1 available")
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
-    @pytest.mark.parametrize("scan", ["records", "read"])
+    @pytest.mark.parametrize("scan", ["records", "read", "read_bytearray"])
     def test_reads_release_the_mapped_pages_behind_them(self, tmp_path, scan):
         # A vectors scan, and one large field such as a Gram cache's values.
         size = 4096
@@ -223,12 +224,28 @@ class TestReader:
                 for _ in range(7):
                     reader.read_records(size, 1 << 20, None)
             else:
-                reader.read(7 << 20, "values")
+                getattr(reader, scan)(7 << 20, "values")
             smaps = Path("/proc/self/smaps").read_text().splitlines()
         at = next(i for i, line in enumerate(smaps) if line.endswith(str(path)))
         rss_kib = next(int(line.split()[1]) for line in smaps[at:] if line.startswith("Rss:"))
         assert reader.offset > 7 * ((1 << 20) - 4098)  # seven windows of whole records
         assert rss_kib < 3 << 10  # not the 7 MiB read
+
+    def test_gram_cache_values_are_held_once(self, tmp_path):
+        n = 1024  # 8 MiB of values
+        values = np.random.default_rng(0).normal(size=(n, n))
+        path = tmp_path / "gram.km"
+        save_kernel_matrix(KernelMatrix(values, tuple(map(str, range(n))),
+                                        tuple(map(str, range(n)))), path)
+        tracemalloc.start()
+        try:
+            loaded = load_kernel_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * values.nbytes
+        assert loaded.values.flags.writeable
+        assert np.array_equal(loaded.values, values)
 
     @pytest.mark.parametrize("name", sorted(FORMATS))
     def test_huge_declared_size_asks_the_stream_for_one_chunk_at_most(self, name):
