@@ -90,8 +90,8 @@ _MODEL = ("representation", *_NGRAMS, *_CODEBOOK, *_SVR, "cache_dir")
 _PROTOCOL = ("repetitions", "folds", "format", "out")
 
 # Command: (help, the settings it takes).  `predict` reads its kernel, its
-# support essays and its super-words from the model; --representation is
-# checked against it.  --embeddings, --train-data, --k, --kmeans-iters and
+# support essays, its super-words and its prompt from the model;
+# --representation and --prompt are checked against it.  --embeddings, --train-data, --k, --kmeans-iters and
 # --seed are taken but neither read nor checked, because the benchmark's
 # `fused-score` workload (perfbench/workloads.py) still passes them to
 # `predict`; they go once it stops.
@@ -227,10 +227,6 @@ def cmd_train(settings: dict[str, Any]) -> int:
     out = _require(settings, "out")
     with open_binary(out, "wb") as stream:
         essays = without_blank(load_essays(cfg.data_path, cfg.prompt))
-        prompts = sorted({e.prompt for e in essays})
-        if len(prompts) > 1:
-            raise KaesError(f"the essays hold prompts {', '.join(map(str, prompts))}; "
-                            f"a model scores one: choose it with --prompt")
         model = train_model(cfg, essays)
         save_model(model, stream)
     svr = model.svr
@@ -248,8 +244,10 @@ def cmd_predict(settings: dict[str, Any]) -> int:
         if given != model.representation:
             raise KaesError(f"--representation {given} does not match the model, "
                             f"which was trained as {model.representation}")
-        essays = load_essays(_require(settings, "data"), settings.get("prompt"))
-        scores = predict_scores(model, essays)
+        if settings.get("prompt", model.prompt) != model.prompt:
+            raise KaesError(f"--prompt {settings['prompt']} does not match the model, "
+                            f"which scores prompt {model.prompt}")
+        scores = predict_scores(model, load_essays(_require(settings, "data")))
         lines = ["essay_id\tessay_set\tprediction"]
         lines += [f"{essay.id}\t{essay.prompt}\t{score}" for essay, score in scores]
         # Encoded as parse_asap_tsv decodes, so each id is written back as its own bytes.

@@ -686,23 +686,27 @@ class SuperWords:
 
 @dataclass
 class ScoringModel:
-    """A trained scorer and the kernel it was trained on.
+    """A trained scorer of one prompt and the kernel it was trained on.
 
     ``svr`` holds the support essays only, and ``support_texts`` are their
     texts, one per row in ``svr.train_ids`` order: the columns of every
     kernel block the model scores with.  ``super_words`` is None exactly for
     hisk.  The n-gram range is read only by representations with an n-gram
-    kernel.
+    kernel.  ``prompt`` is the prompt of the training essays, the only one
+    the model scores.
     """
 
     svr: SvrModel
     representation: str
     ngram_min: int
     ngram_max: int
+    prompt: int
     support_texts: tuple[str, ...]
     super_words: SuperWords | None
 
     def __post_init__(self):
+        if self.prompt not in ASAP_SCORE_RANGES:
+            raise KaesError(f"invalid prompt id {self.prompt}")
         if len(self.support_texts) != len(self.svr.train_ids):
             raise KernelMismatchError(f"{len(self.support_texts)} support texts for "
                                       f"{len(self.svr.train_ids)} SVR rows")
@@ -716,7 +720,8 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     """A nu-SVR scorer over the ``cfg.representation`` kernel of ``essays``.
 
     Blank essays are dropped with a warning, as the protocols drop them;
-    two essays with one id are an error.  The model is one split with every
+    essays of more than one prompt, or two essays with one id, are an
+    error.  The model is one split with every
     essay in training and none to score.  The vectors are read before the
     n-gram Gram, so that a bad vectors file fails before the costly step,
     and every token that :func:`tokenize` can produce is kept.  The codebook
@@ -724,6 +729,10 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
     """
     cfg.validate()
     essays = without_blank(essays)
+    prompts = sorted({e.prompt for e in essays})
+    if len(prompts) > 1:
+        raise KaesError(f"the essays hold prompts {', '.join(map(str, prompts))}; "
+                        f"a model scores one: choose it with --prompt")
     by_id = {e.id: e for e in essays}
     if len(by_id) != len(essays):  # a model row is keyed by its essay's id
         raise KaesError("duplicate essay ids in the training essays")
@@ -737,17 +746,25 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
         table = embedded.model
         super_words = SuperWords(codebook.k, dict(zip(
             table.vocab, codebook.assign_batch(table.vectors).tolist())))
-    return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max, texts, super_words)
+    return ScoringModel(svr, cfg.representation, cfg.ngram_min, cfg.ngram_max, prompts[0], texts,
+                        super_words)
 
 
 def predict_scores(model: ScoringModel, essays: Sequence[Essay]) -> list[tuple[Essay, int]]:
-    """Each essay of ``essays`` with its score under ``model``, on its prompt's scale.
+    """Each essay of the model's prompt among ``essays`` with its score under
+    ``model``, on that prompt's scale.
 
     The kernel is the model's own test x support block, over the support
-    texts and the super-words it holds; no vectors file is read.  Blank
+    texts and the super-words it holds; no vectors file is read.  No essay
+    of the model's prompt is an error that names the prompts given.  Blank
     essays are dropped with a warning, and two essays with one id are an
     error.  A model with no support vectors scores every essay at its bias.
     """
+    given = sorted({e.prompt for e in essays})
+    essays = [e for e in essays if e.prompt == model.prompt]
+    if not essays:
+        raise KaesError(f"the model scores prompt {model.prompt}, and the essays hold "
+                        f"prompts {', '.join(map(str, given)) or 'none'}")
     essays = without_blank(essays)
     ids = tuple(e.id for e in essays)
     repeated = [eid for eid, n in Counter(ids).items() if n > 1]
@@ -768,9 +785,9 @@ def predict_scores(model: ScoringModel, essays: Sequence[Essay]) -> list[tuple[E
             self_similarities(texts, n_min, n_max),
             self_similarities(model.support_texts, n_min, n_max))
     block = kernel_block(ids, support_ids, hisk, k, rows, cols)
-    preds = predict(model.svr, block)
-    return [(e, unscale_score(float(p), ASAP_SCORE_RANGES[e.prompt]))
-            for e, p in zip(essays, preds)]
+    score_range = ASAP_SCORE_RANGES[model.prompt]
+    return [(e, unscale_score(float(p), score_range))
+            for e, p in zip(essays, predict(model.svr, block))]
 
 
 def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
@@ -778,8 +795,8 @@ def save_model(model: ScoringModel, path: str | Path | BinaryIO) -> None:
     svr, super_words = model.svr, model.super_words
     with open_binary(path, "wb") as stream:
         stream.write(MODEL_MAGIC)
-        stream.write(struct.pack("<BII", REPRESENTATIONS.index(model.representation),
-                                 model.ngram_min, model.ngram_max))
+        stream.write(struct.pack("<BIIB", REPRESENTATIONS.index(model.representation),
+                                 model.ngram_min, model.ngram_max, model.prompt))
         stream.write(struct.pack("<I", len(svr.train_ids)))
         for doc_id, coef, text in zip(svr.train_ids, svr.coefficients, model.support_texts):
             write_id(stream, doc_id)
@@ -806,6 +823,9 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
             raise BinaryFormatError(f"invalid kernel settings: representation {code}, "
                                     f"n-gram range [{ngram_min}, {ngram_max}]",
                                     offset=len(MODEL_MAGIC))
+        (prompt,) = reader.unpack("<B", "prompt")
+        if prompt not in ASAP_SCORE_RANGES:
+            raise BinaryFormatError(f"invalid prompt id {prompt}", offset=reader.offset - 1)
         (count,) = reader.unpack("<I", "row count")
         rows = [(reader.read_id(), reader.read_finite("coefficient"),
                  reader.read_id("support text")) for _ in range(count)]
@@ -819,7 +839,7 @@ def load_model(path: str | Path | BinaryIO) -> ScoringModel:
         if REPRESENTATIONS[code] != "hisk":
             super_words = _read_super_words(reader)
         reader.expect_end()
-    return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max,
+    return ScoringModel(svr, REPRESENTATIONS[code], ngram_min, ngram_max, prompt,
                         tuple(row[2] for row in rows), super_words)
 
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import kaes.harness
 from kaes.binio import Reader, write_id
 from kaes.embeddings import TOKENIZABLE, EmbeddingModel, load_word2vec_binary
-from kaes.errors import BinaryFormatError, KernelMismatchError
+from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
 from kaes.harness import MODEL_MAGIC, ScoringModel, SuperWords, load_model, save_model
 from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_matrix
 from kaes.svr import SvrModel
@@ -31,12 +31,12 @@ KERNEL = KernelMatrix(values=[[1.0, 0.5, -0.25], [0.5, 1.0, 2.0]], row_ids=("a",
 # A marker with an Arabic-Indic digit, as tokenize makes of "@CAPS\u0661".
 SUPER_WORDS = SuperWords(3, {"@caps\u0661": 0, "cat": 2, "dog": 2})
 SVR = SvrModel(coefficients=np.array([0.5, -0.25]), bias=0.125, epsilon_star=0.01,
-               train_ids=("essay-001", "bé"), converged=True, iterations=12)
+               train_ids=("essay-01", "bé"), converged=True, iterations=12)
 # One text per support row; the second holds a byte that Windows-1252 leaves
 # undefined, which corpus parsing makes a lone surrogate.
 SUPPORT_TEXTS = ("one text", "t\udc81wo")
-HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, SUPPORT_TEXTS, None)
-FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, SUPPORT_TEXTS, SUPER_WORDS)
+HISK_MODEL = ScoringModel(SVR, "hisk", 1, 15, 8, SUPPORT_TEXTS, None)
+FUSED_MODEL = ScoringModel(SVR, "fused", 2, 5, 1, SUPPORT_TEXTS, SUPER_WORDS)
 VECTORS = EmbeddingModel(dim=3, vocab={"cat": 0, "dog": 1},
                          vectors=np.array([[1, 2, 3], [-1, 0.5, 0.25]], dtype=np.float32))
 
@@ -49,7 +49,7 @@ def _ids(*ids: str) -> bytes:
 # The SVR record of a model file: rows, each id, coefficient and support text
 # (written as an id), then bias, epsilon, converged and iterations.
 SVR_RECORD = (struct.pack("<I", 2)
-              + _ids("essay-001") + struct.pack("<d", 0.5) + b"\x08\0\0\0one text"
+              + _ids("essay-01") + struct.pack("<d", 0.5) + b"\x08\0\0\0one text"
               + _ids("bé") + struct.pack("<d", -0.25) + b"\x06\0\0\0t\xed\xb2\x81wo"
               + struct.pack("<ddBQ", 0.125, 0.01, 1, 12))
 # The super-word record of a boswe or fused model: k, the token count and the
@@ -64,9 +64,9 @@ FORMATS = {
                b"KAESKM01" + struct.pack("<IIB", 2, 3, 0)
                + np.array(KERNEL.values, dtype="<f8").tobytes() + _ids("a", "bé", "x", "y", "z")),
     "model": (HISK_MODEL, save_model, load_model,
-              b"KAESMD06" + struct.pack("<BII", 0, 1, 15) + SVR_RECORD),
+              b"KAESMD06" + struct.pack("<BIIB", 0, 1, 15, 8) + SVR_RECORD),
     "fused-model": (FUSED_MODEL, save_model, load_model,
-                    b"KAESMD06" + struct.pack("<BII", 2, 2, 5) + SVR_RECORD
+                    b"KAESMD06" + struct.pack("<BIIB", 2, 2, 5, 1) + SVR_RECORD
                     + SUPER_WORD_RECORD),
     "word2vec": (VECTORS, save_word2vec_binary, load_word2vec_binary,
                  b"2 3\ncat " + np.array([1, 2, 3], dtype="<f4").tobytes()
@@ -81,8 +81,8 @@ FORMATS["word2vec-tokenizable"] = (VECTORS, save_word2vec_binary,
                                    functools.partial(load_word2vec_binary, keep=TOKENIZABLE),
                                    FORMATS["word2vec"][3])
 # The top bit of the little-endian u32 row count: at byte 8 of a kernel file,
-# at byte 17 of a model file (after the magic and its kernel settings).
-TOP_BIT_OF_COUNT = {"kernel": 95, "model": 167, "fused-model": 167}
+# at byte 18 of a model file (after the magic and its kernel settings).
+TOP_BIT_OF_COUNT = {"kernel": 95, "model": 175, "fused-model": 175}
 
 
 def _flip(data: bytes, bit: int) -> bytes:
@@ -292,8 +292,8 @@ class TestModelFile:
             buf = io.BytesIO()
             save_model(model, buf)
             loaded = load_model(io.BytesIO(buf.getvalue()))
-            assert (loaded.representation, loaded.ngram_min, loaded.ngram_max) == (
-                model.representation, model.ngram_min, model.ngram_max)
+            assert (loaded.representation, loaded.ngram_min, loaded.ngram_max, loaded.prompt) == (
+                model.representation, model.ngram_min, model.ngram_max, model.prompt)
             assert np.array_equal(loaded.svr.coefficients, SVR.coefficients)
             assert (loaded.svr.bias, loaded.svr.epsilon_star, loaded.svr.train_ids,
                     loaded.svr.converged, loaded.svr.iterations) == (
@@ -333,7 +333,7 @@ class TestModelFile:
     def test_support_texts_not_one_per_row_are_rejected(self, texts):
         # save_model would write them misaligned with the row ids.
         with pytest.raises(KernelMismatchError, match=f"^{len(texts)} support texts for 2 SVR"):
-            ScoringModel(SVR, "hisk", 1, 15, texts, None)
+            ScoringModel(SVR, "hisk", 1, 15, 1, texts, None)
 
     @pytest.mark.parametrize("representation, super_words", [
         ("hisk", SUPER_WORDS), ("boswe", None), ("fused", None),
@@ -341,17 +341,25 @@ class TestModelFile:
     def test_super_words_exactly_for_a_codebook(self, representation, super_words):
         # save_model would write a file that load_model rejects.
         with pytest.raises(KernelMismatchError, match=f"^a {representation} model has"):
-            ScoringModel(SVR, representation, 1, 15, SUPPORT_TEXTS, super_words)
+            ScoringModel(SVR, representation, 1, 15, 1, SUPPORT_TEXTS, super_words)
 
     @pytest.mark.parametrize("settings, reason", [
-        (struct.pack("<BII", 3, 1, 15), "representation 3"),
-        (struct.pack("<BII", 0, 0, 15), r"n-gram range \[0, 15\]"),
-        (struct.pack("<BII", 2, 4, 3), r"n-gram range \[4, 3\]"),
+        (struct.pack("<BIIB", 3, 1, 15, 1), "representation 3"),
+        (struct.pack("<BIIB", 0, 0, 15, 1), r"n-gram range \[0, 15\]"),
+        (struct.pack("<BIIB", 2, 4, 3, 1), r"n-gram range \[4, 3\]"),
     ])
     def test_invalid_kernel_settings(self, settings, reason):
         with pytest.raises(BinaryFormatError, match=reason) as info:
             load_model(io.BytesIO(MODEL_MAGIC + settings + SVR_RECORD))
         assert info.value.offset == 8
+
+    @pytest.mark.parametrize("prompt", [0, 9, 255])
+    def test_invalid_prompt(self, prompt):
+        settings = struct.pack("<BIIB", 0, 1, 15, prompt)
+        with pytest.raises(BinaryFormatError, match=f"^at byte 17: invalid prompt id {prompt}$"):
+            load_model(io.BytesIO(MODEL_MAGIC + settings + SVR_RECORD))
+        with pytest.raises(KaesError, match=f"^invalid prompt id {prompt}$"):
+            ScoringModel(SVR, "hisk", 1, 15, prompt, SUPPORT_TEXTS, None)
 
     # A number of the fused-model layout that must be finite: its offset,
     # format, value there and name in the error.
@@ -377,7 +385,7 @@ class TestModelFile:
         for data in (FORMATS["model"][3] + b"\0", layout[:8] + b"\0" + layout[9:]):
             with pytest.raises(BinaryFormatError, match="trailing bytes") as info:
                 load_model(io.BytesIO(data))
-            assert info.value.offset == 17 + len(SVR_RECORD)
+            assert info.value.offset == 18 + len(SVR_RECORD)
 
 
 # Where the super-word record starts in the fused-model layout, and its parts.
@@ -427,7 +435,7 @@ class TestSuperWordRecord:
         path = tmp_path / "model.bin"
         words = SuperWords(3, {"cat": 0, "in\nner": 1})
         with pytest.raises(KernelMismatchError, match="super-word token holds a newline"):
-            save_model(ScoringModel(SVR, "boswe", 1, 15, SUPPORT_TEXTS, words), path)
+            save_model(ScoringModel(SVR, "boswe", 1, 15, 1, SUPPORT_TEXTS, words), path)
         assert not list(tmp_path.iterdir())
 
     def test_old_magic_is_rejected(self):

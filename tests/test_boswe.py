@@ -661,7 +661,7 @@ class TestCodebookIO:
         svr = SvrModel(coefficients=np.array([0.5]), bias=0.0, epsilon_star=0.0,
                        train_ids=("a",), converged=True, iterations=1)
         buf = io.BytesIO()
-        save_model(ScoringModel(svr, "boswe", 1, 15, ("a",), super_words), buf)
+        save_model(ScoringModel(svr, "boswe", 1, 15, 1, ("a",), super_words), buf)
         return buf.getvalue()
 
     def test_round_trip_bit_exact(self, tmp_path):

@@ -17,6 +17,7 @@ import kaes.harness
 from kaes.cli import main
 from kaes.corpus import ASAP_SCORE_RANGES, parse_asap_tsv, unscale_score
 from kaes.embeddings import EmbeddingModel, load_word2vec_binary, tokenize
+from kaes.errors import KaesError
 from kaes.harness import (
     ExperimentConfig, load_essays, load_model, predict_scores, save_model, train_model,
 )
@@ -298,7 +299,7 @@ class TestCommands:
         model.write_bytes(b"old")
         train = ["train", "--data", workdir / "pair.tsv", "--out", model]
         with monkeypatch.context() as patch:
-            patch.setattr(kaes.cli, "train_model", None)  # nothing is trained
+            patch.setattr(kaes.harness, "normalized_hisk_gram", None)  # nothing is trained
             code, out, err = run_main(capsys, train)
         assert code == 1 and out == ""
         assert err == "error: the essays hold prompts 1, 2; a model scores one: choose it " \
@@ -496,6 +497,30 @@ class TestCommands:
         assert err == (f"error: --representation {given} does not match the model, "
                        f"which was trained as {trained}\n")
 
+    def test_a_model_scores_only_its_prompt(self, workdir, tmp_path, capsys):
+        pair, model = workdir / "pair.tsv", tmp_path / "m.bin"
+        with pytest.raises(KaesError, match="^the essays hold prompts 1, 2; a model scores one"):
+            train_model(ExperimentConfig(mode="in-domain", data_path=str(pair)), load_essays(pair))
+        code, _, err = run_main(capsys, ["train", "--data", pair, "--prompt", "1",
+                                         "--out", model])
+        assert code == 0, err
+        assert load_model(model).prompt == 1
+        eighth = tmp_path / "eighth.tsv"
+        eighth.write_bytes(make_corpus_tsv(5, seed=3, prompts=(8,)))
+        for flags, message in (
+                (["--data", eighth], "the model scores prompt 1, and the essays hold prompts 8"),
+                (["--data", pair, "--prompt", "2"],
+                 "--prompt 2 does not match the model, which scores prompt 1")):
+            code, out, err = run_main(capsys, ["predict", *flags, "--model", model])
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+        # Of two prompts' essays, the model's prompt's are scored, with or without --prompt.
+        outputs = [run_main(capsys, ["predict", "--data", pair, *flags, "--model", model])
+                   for flags in ([], ["--prompt", "1"])]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        lines = outputs[0][1].splitlines()
+        assert [line.split("\t")[:2] for line in lines[1:]] == [
+            [e.id, "1"] for e in load_essays(pair, prompt=1)]
+
     def test_predict_takes_the_kernel_from_the_model(self, workdir, tmp_path, capsys):
         data = workdir / "data.tsv"
         model_path, preds = tmp_path / "m.bin", tmp_path / "preds.tsv"
@@ -644,10 +669,10 @@ class TestCommands:
         code, out, err = run_main(capsys, ["predict", *common, "--model", model_path])
         assert code == 0, err
         bias = load_model(model_path).svr.bias
-        # Each essay gets the bias on its own prompt's scale.
+        # Each essay of the model's prompt gets the bias on that prompt's scale.
         expected = ["essay_id\tessay_set\tprediction"]
-        expected += [f"{e.id}\t{e.prompt}\t{unscale_score(bias, ASAP_SCORE_RANGES[e.prompt])}"
-                     for e in load_essays(data)]
+        expected += [f"{e.id}\t1\t{unscale_score(bias, ASAP_SCORE_RANGES[1])}"
+                     for e in load_essays(data, prompt=1)]
         assert out == "\n".join(expected) + "\n"
 
     def test_train_reads_vectors_before_the_gram(self, workdir, tmp_path, capsys, monkeypatch):

@@ -543,7 +543,8 @@ class TestNormalizedBlocks:
             return kernel_block(row_ids, col_ids, hisk, *args)
 
         monkeypatch.setattr(kaes.harness, "kernel_block", record)
-        predict_scores(model, essays[20:])
+        # The model scores its own prompt; the n-gram block depends on the texts only.
+        predict_scores(model, [replace(e, prompt=model.prompt) for e in essays[20:]])
         (block,) = blocks
         assert block.shape == (len(essays) - 20, len(model.svr.support_ids))
         assert hashlib.sha256(np.ascontiguousarray(block.values, "<f8")).hexdigest() == digest

@@ -334,7 +334,7 @@ def save_svr(model, buf) -> None:
     file; the support ids stand in for the support texts."""
     kept = model.support_mask
     support = replace(model, coefficients=model.coefficients[kept], train_ids=model.support_ids)
-    save_model(ScoringModel(support, "hisk", 1, 15, support.train_ids, None), buf)
+    save_model(ScoringModel(support, "hisk", 1, 15, 1, support.train_ids, None), buf)
 
 
 def load_svr(buf):
