@@ -8,10 +8,10 @@ dual solved by projected gradient with an accelerated first-order method
 run to a tight fixed-point tolerance, the SMO loop of that dual as first
 written (the bit-for-bit reference of the solver), and explicit feature
 rows whose inner products are the linear kernel, a word2vec loader that
-finds each record's fields in the whole byte string.  The in-domain
-protocol, ``train_model`` and ``predict_scores`` are rebuilt from these
-pieces; only the fold plan, the seed streams, the tokenizer and k-means come
-from the package.
+finds each record's fields in the whole byte string.  Both protocols,
+``train_model`` and ``predict_scores`` are rebuilt from these pieces; only
+the fold plan, the transfer splits, the seed streams, the tokenizer and
+k-means come from the package.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from kaes.boswe import Codebook, fit_codebook
-from kaes.corpus import ASAP_SCORE_RANGES, Essay, make_folds
+from kaes.corpus import ASAP_SCORE_RANGES, Essay, make_folds, make_transfer_split
 from kaes.embeddings import _MAX_DIM, DEFAULT_VOCAB_LIMIT, EmbeddingModel, tokenize
 from kaes.errors import BinaryFormatError, KaesError, KernelMismatchError
 from kaes.seeding import CODEBOOK, derive_rng
@@ -539,8 +539,9 @@ def reference_predict(
     cfg, split: ReferenceSplit, by_id: dict[str, Essay], essays: Sequence[Essay],
     vectors: EmbeddingModel,
 ) -> list[int]:
-    """The scores of held-out ``essays`` (blank ones dropped) under
-    :func:`reference_train`'s ``split``, whose training essays ``by_id`` holds.
+    """The scores of the held-out ``essays`` of the training essays' prompt
+    (blank ones dropped) under :func:`reference_train`'s ``split``, whose
+    training essays ``by_id`` holds.
 
     Each essay's row against the training essays is :func:`naive_hisk` over
     the square root of the two self-similarities, or :func:`hik_reference`
@@ -548,7 +549,8 @@ def reference_predict(
     :func:`nearest_centroid_linear` (tokens without a vector left out), or
     their sum for fused; :func:`reference_score` scores it.
     """
-    essays = [e for e in essays if normalize_text(e.text)]
+    prompt = by_id[split.train_ids[0]].prompt
+    essays = [e for e in essays if e.prompt == prompt and normalize_text(e.text)]
     train = [by_id[eid].text for eid in split.train_ids]
     blocks = []
     if cfg.representation != "boswe":
@@ -569,7 +571,7 @@ def reference_predict(
 
         blocks.append(hik_reference(histograms([e.text for e in essays]), histograms(train)))
     block = blocks[0] if len(blocks) == 1 else blocks[0] + blocks[1]
-    return [reference_score(split, row, e.prompt) for e, row in zip(essays, block)]
+    return [reference_score(split, row, prompt) for row in block]
 
 
 def reference_in_domain(
@@ -595,4 +597,35 @@ def reference_in_domain(
                 split = reference_split(cfg, by_id, vectors, seed, *plan.split_ids(rep, fold),
                                         memo=memo)
                 out.append((split, reference_kappa(split, by_id, prompt)))
+    return out
+
+
+def reference_cross_domain(
+    cfg, essays: Sequence[Essay], vectors: EmbeddingModel
+) -> list[tuple[ReferenceSplit, float]]:
+    """Every split of the cross-domain protocol, with its kappa, in report order.
+
+    Only essays of ``cfg.source`` and ``cfg.target`` count, blank ones
+    dropped.  For the ``c``-th sub-sample size ``n_t`` of ``cfg.nt``,
+    repetition by repetition, ``make_transfer_split`` over the target
+    essays gives the ``n_t`` target essays added to training and the target
+    fold scored; training holds every source essay in file order, then the
+    added ones.  Each split's codebook seed is drawn from
+    ``derive_rng(cfg.seed, CODEBOOK, rep, c)``, and its kappa is on the
+    target prompt's scale.  ``cfg.repetitions`` must be set.
+    """
+    essays = [e for e in essays
+              if e.prompt in (cfg.source, cfg.target) and normalize_text(e.text)]
+    by_id = {e.id: e for e in essays}
+    source_ids = tuple(e.id for e in essays if e.prompt == cfg.source)
+    target = [e for e in essays if e.prompt == cfg.target]
+    memo, out = {}, []
+    for cell, n_t in enumerate(cfg.nt):
+        for rep in range(cfg.repetitions):
+            extra_ids, eval_ids = make_transfer_split(target, n_t, rep, cfg.seed,
+                                                      fold_count=cfg.folds)
+            seed = int(derive_rng(cfg.seed, CODEBOOK, rep, cell).integers(0, 2**31 - 1))
+            split = reference_split(cfg, by_id, vectors, seed, source_ids + extra_ids, eval_ids,
+                                    memo=memo)
+            out.append((split, reference_kappa(split, by_id, cfg.target)))
     return out

@@ -38,6 +38,7 @@ from kaes.string_kernel import KernelMatrix, load_kernel_matrix, save_kernel_mat
 from oracles import (
     load_word2vec_reference,
     nearest_centroid_linear,
+    reference_cross_domain,
     reference_in_domain,
     reference_predict,
     reference_train,
@@ -591,8 +592,8 @@ class TestProtocolDigests:
 
 
 class TestReferenceProtocol:
-    """The in-domain protocol, ``train_model`` and ``predict_scores`` against
-    the brute-force re-derivations in ``oracles``: codebook points and seeds,
+    """Both protocols, ``train_model`` and ``predict_scores`` against the
+    brute-force re-derivations in ``oracles``: codebook points and seeds,
     kernel blocks and fits bit for bit, kappas to 1e-12, and the scores of
     held-out essays."""
 
@@ -602,6 +603,15 @@ class TestReferenceProtocol:
         tmp = tmp_path_factory.mktemp("reference")
         lines = make_corpus_tsv(14, seed=4, prompts=(3,), filler=(3, 7)).decode().splitlines()
         (tmp / "data.tsv").write_text("\n".join(lines[:6] + ["99\t3\t  \t2"] + lines[6:]) + "\n")
+        (tmp / "emb.bin").write_bytes(make_embeddings_bytes(decoys=5))
+        return tmp, load_word2vec_reference((tmp / "emb.bin").read_bytes())
+
+    @pytest.fixture(scope="class")
+    def pair_corpus(self, tmp_path_factory):
+        """Two prompts of short essays, and one blank target essay."""
+        tmp = tmp_path_factory.mktemp("reference-pair")
+        lines = make_corpus_tsv(12, seed=6, prompts=(3, 4), filler=(3, 7)).decode().splitlines()
+        (tmp / "data.tsv").write_text("\n".join(lines[:18] + ["99\t4\t  \t2"] + lines[18:]) + "\n")
         (tmp / "emb.bin").write_bytes(make_embeddings_bytes(decoys=5))
         return tmp, load_word2vec_reference((tmp / "emb.bin").read_bytes())
 
@@ -651,16 +661,15 @@ class TestReferenceProtocol:
         assert (model.bias, model.epsilon_star, model.iterations, model.converged) == (
             bias, epsilon_star, iterations, converged)
 
-    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
-    def test_in_domain_splits(self, corpus, monkeypatch, representation):
-        tmp, vectors = corpus
-        cfg = self.cfg(tmp, representation)
-        calls = self.record(monkeypatch)
-        (cell,) = run_in_domain(cfg).cells
-        reference = reference_in_domain(cfg, load_essays(cfg.data_path), vectors)
-        assert cell.failed is None and len(reference) == cell.n_runs == 10
-        assert [len(calls[name]) for name in ("fits", "predicts")] == [10, 10]
-        assert len(calls["codebooks"]) == (0 if representation == "hisk" else 10)
+    def check_splits(self, calls, cells, reference, representation):
+        """Each recorded split against the reference's, in order, and the
+        cells' full-precision kappas against its kappas."""
+        n = len(reference)
+        assert all(cell.failed is None for cell in cells)
+        assert [len(calls[name]) for name in ("fits", "predicts")] == [n, n]
+        assert len(calls["codebooks"]) == (0 if representation == "hisk" else n)
+        values = [v for cell in cells for v in cell.values]
+        assert len(values) == n
         for s, (split, kappa) in enumerate(reference):
             assert "99" not in split.train_ids + split.eval_ids
             if split.codebook is not None:
@@ -670,7 +679,29 @@ class TestReferenceProtocol:
             block = calls["predicts"][s]
             assert (block.row_ids, block.col_ids) == (split.eval_ids, split.train_ids)
             assert self.same_bits(block.values, split.eval_block)
-            assert cell.values[s] == pytest.approx(kappa, abs=1e-12)
+            assert values[s] == pytest.approx(kappa, abs=1e-12)
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_in_domain_splits(self, corpus, monkeypatch, representation):
+        tmp, vectors = corpus
+        cfg = self.cfg(tmp, representation)
+        calls = self.record(monkeypatch)
+        cells = run_in_domain(cfg).cells
+        reference = reference_in_domain(cfg, load_essays(cfg.data_path), vectors)
+        assert len(cells) == 1 and len(reference) == 10
+        self.check_splits(calls, cells, reference, representation)
+
+    @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
+    def test_cross_domain_splits(self, pair_corpus, monkeypatch, representation):
+        tmp, vectors = pair_corpus
+        cfg = replace(self.cfg(tmp, representation), mode="cross-domain", source=3, target=4,
+                      nt=(0, 5))
+        calls = self.record(monkeypatch)
+        cells = run_cross_domain(cfg).cells
+        reference = reference_cross_domain(cfg, load_essays(cfg.data_path), vectors)
+        assert [cell.n_t for cell in cells] == [0, 5] and len(reference) == 4
+        assert [len(split.train_ids) for split, _ in reference] == [12, 12, 17, 17]
+        self.check_splits(calls, cells, reference, representation)
 
     @pytest.mark.parametrize("representation", ["hisk", "boswe", "fused"])
     def test_train_model(self, corpus, monkeypatch, representation):
