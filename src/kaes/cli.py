@@ -91,10 +91,11 @@ _PROTOCOL = ("repetitions", "folds", "format", "out")
 
 # Command: (help, the settings it takes).  `predict` reads its kernel, its
 # support essays, its super-words and its prompt from the model;
-# --representation and --prompt are checked against it.  --embeddings, --train-data, --k, --kmeans-iters and
-# --seed are taken but neither read nor checked, because the benchmark's
-# `fused-score` workload (perfbench/workloads.py) still passes them to
-# `predict`; they go once it stops.
+# --representation and --prompt are checked against it.  --embeddings,
+# --train-data, --k, --kmeans-iters and --seed are taken but neither read
+# nor checked, because the benchmark's `fused-score` workload
+# (perfbench/workloads.py) still passes them to `predict`; they go once it
+# stops.
 _COMMANDS = {
     "ingest": ("validate and summarize a data file", ("data", "prompt")),
     "kernel": ("cache each prompt's n-gram Gram matrix in --cache-dir",

@@ -721,11 +721,11 @@ def train_model(cfg: ExperimentConfig, essays: Sequence[Essay]) -> ScoringModel:
 
     Blank essays are dropped with a warning, as the protocols drop them;
     essays of more than one prompt, or two essays with one id, are an
-    error.  The model is one split with every
-    essay in training and none to score.  The vectors are read before the
-    n-gram Gram, so that a bad vectors file fails before the costly step,
-    and every token that :func:`tokenize` can produce is kept.  The codebook
-    is fitted after the Gram, and then labels each of those tokens.
+    error.  The model is one split with every essay in training and none
+    to score.  The vectors are read before the n-gram Gram, so that a bad
+    vectors file fails before the costly step, and every token that
+    :func:`tokenize` can produce is kept.  The codebook is fitted after the
+    Gram, and then labels each of those tokens.
     """
     cfg.validate()
     essays = without_blank(essays)

@@ -411,8 +411,8 @@ def kernel_matrix(
     the canonicalized texts (see :func:`normalize_text`), of the smaller of
     its counts in text i and in text j.  With ``cols=None`` this is the
     square Gram matrix of ``rows``, whose diagonal is
-    :func:`self_similarities`.  An empty list on either side
-    gives an empty block.
+    :func:`self_similarities`.  An empty list on either side gives an
+    empty block.
 
     Every value is exact.  A block's products are 0/1 columns times integer
     weights, so its sums are integers of at most the sum of its column
